@@ -35,16 +35,6 @@ def jacobi_quad(exponent: float, f, npts: int) -> float:
     return float(np.sum(w * f(x)))
 
 
-def weighted_inner(gamma: float, m: int, n: int) -> float:
-    """int W^(gamma) G_m G_n dx by quadrature (oracle for orthogonality)."""
-    npts = m + n + 8
-    return jacobi_quad(
-        gamma - 0.5,
-        lambda x: np.asarray(evaluate(gamma, m, x)) * np.asarray(evaluate(gamma, n, x)),
-        npts,
-    )
-
-
 # ---------------------------------------------------------------------------
 # exact spectrum of the continuous problem
 

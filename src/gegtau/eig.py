@@ -1,12 +1,11 @@
-"""Dense nonsymmetric eigensolver, polynomial roots, and spectrum labeling.
+"""Dense eigenvalues, polynomial roots, and spectrum labeling.
 
-The eigensolver is self-contained: diagonal balancing, Householder reduction
-to upper Hessenberg form, then Francis double-shift QR iteration with
-deflation.  The double-shift strategy keeps everything in real arithmetic,
-so complex eigenvalues emerge as exact conjugate pairs from 2x2 blocks.
+Dense eigenvalues come from LAPACK (``numpy.linalg.eigvals``, which balances,
+reduces to Hessenberg form and runs shifted QR).  For a real matrix, complex
+eigenvalues come out as exact conjugate pairs.
 
-Polynomial roots come from the balanced companion matrix of the normalized
-coefficients, with a per-root residual check.
+Polynomial roots come from the companion matrix of the normalized
+coefficients, Newton-polished, with a per-root residual check.
 """
 
 from __future__ import annotations
@@ -31,183 +30,25 @@ DEFAULT_TOLERANCES = {
 
 
 class ConvergenceError(RuntimeError):
-    """QR iteration exceeded its sweep budget; carries partial eigenvalues."""
-
-    def __init__(self, message: str, partial: np.ndarray):
-        super().__init__(message)
-        self.partial = partial
+    """The LAPACK eigensolver did not converge."""
 
 
-def _balance(a: np.ndarray) -> np.ndarray:
-    """Diagonal similarity with powers of 2 equalizing row/column norms."""
-    a = a.copy()
-    n = a.shape[0]
-    radix = 2.0
-    sqrdx = radix * radix
-    done = False
-    while not done:
-        done = True
-        for i in range(n):
-            r = float(np.sum(np.abs(a[i, :])) - abs(a[i, i]))
-            c = float(np.sum(np.abs(a[:, i])) - abs(a[i, i]))
-            if c == 0.0 or r == 0.0:
-                continue
-            g = r / radix
-            f = 1.0
-            s = c + r
-            while c < g:
-                f *= radix
-                c *= sqrdx
-            g = r * radix
-            while c > g:
-                f /= radix
-                c /= sqrdx
-            if (c + r) / f < 0.95 * s:
-                done = False
-                a[i, :] *= 1.0 / f
-                a[:, i] *= f
-    return a
+def dense_eigs(m: np.ndarray) -> np.ndarray:
+    """All eigenvalues of a real square matrix, as a complex128 array.
 
-
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    """Householder reduction to upper Hessenberg form (similarity)."""
-    h = a.copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1 :, k].copy()
-        sigma = float(np.linalg.norm(x))
-        if sigma == 0.0:
-            continue
-        alpha = -math.copysign(sigma, x[0]) if x[0] != 0.0 else -sigma
-        v = x
-        v[0] -= alpha
-        vn = float(np.linalg.norm(v))
-        if vn == 0.0:
-            continue
-        v /= vn
-        h[k + 1 :, k:] -= 2.0 * np.outer(v, v @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v)
-        h[k + 1, k] = alpha
-        h[k + 2 :, k] = 0.0
-    return h
-
-
-def _eig22(a: float, b: float, c: float, d: float) -> tuple[complex, complex]:
-    """Eigenvalues of [[a, b], [c, d]], conjugate pair when discriminant < 0."""
-    mean = 0.5 * (a + d)
-    p = 0.5 * (a - d)
-    disc = p * p + b * c
-    if disc >= 0.0:
-        r = math.sqrt(disc)
-        big = mean + r if mean >= 0.0 else mean - r
-        det = a * d - b * c
-        small = det / big if big != 0.0 else mean - math.copysign(r, mean)
-        return complex(big), complex(small)
-    im = math.sqrt(-disc)
-    return complex(mean, im), complex(mean, -im)
-
-
-def _reflect(h: np.ndarray, vec: np.ndarray, k: int, lo: int, hi: int) -> None:
-    """Apply the Householder reflector sending vec to a multiple of e1."""
-    beta = float(np.linalg.norm(vec))
-    if beta == 0.0:
-        return
-    v = vec.copy()
-    v[0] += math.copysign(beta, vec[0]) if vec[0] != 0.0 else beta
-    vn = float(np.linalg.norm(v))
-    if vn == 0.0:
-        return
-    v /= vn
-    rows = slice(k, k + v.size)
-    c0 = max(lo, k - 1)
-    h[rows, c0 : hi + 1] -= 2.0 * np.outer(v, v @ h[rows, c0 : hi + 1])
-    r1 = min(k + 3, hi) + 1
-    h[lo:r1, rows] -= 2.0 * np.outer(h[lo:r1, rows] @ v, v)
-
-
-def _francis_sweep(h: np.ndarray, lo: int, hi: int, s: float, t: float) -> None:
-    """One implicit double-shift sweep on the active window [lo, hi]."""
-    x = h[lo, lo] * h[lo, lo] + h[lo, lo + 1] * h[lo + 1, lo] - s * h[lo, lo] + t
-    y = h[lo + 1, lo] * (h[lo, lo] + h[lo + 1, lo + 1] - s)
-    z = h[lo + 2, lo + 1] * h[lo + 1, lo] if hi - lo > 1 else 0.0
-    for k in range(lo, hi):
-        if k + 2 <= hi:
-            _reflect(h, np.array([x, y, z]), k, lo, hi)
-        else:
-            _reflect(h, np.array([x, y]), k, lo, hi)
-        if k > lo:
-            h[k + 1, k - 1] = 0.0
-            if k + 2 <= hi:
-                h[k + 2, k - 1] = 0.0
-        if k + 1 <= hi - 1:
-            x = h[k + 1, k]
-            y = h[k + 2, k]
-            z = h[k + 3, k] if k + 3 <= hi else 0.0
-
-
-def dense_eigs(m: np.ndarray, sweep_budget_factor: int = 30) -> np.ndarray:
-    """All eigenvalues of a real square matrix.
-
-    Balancing, Hessenberg reduction, then double-shift QR with deflation and
-    exceptional shifts.  Raises ConvergenceError (with partial results) after
-    ``sweep_budget_factor * dim`` sweeps.
+    Raises ValueError for a non-square or non-finite matrix, and
+    ConvergenceError when LAPACK's QR iteration fails to converge.
     """
-    a = np.array(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    if n == 1:
-        return np.array([complex(a[0, 0])])
-    h = _hessenberg(_balance(a))
-    hnorm = float(np.sum(np.abs(h)))
-    eps = float(np.finfo(float).eps)
-    eigs: list[complex] = []
-    hi = n - 1
-    sweeps = 0
-    its = 0
-    budget = sweep_budget_factor * n
-    while hi >= 0:
-        lo = hi
-        while lo > 0:
-            s = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
-            if s == 0.0:
-                s = hnorm
-            if abs(h[lo, lo - 1]) <= eps * s:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eigs.append(complex(h[hi, hi]))
-            hi -= 1
-            its = 0
-            continue
-        if lo == hi - 1:
-            e1, e2 = _eig22(h[lo, lo], h[lo, hi], h[hi, lo], h[hi, hi])
-            eigs.extend([e1, e2])
-            hi -= 2
-            its = 0
-            continue
-        if sweeps >= budget:
-            raise ConvergenceError(
-                f"QR did not converge within {budget} sweeps (dim {n})",
-                partial=np.array(eigs),
-            )
-        sweeps += 1
-        its += 1
-        if its % 10 == 0:
-            # exceptional shift to break rare limit cycles
-            w = abs(h[hi, hi - 1]) + abs(h[hi - 1, hi - 2])
-            val = h[hi, hi] + 0.75 * w
-            s_sum, s_prod = 2.0 * val, val * val
-        else:
-            s_sum = h[hi - 1, hi - 1] + h[hi, hi]
-            s_prod = h[hi - 1, hi - 1] * h[hi, hi] - h[hi - 1, hi] * h[hi, hi - 1]
-        _francis_sweep(h, lo, hi, s_sum, s_prod)
-    return np.array(eigs)
+    try:
+        eigs = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigensolve failed (dim {a.shape[0]}): {exc}") from exc
+    return eigs.astype(complex)
 
 
 @dataclass
@@ -233,19 +74,23 @@ def _horner_pair(c: np.ndarray, z: complex) -> tuple[complex, complex]:
 
 def _polish_root(c: np.ndarray, z: complex) -> complex:
     """A few guarded Newton steps; companion eigenvalues of tight root
-    clusters can be several orders less accurate than the roots themselves."""
-    best = z
-    best_val = abs(_horner_pair(c, z)[0])
-    for _ in range(4):
-        p, dp = _horner_pair(c, z)
-        if dp == 0.0:
-            break
-        z = z - p / dp
-        val = abs(_horner_pair(c, z)[0])
-        if val < best_val:
+    clusters can be several orders less accurate than the roots themselves.
+
+    A step that overflows (a near-zero p' or a huge iterate) gives a
+    non-finite |p|; polishing stops there and keeps the best root so far.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = z
+        best_val = abs(_horner_pair(c, z)[0])
+        for _ in range(4):
+            p, dp = _horner_pair(c, z)
+            if dp == 0.0:
+                break
+            z = z - p / dp
+            val = abs(_horner_pair(c, z)[0])
+            if not (np.isfinite(val) and val < best_val):
+                break
             best, best_val = z, val
-        else:
-            break
     return best
 
 

@@ -108,14 +108,6 @@ class ScaledReal:
             return self
         return ScaledReal(self.sign, self.log_mag + math.log(num) - math.log(den))
 
-    def mag_le(self, other: "ScaledReal") -> bool:
-        """|self| <= |other|."""
-        if self.sign == 0:
-            return True
-        if other.sign == 0:
-            return False
-        return self.log_mag <= other.log_mag
-
 
 def max_log_mag(values: list[ScaledReal]) -> float:
     """Largest log-magnitude among the nonzero entries (``-inf`` if none)."""

@@ -1,8 +1,8 @@
 """Drivers from a method configuration to a classified spectrum.
 
 Two independent routes to the same eigenvalues exist for alpha = 0:
-the pencil route (assemble, eliminate boundary rows, dense QR) and the
-characteristic-polynomial route (endpoint ladders, companion roots).
+the pencil route (assemble, eliminate boundary rows, LAPACK eigenvalues)
+and the characteristic-polynomial route (endpoint ladders, companion roots).
 Their agreement is the central cross-validation of the package.
 """
 

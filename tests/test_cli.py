@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from gegtau import cli
@@ -251,3 +252,13 @@ def test_numerical_diagnostic_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(cli, "spectrum_report", boom)
     code, _ = run(["spectrum", "--method", "tau", "--gamma", "1", "--n", "10"], capsys)
     assert code == 3
+
+
+def test_eigensolver_failure_exit_code(monkeypatch, capsys):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    code = cli.main(["spectrum", "--method", "tau", "--gamma", "1", "--n", "10"])
+    assert code == 3
+    assert "numerical diagnostic" in capsys.readouterr().err

@@ -1,8 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -92,10 +93,14 @@ def test_empty_and_scalar():
     assert dense_eigs(np.array([[3.5]]))[0] == 3.5
 
 
-def test_convergence_budget_raises():
+def test_lapack_failure_raises_convergence_error(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
     with pytest.raises(ConvergenceError) as exc:
-        dense_eigs(np.eye(12, k=1) + np.eye(12, k=-11), sweep_budget_factor=0)
-    assert hasattr(exc.value, "partial")
+        dense_eigs(np.eye(12, k=1) + np.eye(12, k=-11))
+    assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +142,18 @@ def test_poly_roots_residual_bound():
         assert res.max_residual() <= 1e-8
 
 
+# tiny constant terms: Newton steps from the companion eigenvalues overflow
+TINY_CONSTANT_TERMS = [
+    [1.1125369292536007e-308, 1.1125369292536007e-308, 1.0, 2.0],
+    [7.637969525939603e-191, 5.905560572639292e-279, 0.0, 1.0, 1.0],
+    [5.110354631015551e-121, 5.719852807521574e-226, 1.0, 1.0],
+]
+
+
 @given(st.lists(st.floats(min_value=-5, max_value=5), min_size=2, max_size=21))
+@example(TINY_CONSTANT_TERMS[0])
+@example(TINY_CONSTANT_TERMS[1])
+@example(TINY_CONSTANT_TERMS[2])
 def test_poly_roots_matches_numpy(coeffs):
     from scipy.optimize import linear_sum_assignment
 
@@ -153,6 +169,15 @@ def test_poly_roots_matches_numpy(coeffs):
         rows, cols = linear_sum_assignment(cost)
         scale = max(1.0, float(np.max(np.abs(ref))))
         assert float(cost[rows, cols].max()) <= 1e-7 * scale
+
+
+@pytest.mark.parametrize("coeffs", TINY_CONSTANT_TERMS)
+def test_poly_roots_polish_overflow_warns_nothing(coeffs):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = poly_roots(np.array(coeffs))
+    assert res.roots.size == len(coeffs) - 1
+    assert np.all(np.isfinite(res.roots))
 
 
 # ---------------------------------------------------------------------------
