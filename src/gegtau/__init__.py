@@ -10,10 +10,7 @@ from .charpoly import (
 )
 from .eig import SpectrumReport, classify, dense_eigs, poly_roots
 from .gegenbauer import (
-    GegCoeffs,
-    GegIndex,
     deriv_at_one,
-    diff_coeffs,
     evaluate,
     lobatto_interior_nodes,
     norm_h,
@@ -33,8 +30,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CharPoly",
-    "GegCoeffs",
-    "GegIndex",
     "MethodConfig",
     "Pencil",
     "ScaledReal",
@@ -44,7 +39,6 @@ __all__ = [
     "classify",
     "dense_eigs",
     "deriv_at_one",
-    "diff_coeffs",
     "evaluate",
     "even_charpoly",
     "legendre_reduced_matrices",

@@ -251,7 +251,7 @@ def equivalence_suite(gamma: float, n: int, tol: float = 1e-8) -> EquivalenceRep
     rep = EquivalenceReport(gamma, n, tol=tol)
 
     def spec(kind: str, g: float) -> np.ndarray:
-        lams, _ = pencil_lambdas(MethodConfig(kind, g, n))
+        lams, _, _ = pencil_lambdas(MethodConfig(kind, g, n))
         return lams
 
     rep.deviations["galerkin_vs_tau_shift2"] = _spectrum_deviation(
@@ -265,7 +265,7 @@ def equivalence_suite(gamma: float, n: int, tol: float = 1e-8) -> EquivalenceRep
     )
     if gamma > 0.5:
         cfg = MethodConfig("tau", gamma, n, parity_split=True)
-        lam_even, _ = pencil_lambdas(cfg, "even")
+        lam_even, _, _ = pencil_lambdas(cfg, "even")
         om, _ = second_order_pair(gamma - 1.0, ladder_degree(n, "even") - 1)
         mus = poly_roots(om.normalized_coeffs()).roots
         lam_second = 1.0 / mus[np.abs(mus) > 0.0]
@@ -458,7 +458,7 @@ def suite_perturbation(
             cfg = MethodConfig("tau", 0.5 + eps, n, parity_split=True)
             for parity in ("even", "odd"):
                 pred = perturbation_mu1(n, parity, eps)
-                lams, n_inf = pencil_lambdas(cfg, parity)
+                lams, n_inf, _ = pencil_lambdas(cfg, parity)
                 if n_inf:
                     res.passed = False
                     res.counterexample = f"eps={eps} n={n} {parity}: unexpected infinite eigenvalue"
@@ -532,7 +532,7 @@ def suite_exact_convergence(
     exact = exact_spectrum(count)
     cfg = MethodConfig("tau", gamma, n, parity_split=True)
     for parity, targets in (("even", exact.even), ("odd", exact.odd)):
-        lams, _ = pencil_lambdas(cfg, parity)
+        lams, _, _ = pencil_lambdas(cfg, parity)
         got = -np.sort(np.abs(lams.real))[:count]
         for k, (lam_exact, lam_num) in enumerate(zip(targets, got), start=1):
             dev = abs(lam_num - lam_exact) / abs(lam_exact)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, analysis
 from .eig import NEAR_INFINITE, ConvergenceError, SpectrumReport
-from .pencil import MethodConfig, SingularReductionError, assemble, reduce_to_standard
+from .pencil import MethodConfig, SingularReductionError
 from .spectra import single_parity_report, spectrum_report
 
 METHOD_NAMES = {
@@ -109,7 +109,7 @@ def _config_from_args(args) -> MethodConfig:
     return MethodConfig(kind, args.gamma, args.n, alpha=args.alpha, parity_split=split)
 
 
-def _report_rows(report: SpectrumReport, residuals: list[float | None]) -> list[dict]:
+def _report_rows(report: SpectrumReport, residuals: list[float]) -> list[dict]:
     rows = []
     for i, (lam, cls) in enumerate(zip(report.eigenvalues, report.classes)):
         par = report.parities[i] if report.parities is not None else None
@@ -126,19 +126,12 @@ def _report_rows(report: SpectrumReport, residuals: list[float | None]) -> list[
     return finite + infinite
 
 
-def _eigen_residuals(config: MethodConfig, report: SpectrumReport) -> list[float | None]:
-    """sigma_min(M - mu I)/||M||_F per eigenvalue, per parity ladder."""
-    reduced: dict[str | None, np.ndarray] = {}
-
-    def ladder(par: str | None) -> np.ndarray:
-        if par not in reduced:
-            reduced[par] = reduce_to_standard(assemble(config, par)).M
-        return reduced[par]
-
-    out: list[float | None] = []
+def _eigen_residuals(report: SpectrumReport) -> list[float]:
+    """sigma_min(M - mu I)/||M||_F per eigenvalue, M of its parity ladder."""
+    out: list[float] = []
     for i, (lam, cls) in enumerate(zip(report.eigenvalues, report.classes)):
         par = report.parities[i] if report.parities is not None else None
-        m = ladder(par)
+        m = report.reduced[par]
         norm = float(np.linalg.norm(m)) or 1.0
         mu = 0.0 if cls == NEAR_INFINITE else 1.0 / lam
         shifted = m - mu * np.eye(m.shape[0], dtype=complex)
@@ -153,10 +146,7 @@ def cmd_spectrum(args, argv: list[str]) -> int:
         report = single_parity_report(config, args.parity)
     else:
         report = spectrum_report(config)
-    residuals = _eigen_residuals(
-        report.config if isinstance(report.config, MethodConfig) else config, report
-    )
-    rows = _report_rows(report, residuals)
+    rows = _report_rows(report, _eigen_residuals(report))
     manifest = make_manifest(
         argv,
         {
@@ -242,7 +232,7 @@ def cmd_sweep(args, argv: list[str]) -> int:
         raise ValueError("empty sweep grid")
     manifest = make_manifest(
         argv,
-        {"grid": {"gammas": gammas, "ns": ns, "method": kind, "alpha": args.alpha, "track": args.track}},
+        {"grid": {"gammas": gammas, "ns": ns, "method": kind, "alpha": args.alpha}},
     )
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         rows = list(pool.map(lambda p: _sweep_point(kind, p[0], p[1], args.alpha), grid))
@@ -336,12 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--gamma-range", required=True, metavar="A:B:STEP")
     sw.add_argument("--n-range", required=True, metavar="A:B:STEP")
     sw.add_argument("--alpha", type=float, default=0.0)
-    sw.add_argument(
-        "--track",
-        choices=["spurious_count", "complex_count", "extreme_eigenvalue"],
-        default="extreme_eigenvalue",
-        help="quantity of interest (recorded in the manifest; all columns are always emitted)",
-    )
     sw.add_argument("--jobs", type=int, default=1)
     sw.add_argument("--out", default=None)
 

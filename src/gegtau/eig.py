@@ -122,6 +122,11 @@ def poly_roots(coeffs: np.ndarray, polish: bool = True) -> RootResult:
         eigs = dense_eigs(comp)
         if polish:
             polished = np.array([_polish_root(c_red, z) for z in eigs])
+            # a step that lands nearer another companion eigenvalue than its
+            # own start has jumped to that root: keep the unpolished value
+            dist = np.abs(polished[:, None] - eigs[None, :])
+            jumped = np.diag(dist) > dist.min(axis=1)
+            polished[jumped] = eigs[jumped]
             # keep conjugate symmetry exact after independent polishing
             imag_scale = np.abs(polished)
             near_real = np.abs(polished.imag) <= 1e-14 * np.maximum(imag_scale, 1.0)
@@ -147,6 +152,9 @@ class SpectrumReport:
     parities: list[str] | None = None
     config: object | None = None
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
+    # parity ("even", "odd", or None for the coupled system) -> the reduced
+    # matrix M of that ladder, as solved by the pencil route; empty otherwise
+    reduced: dict = field(default_factory=dict)
 
     def count(self, label: str) -> int:
         return self.classes.count(label)
@@ -171,8 +179,10 @@ def classify(
     """Label eigenvalues and evaluate distinctness / parity interlacing.
 
     An eigenvalue is real when |Im| <= max(real_rel*|lambda|, real_abs*scale);
-    real ones split by the sign of the real part.  ``distinct`` requires all
-    relative gaps between real eigenvalues to exceed distinct_rel.
+    a real one is negative when its real part is below -real_abs*scale, and
+    spurious otherwise.  ``distinct`` requires all relative gaps between real
+    eigenvalues to exceed distinct_rel; a pair both below real_abs*scale is
+    compared on that absolute scale.
     ``interlaced`` (merged even/odd reports only) checks that the real
     eigenvalues sorted descending alternate parity.
     """
@@ -190,7 +200,9 @@ def classify(
     for i, lam in enumerate(eig_list):
         is_real = abs(lam.imag) <= max(tol["real_rel"] * abs(lam), tol["real_abs"] * scale)
         if is_real:
-            classes.append(REAL_NEGATIVE if lam.real < 0.0 else SPURIOUS_POSITIVE)
+            # a real part within real_abs * scale of zero is not negative
+            negative = lam.real < -tol["real_abs"] * scale
+            classes.append(REAL_NEGATIVE if negative else SPURIOUS_POSITIVE)
             reals.append((lam.real, parities[i] if parities else None))
         else:
             classes.append(COMPLEX_PAIR)
@@ -198,7 +210,8 @@ def classify(
     reals.sort(key=lambda t: t[0])
     distinct = True
     for (a, _), (b, _) in zip(reals, reals[1:]):
-        gap = abs(b - a) / max(abs(a), abs(b), 1e-300)
+        # below real_abs * scale, gaps are measured on the absolute scale
+        gap = abs(b - a) / max(abs(a), abs(b), tol["real_abs"] * scale)
         if gap <= tol["distinct_rel"]:
             distinct = False
             break

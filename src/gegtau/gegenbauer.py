@@ -29,7 +29,6 @@ interior evaluation uses the three-term recurrence in float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,28 +42,6 @@ def check_gamma(gamma: float) -> float:
     if not math.isfinite(gamma) or gamma <= GAMMA_MIN:
         raise ValueError(f"gamma must be a finite real > -1/2, got {gamma}")
     return gamma
-
-
-@dataclass(frozen=True)
-class GegIndex:
-    """The family parameter gamma selecting the weight (1-x^2)^(gamma-1/2)."""
-
-    gamma: float
-
-    def __post_init__(self) -> None:
-        check_gamma(self.gamma)
-
-
-@dataclass
-class GegCoeffs:
-    """A polynomial ``sum_k coeffs[k] G_k^{(gamma)}(x)``; len = degree + 1."""
-
-    gamma: float
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        check_gamma(self.gamma)
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
 
 
 def value_at_one(gamma: float, n: int) -> ScaledReal:
@@ -185,11 +162,6 @@ def diff_coeff_array(coeffs: np.ndarray, gamma: float) -> np.ndarray:
             t = tail_odd
         b[k] = t if k == 0 else 2.0 * (k + gamma) * t
     return b
-
-
-def diff_coeffs(p: GegCoeffs) -> GegCoeffs:
-    """Derivative of a Gegenbauer series at the same index."""
-    return GegCoeffs(p.gamma, diff_coeff_array(p.coeffs, p.gamma))
 
 
 def deriv_matrix(gamma: float, size: int) -> np.ndarray:

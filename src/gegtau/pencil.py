@@ -196,20 +196,25 @@ def _assemble_collocation(gamma: float, n: int, alpha: float, parity: str | None
 def _nullspace_by_elimination(c: np.ndarray) -> np.ndarray:
     """Basis of the nullspace of the constraint rows, by full-pivot Gauss.
 
-    Raises if the rows are linearly dependent (rank-deficient pivot).
+    Raises if the rows are linearly dependent (rank-deficient pivot).  Each
+    pivot is tested against the largest entry its own row had before
+    elimination: boundary rows at large gamma and n span many orders of
+    magnitude, and a test against the whole matrix would reject the small
+    rows although they are independent.
     """
     m, dim = c.shape
     u = c.copy()
-    cmax = float(np.max(np.abs(u))) if u.size else 0.0
+    row_max = np.max(np.abs(u), axis=1) if u.size else np.zeros(m)
     piv_cols: list[int] = []
     for i in range(m):
         sub = np.abs(u[i:, :])
         sub[:, piv_cols] = -1.0
         r, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
         r += i
-        if abs(u[r, j]) <= 1e-12 * cmax:
+        if abs(u[r, j]) <= 1e-12 * row_max[r]:
             raise ValueError("lambda-independent rows are linearly dependent")
         u[[i, r], :] = u[[r, i], :]
+        row_max[[i, r]] = row_max[[r, i]]
         piv_cols.append(int(j))
         for rr in range(m):
             if rr != i and u[rr, j] != 0.0:

@@ -4,6 +4,11 @@ Two independent routes to the same eigenvalues exist for alpha = 0:
 the pencil route (assemble, eliminate boundary rows, LAPACK eigenvalues)
 and the characteristic-polynomial route (endpoint ladders, companion roots).
 Their agreement is the central cross-validation of the package.
+
+The pencil route solves each parity ladder exactly once: ``pencil_lambdas``
+returns ``(lambdas, n_infinite, M)``, and every report keeps the reduced
+matrix ``M`` of each ladder in ``SpectrumReport.reduced``, so consumers
+(such as the CLI's residual column) never assemble or reduce again.
 """
 
 from __future__ import annotations
@@ -12,7 +17,6 @@ import dataclasses
 
 import numpy as np
 
-from . import eig
 from .charpoly import CharPoly, even_charpoly, odd_charpoly
 from .eig import SpectrumReport, classify, dense_eigs, poly_roots
 from .pencil import MethodConfig, assemble, reduce_to_standard, split_finite
@@ -38,19 +42,55 @@ def charpoly_lambdas(gamma: float, n: int, parity: str) -> tuple[np.ndarray, int
     return split_finite(mus)
 
 
-def pencil_lambdas(config: MethodConfig, parity: str | None = None) -> tuple[np.ndarray, int]:
-    """Finite eigenvalues (and near-infinite count) from the pencil route."""
+def pencil_lambdas(
+    config: MethodConfig, parity: str | None = None
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Finite eigenvalues, near-infinite count, and the reduced matrix M.
+
+    ``M`` is the matrix of the standard problem ``M x = mu x`` whose
+    eigenvalues the lambdas (= 1/mu) came from; it is returned so that
+    consumers such as the residual check reuse it instead of rebuilding it.
+    """
     red = reduce_to_standard(assemble(config, parity))
     if red.M.shape[0] == 0:
-        return np.zeros(0, dtype=complex), 0
-    mus = dense_eigs(red.M)
-    return split_finite(mus, red.mu_cutoff)
+        return np.zeros(0, dtype=complex), 0, red.M
+    lams, n_inf = split_finite(dense_eigs(red.M), red.mu_cutoff)
+    return lams, n_inf, red.M
 
 
 def _scale_of(lams: np.ndarray) -> float:
     mags = np.abs(lams)
     mags = mags[mags > 0.0]
     return float(np.median(mags)) if mags.size else 1.0
+
+
+def _classified(
+    config: MethodConfig, ladders: tuple[str | None, ...], tolerances: dict | None
+) -> SpectrumReport:
+    """Solve each parity ladder once, classify the merged spectrum, keep each M.
+
+    ``ladders`` is ``(None,)`` for the coupled system; otherwise every
+    eigenvalue is tagged with the parity of the ladder it came from.
+    """
+    lams, parities, inf_parities, reduced = [], [], [], {}
+    for parity in ladders:
+        lam, n_inf, reduced[parity] = pencil_lambdas(config, parity)
+        lams.append(lam)
+        parities += [parity] * lam.size
+        inf_parities += [parity] * n_inf
+    merged = np.concatenate(lams)
+    tagged = ladders != (None,)
+    report = classify(
+        merged,
+        _scale_of(merged),
+        parities=parities if tagged else None,
+        n_infinite=len(inf_parities),
+        infinite_parities=inf_parities if tagged else None,
+        config=config,
+        tolerances=tolerances,
+    )
+    report.reduced = reduced
+    return report
 
 
 def spectrum_report(config: MethodConfig, tolerances: dict | None = None) -> SpectrumReport:
@@ -61,45 +101,14 @@ def spectrum_report(config: MethodConfig, tolerances: dict | None = None) -> Spe
     otherwise the full coupled pencil is solved and no parity information
     is attached.
     """
-    if config.parity_split:
-        lam_e, inf_e = pencil_lambdas(config, "even")
-        lam_o, inf_o = pencil_lambdas(config, "odd")
-        lams = np.concatenate([lam_e, lam_o])
-        parities = ["even"] * lam_e.size + ["odd"] * lam_o.size
-        inf_par = ["even"] * inf_e + ["odd"] * inf_o
-        return classify(
-            lams,
-            _scale_of(lams),
-            parities=parities,
-            n_infinite=inf_e + inf_o,
-            infinite_parities=inf_par,
-            config=config,
-            tolerances=tolerances,
-        )
-    lams, n_inf = pencil_lambdas(config)
-    return classify(
-        lams,
-        _scale_of(lams),
-        n_infinite=n_inf,
-        config=config,
-        tolerances=tolerances,
-    )
+    ladders = ("even", "odd") if config.parity_split else (None,)
+    return _classified(config, ladders, tolerances)
 
 
 def single_parity_report(
     config: MethodConfig, parity: str, tolerances: dict | None = None
 ) -> SpectrumReport:
     """Spectrum of one parity ladder only (interlacing not applicable)."""
-    cfg = dataclasses.replace(config, parity_split=True)
-    lams, n_inf = pencil_lambdas(cfg, parity)
-    report = classify(
-        lams,
-        _scale_of(lams),
-        parities=[parity] * lams.size,
-        n_infinite=n_inf,
-        infinite_parities=[parity] * n_inf,
-        config=cfg,
-        tolerances=tolerances,
-    )
+    report = _classified(dataclasses.replace(config, parity_split=True), (parity,), tolerances)
     report.interlaced = None
     return report

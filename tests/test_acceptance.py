@@ -55,7 +55,7 @@ def test_01_exact_spectrum_convergence():
         exact = exact_spectrum(3)
         cfg = MethodConfig("tau", 2.0, 48, parity_split=True)
         for parity, targets in (("even", exact.even), ("odd", exact.odd)):
-            lams, n_inf = pencil_lambdas(cfg, parity)
+            lams, n_inf, _ = pencil_lambdas(cfg, parity)
             assert n_inf == 0
             got = -np.sort(np.abs(lams.real))[:3]
             for lam_num, lam_exact in zip(got, targets):
@@ -91,9 +91,9 @@ def test_03_low_side_sharpness():
         assert abs(1.0 / mu_even[0].real - 12.0) <= 1e-12 * 12.0
         mu_odd = poly_roots(odd_charpoly(0.0, 5).normalized_coeffs()).roots
         assert abs(1.0 / mu_odd[0].real - 40.0) <= 1e-12 * 40.0
-        lam_e, _ = pencil_lambdas(MethodConfig("tau", 0.0, 4, parity_split=True), "even")
+        lam_e, _, _ = pencil_lambdas(MethodConfig("tau", 0.0, 4, parity_split=True), "even")
         assert abs(lam_e[0].real - 12.0) <= 1e-12 * 12.0
-        lam_o, _ = pencil_lambdas(MethodConfig("tau", 0.0, 5, parity_split=True), "odd")
+        lam_o, _, _ = pencil_lambdas(MethodConfig("tau", 0.0, 5, parity_split=True), "odd")
         assert abs(lam_o[0].real - 40.0) <= 1e-12 * 40.0
 
 
@@ -112,7 +112,7 @@ def test_05_perturbation_law():
                 cfg = MethodConfig("tau", 0.5 + eps, n, parity_split=True)
                 for parity in ("even", "odd"):
                     pred = perturbation_mu1(n, parity, eps).predicted_lambda
-                    lams, n_inf = pencil_lambdas(cfg, parity)
+                    lams, n_inf, _ = pencil_lambdas(cfg, parity)
                     assert n_inf == 0
                     assert np.all(np.abs(lams.imag) <= 1e-8 * np.abs(lams))
                     extreme = lams.real[np.argmax(np.abs(lams.real))]
@@ -176,7 +176,7 @@ def test_10_route_cross_validation():
             for n in range(8, 33):
                 for parity in ("even", "odd"):
                     lam_c, inf_c = charpoly_lambdas(g, n, parity)
-                    lam_p, inf_p = pencil_lambdas(
+                    lam_p, inf_p, _ = pencil_lambdas(
                         MethodConfig("tau", g, n, parity_split=True), parity
                     )
                     assert inf_c == inf_p, (g, n, parity)

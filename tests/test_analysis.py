@@ -102,7 +102,7 @@ def test_mu1_rejects_uncovered_degrees():
 def test_perturbed_extreme_eigenvalue_matches_prediction():
     eps = 1e-3
     cfg = MethodConfig("tau", 0.5 + eps, 12, parity_split=True)
-    lams, _ = pencil_lambdas(cfg, "even")
+    lams, _, _ = pencil_lambdas(cfg, "even")
     extreme = lams.real[np.argmax(np.abs(lams.real))]
     pred = perturbation_mu1(12, "even", eps).predicted_lambda
     assert extreme == pytest.approx(pred, rel=0.05)
@@ -196,8 +196,8 @@ def test_equivalence_legendre_counts():
     # both sides produce the same finite spectrum (n - 3 eigenvalues each)
     rep = equivalence_suite(0.5, 12)
     assert rep.passed
-    lam_m, inf_m = pencil_lambdas(MethodConfig("modified_tau", 0.5, 12))
-    lam_g, inf_g = pencil_lambdas(MethodConfig("galerkin", 0.5, 12))
+    lam_m, inf_m, _ = pencil_lambdas(MethodConfig("modified_tau", 0.5, 12))
+    lam_g, inf_g, _ = pencil_lambdas(MethodConfig("galerkin", 0.5, 12))
     assert lam_m.size == lam_g.size == 9
 
 

@@ -1,9 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from gegtau import cli
+from gegtau import cli, pencil
 
 
 def run(argv, capsys):
@@ -97,6 +98,42 @@ def test_spectrum_modified_parity_both_ok(capsys):
     assert code == 0
     assert doc["spectrum"]["counts"]["near_infinite"] == 2
     assert doc["spectrum"]["interlaced"] is None
+
+
+def test_spectrum_modified_large_gamma_solves(capsys):
+    code, doc = run_json(
+        ["spectrum", "--method", "modified", "--gamma", "5", "--n", "64"], capsys
+    )
+    assert code == 0
+    assert doc["spectrum"]["counts"]["near_infinite"] == 2
+
+
+def count_assembles(monkeypatch) -> list:
+    """Route every gegtau reference to ``pencil.assemble`` through a counter."""
+    calls = []
+    original = pencil.assemble
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("gegtau") and getattr(mod, "assemble", None) is original:
+            monkeypatch.setattr(mod, "assemble", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "method, parity, expected",
+    [("tau", "both", 2), ("tau", "even", 1), ("modified", "both", 1)],
+)
+def test_spectrum_assembles_each_ladder_once(monkeypatch, capsys, method, parity, expected):
+    calls = count_assembles(monkeypatch)
+    code, _ = run(
+        ["spectrum", "--method", method, "--gamma", "1", "--n", "12", "--parity", parity], capsys
+    )
+    assert code == 0
+    assert len(calls) == expected
 
 
 def test_usage_error_exit_code(capsys):

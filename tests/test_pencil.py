@@ -100,8 +100,8 @@ def test_galerkin_is_tau_shifted_exactly():
 
 
 def test_galerkin_spectrum_matches_shifted_tau():
-    lam_g, _ = pencil_lambdas(MethodConfig("galerkin", 0.0, 12))
-    lam_t, _ = pencil_lambdas(MethodConfig("tau", 2.0, 12))
+    lam_g, _, _ = pencil_lambdas(MethodConfig("galerkin", 0.0, 12))
+    lam_t, _, _ = pencil_lambdas(MethodConfig("tau", 2.0, 12))
     assert spectrum_dev(lam_g, lam_t) < 1e-10
 
 
@@ -125,7 +125,7 @@ def test_reduce_legendre_two_near_zero_mus():
 def test_reduce_invariant_under_tau_row_rescaling():
     cfg = MethodConfig("tau", 0.75, 14)
     p = assemble(cfg)
-    lam_ref, _ = pencil_lambdas(cfg)
+    lam_ref, _, _ = pencil_lambdas(cfg)
     rng = np.random.default_rng(5)
     scales = 10.0 ** rng.uniform(-3, 3, size=p.dim - 4)
     a = p.A.copy()
@@ -152,6 +152,14 @@ def test_nullspace_by_elimination():
     assert_allclose(c @ t, 0.0, atol=1e-12)
     with pytest.raises(ValueError):
         _nullspace_by_elimination(np.vstack([c, c[0]]))  # dependent rows
+    # rows many orders apart are still independent; pivots are tested
+    # against their own row's scale, not the largest entry of the matrix
+    scaled = c * np.array([1e6, 1.0, 1e-3, 1e9])[:, None]
+    t = _nullspace_by_elimination(scaled)
+    assert t.shape == (11, 7)
+    assert_allclose(scaled @ t / np.max(np.abs(scaled), axis=1)[:, None], 0.0, atol=1e-12)
+    with pytest.raises(ValueError):
+        _nullspace_by_elimination(np.vstack([scaled, 1e-9 * c[0]]))
 
 
 def test_split_finite_cutoff():
@@ -169,7 +177,7 @@ def test_route_agreement(gamma):
     for n in (8, 13, 21, 32):
         for parity in ("even", "odd"):
             lam_c, inf_c = charpoly_lambdas(gamma, n, parity)
-            lam_p, inf_p = pencil_lambdas(
+            lam_p, inf_p, _ = pencil_lambdas(
                 MethodConfig("tau", gamma, n, parity_split=True), parity
             )
             assert inf_c == inf_p
@@ -179,8 +187,8 @@ def test_route_agreement(gamma):
 def test_alpha_continuity():
     cfg0 = MethodConfig("tau", 1.0, 16)
     cfg1 = MethodConfig("tau", 1.0, 16, alpha=1e-3)
-    lam0, _ = pencil_lambdas(cfg0)
-    lam1, _ = pencil_lambdas(cfg1)
+    lam0, _, _ = pencil_lambdas(cfg0)
+    lam1, _, _ = pencil_lambdas(cfg1)
     small0 = sorted_c(lam0[np.argsort(np.abs(lam0))[:5]])
     small1 = sorted_c(lam1[np.argsort(np.abs(lam1))[:5]])
     assert np.max(np.abs(small0 - small1) / np.abs(small0)) < 1e-2
@@ -194,20 +202,30 @@ def test_stokes_alpha_spectrum_real_negative():
 def test_modified_tau_equals_galerkin():
     for g in (0.0, 0.5):
         for n in (10, 16, 24):
-            lam_m, inf_m = pencil_lambdas(MethodConfig("modified_tau", g, n))
-            lam_g, inf_g = pencil_lambdas(MethodConfig("galerkin", g, n))
+            lam_m, inf_m, _ = pencil_lambdas(MethodConfig("modified_tau", g, n))
+            lam_g, inf_g, _ = pencil_lambdas(MethodConfig("galerkin", g, n))
             # the coupled system carries two structural infinite modes
             assert inf_m == 2 and inf_g == 0
             assert lam_m.size == lam_g.size == n - 3
             assert spectrum_dev(lam_m, lam_g) < 1e-8
 
 
+@pytest.mark.parametrize("g, n", [(4.7, 64), (5.0, 56)])
+def test_modified_tau_matches_galerkin_counts_large_gamma(g, n):
+    # the boundary rows here span ten orders of magnitude in their row maxima
+    rep_m = spectrum_report(MethodConfig("modified_tau", g, n))
+    rep_g = spectrum_report(MethodConfig("galerkin", g, n))
+    for label in ("real_negative", "spurious_positive", "complex_pair"):
+        assert rep_m.count(label) == rep_g.count(label)
+    assert rep_m.n_infinite == 2 and rep_g.n_infinite == 0
+
+
 def test_collocation_full_and_split_agree():
     g, n = 1.0, 12
-    lam_full, _ = pencil_lambdas(MethodConfig("collocation", g, n))
+    lam_full, _, _ = pencil_lambdas(MethodConfig("collocation", g, n))
     cfg = MethodConfig("collocation", g, n, parity_split=True)
-    lam_e, _ = pencil_lambdas(cfg, "even")
-    lam_o, _ = pencil_lambdas(cfg, "odd")
+    lam_e, _, _ = pencil_lambdas(cfg, "even")
+    lam_o, _, _ = pencil_lambdas(cfg, "odd")
     assert spectrum_dev(lam_full, np.concatenate([lam_e, lam_o])) < 1e-8
 
 
@@ -215,7 +233,7 @@ def test_no_zero_eigenvalue():
     # lambda = 0 would force the trivial solution; the discrete spectrum
     # must keep a safe distance from it
     for kind in ("tau", "galerkin", "modified_tau", "collocation"):
-        lams, _ = pencil_lambdas(MethodConfig(kind, 0.8, 12))
+        lams, _, _ = pencil_lambdas(MethodConfig(kind, 0.8, 12))
         assert np.min(np.abs(lams)) > 1.0
 
 
@@ -270,7 +288,7 @@ def test_legendre_matrices_spectrum_matches_general_route():
     n = 12
     a, b = legendre_reduced_matrices(n)
     lam_basis, n_inf = split_finite(dense_eigs(np.linalg.solve(a, b)))
-    lam_pencil, n_inf2 = pencil_lambdas(MethodConfig("tau", 0.5, n))
+    lam_pencil, n_inf2, _ = pencil_lambdas(MethodConfig("tau", 0.5, n))
     assert n_inf == n_inf2 == 2
     assert spectrum_dev(lam_basis, lam_pencil) < 1e-8
 
