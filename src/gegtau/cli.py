@@ -128,14 +128,17 @@ def _report_rows(report: SpectrumReport, residuals: list[float]) -> list[dict]:
 
 def _eigen_residuals(report: SpectrumReport) -> list[float]:
     """sigma_min(M - mu I)/||M||_F per eigenvalue, M of its parity ladder."""
+    # per ladder: (M, ||M||_F, complex identity of M's size)
+    ladders = {
+        par: (m, float(np.linalg.norm(m)) or 1.0, np.eye(m.shape[0], dtype=complex))
+        for par, m in report.reduced.items()
+    }
     out: list[float] = []
     for i, (lam, cls) in enumerate(zip(report.eigenvalues, report.classes)):
         par = report.parities[i] if report.parities is not None else None
-        m = report.reduced[par]
-        norm = float(np.linalg.norm(m)) or 1.0
+        m, norm, eye = ladders[par]
         mu = 0.0 if cls == NEAR_INFINITE else 1.0 / lam
-        shifted = m - mu * np.eye(m.shape[0], dtype=complex)
-        smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
+        smin = float(np.linalg.svd(m - mu * eye, compute_uv=False)[-1])
         out.append(smin / norm)
     return out
 

@@ -202,8 +202,11 @@ def lobatto_interior_nodes(gamma: float, n: int) -> np.ndarray:
     """Interior collocation nodes: the n-3 roots of D G_{n-2}^{(gamma)}.
 
     By the index-raising derivative identity these are the roots of
-    G_{n-3}^{(gamma+1)}.  Newton from Chebyshev-extrema seeds with a
-    bisection fallback; returned sorted ascending and exactly symmetric.
+    G_{n-3}^{(gamma+1)}.  All roots are found together: one vectorized
+    Newton pass from the Chebyshev-extrema seeds, each iterate stopping on
+    its own test, and, if that pass does not give n-3 distinct roots inside
+    (-1, 1), one vectorized bisection pass over the sign changes on a grid.
+    Returned sorted ascending and exactly symmetric.
     """
     gamma = check_gamma(gamma)
     if n < 5:
@@ -218,13 +221,10 @@ def lobatto_interior_nodes(gamma: float, n: int) -> np.ndarray:
         return 2.0 * (g1 + 1.0) * np.atleast_1d(evaluate(g1 + 1.0, m - 1, x))
 
     seeds = np.cos(np.arange(1, n - 2) * np.pi / (n - 2))[::-1]  # ascending
-    roots = np.empty(m)
     # residual scale for the convergence check
     grid = np.cos(np.linspace(0.0, np.pi, 8 * m + 1))
     fscale = float(np.max(np.abs(f(grid))))
-    for i, x0 in enumerate(seeds):
-        roots[i] = _newton_root(f, fp, x0, fscale)
-    roots.sort()
+    roots = np.sort(_newton_all(f, fp, seeds, fscale))
     if (
         not np.all(np.isfinite(roots))
         or np.any(np.diff(roots) <= 0.0)
@@ -237,46 +237,78 @@ def lobatto_interior_nodes(gamma: float, n: int) -> np.ndarray:
     return roots
 
 
-def _newton_root(f, fp, x0: float, fscale: float, maxiter: int = 50) -> float:
+def _newton_all(f, fp, seeds: np.ndarray, fscale: float, maxiter: int = 50) -> np.ndarray:
+    """Newton from every seed at once; NaN where an iterate fails.
+
+    An iterate returns once its step is below 1e-15 (1 + |x|).  One whose
+    derivative vanishes, or that runs out of iterations, is kept only if
+    |f| <= 1e-14 fscale there.  Each step clamps to +-(1 - 1e-12); a NaN
+    step (inf / inf) lands on the lower clamp, silently, as Python's
+    ``max(-lim, nan)`` does.
+    """
     lim = 1.0 - 1e-12
-    x = float(x0)
+    x = np.array(seeds, dtype=float)
+    out = np.full(x.size, math.nan)
+    active = np.arange(x.size)
+    unsettled = []  # iterates that left the loop without a small step
     for _ in range(maxiter):
-        fx = float(f(x)[0])
-        d = float(fp(x)[0])
-        if d == 0.0:
+        if active.size == 0:
             break
-        step = fx / d
-        x = min(lim, max(-lim, x - step))
-        if abs(step) <= 1e-15 * (1.0 + abs(x)):
-            return x
-    if abs(float(f(x)[0])) <= 1e-14 * fscale:
-        return x
-    return math.nan  # triggers the bisection fallback in the caller
+        xa = x[active]
+        fx = f(xa)
+        d = fp(xa)
+        flat = d == 0.0
+        unsettled.append(active[flat])
+        active, xa, fx, d = active[~flat], xa[~flat], fx[~flat], d[~flat]
+        with np.errstate(invalid="ignore", over="ignore"):
+            step = fx / d
+        xa = xa - step
+        xa = np.where(xa > -lim, xa, -lim)  # max(-lim, .), NaN -> -lim
+        xa = np.where(xa < lim, xa, lim)  # min(lim, .)
+        x[active] = xa
+        done = np.abs(step) <= 1e-15 * (1.0 + np.abs(xa))
+        out[active[done]] = xa[done]
+        active = active[~done]
+    unsettled = np.concatenate([active, *unsettled])
+    if unsettled.size:
+        xu = x[unsettled]
+        ok = np.abs(f(xu)) <= 1e-14 * fscale
+        out[unsettled[ok]] = xu[ok]
+    return out
 
 
 def _bisect_all(f, m: int, grid: np.ndarray) -> np.ndarray:
+    """The m roots of f from its sign changes on ``grid``, bisected together.
+
+    A grid point where f is exactly 0 is a root; every other sign change
+    brackets one, which is halved up to 200 times, until the midpoint
+    equals an end or f vanishes there.  Raises RuntimeError unless exactly
+    m roots are found.
+    """
     xs = np.sort(grid)
     vals = f(xs)
-    roots = []
-    for i in range(xs.size - 1):
-        if vals[i] == 0.0:
-            roots.append(xs[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            lo, hi = xs[i], xs[i + 1]
-            flo = vals[i]
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                fm = float(f(mid)[0])
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0.0) == (flo > 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    if len(roots) != m:
-        raise RuntimeError(f"node search found {len(roots)} of {m} roots")
-    return np.array(roots)
+    zero = vals[:-1] == 0.0
+    change = ~zero & (vals[:-1] * vals[1:] < 0.0)
+    found = np.flatnonzero(zero | change)
+    if found.size != m:
+        raise RuntimeError(f"node search found {found.size} of {m} roots")
+    roots = xs[found]
+    bracket = change[found]
+    left = found[bracket]
+    lo, hi, flo = xs[left], xs[left + 1], vals[left]
+    active = np.arange(left.size)
+    for _ in range(200):
+        mid = 0.5 * (lo[active] + hi[active])
+        live = (mid != lo[active]) & (mid != hi[active])
+        active, mid = active[live], mid[live]
+        if active.size == 0:
+            break
+        fm = f(mid)
+        hit = fm == 0.0  # a root on the midpoint closes its bracket
+        same = (fm > 0.0) == (flo[active] > 0.0)
+        lo[active[hit | same]] = mid[hit | same]
+        flo[active[same]] = fm[same]
+        hi[active[hit | ~same]] = mid[hit | ~same]
+        active = active[~hit]
+    roots[bracket] = 0.5 * (lo + hi)
+    return roots

@@ -3,11 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gegtau.eig import (
+    COMPLEX_PAIR,
     ConvergenceError,
     classify,
     dense_eigs,
@@ -244,6 +245,10 @@ def test_classify_empty():
     assert rep.distinct
 
 
+def _near(value, threshold, rel):
+    return abs(value - threshold) <= rel * threshold
+
+
 @given(
     st.lists(
         st.tuples(
@@ -255,9 +260,27 @@ def test_classify_empty():
     ),
     st.floats(min_value=1e-6, max_value=1e6),
 )
+@example(pairs=[(99.99999999999999, 1e-06)], c=1e-06)
 def test_classify_scale_invariance(pairs, c):
     eigs = [complex(re, im) for re, im in pairs]
     base = classify(eigs, scale=7.0)
+    # Rounding c * lambda moves a quantity that sits on a threshold across
+    # it, so inputs whose deciding ratios lie that close are dropped: within
+    # a relative 1e-12 for |Im| and Re against their thresholds, and within
+    # 1e-6 for the distinct gap, whose rounding error is absolute (a few
+    # ulps of 1, i.e. ~1e-8 relative to distinct_rel = 1e-8).
+    tol = base.tolerances
+    floor = tol["real_abs"] * 7.0
+    reals = []
+    for lam, cls in zip(eigs, base.classes):
+        assume(not _near(abs(lam.imag), max(tol["real_rel"] * abs(lam), floor), 1e-12))
+        if cls != COMPLEX_PAIR:
+            assume(not _near(-lam.real, floor, 1e-12))
+            reals.append(lam.real)
+    reals.sort()
+    for a, b in zip(reals, reals[1:]):
+        gap = abs(b - a) / max(abs(a), abs(b), floor)
+        assume(not _near(gap, tol["distinct_rel"], 1e-6))
     scaled = classify([c * e for e in eigs], scale=7.0 * c)
     assert base.classes == scaled.classes
     assert base.distinct == scaled.distinct

@@ -6,8 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from gegtau import gegenbauer
 from gegtau.analysis import jacobi_quad
 from gegtau.gegenbauer import (
+    _bisect_all,
+    _newton_all,
     deriv_at_one,
     diff_coeff_array,
     deriv_matrix,
@@ -292,8 +295,8 @@ def test_lobatto_nodes_chebyshev_extrema():
     assert_allclose(lobatto_interior_nodes(0.0, 8), ref, atol=1e-14)
 
 
-@pytest.mark.parametrize("gamma", [-0.4, 0.0, 0.5, 1.5, 3.5])
-@pytest.mark.parametrize("n", [5, 6, 9, 16, 25])
+@pytest.mark.parametrize("gamma", [-0.4, 0.0, 0.5, 1.5, 3.5, 1.9, 3.0, 4.3])
+@pytest.mark.parametrize("n", [5, 6, 9, 16, 25, 34, 54, 62])
 def test_lobatto_nodes_properties(gamma, n):
     nodes = lobatto_interior_nodes(gamma, n)
     assert nodes.size == n - 3
@@ -308,3 +311,143 @@ def test_lobatto_nodes_properties(gamma, n):
 def test_lobatto_nodes_rejects_small_n():
     with pytest.raises(ValueError):
         lobatto_interior_nodes(0.0, 4)
+
+
+# (3.0, 54) takes the bisection fallback, (0.3, 62) the Newton pass
+@pytest.mark.parametrize("gamma, n", [(3.0, 54), (0.3, 62)])
+def test_lobatto_nodes_evaluate_budget(monkeypatch, gamma, n):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(gegenbauer, "evaluate", counting)
+    lobatto_interior_nodes(gamma, n)
+    # fscale grid + 50 Newton steps (f and f') + final check + bisection
+    # grid + 200 bisection steps, each one call over all roots at once
+    assert len(calls) <= 1 + 2 * 50 + 1 + 1 + 200
+
+
+# The scalar node search, one root and one bracket at a time: the reference
+# the vectorized search must match bit for bit.
+def _oracle_newton_root(f, fp, x0, fscale, maxiter=50):
+    lim = 1.0 - 1e-12
+    x = float(x0)
+    for _ in range(maxiter):
+        fx = float(f(x)[0])
+        d = float(fp(x)[0])
+        if d == 0.0:
+            break
+        step = fx / d
+        x = min(lim, max(-lim, x - step))
+        if abs(step) <= 1e-15 * (1.0 + abs(x)):
+            return x
+    if abs(float(f(x)[0])) <= 1e-14 * fscale:
+        return x
+    return math.nan
+
+
+def _oracle_bisect_all(f, m, grid):
+    xs = np.sort(grid)
+    vals = f(xs)
+    roots = []
+    for i in range(xs.size - 1):
+        if vals[i] == 0.0:
+            roots.append(xs[i])
+        elif vals[i] * vals[i + 1] < 0.0:
+            lo, hi = xs[i], xs[i + 1]
+            flo = vals[i]
+            for _ in range(200):
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                fm = float(f(mid)[0])
+                if fm == 0.0:
+                    lo = hi = mid
+                    break
+                if (fm > 0.0) == (flo > 0.0):
+                    lo, flo = mid, fm
+                else:
+                    hi = mid
+            roots.append(0.5 * (lo + hi))
+    assert len(roots) == m
+    return np.array(roots)
+
+
+def _oracle_nodes(gamma, n):
+    """Scalar node search, one root at a time; (nodes, took the fallback)."""
+    m = n - 3
+    g1 = gamma + 1.0
+
+    def f(x):
+        return np.atleast_1d(evaluate(g1, m, x))
+
+    def fp(x):
+        return 2.0 * (g1 + 1.0) * np.atleast_1d(evaluate(g1 + 1.0, m - 1, x))
+
+    seeds = np.cos(np.arange(1, n - 2) * np.pi / (n - 2))[::-1]
+    grid = np.cos(np.linspace(0.0, np.pi, 8 * m + 1))
+    fscale = float(np.max(np.abs(f(grid))))
+    roots = np.array([_oracle_newton_root(f, fp, x0, fscale) for x0 in seeds])
+    roots.sort()
+    fallback = bool(
+        not np.all(np.isfinite(roots))
+        or np.any(np.diff(roots) <= 0.0)
+        or roots[0] <= -1.0
+        or roots[-1] >= 1.0
+    )
+    if fallback:
+        roots = _oracle_bisect_all(f, m, grid)
+    return 0.5 * (roots - roots[::-1]), fallback
+
+
+@pytest.mark.parametrize(
+    "gamma, n, fallback",
+    [
+        (-0.45, 9, False),
+        (0.0, 20, False),
+        (0.3, 62, False),
+        (1.0, 41, False),
+        (4.3, 26, True),
+        (1.9, 34, True),
+    ],
+)
+def test_lobatto_nodes_match_scalar_oracle(gamma, n, fallback):
+    ref, took_fallback = _oracle_nodes(gamma, n)
+    assert took_fallback == fallback
+    assert lobatto_interior_nodes(gamma, n).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize(
+    "f, fp, seeds",
+    [
+        # f' = 0 at the seed 0: the final residual check keeps the double
+        # root of x^2 and turns the non-root of x^2 - 1/4 into NaN
+        (lambda x: np.atleast_1d(x * x - 0.25), lambda x: np.atleast_1d(2.0 * x), [-0.9, 0.0, 0.4]),
+        (lambda x: np.atleast_1d(x * x), lambda x: np.atleast_1d(2.0 * x), [0.0, 0.3]),
+        # inf / inf is a NaN step, which lands on the lower clamp
+        (
+            lambda x: np.atleast_1d(np.where(x > 0.0, np.inf, x + 0.5)),
+            lambda x: np.atleast_1d(np.where(x > 0.0, np.inf, 1.0)),
+            [0.5, -0.2],
+        ),
+    ],
+)
+def test_newton_all_matches_scalar_oracle(f, fp, seeds):
+    got = _newton_all(f, fp, np.array(seeds), 1.0)
+    ref = np.array([_oracle_newton_root(f, fp, x0, 1.0) for x0 in seeds])
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_bisect_all_wrong_root_count_raises():
+    # G_4^(1) has 4 sign changes on the grid, not 5 or 3
+    grid = np.cos(np.linspace(0.0, np.pi, 41))
+
+    def f(x):
+        return np.atleast_1d(evaluate(1.0, 4, x))
+
+    assert _bisect_all(f, 4, grid).size == 4
+    for m in (3, 5):
+        with pytest.raises(RuntimeError, match=f"found 4 of {m} roots"):
+            _bisect_all(f, m, grid)
