@@ -254,15 +254,12 @@ def equivalence_suite(gamma: float, n: int, tol: float = 1e-8) -> EquivalenceRep
         lams, _, _ = pencil_lambdas(MethodConfig(kind, g, n))
         return lams
 
-    rep.deviations["galerkin_vs_tau_shift2"] = _spectrum_deviation(
-        spec("galerkin", gamma), spec("tau", gamma + 2.0)
-    )
+    galerkin = spec("galerkin", gamma)
+    rep.deviations["galerkin_vs_tau_shift2"] = _spectrum_deviation(galerkin, spec("tau", gamma + 2.0))
     rep.deviations["inviscid_vs_tau_shift1"] = _spectrum_deviation(
         spec("inviscid_galerkin", gamma), spec("tau", gamma + 1.0)
     )
-    rep.deviations["modified_vs_galerkin"] = _spectrum_deviation(
-        spec("modified_tau", gamma), spec("galerkin", gamma)
-    )
+    rep.deviations["modified_vs_galerkin"] = _spectrum_deviation(spec("modified_tau", gamma), galerkin)
     if gamma > 0.5:
         cfg = MethodConfig("tau", gamma, n, parity_split=True)
         lam_even, _, _ = pencil_lambdas(cfg, "even")

@@ -248,27 +248,35 @@ def cmd_sweep(args, argv: list[str]) -> int:
 # verify
 
 
+# verify suite -> {flag's argparse dest: suite keyword}; a flag missing
+# from a suite's entry is a usage error for that suite
+SUITE_FLAGS = {
+    "theorem-range": {"gamma": "gammas", "n_lo": "n_lo", "n_hi": "n_hi"},
+    "equivalence": {"gamma": "gammas", "n_lo": "n_lo", "n_hi": "n_hi", "tol": "tol"},
+    "perturbation": {},
+    "positive-pair": {"gamma": "gammas", "n_hi": "n_hi"},
+    "appendixB": {},
+    "exact-convergence": {"gamma": "gamma", "n": "n", "tol": "tol"},
+}
+
+
 def _suite_kwargs(args) -> dict:
     kw = {}
-    if args.suite == "exact-convergence":
-        if args.gamma is not None:
-            kw["gamma"] = args.gamma[0]
-        if args.n is not None:
-            kw["n"] = args.n
-    elif args.suite in ("theorem-range", "equivalence"):
-        if args.gamma is not None:
-            kw["gammas"] = tuple(args.gamma)
-        if args.n_lo is not None:
-            kw["n_lo"] = args.n_lo
-        if args.n_hi is not None:
-            kw["n_hi"] = args.n_hi
-    elif args.suite == "positive-pair":
-        if args.gamma is not None:
-            kw["gammas"] = tuple(args.gamma)
-        if args.n_hi is not None:
-            kw["n_hi"] = args.n_hi
-    if args.tol is not None and args.suite in ("equivalence", "exact-convergence"):
-        kw["tol"] = args.tol
+    for dest in ("gamma", "n", "n_lo", "n_hi", "tol"):
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        key = SUITE_FLAGS[args.suite].get(dest)
+        if key is None:
+            flag = "--" + dest.replace("_", "-")
+            raise ValueError(f"verify --suite {args.suite} does not take {flag}")
+        if key == "gammas":  # --gamma repeats
+            value = tuple(value)
+        elif key == "gamma":
+            if len(value) > 1:
+                raise ValueError(f"verify --suite {args.suite} takes one --gamma")
+            value = value[0]
+        kw[key] = value
     return kw
 
 

@@ -30,7 +30,7 @@ DEFAULT_TOLERANCES = {
 
 
 class ConvergenceError(RuntimeError):
-    """The LAPACK eigensolver did not converge."""
+    """An eigensolve (LAPACK's, or the collocation node search) did not converge."""
 
 
 def dense_eigs(m: np.ndarray) -> np.ndarray:
@@ -94,7 +94,7 @@ def _polish_root(c: np.ndarray, z: complex) -> complex:
     return best
 
 
-def poly_roots(coeffs: np.ndarray, polish: bool = True) -> RootResult:
+def poly_roots(coeffs: np.ndarray) -> RootResult:
     """Roots of ``sum_k coeffs[k] z^k`` via the balanced companion matrix.
 
     Coefficients are normalized by the largest magnitude; exact zero roots
@@ -120,19 +120,17 @@ def poly_roots(coeffs: np.ndarray, polish: bool = True) -> RootResult:
         comp[np.arange(1, m), np.arange(m - 1)] = 1.0
         comp[:, m - 1] = -monic
         eigs = dense_eigs(comp)
-        if polish:
-            polished = np.array([_polish_root(c_red, z) for z in eigs])
-            # a step that lands nearer another companion eigenvalue than its
-            # own start has jumped to that root: keep the unpolished value
-            dist = np.abs(polished[:, None] - eigs[None, :])
-            jumped = np.diag(dist) > dist.min(axis=1)
-            polished[jumped] = eigs[jumped]
-            # keep conjugate symmetry exact after independent polishing
-            imag_scale = np.abs(polished)
-            near_real = np.abs(polished.imag) <= 1e-14 * np.maximum(imag_scale, 1.0)
-            polished[near_real] = polished[near_real].real
-            eigs = polished
-        roots.extend(eigs)
+        polished = np.array([_polish_root(c_red, z) for z in eigs])
+        # a step that lands nearer another companion eigenvalue than its
+        # own start has jumped to that root: keep the unpolished value
+        dist = np.abs(polished[:, None] - eigs[None, :])
+        jumped = np.diag(dist) > dist.min(axis=1)
+        polished[jumped] = eigs[jumped]
+        # keep conjugate symmetry exact after independent polishing
+        imag_scale = np.abs(polished)
+        near_real = np.abs(polished.imag) <= 1e-14 * np.maximum(imag_scale, 1.0)
+        polished[near_real] = polished[near_real].real
+        roots.extend(polished)
     roots_arr = np.array(roots, dtype=complex)
     vals = np.zeros(roots_arr.size, dtype=complex)
     for ck in c[::-1]:

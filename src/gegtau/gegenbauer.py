@@ -32,6 +32,7 @@ import math
 
 import numpy as np
 
+from .eig import ConvergenceError
 from .scaled import ScaledReal
 
 GAMMA_MIN = -0.5
@@ -202,11 +203,13 @@ def lobatto_interior_nodes(gamma: float, n: int) -> np.ndarray:
     """Interior collocation nodes: the n-3 roots of D G_{n-2}^{(gamma)}.
 
     By the index-raising derivative identity these are the roots of
-    G_{n-3}^{(gamma+1)}.  All roots are found together: one vectorized
-    Newton pass from the Chebyshev-extrema seeds, each iterate stopping on
-    its own test, and, if that pass does not give n-3 distinct roots inside
-    (-1, 1), one vectorized bisection pass over the sign changes on a grid.
-    Returned sorted ascending and exactly symmetric.
+    G_m^{(a)}, m = n-3, a = gamma+1, which are the eigenvalues of its
+    symmetric tridiagonal Jacobi matrix (Golub & Welsch, Math. Comp. 23,
+    1969): zero diagonal, off-diagonal sqrt(k(k+2a-1) / (4(k+a)(k+a-1))),
+    k = 1..m-1.  LAPACK's eigenvalues seed one vectorized Newton pass on
+    the three-term recurrence.  Raises ConvergenceError if a polished node
+    is not finite or lies nearer another seed than its own.  Returned
+    sorted ascending and exactly symmetric.
     """
     gamma = check_gamma(gamma)
     if n < 5:
@@ -220,21 +223,17 @@ def lobatto_interior_nodes(gamma: float, n: int) -> np.ndarray:
     def fp(x: np.ndarray) -> np.ndarray:
         return 2.0 * (g1 + 1.0) * np.atleast_1d(evaluate(g1 + 1.0, m - 1, x))
 
-    seeds = np.cos(np.arange(1, n - 2) * np.pi / (n - 2))[::-1]  # ascending
-    # residual scale for the convergence check
-    grid = np.cos(np.linspace(0.0, np.pi, 8 * m + 1))
-    fscale = float(np.max(np.abs(f(grid))))
-    roots = np.sort(_newton_all(f, fp, seeds, fscale))
-    if (
-        not np.all(np.isfinite(roots))
-        or np.any(np.diff(roots) <= 0.0)
-        or roots[0] <= -1.0
-        or roots[-1] >= 1.0
-    ):
-        roots = _bisect_all(f, m, grid)
+    k = np.arange(1.0, m)
+    off = np.sqrt(k * (k + 2.0 * g1 - 1.0) / (4.0 * (k + g1) * (k + g1 - 1.0)))
+    seeds = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))  # ascending
+    # residual scale for the convergence check: |G_m^{(g1)}| peaks at +-1
+    fscale = value_at_one(g1, m).to_float()
+    roots = _newton_all(f, fp, seeds, fscale)
+    nearest = np.argmin(np.abs(roots[:, None] - seeds[None, :]), axis=1)
+    if not np.all(np.isfinite(roots)) or np.any(nearest != np.arange(m)):
+        raise ConvergenceError(f"collocation node search failed (gamma {gamma}, n {n})")
     # enforce exact symmetry about 0
-    roots = 0.5 * (roots - roots[::-1])
-    return roots
+    return 0.5 * (roots - roots[::-1])
 
 
 def _newton_all(f, fp, seeds: np.ndarray, fscale: float, maxiter: int = 50) -> np.ndarray:
@@ -275,40 +274,3 @@ def _newton_all(f, fp, seeds: np.ndarray, fscale: float, maxiter: int = 50) -> n
         ok = np.abs(f(xu)) <= 1e-14 * fscale
         out[unsettled[ok]] = xu[ok]
     return out
-
-
-def _bisect_all(f, m: int, grid: np.ndarray) -> np.ndarray:
-    """The m roots of f from its sign changes on ``grid``, bisected together.
-
-    A grid point where f is exactly 0 is a root; every other sign change
-    brackets one, which is halved up to 200 times, until the midpoint
-    equals an end or f vanishes there.  Raises RuntimeError unless exactly
-    m roots are found.
-    """
-    xs = np.sort(grid)
-    vals = f(xs)
-    zero = vals[:-1] == 0.0
-    change = ~zero & (vals[:-1] * vals[1:] < 0.0)
-    found = np.flatnonzero(zero | change)
-    if found.size != m:
-        raise RuntimeError(f"node search found {found.size} of {m} roots")
-    roots = xs[found]
-    bracket = change[found]
-    left = found[bracket]
-    lo, hi, flo = xs[left], xs[left + 1], vals[left]
-    active = np.arange(left.size)
-    for _ in range(200):
-        mid = 0.5 * (lo[active] + hi[active])
-        live = (mid != lo[active]) & (mid != hi[active])
-        active, mid = active[live], mid[live]
-        if active.size == 0:
-            break
-        fm = f(mid)
-        hit = fm == 0.0  # a root on the midpoint closes its bracket
-        same = (fm > 0.0) == (flo[active] > 0.0)
-        lo[active[hit | same]] = mid[hit | same]
-        flo[active[same]] = fm[same]
-        hi[active[hit | ~same]] = mid[hit | ~same]
-        active = active[~hit]
-    roots[bracket] = 0.5 * (lo + hi)
-    return roots

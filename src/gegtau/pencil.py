@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eig import DEFAULT_TOLERANCES
 from .gegenbauer import (
     basis_matrix,
     check_gamma,
@@ -34,7 +35,6 @@ from .gegenbauer import (
 
 KINDS = ("tau", "inviscid_galerkin", "galerkin", "modified_tau", "collocation")
 GAMMA_SHIFT = {"tau": 0.0, "inviscid_galerkin": 1.0, "galerkin": 2.0}
-MU_INFINITE_CUTOFF = 1e-12
 
 
 class SingularReductionError(RuntimeError):
@@ -259,7 +259,6 @@ class ReducedPencil:
     """Standard eigenproblem M x = mu x equivalent to the finite pencil spectrum."""
 
     M: np.ndarray
-    mu_cutoff: float = MU_INFINITE_CUTOFF
 
 
 def reduce_to_standard(p: Pencil) -> ReducedPencil:
@@ -287,7 +286,9 @@ def reduce_to_standard(p: Pencil) -> ReducedPencil:
     return ReducedPencil(m)
 
 
-def split_finite(mus: np.ndarray, cutoff: float = MU_INFINITE_CUTOFF) -> tuple[np.ndarray, int]:
+def split_finite(
+    mus: np.ndarray, cutoff: float = DEFAULT_TOLERANCES["mu_infinite"]
+) -> tuple[np.ndarray, int]:
     """Split mu eigenvalues into finite lambdas (= 1/mu) and near-infinite count."""
     mus = np.asarray(mus, dtype=complex)
     if mus.size == 0:

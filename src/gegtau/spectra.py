@@ -54,7 +54,7 @@ def pencil_lambdas(
     red = reduce_to_standard(assemble(config, parity))
     if red.M.shape[0] == 0:
         return np.zeros(0, dtype=complex), 0, red.M
-    lams, n_inf = split_finite(dense_eigs(red.M), red.mu_cutoff)
+    lams, n_inf = split_finite(dense_eigs(red.M))
     return lams, n_inf, red.M
 
 
@@ -64,9 +64,7 @@ def _scale_of(lams: np.ndarray) -> float:
     return float(np.median(mags)) if mags.size else 1.0
 
 
-def _classified(
-    config: MethodConfig, ladders: tuple[str | None, ...], tolerances: dict | None
-) -> SpectrumReport:
+def _classified(config: MethodConfig, ladders: tuple[str | None, ...]) -> SpectrumReport:
     """Solve each parity ladder once, classify the merged spectrum, keep each M.
 
     ``ladders`` is ``(None,)`` for the coupled system; otherwise every
@@ -87,13 +85,12 @@ def _classified(
         n_infinite=len(inf_parities),
         infinite_parities=inf_parities if tagged else None,
         config=config,
-        tolerances=tolerances,
     )
     report.reduced = reduced
     return report
 
 
-def spectrum_report(config: MethodConfig, tolerances: dict | None = None) -> SpectrumReport:
+def spectrum_report(config: MethodConfig) -> SpectrumReport:
     """Classified spectrum for one configuration.
 
     With ``config.parity_split`` the even and odd ladders are computed
@@ -102,13 +99,11 @@ def spectrum_report(config: MethodConfig, tolerances: dict | None = None) -> Spe
     is attached.
     """
     ladders = ("even", "odd") if config.parity_split else (None,)
-    return _classified(config, ladders, tolerances)
+    return _classified(config, ladders)
 
 
-def single_parity_report(
-    config: MethodConfig, parity: str, tolerances: dict | None = None
-) -> SpectrumReport:
+def single_parity_report(config: MethodConfig, parity: str) -> SpectrumReport:
     """Spectrum of one parity ladder only (interlacing not applicable)."""
-    report = _classified(dataclasses.replace(config, parity_split=True), (parity,), tolerances)
+    report = _classified(dataclasses.replace(config, parity_split=True), (parity,))
     report.interlaced = None
     return report

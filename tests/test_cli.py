@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from gegtau import cli, pencil
+from gegtau import cli, gegenbauer, pencil
 
 
 def run(argv, capsys):
@@ -106,6 +106,28 @@ def test_spectrum_modified_large_gamma_solves(capsys):
     )
     assert code == 0
     assert doc["spectrum"]["counts"]["near_infinite"] == 2
+
+
+# The Chebyshev-extrema node seeds returned a duplicated node at both points:
+# a singular reduction (exit 3) in place of a spectrum.  The coupled system
+# has n-3 eigenvalues; the even ladder of n = 9 holds 3 of its 6.
+@pytest.mark.parametrize(
+    "gamma, n, parity, expected", [("4.3", 8, "both", 5), ("3.5", 9, "even", 3)]
+)
+def test_spectrum_collocation_duplicate_node_cases_solve(capsys, gamma, n, parity, expected):
+    code, doc = run_json(
+        ["spectrum", "--method", "collocation", "--gamma", gamma, "--n", str(n), "--parity", parity],
+        capsys,
+    )
+    assert code == 0
+    assert len(doc["spectrum"]["eigenvalues"]) == expected
+
+
+def test_node_search_failure_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(gegenbauer, "_newton_all", lambda f, fp, seeds, fscale: seeds * np.nan)
+    code = cli.main(["spectrum", "--method", "collocation", "--gamma", "1", "--n", "12"])
+    assert code == 3
+    assert "numerical diagnostic" in capsys.readouterr().err
 
 
 def count_assembles(monkeypatch) -> list:
@@ -267,6 +289,23 @@ def test_verify_failure_exit_code(capsys):
     )
     assert code == 1
     assert "[FAIL]" in out and "counterexample" in out
+
+
+@pytest.mark.parametrize(
+    "suite, extra",
+    [
+        ("appendixB", ["--gamma", "7", "--tol", "1e9"]),
+        ("positive-pair", ["--n-lo", "19"]),
+        ("perturbation", ["--n-hi", "99"]),
+        ("theorem-range", ["--tol", "1e-3"]),
+        ("exact-convergence", ["--n-lo", "8"]),
+        ("exact-convergence", ["--gamma", "2", "--gamma", "9"]),
+    ],
+)
+def test_verify_rejects_flag_suite_does_not_take(capsys, suite, extra):
+    assert cli.main(["verify", "--suite", suite] + extra) == 2
+    err = capsys.readouterr().err
+    assert suite in err and extra[0] in err
 
 
 def test_verify_writes_json_detail(tmp_path, capsys):

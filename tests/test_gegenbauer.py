@@ -6,10 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from scipy.special import roots_gegenbauer
+
 from gegtau import gegenbauer
 from gegtau.analysis import jacobi_quad
+from gegtau.eig import ConvergenceError
 from gegtau.gegenbauer import (
-    _bisect_all,
     _newton_all,
     deriv_at_one,
     diff_coeff_array,
@@ -313,8 +315,9 @@ def test_lobatto_nodes_rejects_small_n():
         lobatto_interior_nodes(0.0, 4)
 
 
-# (3.0, 54) takes the bisection fallback, (0.3, 62) the Newton pass
-@pytest.mark.parametrize("gamma, n", [(3.0, 54), (0.3, 62)])
+# (3.0, 54) and (1.9, 34) sent the Chebyshev-extrema seeds onto duplicate
+# roots; (0.3, 62) did not
+@pytest.mark.parametrize("gamma, n", [(3.0, 54), (0.3, 62), (1.9, 34)])
 def test_lobatto_nodes_evaluate_budget(monkeypatch, gamma, n):
     calls = []
 
@@ -324,13 +327,42 @@ def test_lobatto_nodes_evaluate_budget(monkeypatch, gamma, n):
 
     monkeypatch.setattr(gegenbauer, "evaluate", counting)
     lobatto_interior_nodes(gamma, n)
-    # fscale grid + 50 Newton steps (f and f') + final check + bisection
-    # grid + 200 bisection steps, each one call over all roots at once
-    assert len(calls) <= 1 + 2 * 50 + 1 + 1 + 200
+    # 50 Newton steps (f and f') + the final residual check, each one call
+    # over all roots at once
+    assert len(calls) <= 2 * 50 + 1
 
 
-# The scalar node search, one root and one bracket at a time: the reference
-# the vectorized search must match bit for bit.
+# The seven cases where the Chebyshev-extrema seeds and the duplicate-blind
+# fallback check returned a repeated node in place of a real one, then a
+# spread over gamma and n.
+@pytest.mark.parametrize(
+    "gamma, n",
+    [(1.9, 19), (3.5, 9), (4.3, 8), (4.3, 11), (4.3, 21), (50.0, 8), (200.0, 8)]
+    + [(g, n) for g in (-0.45, 0.0, 0.5, 1.0, 3.0, 10.0) for n in (5, 12, 33, 64, 128)],
+)
+def test_lobatto_nodes_match_scipy(gamma, n):
+    ref = roots_gegenbauer(n - 3, gamma + 1.0)[0]
+    assert_allclose(lobatto_interior_nodes(gamma, n), ref, rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "polish",
+    [
+        lambda r: np.where(np.arange(r.size) == 2, np.nan, r),
+        # a node polished onto its neighbour's root
+        lambda r: np.where(np.arange(r.size) == 2, r[3], r),
+    ],
+    ids=["nan", "duplicate"],
+)
+def test_lobatto_nodes_failed_polish_raises(monkeypatch, polish):
+    newton_all = gegenbauer._newton_all
+    monkeypatch.setattr(gegenbauer, "_newton_all", lambda *a: polish(newton_all(*a)))
+    with pytest.raises(ConvergenceError, match="node search failed"):
+        lobatto_interior_nodes(1.0, 12)
+
+
+# The scalar Newton iteration, one root at a time: the reference the
+# vectorized Newton pass must match bit for bit.
 def _oracle_newton_root(f, fp, x0, fscale, maxiter=50):
     lim = 1.0 - 1e-12
     x = float(x0)
@@ -346,77 +378,6 @@ def _oracle_newton_root(f, fp, x0, fscale, maxiter=50):
     if abs(float(f(x)[0])) <= 1e-14 * fscale:
         return x
     return math.nan
-
-
-def _oracle_bisect_all(f, m, grid):
-    xs = np.sort(grid)
-    vals = f(xs)
-    roots = []
-    for i in range(xs.size - 1):
-        if vals[i] == 0.0:
-            roots.append(xs[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            lo, hi = xs[i], xs[i + 1]
-            flo = vals[i]
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if mid == lo or mid == hi:
-                    break
-                fm = float(f(mid)[0])
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if (fm > 0.0) == (flo > 0.0):
-                    lo, flo = mid, fm
-                else:
-                    hi = mid
-            roots.append(0.5 * (lo + hi))
-    assert len(roots) == m
-    return np.array(roots)
-
-
-def _oracle_nodes(gamma, n):
-    """Scalar node search, one root at a time; (nodes, took the fallback)."""
-    m = n - 3
-    g1 = gamma + 1.0
-
-    def f(x):
-        return np.atleast_1d(evaluate(g1, m, x))
-
-    def fp(x):
-        return 2.0 * (g1 + 1.0) * np.atleast_1d(evaluate(g1 + 1.0, m - 1, x))
-
-    seeds = np.cos(np.arange(1, n - 2) * np.pi / (n - 2))[::-1]
-    grid = np.cos(np.linspace(0.0, np.pi, 8 * m + 1))
-    fscale = float(np.max(np.abs(f(grid))))
-    roots = np.array([_oracle_newton_root(f, fp, x0, fscale) for x0 in seeds])
-    roots.sort()
-    fallback = bool(
-        not np.all(np.isfinite(roots))
-        or np.any(np.diff(roots) <= 0.0)
-        or roots[0] <= -1.0
-        or roots[-1] >= 1.0
-    )
-    if fallback:
-        roots = _oracle_bisect_all(f, m, grid)
-    return 0.5 * (roots - roots[::-1]), fallback
-
-
-@pytest.mark.parametrize(
-    "gamma, n, fallback",
-    [
-        (-0.45, 9, False),
-        (0.0, 20, False),
-        (0.3, 62, False),
-        (1.0, 41, False),
-        (4.3, 26, True),
-        (1.9, 34, True),
-    ],
-)
-def test_lobatto_nodes_match_scalar_oracle(gamma, n, fallback):
-    ref, took_fallback = _oracle_nodes(gamma, n)
-    assert took_fallback == fallback
-    assert lobatto_interior_nodes(gamma, n).tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -438,16 +399,3 @@ def test_newton_all_matches_scalar_oracle(f, fp, seeds):
     got = _newton_all(f, fp, np.array(seeds), 1.0)
     ref = np.array([_oracle_newton_root(f, fp, x0, 1.0) for x0 in seeds])
     assert got.tobytes() == ref.tobytes()
-
-
-def test_bisect_all_wrong_root_count_raises():
-    # G_4^(1) has 4 sign changes on the grid, not 5 or 3
-    grid = np.cos(np.linspace(0.0, np.pi, 41))
-
-    def f(x):
-        return np.atleast_1d(evaluate(1.0, 4, x))
-
-    assert _bisect_all(f, 4, grid).size == 4
-    for m in (3, 5):
-        with pytest.raises(RuntimeError, match=f"found 4 of {m} roots"):
-            _bisect_all(f, m, grid)
