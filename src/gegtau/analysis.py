@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .charpoly import CharPoly, second_order_pair
 from .eig import poly_roots
@@ -31,6 +30,10 @@ def jacobi_quad(exponent: float, f, npts: int) -> float:
     Exact for polynomial f of degree <= 2*npts - 1, including the
     singular-endpoint range -1 < exponent < 0.
     """
+    # imported here, its only use: scipy.special is most of the package's
+    # import time, and only the verify suites reach this function
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(npts, exponent, exponent)
     return float(np.sum(w * f(x)))
 

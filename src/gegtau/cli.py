@@ -127,19 +127,31 @@ def _report_rows(report: SpectrumReport, residuals: list[float]) -> list[dict]:
 
 
 def _eigen_residuals(report: SpectrumReport) -> list[float]:
-    """sigma_min(M - mu I)/||M||_F per eigenvalue, M of its parity ladder."""
-    # per ladder: (M, ||M||_F, complex identity of M's size)
+    """sigma_min(M - mu I)/||M||_F per eigenvalue, M of its parity ladder.
+
+    One SVD per distinct shift of a ladder.  A shift whose imaginary part is
+    exactly 0.0 (a real eigenvalue, or the near-infinite shift mu = 0) is
+    applied to the real M in real arithmetic.  A complex shift is applied in
+    complex arithmetic, and its conjugate twin reuses the value: M is real,
+    so M - conj(mu) I is the conjugate of M - mu I and has the same
+    singular values.
+    """
+    # per ladder: (M, ||M||_F, real identity of M's size)
     ladders = {
-        par: (m, float(np.linalg.norm(m)) or 1.0, np.eye(m.shape[0], dtype=complex))
+        par: (m, float(np.linalg.norm(m)) or 1.0, np.eye(m.shape[0]))
         for par, m in report.reduced.items()
     }
+    smin: dict[tuple, float] = {}  # (parity, Re mu, |Im mu|) -> sigma_min
     out: list[float] = []
     for i, (lam, cls) in enumerate(zip(report.eigenvalues, report.classes)):
         par = report.parities[i] if report.parities is not None else None
         m, norm, eye = ladders[par]
-        mu = 0.0 if cls == NEAR_INFINITE else 1.0 / lam
-        smin = float(np.linalg.svd(m - mu * eye, compute_uv=False)[-1])
-        out.append(smin / norm)
+        mu = 0j if cls == NEAR_INFINITE else 1.0 / lam
+        key = (par, mu.real, abs(mu.imag))
+        if key not in smin:
+            shifted = m - mu.real * eye if mu.imag == 0.0 else m - mu * eye
+            smin[key] = float(np.linalg.svd(shifted, compute_uv=False)[-1])
+        out.append(smin[key] / norm)
     return out
 
 

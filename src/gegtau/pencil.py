@@ -205,26 +205,27 @@ def _nullspace_by_elimination(c: np.ndarray) -> np.ndarray:
     m, dim = c.shape
     u = c.copy()
     row_max = np.max(np.abs(u), axis=1) if u.size else np.zeros(m)
+    is_piv = np.zeros(dim, dtype=bool)
     piv_cols: list[int] = []
     for i in range(m):
         sub = np.abs(u[i:, :])
-        sub[:, piv_cols] = -1.0
+        sub[:, is_piv] = -1.0
         r, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
         r += i
         if abs(u[r, j]) <= 1e-12 * row_max[r]:
             raise ValueError("lambda-independent rows are linearly dependent")
         u[[i, r], :] = u[[r, i], :]
         row_max[[i, r]] = row_max[[r, i]]
+        is_piv[j] = True
         piv_cols.append(int(j))
-        for rr in range(m):
-            if rr != i and u[rr, j] != 0.0:
-                u[rr, :] -= (u[rr, j] / u[i, j]) * u[i, :]
-    free_cols = [j for j in range(dim) if j not in piv_cols]
-    t = np.zeros((dim, len(free_cols)))
-    for jj, f in enumerate(free_cols):
-        t[f, jj] = 1.0
-        for i, p in enumerate(piv_cols):
-            t[p, jj] = -u[i, f] / u[i, p]
+        rows = np.flatnonzero(u[:, j] != 0.0)
+        rows = rows[rows != i]
+        u[rows, :] -= (u[rows, j] / u[i, j])[:, None] * u[i, :]
+    piv = np.array(piv_cols, dtype=np.intp)
+    free = np.flatnonzero(~is_piv)
+    t = np.zeros((dim, free.size))
+    t[free, np.arange(free.size)] = 1.0
+    t[piv, :] = -u[:, free] / u[np.arange(m), piv][:, None]
     return t
 
 
@@ -235,23 +236,17 @@ def _equilibrate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scaling is a similarity on M = A^{-1}B.  Power-of-two factors keep the
     transformation exact.
     """
-    a = a.copy()
-    b = b.copy()
     if a.size == 0:
-        return a, b
-    for i in range(a.shape[0]):
-        s = max(np.max(np.abs(a[i])), np.max(np.abs(b[i])))
-        if s > 0.0:
-            f = 2.0 ** (-math.floor(math.log2(s)))
-            a[i] *= f
-            b[i] *= f
-    for j in range(a.shape[1]):
-        s = max(np.max(np.abs(a[:, j])), np.max(np.abs(b[:, j])))
-        if s > 0.0:
-            f = 2.0 ** (-math.floor(math.log2(s)))
-            a[:, j] *= f
-            b[:, j] *= f
-    return a, b
+        return a.copy(), b.copy()
+    f = _pow2_scales(np.maximum(np.max(np.abs(a), axis=1), np.max(np.abs(b), axis=1)))
+    a, b = a * f[:, None], b * f[:, None]
+    f = _pow2_scales(np.maximum(np.max(np.abs(a), axis=0), np.max(np.abs(b), axis=0)))
+    return a * f, b * f
+
+
+def _pow2_scales(s: np.ndarray) -> np.ndarray:
+    """2^-floor(log2(s)) per entry of s, and 1 where s is not positive."""
+    return np.array([2.0 ** -math.floor(math.log2(x)) if x > 0.0 else 1.0 for x in s.tolist()])
 
 
 @dataclass
@@ -265,7 +260,7 @@ def reduce_to_standard(p: Pencil) -> ReducedPencil:
     """Eliminate the lambda-independent rows and return M = A'^{-1} B'."""
     dim = p.dim
     bc = sorted(p.bc_rows)
-    dyn = [r for r in range(dim) if r not in set(bc)]
+    dyn = sorted(set(range(dim)).difference(bc))
     if np.any(p.B[bc, :] != 0.0):
         raise ValueError("bc_rows must be identically zero in B")
     t = _nullspace_by_elimination(p.A[bc, :])

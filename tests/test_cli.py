@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gegtau
 from gegtau import cli, gegenbauer, pencil
+from gegtau.eig import NEAR_INFINITE
+from gegtau.pencil import MethodConfig
+from gegtau.spectra import spectrum_report
 
 
 def run(argv, capsys):
@@ -69,6 +76,91 @@ def test_spectrum_residuals_small(capsys):
     )
     assert code == 0
     assert all(e["residual"] <= 1e-10 for e in doc["spectrum"]["eigenvalues"])
+
+
+def _oracle_eigen_residuals(report):
+    """One complex SVD per eigenvalue: the residual column's definition."""
+    out = []
+    for i, (lam, cls) in enumerate(zip(report.eigenvalues, report.classes)):
+        par = report.parities[i] if report.parities is not None else None
+        m = report.reduced[par]
+        mu = 0.0 if cls == NEAR_INFINITE else 1.0 / lam
+        shifted = m - mu * np.eye(m.shape[0], dtype=complex)
+        smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
+        out.append(smin / (float(np.linalg.norm(m)) or 1.0))
+    return out
+
+
+def count_cli_svds(monkeypatch):
+    """Dtypes of the matrices gegtau.cli hands to np.linalg.svd."""
+    dtypes = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "gegtau.cli":
+            dtypes.append(np.asarray(a).dtype)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return dtypes
+
+
+def test_residuals_one_svd_per_shift_up_to_conjugation(monkeypatch, capsys):
+    dtypes = count_cli_svds(monkeypatch)
+    code, doc = run_json(
+        ["spectrum", "--method", "tau", "--gamma", "4.5", "--n", "48", "--parity", "both"], capsys
+    )
+    assert code == 0
+    rows = doc["spectrum"]["eigenvalues"]
+    shifts = {
+        (r["parity"], None, None) if r["re"] is None else (r["parity"], r["re"], abs(r["im"]))
+        for r in rows
+    }
+    real = {key for key in shifts if key[2] in (None, 0.0)}
+    assert doc["spectrum"]["counts"]["complex_pair"] > 0
+    assert len(dtypes) == len(shifts) < len(rows)
+    assert sum(dt == np.float64 for dt in dtypes) == len(real) > 0
+    # conjugate twins print the same residual
+    by_key = {}
+    for r in rows:
+        if r["class"] == "complex_pair":
+            by_key.setdefault((r["parity"], r["re"], abs(r["im"])), []).append(r["residual"])
+    assert by_key and all(len(v) == 2 and v[0] == v[1] for v in by_key.values())
+
+
+@pytest.mark.parametrize(
+    "gamma, n, classes",
+    [
+        (1.0, 64, {"real_negative"}),  # a real spectrum
+        (0.5, 33, {"real_negative", "near_infinite"}),  # Legendre: shift mu = 0
+        (4.5, 48, {"real_negative", "complex_pair"}),
+    ],
+)
+def test_residuals_match_complex_oracle(gamma, n, classes):
+    report = spectrum_report(MethodConfig("tau", gamma, n, parity_split=True))
+    assert set(report.classes) == classes
+    got = cli._eigen_residuals(report)
+    want = _oracle_eigen_residuals(report)
+    eps = np.finfo(float).eps
+    for g, w, cls in zip(got, want, report.classes):
+        if cls == "complex_pair":
+            assert g == w  # a complex shift is factored as before
+        else:
+            assert abs(g - w) <= 64 * eps
+
+
+def test_import_cli_skips_scipy_special():
+    src = str(Path(gegtau.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import gegtau.cli, sys; assert 'scipy.special' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_spectrum_csv_format(capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -6,6 +8,7 @@ from gegtau.eig import dense_eigs
 from gegtau.pencil import (
     MethodConfig,
     Pencil,
+    _equilibrate,
     _nullspace_by_elimination,
     assemble,
     legendre_reduced_matrices,
@@ -160,6 +163,106 @@ def test_nullspace_by_elimination():
     assert_allclose(scaled @ t / np.max(np.abs(scaled), axis=1)[:, None], 0.0, atol=1e-12)
     with pytest.raises(ValueError):
         _nullspace_by_elimination(np.vstack([scaled, 1e-9 * c[0]]))
+
+
+# loop versions of the elimination and the equilibration: the references
+# the whole-array versions in pencil.py must match bit for bit
+
+
+def _oracle_nullspace_by_elimination(c):
+    m, dim = c.shape
+    u = c.copy()
+    row_max = np.max(np.abs(u), axis=1) if u.size else np.zeros(m)
+    piv_cols = []
+    for i in range(m):
+        sub = np.abs(u[i:, :])
+        sub[:, piv_cols] = -1.0
+        r, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
+        r += i
+        if abs(u[r, j]) <= 1e-12 * row_max[r]:
+            raise ValueError("lambda-independent rows are linearly dependent")
+        u[[i, r], :] = u[[r, i], :]
+        row_max[[i, r]] = row_max[[r, i]]
+        piv_cols.append(int(j))
+        for rr in range(m):
+            if rr != i and u[rr, j] != 0.0:
+                u[rr, :] -= (u[rr, j] / u[i, j]) * u[i, :]
+    free_cols = [j for j in range(dim) if j not in piv_cols]
+    t = np.zeros((dim, len(free_cols)))
+    for jj, f in enumerate(free_cols):
+        t[f, jj] = 1.0
+        for i, p in enumerate(piv_cols):
+            t[p, jj] = -u[i, f] / u[i, p]
+    return t
+
+
+def _oracle_equilibrate(a, b):
+    a = a.copy()
+    b = b.copy()
+    if a.size == 0:
+        return a, b
+    for i in range(a.shape[0]):
+        s = max(np.max(np.abs(a[i])), np.max(np.abs(b[i])))
+        if s > 0.0:
+            f = 2.0 ** (-math.floor(math.log2(s)))
+            a[i] *= f
+            b[i] *= f
+    for j in range(a.shape[1]):
+        s = max(np.max(np.abs(a[:, j])), np.max(np.abs(b[:, j])))
+        if s > 0.0:
+            f = 2.0 ** (-math.floor(math.log2(s)))
+            a[:, j] *= f
+            b[:, j] *= f
+    return a, b
+
+
+ORACLE_CONFIGS = [
+    MethodConfig(kind, gamma, n, alpha=alpha, parity_split=split)
+    for kind, split in [("tau", True), ("tau", False), ("galerkin", True),
+                        ("inviscid_galerkin", False), ("modified_tau", False),
+                        ("collocation", True), ("collocation", False)]
+    for gamma, n, alpha in [(-0.45, 8, 0.0), (0.5, 13, 0.0), (1.0, 33, 0.0),
+                            (4.3, 48, 0.0), (2.0, 24, 0.5)]
+    if alpha == 0.0 or not split
+]
+
+
+@pytest.mark.parametrize(
+    "config",
+    ORACLE_CONFIGS,
+    ids=lambda c: f"{c.kind}-{c.gamma}-{c.n}-{c.alpha}-{'split' if c.parity_split else 'coupled'}",
+)
+def test_reduction_steps_match_loop_oracles(config):
+    for parity in ("even", "odd") if config.parity_split else (None,):
+        p = assemble(config, parity)
+        bc = sorted(p.bc_rows)
+        dyn = [r for r in range(p.dim) if r not in set(bc)]
+        t = _nullspace_by_elimination(p.A[bc, :])
+        assert np.array_equal(t, _oracle_nullspace_by_elimination(p.A[bc, :]))
+        a1, b1 = p.A[dyn, :] @ t, p.B[dyn, :] @ t
+        want = _oracle_equilibrate(a1, b1)
+        for got, w in zip(_equilibrate(a1, b1), want):
+            assert np.array_equal(got, w)
+        assert np.array_equal(reduce_to_standard(p).M, np.linalg.solve(*want))
+
+
+def test_reduction_steps_match_loop_oracles_on_edge_inputs():
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((4, 11)) * np.array([1e6, 1.0, 1e-3, 1e9])[:, None]
+    c[:, 3] = 0.0  # zero pivot-column entries skip the row update
+    c[2, 6] = 0.0
+    for rows in (c, c[:0], c[:1]):
+        assert np.array_equal(
+            _nullspace_by_elimination(rows), _oracle_nullspace_by_elimination(rows)
+        )
+    a = rng.standard_normal((6, 6)) * 2.0 ** rng.integers(-40, 40, size=(6, 1))
+    b = rng.standard_normal((6, 6))
+    a[4], b[4] = 0.0, 0.0  # an all-zero row keeps factor 1
+    b[:, 1] = 0.0
+    a[:, 1] = 2.0 ** np.arange(-3, 3)  # exact powers of two on the log2 boundary
+    for pair in ((a, b), (a[:0], b[:0])):
+        for got, want in zip(_equilibrate(*pair), _oracle_equilibrate(*pair)):
+            assert np.array_equal(got, want)
 
 
 def test_split_finite_cutoff():
