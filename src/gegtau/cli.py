@@ -138,7 +138,7 @@ def _eigen_residuals(report: SpectrumReport) -> list[float]:
     """
     # per ladder: (M, ||M||_F, real identity of M's size)
     ladders = {
-        par: (m, float(np.linalg.norm(m)) or 1.0, np.eye(m.shape[0]))
+        par: (m, _frobenius_norm(m) or 1.0, np.eye(m.shape[0]))
         for par, m in report.reduced.items()
     }
     smin: dict[tuple, float] = {}  # (parity, Re mu, |Im mu|) -> sigma_min
@@ -153,6 +153,22 @@ def _eigen_residuals(report: SpectrumReport) -> list[float]:
             smin[key] = float(np.linalg.svd(shifted, compute_uv=False)[-1])
         out.append(smin[key] / norm)
     return out
+
+
+def _frobenius_norm(m: np.ndarray) -> float:
+    """||M||_F, rescaled by max|M| where the plain sum of squares overflows.
+
+    The plain norm is kept wherever it is finite, so those residuals keep
+    their bytes; an infinite norm would print every residual as 0.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(m))
+        if math.isfinite(norm):
+            return norm
+        if not np.all(np.isfinite(m)):
+            raise ConvergenceError("reduced matrix has non-finite entries")
+        s = float(np.max(np.abs(m)))
+        return s * float(np.linalg.norm(m / s))
 
 
 def cmd_spectrum(args, argv: list[str]) -> int:

@@ -21,14 +21,19 @@ Key identities used throughout (all standard, stated in this normalization):
     G_n(1) = (2g+n-1)(2g+n-2)...(2g+1) / n!,
     D^{k+1} G_n(1) / D^k G_n(1) = (2g+n+k)(n-k) / (2g+2k+1).
 
-Endpoint quantities are evaluated from running products (never via Gamma
-ratios, which are singular at gamma = 0) and returned as ``ScaledReal``;
-interior evaluation uses the three-term recurrence in float64.
+Endpoint quantities are evaluated from log running products (never via
+Gamma ratios, which are singular at gamma = 0) and returned as
+``ScaledReal``.  The logs of G_n(1) come from one cached prefix-sum ladder
+per gamma, so a row of n endpoint values costs O(n), not O(n^2); interior
+evaluation uses the three-term recurrence in float64.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -36,6 +41,7 @@ from .eig import ConvergenceError
 from .scaled import ScaledReal
 
 GAMMA_MIN = -0.5
+_LADDER_MIN_SIZE = 64  # smallest cached log ladder; larger ones double
 
 
 def check_gamma(gamma: float) -> float:
@@ -49,16 +55,31 @@ def value_at_one(gamma: float, n: int) -> ScaledReal:
     """G_n(1), via the running product (2g+1)...(2g+n-1)/n!.
 
     Always positive for gamma > -1/2; equals 1 for n = 0, 1.  The log is
-    accumulated as sum of log((2g+j)/(j+1)) so the Legendre case gives
+    the sum of log((2g+j)/(j+1)), j = 1..n-1, so the Legendre case gives
     exactly 1.0 and near-Legendre differences keep full relative accuracy.
+    The sum is read from the gamma's cached prefix ladder, O(1) per call
+    once the ladder exists; it is bit-identical to adding the terms one by
+    one, left to right from 0.0.
     """
     gamma = check_gamma(gamma)
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    log = 0.0
-    for j in range(1, n):
-        log += math.log(2.0 * gamma + j) - math.log(j + 1.0)
-    return ScaledReal(1, log)
+    size = max(_LADDER_MIN_SIZE, 1 << operator.index(n).bit_length())
+    return ScaledReal(1, _log_ladder(gamma, size)[max(n - 1, 0)])
+
+
+@functools.lru_cache(maxsize=32)
+def _log_ladder(gamma: float, size: int) -> tuple[float, ...]:
+    """Prefix sums of log(2g+j) - log(j+1), j = 1..size-1, from 0.0.
+
+    Entry k is log G_{k+1}(1).  ``size`` is a power of two >= n+1, so one
+    ladder serves every degree below it and a process keeps a few ladders
+    per gamma.  ``accumulate`` adds the terms left to right, so entry k is
+    the same float as a running sum over j = 1..k.  The tuple is immutable
+    because every caller, on any thread, shares it.
+    """
+    terms = (math.log(2.0 * gamma + j) - math.log(j + 1.0) for j in range(1, size))
+    return tuple(itertools.accumulate(terms, initial=0.0))
 
 
 def deriv_at_one(gamma: float, n: int, k: int) -> ScaledReal:

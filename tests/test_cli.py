@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +149,28 @@ def test_residuals_match_complex_oracle(gamma, n, classes):
             assert g == w  # a complex shift is factored as before
         else:
             assert abs(g - w) <= 64 * eps
+
+
+def test_spectrum_residuals_finite_when_norm_overflows(capsys):
+    # ||M||_F of the even ladder overflows float64 here (max|M| is 3e184)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, doc = run_json(["spectrum", "--method", "tau", "--gamma", "200", "--n", "300"], capsys)
+    assert code == 0
+    residuals = [e["residual"] for e in doc["spectrum"]["eigenvalues"]]
+    assert all(math.isfinite(r) and r > 0.0 for r in residuals)
+
+
+def test_spectrum_non_finite_reduced_matrix_exit_code(monkeypatch, capsys):
+    def poisoned(config):
+        report = spectrum_report(config)
+        report.reduced["even"][0, 0] = np.inf
+        return report
+
+    monkeypatch.setattr(cli, "spectrum_report", poisoned)
+    code = cli.main(["spectrum", "--method", "tau", "--gamma", "1", "--n", "10"])
+    assert code == 3
+    assert "numerical diagnostic" in capsys.readouterr().err
 
 
 def test_import_cli_skips_scipy_special():
@@ -343,6 +367,23 @@ def test_sweep_jobs_deterministic(capsys):
     _, par = run(argv + ["--jobs", "4"], capsys)
     # manifests differ in the --jobs flag; the data rows must be identical
     assert seq.split("\n")[1:] == par.split("\n")[1:]
+
+
+def test_sweep_jobs_share_endpoint_ladders(capsys):
+    # from a cold cache, four threads ask for one gamma's log ladders
+    # across the 64/128/256 size classes at once
+    argv = ["sweep", "--method", "galerkin", "--gamma-range", "1.3:1.3:1", "--n-range", "8:160:8"]
+    interval = sys.getswitchinterval()
+    rows = []
+    try:
+        sys.setswitchinterval(1e-6)
+        for jobs in ("1", "4"):
+            gegenbauer._log_ladder.cache_clear()
+            _, out = run(argv + ["--jobs", jobs], capsys)
+            rows.append(out.splitlines()[2:])  # the data rows, after manifest and header
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(rows[0]) == 20 and rows[0] == rows[1]
 
 
 def test_sweep_empty_grid_rejected(capsys):

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from scipy.special import roots_gegenbauer
 
-from gegtau import gegenbauer
+from gegtau import gegenbauer, pencil
 from gegtau.analysis import jacobi_quad
 from gegtau.eig import ConvergenceError
 from gegtau.gegenbauer import (
@@ -22,6 +22,8 @@ from gegtau.gegenbauer import (
     norm_h,
     value_at_one,
 )
+from gegtau.pencil import MethodConfig
+from gegtau.scaled import ScaledReal
 
 GAMMAS = [-0.4, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 3.5]
 
@@ -136,6 +138,83 @@ def test_derivative_ladder_positive_and_nondecreasing(gamma, n):
         if prev is not None:
             assert cur.log_mag >= prev.log_mag - 1e-12
         prev = cur
+
+
+def _oracle_log_value_at_one(gamma, n):
+    """log G_n(1) by the O(n) loop the cached ladder replaced: the reference."""
+    log = 0.0
+    for j in range(1, n):
+        log += math.log(2.0 * gamma + j) - math.log(j + 1.0)
+    return log
+
+
+def _oracle_log_deriv_at_one(gamma, n, k):
+    """deriv_at_one's ratio recurrence seeded by the loop oracle; None for k > n."""
+    if k > n:
+        return None
+    log = _oracle_log_value_at_one(gamma, n)
+    for j in range(k):
+        log += math.log((2.0 * gamma + (n + j)) * (n - j)) - math.log(2.0 * gamma + (2 * j + 1))
+    return log
+
+
+ORACLE_GAMMAS = [-0.45, 0.0, 0.3, 0.5, 1.0, 3.5, 4.3, 200.0]
+ORACLE_NMAX = 400
+
+
+@pytest.mark.parametrize("gamma", ORACLE_GAMMAS)
+def test_endpoint_values_match_loop_oracle(gamma):
+    ns = range(ORACLE_NMAX + 1)
+    ks = (0, 1, 2, 3, 7)
+    value = [_oracle_log_value_at_one(gamma, n) for n in ns]
+    deriv = {(n, k): _oracle_log_deriv_at_one(gamma, n, k) for n in ns for k in ks}
+    log_h0 = norm_h(gamma, 0).log_mag
+    # a cold cache in both orders: descending builds the largest ladder
+    # first, ascending grows through the 64/128/256/512 size classes
+    for order in (ns[::-1], ns):
+        gegenbauer._log_ladder.cache_clear()
+        for n in order:
+            assert value_at_one(gamma, n).log_mag == value[n]
+            for k in ks:
+                got = deriv_at_one(gamma, n, k)
+                want = deriv[n, k]
+                assert got.is_zero() if want is None else got.log_mag == want
+            if n > 0:
+                assert norm_h(gamma, n).log_mag == log_h0 + value[n] - math.log(2.0 * (n + gamma))
+    g1, dg1 = pencil._endpoint_rows(gamma, ORACLE_NMAX)
+    assert np.array_equal(g1, [ScaledReal(1, value[n]).to_float() for n in ns])
+    assert np.array_equal(dg1, [ScaledReal(1, deriv[n, 1]).to_float() if n else 0.0 for n in ns])
+
+
+class _CountingMath:
+    """Stand-in for the math module that counts math.log calls."""
+
+    def __init__(self):
+        self.logs = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def log(self, x):
+        self.logs += 1
+        return math.log(x)
+
+
+def test_endpoint_rows_work_bound(monkeypatch):
+    counting = _CountingMath()
+    monkeypatch.setattr(gegenbauer, "math", counting)
+    gegenbauer._log_ladder.cache_clear()
+    n = 400
+    config = MethodConfig("tau", 1.0, n, parity_split=True)
+    pencil.assemble(config, "even")
+    builds = gegenbauer._log_ladder.cache_info().misses
+    pencil.assemble(config, "odd")
+    # one ladder per size class up to n+1 (64, 128, 256, 512); the second
+    # parity ladder reads them and builds none
+    assert builds == gegenbauer._log_ladder.cache_info().misses == 4
+    # two logs per ladder entry, and two per deriv_at_one(j, 1) call of
+    # each parity ladder; the loop version made about 1.6e5
+    assert counting.logs <= 2 * (64 + 128 + 256 + 512) + 2 * 2 * (n + 1)
 
 
 # ---------------------------------------------------------------------------
