@@ -290,7 +290,7 @@ class EpsilonIntegralReport:
     passed: bool = True
 
 
-def epsilon_integral_check(n: int, epsilon: float, npts: int | None = None) -> EpsilonIntegralReport:
+def epsilon_integral_check(n: int, epsilon: float) -> EpsilonIntegralReport:
     """Compare int P_m (1-x^2)^eps dx against the first-order law -4 eps/(m(m+1)).
 
     Also checks the two perturbed matrix entries that feed the mu1 formulas:
@@ -301,7 +301,7 @@ def epsilon_integral_check(n: int, epsilon: float, npts: int | None = None) -> E
     """
     if abs(epsilon) > 1e-3:
         raise ValueError(f"|epsilon| must be <= 1e-3, got {epsilon}")
-    pts = npts if npts is not None else n + 8
+    pts = n + 8
     rep = EpsilonIntegralReport(n, epsilon)
 
     def leg(m: int):

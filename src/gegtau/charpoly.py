@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gegenbauer import check_gamma, deriv_at_one, value_at_one
+from .gegenbauer import check_gamma, deriv_ladder, value_at_one
 from .scaled import ScaledReal, to_normalized_floats
 
 
@@ -80,21 +80,21 @@ def even_charpoly(gamma: float, n: int) -> CharPoly:
         raise ValueError(f"even modes need even n >= 4, got {n}")
     deg = (n - 2) // 2
     if gamma > 0.5:
-        coeffs = [deriv_at_one(gamma - 1.0, n - 1, 2 * k) for k in range(deg + 1)]
+        coeffs = deriv_ladder(gamma - 1.0, n - 1, 2 * deg)[::2]
         prov = "even-direct"
     else:
         const = (value_at_one(gamma, n - 1) - value_at_one(gamma, n - 3)).mul_ratio(
             1.0, 2.0 * (gamma + n - 2)
         )
-        coeffs = [const] + [deriv_at_one(gamma, n - 2, 2 * k - 1) for k in range(1, deg + 1)]
+        coeffs = [const] + deriv_ladder(gamma, n - 2, 2 * deg - 1)[1::2]
         prov = "even-integrated"
     return CharPoly("even", n, gamma, coeffs, prov)
 
 
 def _odd_direct(gamma: float, n: int) -> list[ScaledReal]:
     g = gamma - 2.0
-    kmax = (n - 1) // 2
-    return [deriv_at_one(g, n, 2 * k) - deriv_at_one(g, n, 2 * k + 1) for k in range(kmax + 1)]
+    d = deriv_ladder(g, n, n)
+    return [a - b for a, b in zip(d[::2], d[1::2])]
 
 
 def _odd_semi(gamma: float, n: int) -> list[ScaledReal]:
@@ -102,11 +102,8 @@ def _odd_semi(gamma: float, n: int) -> list[ScaledReal]:
     const = (value_at_one(g, n) - value_at_one(g, n - 2)).mul_ratio(
         1.0, 2.0 * (n + gamma - 2)
     ) - value_at_one(g, n - 1)
-    kmax = (n - 1) // 2
-    coeffs = [const]
-    for k in range(1, kmax + 1):
-        coeffs.append(deriv_at_one(g, n - 1, 2 * k - 1) - deriv_at_one(g, n - 1, 2 * k))
-    return coeffs
+    d = deriv_ladder(g, n - 1, n - 1)
+    return [const] + [a - b for a, b in zip(d[1::2], d[2::2])]
 
 
 def _odd_integrated(gamma: float, n: int) -> list[ScaledReal]:
@@ -119,11 +116,8 @@ def _odd_integrated(gamma: float, n: int) -> list[ScaledReal]:
     const = (t1 - t2 - value_at_one(g, n - 1) + value_at_one(g, n - 3)).mul_ratio(
         1.0, 2.0 * (n + g - 2)
     )
-    kmax = (n - 1) // 2
-    coeffs = [const]
-    for k in range(1, kmax + 1):
-        coeffs.append(deriv_at_one(g, n - 2, 2 * k - 2) - deriv_at_one(g, n - 2, 2 * k - 1))
-    return coeffs
+    d = deriv_ladder(g, n - 2, n - 2)
+    return [const] + [a - b for a, b in zip(d[::2], d[1::2])]
 
 
 def odd_charpoly(gamma: float, n: int) -> CharPoly:
@@ -151,8 +145,8 @@ def second_order_pair(gamma: float, n: int) -> tuple[CharPoly, CharPoly]:
     gamma = check_gamma(gamma)
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    om = [deriv_at_one(gamma, n, 2 * k) for k in range(n // 2 + 1)]
-    th = [deriv_at_one(gamma, n, 2 * k + 1) for k in range((n - 1) // 2 + 1)]
+    d = deriv_ladder(gamma, n, n)
+    om, th = d[::2], d[1::2]
     parity = "even" if n % 2 == 0 else "odd"
     return (
         CharPoly(parity, n, gamma, om, "second-order-even-part"),
@@ -168,7 +162,7 @@ def stability_poly(gamma: float, n: int) -> CharPoly:
     gamma = check_gamma(gamma)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    coeffs = [deriv_at_one(gamma, n, k) for k in range(n + 1)]
+    coeffs = deriv_ladder(gamma, n, n)
     shift = (value_at_one(gamma, n - 1) - value_at_one(gamma, n + 1)).mul_ratio(
         1.0, 2.0 * (n + gamma)
     )

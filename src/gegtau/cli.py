@@ -101,9 +101,14 @@ def _write(text: str, out: str | None) -> None:
 # spectrum
 
 
+def _parity_split(kind: str, alpha: float) -> bool:
+    """Whether the CLI solves the parity ladders apart: alpha 0, any method but modified tau."""
+    return alpha == 0.0 and kind != "modified_tau"
+
+
 def _config_from_args(args) -> MethodConfig:
     kind = METHOD_NAMES[args.method]
-    split = args.alpha == 0.0 and kind != "modified_tau"
+    split = _parity_split(kind, args.alpha)
     if args.parity in ("even", "odd") and not split:
         raise ValueError("single-parity spectra need alpha = 0 and a parity-decoupling method")
     return MethodConfig(kind, args.gamma, args.n, alpha=args.alpha, parity_split=split)
@@ -238,8 +243,7 @@ def _parse_range(spec: str, integer: bool) -> list:
 
 
 def _sweep_point(kind: str, gamma: float, n: int, alpha: float) -> str:
-    split = alpha == 0.0 and kind != "modified_tau"
-    config = MethodConfig(kind, gamma, n, alpha=alpha, parity_split=split)
+    config = MethodConfig(kind, gamma, n, alpha=alpha, parity_split=_parity_split(kind, alpha))
     report = spectrum_report(config)
     finite = report.finite_eigenvalues()
     if finite:

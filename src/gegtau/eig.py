@@ -148,7 +148,6 @@ class SpectrumReport:
     distinct: bool
     interlaced: bool | None
     parities: list[str] | None = None
-    config: object | None = None
     tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     # parity ("even", "odd", or None for the coupled system) -> the reduced
     # matrix M of that ladder, as solved by the pencil route; empty otherwise
@@ -171,7 +170,6 @@ def classify(
     parities: list[str] | None = None,
     n_infinite: int = 0,
     infinite_parities: list[str] | None = None,
-    config: object | None = None,
     tolerances: dict | None = None,
 ) -> SpectrumReport:
     """Label eigenvalues and evaluate distinctness / parity interlacing.
@@ -232,6 +230,5 @@ def classify(
         distinct=distinct,
         interlaced=interlaced,
         parities=par_out,
-        config=config,
         tolerances=tol,
     )

@@ -24,8 +24,9 @@ Key identities used throughout (all standard, stated in this normalization):
 Endpoint quantities are evaluated from log running products (never via
 Gamma ratios, which are singular at gamma = 0) and returned as
 ``ScaledReal``.  The logs of G_n(1) come from one cached prefix-sum ladder
-per gamma, so a row of n endpoint values costs O(n), not O(n^2); interior
-evaluation uses the three-term recurrence in float64.
+per gamma, so a row of n endpoint values costs O(n), not O(n^2), and so
+does the derivative ladder D^0..D^k G_n(1) (one running sum of log
+ratios); interior evaluation uses the three-term recurrence in float64.
 """
 
 from __future__ import annotations
@@ -82,29 +83,33 @@ def _log_ladder(gamma: float, size: int) -> tuple[float, ...]:
     return tuple(itertools.accumulate(terms, initial=0.0))
 
 
-def deriv_at_one(gamma: float, n: int, k: int) -> ScaledReal:
-    """D^k G_n(1), by k steps of the ratio recurrence seeded at G_n(1).
+def deriv_ladder(gamma: float, n: int, kmax: int) -> list[ScaledReal]:
+    """D^k G_n(1) for k = 0..kmax, by the ratio recurrence seeded at G_n(1).
 
-    Each ratio (2g+n+j)(n-j)/(2g+2j+1) is positive for gamma > -1/2 and
-    0 <= j < n, so every derivative value is strictly positive and the
-    sequence is nondecreasing in k.  Returns exact zero for k > n.
+    One running sum of log ratios gives every k at once.  Each ratio
+    (2g+n+j)(n-j)/(2g+2j+1) is positive for gamma > -1/2 and 0 <= j < n, so
+    every derivative value is strictly positive and the sequence is
+    nondecreasing in k.  Entries past k = n are exact zeros.
     """
     gamma = check_gamma(gamma)
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    if k < 0:
-        raise ValueError(f"derivative order must be >= 0, got {k}")
-    if k > n:
-        return ScaledReal.zero()
-    v = value_at_one(gamma, n)
-    log = v.log_mag
-    for j in range(k):
-        # grouping keeps num == den bit-identical at j = n-1 (ratio exactly 1),
-        # so the exact leading-coefficient cancellations downstream are exact
-        num = (2.0 * gamma + (n + j)) * (n - j)
-        den = 2.0 * gamma + (2 * j + 1)
-        log += math.log(num) - math.log(den)
-    return ScaledReal(1, log)
+    if kmax < 0:
+        raise ValueError(f"derivative order must be >= 0, got {kmax}")
+    steps = min(kmax, n)
+    # grouping keeps num == den bit-identical at j = n-1 (ratio exactly 1),
+    # so the exact leading-coefficient cancellations downstream are exact
+    terms = (
+        math.log((2.0 * gamma + (n + j)) * (n - j)) - math.log(2.0 * gamma + (2 * j + 1))
+        for j in range(steps)
+    )
+    logs = itertools.accumulate(terms, initial=value_at_one(gamma, n).log_mag)
+    return [ScaledReal(1, log) for log in logs] + [ScaledReal.zero()] * (kmax - steps)
+
+
+def deriv_at_one(gamma: float, n: int, k: int) -> ScaledReal:
+    """D^k G_n(1): entry k of ``deriv_ladder``, exact zero for k > n."""
+    return deriv_ladder(gamma, n, k)[k]
 
 
 def norm_h(gamma: float, n: int) -> ScaledReal:
@@ -257,12 +262,12 @@ def lobatto_interior_nodes(gamma: float, n: int) -> np.ndarray:
     return 0.5 * (roots - roots[::-1])
 
 
-def _newton_all(f, fp, seeds: np.ndarray, fscale: float, maxiter: int = 50) -> np.ndarray:
+def _newton_all(f, fp, seeds: np.ndarray, fscale: float) -> np.ndarray:
     """Newton from every seed at once; NaN where an iterate fails.
 
     An iterate returns once its step is below 1e-15 (1 + |x|).  One whose
-    derivative vanishes, or that runs out of iterations, is kept only if
-    |f| <= 1e-14 fscale there.  Each step clamps to +-(1 - 1e-12); a NaN
+    derivative vanishes, or that still moves after 50 steps, is kept only
+    if |f| <= 1e-14 fscale there.  Each step clamps to +-(1 - 1e-12); a NaN
     step (inf / inf) lands on the lower clamp, silently, as Python's
     ``max(-lim, nan)`` does.
     """
@@ -271,7 +276,7 @@ def _newton_all(f, fp, seeds: np.ndarray, fscale: float, maxiter: int = 50) -> n
     out = np.full(x.size, math.nan)
     active = np.arange(x.size)
     unsettled = []  # iterates that left the loop without a small step
-    for _ in range(maxiter):
+    for _ in range(50):
         if active.size == 0:
             break
         xa = x[active]

@@ -78,13 +78,6 @@ class Pencil:
         return self.A.shape[0]
 
 
-def _endpoint_rows(gamma: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of u(1) and Du(1) against coefficients 0..n."""
-    g1 = np.array([value_at_one(gamma, j).to_float() for j in range(n + 1)])
-    dg1 = np.array([deriv_at_one(gamma, j, 1).to_float() for j in range(n + 1)])
-    return g1, dg1
-
-
 def _operator(gamma: float, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient-space matrices of (D^2 - a^2) and its square."""
     d = deriv_matrix(gamma, n + 1)
@@ -92,7 +85,10 @@ def _operator(gamma: float, n: int, alpha: float) -> tuple[np.ndarray, np.ndarra
     return ell, ell @ ell
 
 
-def _parity_indices(n: int, parity: str) -> np.ndarray:
+def _columns(n: int, parity: str | None) -> np.ndarray:
+    """The unknowns' degrees: all of 0..n, or those of one parity ladder."""
+    if parity is None:
+        return np.arange(n + 1)
     if parity == "even":
         return np.arange(0, n + 1, 2)
     if parity == "odd":
@@ -100,97 +96,81 @@ def _parity_indices(n: int, parity: str) -> np.ndarray:
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
+def _boundary_rows(gamma: float, cols: np.ndarray, coupled: bool) -> np.ndarray:
+    """Clamped rows against the degrees ``cols``: u and Du at +1 and -1.
+
+    A parity ladder keeps only the two rows at +1; those at -1 repeat them
+    up to a sign.
+    """
+    g1 = np.array([value_at_one(gamma, j).to_float() for j in cols.tolist()])
+    dg1 = np.array([deriv_at_one(gamma, j, 1).to_float() for j in cols.tolist()])
+    if not coupled:
+        return np.vstack([g1, dg1])
+    signs = (-1.0) ** cols
+    return np.vstack([g1, g1 * signs, dg1, -dg1 * signs])
+
+
+def _with_constraints(a_top: np.ndarray, b_top: np.ndarray, constraint_rows: np.ndarray) -> Pencil:
+    """The residual rows over the lambda-independent rows, which are zero in B."""
+    a = np.vstack([a_top, constraint_rows])
+    b = np.vstack([b_top, np.zeros(constraint_rows.shape)])
+    return Pencil(a, b, list(range(a_top.shape[0], a.shape[0])))
+
+
 def assemble(config: MethodConfig, parity: str | None = None) -> Pencil:
     """Build the pencil for one method configuration.
 
     ``parity`` selects the even or odd sub-ladder and is required exactly
-    when ``config.parity_split`` is set (alpha = 0 only).
+    when ``config.parity_split`` is set (alpha = 0 only).  Tau (and so
+    Galerkin and inviscid Galerkin) and collocation differ only in their
+    residual rows: coefficients 0..n-4, or values at the interior nodes.
     """
     if config.parity_split and parity is None:
         raise ValueError("parity_split config needs parity='even' or 'odd'")
     if not config.parity_split and parity is not None:
         raise ValueError("parity given but config.parity_split is False")
     n, alpha = config.n, config.alpha
-    if config.kind in GAMMA_SHIFT:
-        g = config.gamma + GAMMA_SHIFT[config.kind]
-        return _assemble_tau(g, n, alpha, parity)
+    gamma = config.gamma + GAMMA_SHIFT.get(config.kind, 0.0)
     if config.kind == "modified_tau":
-        return _assemble_modified(config.gamma, n, alpha)
-    return _assemble_collocation(config.gamma, n, alpha, parity)
-
-
-def _assemble_tau(gamma: float, n: int, alpha: float, parity: str | None) -> Pencil:
+        return _assemble_modified(gamma, n, alpha)
+    cols = _columns(n, parity)
     ell, ell2 = _operator(gamma, n, alpha)
-    g1, dg1 = _endpoint_rows(gamma, n)
-    if parity is None:
-        rows = np.arange(n - 3)
-        signs = (-1.0) ** np.arange(n + 1)
-        bc = np.vstack([g1, g1 * signs, dg1, -dg1 * signs])
-        a = np.vstack([ell2[rows], bc])
-        b = np.vstack([ell[rows], np.zeros((4, n + 1))])
-        return Pencil(a, b, list(range(n - 3, n + 1)))
-    cols = _parity_indices(n, parity)
-    rows = cols[cols <= n - 4]
-    a_top = ell2[np.ix_(rows, cols)]
-    b_top = ell[np.ix_(rows, cols)]
-    bc = np.vstack([g1[cols], dg1[cols]])
-    a = np.vstack([a_top, bc])
-    b = np.vstack([b_top, np.zeros((2, cols.size))])
-    return Pencil(a, b, [a.shape[0] - 2, a.shape[0] - 1])
+    if config.kind == "collocation":
+        nodes = lobatto_interior_nodes(gamma, n)
+        if parity is None:
+            # the operands as they are: a copy indexed by all degrees
+            # changes BLAS's rounding in the last bits
+            e = basis_matrix(gamma, n, nodes)
+        else:
+            # an odd residual vanishes identically at x = 0, so the origin
+            # node belongs to the even ladder; strictly positive nodes serve both
+            sel = nodes >= 0.0 if parity == "even" else nodes > 0.0
+            e = basis_matrix(gamma, n, nodes[sel])[:, cols]
+            ell, ell2 = ell[np.ix_(cols, cols)], ell2[np.ix_(cols, cols)]
+        a_top, b_top = e @ ell2, e @ ell
+    else:
+        rows = cols[cols <= n - 4]
+        a_top, b_top = ell2[np.ix_(rows, cols)], ell[np.ix_(rows, cols)]
+    p = _with_constraints(a_top, b_top, _boundary_rows(gamma, cols, parity is None))
+    if p.dim != cols.size:
+        raise ValueError(f"{config.kind} pencil is not square at n={n} ({p.dim} rows, {cols.size} cols)")
+    return p
 
 
 def _assemble_modified(gamma: float, n: int, alpha: float) -> Pencil:
     """Coupled (u, v) system: Lu = v and Lv = lambda v, both truncated at n-2.
 
     Both u and v keep full degree n, so the system has 2n+2 unknowns:
-    n-1 coupling rows, n-1 dynamic rows, 4 boundary rows on u.
+    n-1 dynamic rows, n-1 coupling rows, 4 boundary rows on u.
     """
     ell, _ = _operator(gamma, n, alpha)
-    g1, dg1 = _endpoint_rows(gamma, n)
-    dim = 2 * (n + 1)
     nrow = n - 1
-    a = np.zeros((dim, dim))
-    b = np.zeros((dim, dim))
-    u = slice(0, n + 1)
-    v = slice(n + 1, dim)
-    # dynamic rows first: mu (L v)_k = v_k
-    a[0:nrow, v] = ell[0:nrow, :]
-    b[0:nrow, v] = np.eye(n + 1)[0:nrow, :]
-    # coupling rows: (L u)_k - v_k = 0
-    a[nrow : 2 * nrow, u] = ell[0:nrow, :]
-    a[nrow : 2 * nrow, v] = -np.eye(n + 1)[0:nrow, :]
-    signs = (-1.0) ** np.arange(n + 1)
-    a[2 * nrow + 0, u] = g1
-    a[2 * nrow + 1, u] = g1 * signs
-    a[2 * nrow + 2, u] = dg1
-    a[2 * nrow + 3, u] = -dg1 * signs
-    return Pencil(a, b, list(range(nrow, dim)))
-
-
-def _assemble_collocation(gamma: float, n: int, alpha: float, parity: str | None) -> Pencil:
-    nodes = lobatto_interior_nodes(gamma, n)
-    ell, ell2 = _operator(gamma, n, alpha)
-    g1, dg1 = _endpoint_rows(gamma, n)
-    if parity is None:
-        e = basis_matrix(gamma, n, nodes)
-        signs = (-1.0) ** np.arange(n + 1)
-        bc = np.vstack([g1, g1 * signs, dg1, -dg1 * signs])
-        a = np.vstack([e @ ell2, bc])
-        b = np.vstack([e @ ell, np.zeros((4, n + 1))])
-        return Pencil(a, b, list(range(n - 3, n + 1)))
-    cols = _parity_indices(n, parity)
-    # an odd residual vanishes identically at x = 0, so the origin node
-    # belongs to the even ladder; strictly positive nodes serve both
-    sel = nodes >= 0.0 if parity == "even" else nodes > 0.0
-    e = basis_matrix(gamma, n, nodes[sel])[:, cols]
-    ell_s = ell[np.ix_(cols, cols)]
-    ell2_s = ell2[np.ix_(cols, cols)]
-    bc = np.vstack([g1[cols], dg1[cols]])
-    a = np.vstack([e @ ell2_s, bc])
-    b = np.vstack([e @ ell_s, np.zeros((2, cols.size))])
-    if a.shape[0] != cols.size:
-        raise ValueError(f"parity split is inconsistent with n={n} ({a.shape[0]} rows, {cols.size} cols)")
-    return Pencil(a, b, [a.shape[0] - 2, a.shape[0] - 1])
+    eye = np.eye(n + 1)[:nrow]
+    zero = np.zeros((nrow, n + 1))
+    bc = _boundary_rows(gamma, _columns(n, None), coupled=True)
+    # dynamic rows mu (L v)_k = v_k; coupling rows (L u)_k - v_k = 0
+    coupling = np.vstack([np.hstack([ell[:nrow], -eye]), np.hstack([bc, np.zeros(bc.shape)])])
+    return _with_constraints(np.hstack([zero, ell[:nrow]]), np.hstack([zero, eye]), coupling)
 
 
 def _nullspace_by_elimination(c: np.ndarray) -> np.ndarray:
@@ -281,14 +261,12 @@ def reduce_to_standard(p: Pencil) -> ReducedPencil:
     return ReducedPencil(m)
 
 
-def split_finite(
-    mus: np.ndarray, cutoff: float = DEFAULT_TOLERANCES["mu_infinite"]
-) -> tuple[np.ndarray, int]:
+def split_finite(mus: np.ndarray) -> tuple[np.ndarray, int]:
     """Split mu eigenvalues into finite lambdas (= 1/mu) and near-infinite count."""
     mus = np.asarray(mus, dtype=complex)
     if mus.size == 0:
         return mus, 0
-    thresh = cutoff * float(np.max(np.abs(mus)))
+    thresh = DEFAULT_TOLERANCES["mu_infinite"] * float(np.max(np.abs(mus)))
     finite = mus[np.abs(mus) > thresh]
     n_inf = int(mus.size - finite.size)
     return 1.0 / finite, n_inf

@@ -84,7 +84,6 @@ def _classified(config: MethodConfig, ladders: tuple[str | None, ...]) -> Spectr
         parities=parities if tagged else None,
         n_infinite=len(inf_parities),
         infinite_parities=inf_parities if tagged else None,
-        config=config,
     )
     report.reduced = reduced
     return report

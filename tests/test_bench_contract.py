@@ -1,0 +1,47 @@
+"""The traced benchmark's contract with the program, checked in process.
+
+``perfbench/`` wraps gegtau functions by name and requires each workload's
+layers to fire.  Here block 0 of seed 0 of every workload runs through
+``gegtau.cli.main`` under the benchmark's own tracer, so a rename or a
+deletion that would break the traced benchmark fails the test suite.
+``perfbench/`` is only read: no bytecode is written there.
+"""
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from gegtau import cli
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+
+_dont_write = sys.dont_write_bytecode
+sys.dont_write_bytecode = True
+sys.path.insert(0, PERFBENCH)
+try:
+    import spans
+    import workloads
+finally:
+    sys.path.remove(PERFBENCH)
+    sys.dont_write_bytecode = _dont_write
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_block_zero_fires_expected_spans(workload):
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for index, op in enumerate(next(workloads.blocks(workload, 0))):
+            tracer.begin_op(index)
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(list(op.argv))
+            finally:
+                tracer.end_op()
+            assert code == 0, op.argv
+    finally:
+        tracer.uninstall()
+    assert workloads.EXPECTED_SPANS[workload] <= tracer.fired()

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from gegtau.charpoly import (
     _odd_direct,
+    _odd_integrated,
     _odd_semi,
     even_charpoly,
     odd_charpoly,
@@ -12,6 +13,7 @@ from gegtau.charpoly import (
     stability_poly,
 )
 from gegtau.eig import poly_roots
+from gegtau.gegenbauer import deriv_at_one
 
 
 def roots_of(cp):
@@ -228,3 +230,36 @@ def test_stability_poly_variable_tag():
     sp = stability_poly(0.0, 4)
     assert sp.variable == "z"
     assert sp.degree == 4
+
+
+# ---------------------------------------------------------------------------
+# the builders slice one derivative ladder each; the per-coefficient
+# deriv_at_one calls they replaced are the reference, bit for bit
+
+
+@pytest.mark.parametrize("gamma", [-0.45, 0.0, 0.3, 0.5, 0.7, 1.0, 1.5, 1.7, 3.5, 10.0])
+def test_builders_match_per_coefficient_oracle(gamma):
+    d = deriv_at_one
+    for n in range(4, 49, 2):
+        deg = (n - 2) // 2
+        got = even_charpoly(gamma, n).mu_coeffs
+        if gamma > 0.5:
+            assert got == [d(gamma - 1.0, n - 1, 2 * k) for k in range(deg + 1)]
+        else:
+            assert got[1:] == [d(gamma, n - 2, 2 * k - 1) for k in range(1, deg + 1)]
+    for n in range(5, 50, 2):
+        ks = range(1, (n - 1) // 2 + 1)
+        g = gamma - 2.0
+        if g > -0.5:
+            assert _odd_direct(gamma, n) == [d(g, n, 2 * k) - d(g, n, 2 * k + 1) for k in range(len(ks) + 1)]
+        g = gamma - 1.0
+        if g > -0.5:
+            assert _odd_semi(gamma, n)[1:] == [d(g, n - 1, 2 * k - 1) - d(g, n - 1, 2 * k) for k in ks]
+        assert _odd_integrated(gamma, n)[1:] == [
+            d(gamma, n - 2, 2 * k - 2) - d(gamma, n - 2, 2 * k - 1) for k in ks
+        ]
+    for n in range(2, 49):
+        om, th = second_order_pair(gamma, n)
+        assert om.mu_coeffs == [d(gamma, n, 2 * k) for k in range(n // 2 + 1)]
+        assert th.mu_coeffs == [d(gamma, n, 2 * k + 1) for k in range((n - 1) // 2 + 1)]
+        assert stability_poly(gamma, n).mu_coeffs[1:] == [d(gamma, n, k) for k in range(1, n + 1)]

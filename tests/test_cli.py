@@ -361,6 +361,18 @@ def test_sweep_complex_onset_at_gamma_four(capsys):
     assert complex_ns, "expected a complex pair for gamma=4 at some n"
 
 
+@pytest.mark.parametrize("gamma, onset", [(3.6, 14), (4.0, 10), (5.0, 8)])
+def test_sweep_complex_onset_beyond_seven_halves(capsys, gamma, onset):
+    # the first degree with a complex pair, read off a one-row sweep as the
+    # README does; the values are those of the former complex_onset script
+    code, out = run(
+        ["sweep", "--method", "tau", "--gamma-range", f"{gamma}:{gamma}:1", "--n-range", f"8:{onset}:1"],
+        capsys,
+    )
+    assert code == 0
+    assert [r["n"] for r in parse_sweep(out) if r["complex"] > 0] == [onset]
+
+
 def test_sweep_jobs_deterministic(capsys):
     argv = ["sweep", "--method", "tau", "--gamma-range", "0:2:0.5", "--n-range", "8:12:2"]
     _, seq = run(argv + ["--jobs", "1"], capsys)

@@ -8,12 +8,13 @@ from numpy.testing import assert_allclose
 
 from scipy.special import roots_gegenbauer
 
-from gegtau import gegenbauer, pencil
+from gegtau import charpoly, gegenbauer, pencil
 from gegtau.analysis import jacobi_quad
 from gegtau.eig import ConvergenceError
 from gegtau.gegenbauer import (
     _newton_all,
     deriv_at_one,
+    deriv_ladder,
     diff_coeff_array,
     deriv_matrix,
     evaluate,
@@ -181,9 +182,26 @@ def test_endpoint_values_match_loop_oracle(gamma):
                 assert got.is_zero() if want is None else got.log_mag == want
             if n > 0:
                 assert norm_h(gamma, n).log_mag == log_h0 + value[n] - math.log(2.0 * (n + gamma))
-    g1, dg1 = pencil._endpoint_rows(gamma, ORACLE_NMAX)
+    g1, dg1 = pencil._boundary_rows(gamma, np.arange(ORACLE_NMAX + 1), coupled=False)
     assert np.array_equal(g1, [ScaledReal(1, value[n]).to_float() for n in ns])
     assert np.array_equal(dg1, [ScaledReal(1, deriv[n, 1]).to_float() if n else 0.0 for n in ns])
+
+
+@pytest.mark.parametrize("gamma", ORACLE_GAMMAS)
+def test_deriv_ladder_matches_loop_oracle(gamma):
+    for n in (0, 1, 2, 7, 63, 64, 255, 400):
+        for kmax in sorted({0, 1, 3, n, n + 3}):
+            got = deriv_ladder(gamma, n, kmax)
+            assert len(got) == kmax + 1
+            for k, value in enumerate(got):
+                want = _oracle_log_deriv_at_one(gamma, n, k)
+                assert value.is_zero() if want is None else value == ScaledReal(1, want)
+
+
+def test_deriv_ladder_rejects_bad_args():
+    for args in ((1.0, -1, 2), (1.0, 3, -1), (-0.5, 3, 1)):
+        with pytest.raises(ValueError):
+            deriv_ladder(*args)
 
 
 class _CountingMath:
@@ -212,9 +230,35 @@ def test_endpoint_rows_work_bound(monkeypatch):
     # one ladder per size class up to n+1 (64, 128, 256, 512); the second
     # parity ladder reads them and builds none
     assert builds == gegenbauer._log_ladder.cache_info().misses == 4
-    # two logs per ladder entry, and two per deriv_at_one(j, 1) call of
-    # each parity ladder; the loop version made about 1.6e5
-    assert counting.logs <= 2 * (64 + 128 + 256 + 512) + 2 * 2 * (n + 1)
+    # two logs per ladder entry, and two per deriv_at_one(j, 1) call; each
+    # parity ladder asks only for its own degrees, so the two together make
+    # n+1 calls, not 2(n+1)
+    assert counting.logs <= 2 * (64 + 128 + 256 + 512) + 2 * (n + 1)
+
+
+CHARPOLY_BUILDERS = [
+    (charpoly.even_charpoly, 0.3, 400),  # integrated branch
+    (charpoly.even_charpoly, 1.0, 400),  # direct branch, at gamma - 1
+    (charpoly.odd_charpoly, 0.3, 401),  # twice-integrated
+    (charpoly.odd_charpoly, 1.0, 401),  # semi-integrated
+    (charpoly.odd_charpoly, 2.0, 401),  # direct
+    (charpoly.second_order_pair, 1.0, 400),
+    (charpoly.stability_poly, 0.3, 400),
+]
+
+
+@pytest.mark.parametrize(
+    "build, gamma, n", CHARPOLY_BUILDERS, ids=lambda v: getattr(v, "__name__", str(v))
+)
+def test_charpoly_builders_work_bound(monkeypatch, build, gamma, n):
+    counting = _CountingMath()
+    monkeypatch.setattr(gegenbauer, "math", counting)
+    gegenbauer._log_ladder.cache_clear()
+    build(gamma, n)
+    # one 512-entry log ladder of G_m(1) for the builder's gamma, and one
+    # running sum of at most n+1 derivative ratios, two logs each; a
+    # deriv_at_one call per coefficient would make O(n^2)
+    assert counting.logs <= 2 * 512 + 2 * (n + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,15 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gegtau.eig import dense_eigs
+from gegtau.gegenbauer import basis_matrix, deriv_at_one, lobatto_interior_nodes, value_at_one
 from gegtau.pencil import (
+    GAMMA_SHIFT,
+    KINDS,
     MethodConfig,
     Pencil,
     _equilibrate,
     _nullspace_by_elimination,
+    _operator,
     assemble,
     legendre_reduced_matrices,
     reduce_to_standard,
@@ -106,6 +110,101 @@ def test_galerkin_spectrum_matches_shifted_tau():
     lam_g, _, _ = pencil_lambdas(MethodConfig("galerkin", 0.0, 12))
     lam_t, _, _ = pencil_lambdas(MethodConfig("tau", 2.0, 12))
     assert spectrum_dev(lam_g, lam_t) < 1e-10
+
+
+# the separate tau, modified tau and collocation assemblers that the one
+# assembly path replaced: the reference, byte for byte
+
+
+def _oracle_endpoint_rows(gamma, n):
+    g1 = np.array([value_at_one(gamma, j).to_float() for j in range(n + 1)])
+    dg1 = np.array([deriv_at_one(gamma, j, 1).to_float() for j in range(n + 1)])
+    return g1, dg1
+
+
+def _oracle_parity_indices(n, parity):
+    return np.arange(0, n + 1, 2) if parity == "even" else np.arange(1, n + 1, 2)
+
+
+def _oracle_tau(gamma, n, alpha, parity):
+    ell, ell2 = _operator(gamma, n, alpha)
+    g1, dg1 = _oracle_endpoint_rows(gamma, n)
+    if parity is None:
+        rows = np.arange(n - 3)
+        signs = (-1.0) ** np.arange(n + 1)
+        bc = np.vstack([g1, g1 * signs, dg1, -dg1 * signs])
+        a = np.vstack([ell2[rows], bc])
+        b = np.vstack([ell[rows], np.zeros((4, n + 1))])
+        return Pencil(a, b, list(range(n - 3, n + 1)))
+    cols = _oracle_parity_indices(n, parity)
+    rows = cols[cols <= n - 4]
+    a = np.vstack([ell2[np.ix_(rows, cols)], g1[cols], dg1[cols]])
+    b = np.vstack([ell[np.ix_(rows, cols)], np.zeros((2, cols.size))])
+    return Pencil(a, b, [a.shape[0] - 2, a.shape[0] - 1])
+
+
+def _oracle_modified(gamma, n, alpha):
+    ell, _ = _operator(gamma, n, alpha)
+    g1, dg1 = _oracle_endpoint_rows(gamma, n)
+    dim, nrow = 2 * (n + 1), n - 1
+    a, b = np.zeros((dim, dim)), np.zeros((dim, dim))
+    u, v = slice(0, n + 1), slice(n + 1, dim)
+    a[0:nrow, v] = ell[0:nrow, :]
+    b[0:nrow, v] = np.eye(n + 1)[0:nrow, :]
+    a[nrow : 2 * nrow, u] = ell[0:nrow, :]
+    a[nrow : 2 * nrow, v] = -np.eye(n + 1)[0:nrow, :]
+    signs = (-1.0) ** np.arange(n + 1)
+    a[2 * nrow + 0, u] = g1
+    a[2 * nrow + 1, u] = g1 * signs
+    a[2 * nrow + 2, u] = dg1
+    a[2 * nrow + 3, u] = -dg1 * signs
+    return Pencil(a, b, list(range(nrow, dim)))
+
+
+def _oracle_collocation(gamma, n, alpha, parity):
+    nodes = lobatto_interior_nodes(gamma, n)
+    ell, ell2 = _operator(gamma, n, alpha)
+    g1, dg1 = _oracle_endpoint_rows(gamma, n)
+    if parity is None:
+        e = basis_matrix(gamma, n, nodes)
+        signs = (-1.0) ** np.arange(n + 1)
+        bc = np.vstack([g1, g1 * signs, dg1, -dg1 * signs])
+        a = np.vstack([e @ ell2, bc])
+        b = np.vstack([e @ ell, np.zeros((4, n + 1))])
+        return Pencil(a, b, list(range(n - 3, n + 1)))
+    cols = _oracle_parity_indices(n, parity)
+    sel = nodes >= 0.0 if parity == "even" else nodes > 0.0
+    e = basis_matrix(gamma, n, nodes[sel])[:, cols]
+    a = np.vstack([e @ ell2[np.ix_(cols, cols)], g1[cols], dg1[cols]])
+    b = np.vstack([e @ ell[np.ix_(cols, cols)], np.zeros((2, cols.size))])
+    return Pencil(a, b, [a.shape[0] - 2, a.shape[0] - 1])
+
+
+def _oracle_assemble(config, parity):
+    if config.kind in GAMMA_SHIFT:
+        return _oracle_tau(config.gamma + GAMMA_SHIFT[config.kind], config.n, config.alpha, parity)
+    if config.kind == "modified_tau":
+        return _oracle_modified(config.gamma, config.n, config.alpha)
+    return _oracle_collocation(config.gamma, config.n, config.alpha, parity)
+
+
+def _same_bytes(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_assemble_matches_parent_oracle(kind):
+    for gamma in (-0.45, -0.2, 0.0, 0.3, 0.5, 1.0, 1.9, 3.0, 3.5, 4.3, 5.0):
+        for n in (5, 8, 9, 13, 24, 33, 48, 64, 96):
+            for alpha, split in ((0.0, True), (0.0, False), (0.5, False)):
+                if split and kind == "modified_tau":
+                    continue
+                config = MethodConfig(kind, gamma, n, alpha=alpha, parity_split=split)
+                for parity in ("even", "odd") if split else (None,):
+                    got, want = assemble(config, parity), _oracle_assemble(config, parity)
+                    assert _same_bytes(got.A, want.A) and np.array_equal(got.A, want.A), (config, parity)
+                    assert _same_bytes(got.B, want.B) and np.array_equal(got.B, want.B), (config, parity)
+                    assert got.bc_rows == want.bc_rows
 
 
 # ---------------------------------------------------------------------------
