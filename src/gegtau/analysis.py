@@ -228,17 +228,23 @@ class EquivalenceReport:
         return name, self.deviations[name]
 
 
-def _sorted_spectrum(lams: np.ndarray) -> np.ndarray:
-    return np.array(sorted(lams, key=lambda z: (z.real, z.imag)))
-
-
 def _spectrum_deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest |a_i - b_j| / |b_j| over a greedy nearest pairing of a with b.
+
+    The closest unpaired pair by relative distance is taken first, so the
+    members of a conjugate pair whose real parts differ by rounding are not
+    crossed, as a sort on (Re, Im) would cross them.
+    """
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
     if a.size != b.size:
         return math.inf
-    if a.size == 0:
-        return 0.0
-    sa, sb = _sorted_spectrum(a), _sorted_spectrum(b)
-    return float(np.max(np.abs(sa - sb) / np.maximum(np.abs(sb), 1e-300)))
+    dist = np.abs(a[:, None] - b[None, :]) / np.maximum(np.abs(b), 1e-300)
+    picked = []
+    for _ in range(a.size):
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        picked.append(dist[i, j])
+        dist[i, :] = dist[:, j] = np.inf
+    return float(np.max(picked, initial=0.0))
 
 
 def equivalence_suite(gamma: float, n: int, tol: float = 1e-8) -> EquivalenceReport:
@@ -350,10 +356,8 @@ def legendre_infinite_mode(n: int, which: int) -> np.ndarray:
     m = n - which
     if m < 0:
         raise ValueError(f"mode degree would be negative for n={n}")
-    unit = np.zeros(m + 3)
-    unit[m + 2] = 1.0
     d = deriv_matrix(0.5, m + 3)
-    g = (d @ d @ unit)[: m + 1] / 15.0
+    g = (d @ d)[: m + 1, m + 2] / 15.0
     x1 = mult_x_array(g, 0.5)
     x2 = mult_x_array(x1, 0.5)
     x3 = mult_x_array(x2, 0.5)
@@ -400,13 +404,20 @@ class SuiteResult:
 THEOREM_GAMMAS = (0.6, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
 
 
+def _degrees(n_lo: int, n_hi: int) -> range:
+    """The degrees n_lo..n_hi; an empty range would pass without a check."""
+    if n_lo > n_hi:
+        raise ValueError(f"empty degree range: n_lo {n_lo} > n_hi {n_hi}")
+    return range(n_lo, n_hi + 1)
+
+
 def suite_theorem_range(
     gammas: tuple[float, ...] = THEOREM_GAMMAS, n_lo: int = 8, n_hi: int = 48
 ) -> SuiteResult:
     """Real, negative, distinct, interlaced spectra on 1/2 < gamma <= 7/2."""
     res = SuiteResult("theorem-range", True)
     for g in gammas:
-        for n in range(n_lo, n_hi + 1):
+        for n in _degrees(n_lo, n_hi):
             rep = spectrum_report(MethodConfig("tau", g, n, parity_split=True))
             bad = (
                 rep.count("spurious_positive") > 0
@@ -435,7 +446,7 @@ def suite_equivalence(
 ) -> SuiteResult:
     res = SuiteResult("equivalence", True)
     for g in list(gammas) + list(remark_gammas):
-        for n in range(n_lo, n_hi + 1):
+        for n in _degrees(n_lo, n_hi):
             rep = equivalence_suite(g, n, tol=tol)
             if not rep.passed:
                 name, dev = rep.worst()
@@ -487,7 +498,7 @@ def suite_positive_pair(
     """(Omega_n, Theta_n) and (Omega_n, Omega_{n-1} at gamma+1) are positive pairs."""
     res = SuiteResult("positive-pair", True)
     for g in gammas:
-        for n in range(n_lo, n_hi + 1):
+        for n in _degrees(n_lo, n_hi):
             om, th = second_order_pair(g, n)
             chk = positive_pair_check(om, th)
             if not chk.ok:
@@ -534,6 +545,10 @@ def suite_exact_convergence(
     for parity, targets in (("even", exact.even), ("odd", exact.odd)):
         lams, _, _ = pencil_lambdas(cfg, parity)
         got = -np.sort(np.abs(lams.real))[:count]
+        if got.size < count:
+            raise ValueError(
+                f"the {parity} ladder at n={n} has {got.size} finite eigenvalues, fewer than {count}"
+            )
         for k, (lam_exact, lam_num) in enumerate(zip(targets, got), start=1):
             dev = abs(lam_num - lam_exact) / abs(lam_exact)
             res.data[f"{parity}[{k}]"] = (float(lam_num), lam_exact, dev)

@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__, analysis
-from .eig import NEAR_INFINITE, ConvergenceError, SpectrumReport
+from .eig import DEFAULT_TOLERANCES, NEAR_INFINITE, ConvergenceError, SpectrumReport
 from .pencil import MethodConfig, SingularReductionError
 from .spectra import single_parity_report, spectrum_report
 
@@ -208,7 +208,7 @@ def cmd_spectrum(args, argv: list[str]) -> int:
                 },
                 "distinct": report.distinct,
                 "interlaced": report.interlaced,
-                "tolerances": report.tolerances,
+                "tolerances": DEFAULT_TOLERANCES,
             },
         }
         _write(dumps(doc), args.out)
@@ -228,12 +228,17 @@ def cmd_spectrum(args, argv: list[str]) -> int:
 
 
 def _parse_range(spec: str, integer: bool) -> list:
+    flag = "--n-range" if integer else "--gamma-range"
     parts = spec.split(":")
     if len(parts) != 3:
-        raise ValueError(f"range must be a:b:step, got {spec!r}")
+        raise ValueError(f"{flag} must be a:b:step, got {spec!r}")
     a, b, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ValueError(f"{flag} must be finite, got {spec!r}")
+    if integer and not all(v.is_integer() for v in (a, b, step)):
+        raise ValueError(f"{flag} must be integers, got {spec!r}")
     if step <= 0:
-        raise ValueError(f"range step must be positive, got {step}")
+        raise ValueError(f"{flag} step must be positive, got {step}")
     vals = []
     x = a
     while x <= b + 1e-9 * max(1.0, abs(step)):
@@ -302,6 +307,8 @@ def _suite_kwargs(args) -> dict:
         if key is None:
             flag = "--" + dest.replace("_", "-")
             raise ValueError(f"verify --suite {args.suite} does not take {flag}")
+        if key == "tol" and not math.isfinite(value):  # no deviation exceeds a nan tol
+            raise ValueError(f"verify --tol must be finite, got {value}")
         if key == "gammas":  # --gamma repeats
             value = tuple(value)
         elif key == "gamma":
@@ -322,7 +329,7 @@ def cmd_verify(args, argv: list[str]) -> int:
         "passed": result.passed,
         "details": result.details,
         "counterexample": result.counterexample,
-        "data": {k: list(v) if isinstance(v, tuple) else v for k, v in result.data.items()},
+        "data": result.data,
     }
     if args.out:
         _write(dumps(doc), args.out)

@@ -24,7 +24,6 @@ DEFAULT_TOLERANCES = {
     "real_rel": 1e-8,  # |Im| <= real_rel * |lambda| counts as real
     "real_abs": 1e-10,  # ... or |Im| <= real_abs * scale
     "distinct_rel": 1e-8,  # minimum relative gap between real eigenvalues
-    "root_residual": 1e-8,
     "mu_infinite": 1e-12,  # |mu| < mu_infinite * max|mu| maps to lambda = inf
 }
 
@@ -148,7 +147,6 @@ class SpectrumReport:
     distinct: bool
     interlaced: bool | None
     parities: list[str] | None = None
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
     # parity ("even", "odd", or None for the coupled system) -> the reduced
     # matrix M of that ladder, as solved by the pencil route; empty otherwise
     reduced: dict = field(default_factory=dict)
@@ -170,13 +168,13 @@ def classify(
     parities: list[str] | None = None,
     n_infinite: int = 0,
     infinite_parities: list[str] | None = None,
-    tolerances: dict | None = None,
 ) -> SpectrumReport:
     """Label eigenvalues and evaluate distinctness / parity interlacing.
 
-    An eigenvalue is real when |Im| <= max(real_rel*|lambda|, real_abs*scale);
-    a real one is negative when its real part is below -real_abs*scale, and
-    spurious otherwise.  ``distinct`` requires all relative gaps between real
+    The thresholds are the fixed ``DEFAULT_TOLERANCES``.  An eigenvalue is
+    real when |Im| <= max(real_rel*|lambda|, real_abs*scale); a real one is
+    negative when its real part is below -real_abs*scale, and spurious
+    otherwise.  ``distinct`` requires all relative gaps between real
     eigenvalues to exceed distinct_rel; a pair both below real_abs*scale is
     compared on that absolute scale.
     ``interlaced`` (merged even/odd reports only) checks that the real
@@ -184,9 +182,7 @@ def classify(
     """
     if scale <= 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
+    tol = DEFAULT_TOLERANCES
     eig_list = [complex(e) for e in np.atleast_1d(np.asarray(eigs, dtype=complex))]
     if parities is not None and len(parities) != len(eig_list):
         raise ValueError("parities must match eigenvalues in length")
@@ -230,5 +226,4 @@ def classify(
         distinct=distinct,
         interlaced=interlaced,
         parities=par_out,
-        tolerances=tol,
     )

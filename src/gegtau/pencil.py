@@ -26,11 +26,10 @@ from .eig import DEFAULT_TOLERANCES
 from .gegenbauer import (
     basis_matrix,
     check_gamma,
-    deriv_at_one,
+    deriv_ladder,
     deriv_matrix,
     lobatto_interior_nodes,
     norm_h,
-    value_at_one,
 )
 
 KINDS = ("tau", "inviscid_galerkin", "galerkin", "modified_tau", "collocation")
@@ -57,8 +56,8 @@ class MethodConfig:
         check_gamma(self.gamma)
         if self.n < 4:
             raise ValueError(f"need polynomial degree n >= 4, got {self.n}")
-        if self.alpha < 0.0:
-            raise ValueError(f"wavenumber alpha must be >= 0, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
+            raise ValueError(f"wavenumber alpha must be finite and >= 0, got {self.alpha}")
         if self.parity_split and self.alpha != 0.0:
             raise ValueError("parity decoupling requires alpha = 0")
         if self.parity_split and self.kind == "modified_tau":
@@ -100,10 +99,10 @@ def _boundary_rows(gamma: float, cols: np.ndarray, coupled: bool) -> np.ndarray:
     """Clamped rows against the degrees ``cols``: u and Du at +1 and -1.
 
     A parity ladder keeps only the two rows at +1; those at -1 repeat them
-    up to a sign.
+    up to a sign.  Both rows of a column are entries 0 and 1 of its
+    endpoint derivative ladder.
     """
-    g1 = np.array([value_at_one(gamma, j).to_float() for j in cols.tolist()])
-    dg1 = np.array([deriv_at_one(gamma, j, 1).to_float() for j in cols.tolist()])
+    g1, dg1 = np.array([[d.to_float() for d in deriv_ladder(gamma, j, 1)] for j in cols.tolist()]).T
     if not coupled:
         return np.vstack([g1, dg1])
     signs = (-1.0) ** cols
@@ -288,14 +287,8 @@ def legendre_reduced_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     d2 = d @ d
     h = np.array([norm_h(0.5, k).to_float() for k in range(n - 1)])
     cl = np.array([(l + 1) * (l + 2) * (l + 3) * (l + 4) / 15.0 for l in range(m)])
-    a = np.zeros((m, m))
+    # D^2 [(1-x^2)^2 G_l^{(5/2)}] = C_l P_{l+2}: column l reads column l+2 of D^2
+    a = cl * d2[:m, 2 : m + 2] * h[:m, None]
     b = np.zeros((m, m))
-    for l in range(m):
-        # D^2 [(1-x^2)^2 G_l^{(5/2)}] = C_l P_{l+2}
-        unit = np.zeros(n + 1)
-        unit[l + 2] = 1.0
-        d2p = (d2 @ unit)[:m]
-        a[:, l] = cl[l] * d2p * h[:m]
-        if l + 2 < m:
-            b[l + 2, l] = cl[l] * h[l + 2]
+    b[np.arange(2, m), np.arange(m - 2)] = cl[: m - 2] * h[2:m]
     return a, b

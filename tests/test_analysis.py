@@ -5,6 +5,7 @@ import pytest
 
 from gegtau.analysis import (
     EquivalenceReport,
+    _spectrum_deviation,
     epsilon_integral_check,
     equivalence_suite,
     exact_spectrum,
@@ -207,6 +208,32 @@ def test_equivalence_report_worst():
     assert rep.passed
 
 
+def test_spectrum_deviation_pairs_by_nearest_match():
+    # sorted on (Re, Im), -1 pairs with -1-5j and the deviation reads 5.0
+    a = np.array([-1.0, -1.0 + 1e-14 + 5j, -1.0 + 1e-14 - 5j])
+    b = np.array([-1.0 + 2e-14, -1.0 + 5j, -1.0 - 5j])
+    assert _spectrum_deviation(a, b) <= 1e-13
+    assert _spectrum_deviation(a, b[:2]) == math.inf
+    assert _spectrum_deviation(np.zeros(0), np.zeros(0)) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_spectrum_deviation_matches_optimal_assignment(seed):
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(seed)
+    # conjugate pairs and real eigenvalues that share real parts up to
+    # rounding, each member perturbed independently by about 1e-10
+    re = -rng.uniform(1.0, 10.0, 4)
+    pairs = re + 1j * rng.uniform(0.1, 5.0, 4)
+    b = np.concatenate([pairs, pairs.conj(), re, -rng.uniform(1.0, 10.0, 3)])
+    noise = rng.normal(size=b.size) + 1j * rng.normal(size=b.size)
+    a = rng.permutation(b * (1.0 + 1e-10 * noise))
+    dist = np.abs(a[:, None] - b[None, :]) / np.abs(b)
+    rows, cols = linear_sum_assignment(dist)
+    assert _spectrum_deviation(a, b) == dist[rows, cols].max() < 1e-9
+
+
 # ---------------------------------------------------------------------------
 # endpoint-weight integrals
 
@@ -253,6 +280,26 @@ def test_legendre_infinite_mode_parity():
         idx5 = np.nonzero(np.abs(u5) > 1e-12 * np.max(np.abs(u5)))[0]
         assert np.all(idx4 % 2 == n % 2)
         assert np.all(idx5 % 2 == (n - 1) % 2)
+
+
+def test_legendre_infinite_mode_matches_unit_vector_oracle():
+    # the same construction with G_m^{(5/2)} read through a unit vector
+    from gegtau.gegenbauer import deriv_matrix, mult_x_array
+
+    for n in range(5, 65):
+        for which in (4, 5):
+            m = n - which
+            unit = np.zeros(m + 3)
+            unit[m + 2] = 1.0
+            d = deriv_matrix(0.5, m + 3)
+            g = (d @ d @ unit)[: m + 1] / 15.0
+            x2 = mult_x_array(mult_x_array(g, 0.5), 0.5)
+            x4 = mult_x_array(mult_x_array(x2, 0.5), 0.5)
+            want = np.zeros(n + 1)
+            want[: m + 1] += g
+            want[: m + 3] -= 2.0 * x2
+            want[: m + 5] += x4
+            assert legendre_infinite_mode(n, which).tobytes() == want.tobytes(), (n, which)
 
 
 def test_legendre_infinite_mode_satisfies_bcs_pointwise():

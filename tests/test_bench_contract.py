@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from gegtau import cli
+from gegtau import cli, pencil
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -45,3 +45,20 @@ def test_block_zero_fires_expected_spans(workload):
     finally:
         tracer.uninstall()
     assert workloads.EXPECTED_SPANS[workload] <= tracer.fired()
+
+
+@pytest.mark.parametrize("parity", [None, "even", "odd"])
+def test_tau_assemble_evaluates_each_endpoint_column_once(parity):
+    config = pencil.MethodConfig("tau", 1.5, 24, parity_split=parity is not None)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        try:
+            pencil.assemble(config, parity)
+        finally:
+            tracer.end_op()
+    finally:
+        tracer.uninstall()
+    endpoint = [s for s in tracer.spans if s[1] == "gegenbauer.endpoint"]
+    assert len(endpoint) == pencil._columns(24, parity).size

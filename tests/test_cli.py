@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -405,6 +407,30 @@ def test_sweep_empty_grid_rejected(capsys):
     assert code == 2
 
 
+# test id -> (command line, the flag or field its error names)
+BAD_INPUT = {
+    "gamma-inf-end": ("sweep --method tau --gamma-range 0:inf:1 --n-range 8:8:1", "--gamma-range"),
+    "gamma-nan-step": ("sweep --method tau --gamma-range 0:1:nan --n-range 8:8:1", "--gamma-range"),
+    "gamma-nan-start": ("sweep --method tau --gamma-range nan:1:1 --n-range 8:8:1", "--gamma-range"),
+    "n-half-step": ("sweep --method tau --gamma-range 1:1:1 --n-range 8:10:0.5", "--n-range"),
+    "n-fractional-ends": ("sweep --method tau --gamma-range 1:1:1 --n-range 8.4:9.6:1", "--n-range"),
+    "sweep-alpha-nan": ("sweep --method tau --gamma-range 1:1:1 --n-range 8:8:1 --alpha nan", "alpha"),
+    "spectrum-alpha-nan": ("spectrum --method tau --gamma 1 --n 8 --alpha nan", "alpha"),
+    "spectrum-alpha-inf": ("spectrum --method tau --gamma 1 --n 8 --alpha inf", "alpha"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUT)
+def test_nonfinite_or_nonintegral_input_rejected(capsys, case):
+    line, name = BAD_INPUT[case]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(line.split())
+    assert code == 2
+    assert name in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -434,6 +460,24 @@ def test_verify_failure_exit_code(capsys):
     )
     assert code == 1
     assert "[FAIL]" in out and "counterexample" in out
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        pytest.param(["--suite", "theorem-range", "--n-lo", "50", "--n-hi", "10"], id="theorem-range"),
+        pytest.param(["--suite", "equivalence", "--n-lo", "30", "--n-hi", "10"], id="equivalence"),
+        pytest.param(["--suite", "positive-pair", "--n-hi", "1"], id="positive-pair"),
+        # n 6 leaves 2 even and 1 odd eigenvalue for the 3 compared per parity
+        pytest.param(["--suite", "exact-convergence", "--n", "6", "--tol", "1"], id="exact-convergence"),
+        # every comparison with nan is false, so no deviation would exceed it
+        pytest.param(["--suite", "exact-convergence", "--n", "10", "--tol", "nan"], id="tol-nan"),
+    ],
+)
+def test_verify_rejects_a_check_it_cannot_run(capsys, extra):
+    code, out = run(["verify"] + extra, capsys)
+    assert code == 2
+    assert "[PASS]" not in out
 
 
 @pytest.mark.parametrize(
@@ -483,3 +527,29 @@ def test_eigensolver_failure_exit_code(monkeypatch, capsys):
     code = cli.main(["spectrum", "--method", "tau", "--gamma", "1", "--n", "10"])
     assert code == 3
     assert "numerical diagnostic" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# README
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ``gegtau`` lines of the README's sh blocks, cut at # and |."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    lines = [
+        line.split("#")[0].split("|")[0].strip()
+        for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+        for line in block.splitlines()
+    ]
+    argvs = [shlex.split(line)[1:] for line in lines if line.startswith("gegtau ")]
+    # replay needs an output file: test_output_file_and_replay covers it
+    return [argv for argv in argvs if argv[0] != "replay"]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argvs = _readme_commands()
+    assert len(argvs) == 8
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
+        capsys.readouterr()

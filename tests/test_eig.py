@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +9,10 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import gegtau
 from gegtau.eig import (
     COMPLEX_PAIR,
+    DEFAULT_TOLERANCES,
     ConvergenceError,
     classify,
     dense_eigs,
@@ -269,7 +273,7 @@ def test_classify_scale_invariance(pairs, c):
     # a relative 1e-12 for |Im| and Re against their thresholds, and within
     # 1e-6 for the distinct gap, whose rounding error is absolute (a few
     # ulps of 1, i.e. ~1e-8 relative to distinct_rel = 1e-8).
-    tol = base.tolerances
+    tol = DEFAULT_TOLERANCES
     floor = tol["real_abs"] * 7.0
     reals = []
     for lam, cls in zip(eigs, base.classes):
@@ -291,7 +295,13 @@ def test_classify_rejects_bad_scale():
         classify([1.0], scale=0.0)
 
 
-def test_classify_tolerance_override_recorded():
-    rep = classify([1.0], scale=1.0, tolerances={"distinct_rel": 1e-6})
-    assert rep.tolerances["distinct_rel"] == 1e-6
-    assert rep.tolerances["real_rel"] == 1e-8
+def test_every_tolerance_is_applied():
+    # each threshold of the fixed table is read by a subscript somewhere in
+    # the package; the table itself is a dict literal, not a subscript
+    read = set()
+    for path in Path(gegtau.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+                read.add(node.slice.value)
+    assert set(DEFAULT_TOLERANCES) - read == set()
+    assert set(DEFAULT_TOLERANCES) == {"real_rel", "real_abs", "distinct_rel", "mu_infinite"}

@@ -5,7 +5,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gegtau.eig import dense_eigs
-from gegtau.gegenbauer import basis_matrix, deriv_at_one, lobatto_interior_nodes, value_at_one
+from gegtau.gegenbauer import (
+    basis_matrix,
+    deriv_at_one,
+    deriv_matrix,
+    lobatto_interior_nodes,
+    norm_h,
+    value_at_one,
+)
 from gegtau.pencil import (
     GAMMA_SHIFT,
     KINDS,
@@ -467,6 +474,25 @@ def test_legendre_matrices_structure():
         assert a[k, k] != 0.0
         for l in range(k):
             assert a[k, l] == 0.0
+
+
+def test_legendre_matrices_match_loop_oracle():
+    # the per-column loop, each column of D^2 read through a unit vector
+    for n in range(6, 65):
+        m = n - 3
+        d = deriv_matrix(0.5, n + 1)
+        d2 = d @ d
+        h = np.array([norm_h(0.5, k).to_float() for k in range(n - 1)])
+        cl = np.array([(l + 1) * (l + 2) * (l + 3) * (l + 4) / 15.0 for l in range(m)])
+        a_want, b_want = np.zeros((m, m)), np.zeros((m, m))
+        for l in range(m):
+            unit = np.zeros(n + 1)
+            unit[l + 2] = 1.0
+            a_want[:, l] = cl[l] * (d2 @ unit)[:m] * h[:m]
+            if l + 2 < m:
+                b_want[l + 2, l] = cl[l] * h[l + 2]
+        a, b = legendre_reduced_matrices(n)
+        assert a.tobytes() == a_want.tobytes() and b.tobytes() == b_want.tobytes(), n
 
 
 def test_legendre_matrices_corner_entries():
