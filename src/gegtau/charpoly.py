@@ -18,15 +18,16 @@ odd modes
 On branch overlaps the constructions agree up to the overall factor 2*gamma
 (from the index-raising derivative identity); this is covered by tests.
 All coefficients are built in ScaledReal and exported after dividing by the
-largest magnitude.  The odd constructions carry one exactly-cancelling top
-coefficient (the derivative ratio equals 1 at the last step), which the
-builders strip, so every polynomial has a nonzero leading coefficient.
+largest magnitude.  The odd constructions leave out the last ladder pair
+D^{m-1} G_m(1), D^m G_m(1): its derivative ratio is exactly 1, so the pair
+would cancel to an exact zero, and every polynomial has a nonzero leading
+coefficient.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,39 +39,20 @@ from .scaled import ScaledReal, to_normalized_floats
 class CharPoly:
     """Polynomial in mu (or z), ascending coefficients as ScaledReal."""
 
-    parity: str  # "even" | "odd" | "none"
-    n: int
-    gamma: float
     mu_coeffs: list[ScaledReal]
-    provenance: str
-    variable: str = "mu"
-    _normalized: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def degree(self) -> int:
         return len(self.mu_coeffs) - 1
 
+    @cached_property
+    def _normalized(self) -> np.ndarray:
+        floats, _ = to_normalized_floats(self.mu_coeffs)
+        return np.asarray(floats)
+
     def normalized_coeffs(self) -> np.ndarray:
         """Coefficients divided by the largest magnitude (for conditioning)."""
-        if self._normalized is None:
-            floats, _ = to_normalized_floats(self.mu_coeffs)
-            self._normalized = np.asarray(floats)
         return self._normalized
-
-
-def _strip_exact_top_zero(coeffs: list[ScaledReal], expected_degree: int) -> list[ScaledReal]:
-    while len(coeffs) - 1 > expected_degree and coeffs[-1].is_zero():
-        coeffs = coeffs[:-1]
-    if len(coeffs) - 1 != expected_degree:
-        # cancellation was inexact; tolerate rounding dust only
-        top = max(c.log_mag for c in coeffs if not c.is_zero())
-        for c in coeffs[expected_degree + 1 :]:
-            if not c.is_zero() and c.log_mag > top + math.log(1e-9):
-                raise AssertionError("leading coefficient failed to cancel")
-        coeffs = coeffs[: expected_degree + 1]
-    if coeffs[-1].is_zero():
-        raise AssertionError("zero leading coefficient")
-    return coeffs
 
 
 def even_charpoly(gamma: float, n: int) -> CharPoly:
@@ -80,20 +62,16 @@ def even_charpoly(gamma: float, n: int) -> CharPoly:
         raise ValueError(f"even modes need even n >= 4, got {n}")
     deg = (n - 2) // 2
     if gamma > 0.5:
-        coeffs = deriv_ladder(gamma - 1.0, n - 1, 2 * deg)[::2]
-        prov = "even-direct"
-    else:
-        const = (value_at_one(gamma, n - 1) - value_at_one(gamma, n - 3)).mul_ratio(
-            1.0, 2.0 * (gamma + n - 2)
-        )
-        coeffs = [const] + deriv_ladder(gamma, n - 2, 2 * deg - 1)[1::2]
-        prov = "even-integrated"
-    return CharPoly("even", n, gamma, coeffs, prov)
+        return CharPoly(deriv_ladder(gamma - 1.0, n - 1, 2 * deg)[::2])
+    const = (value_at_one(gamma, n - 1) - value_at_one(gamma, n - 3)).mul_ratio(
+        1.0, 2.0 * (gamma + n - 2)
+    )
+    return CharPoly([const] + deriv_ladder(gamma, n - 2, 2 * deg - 1)[1::2])
 
 
 def _odd_direct(gamma: float, n: int) -> list[ScaledReal]:
     g = gamma - 2.0
-    d = deriv_ladder(g, n, n)
+    d = deriv_ladder(g, n, n - 2)
     return [a - b for a, b in zip(d[::2], d[1::2])]
 
 
@@ -102,7 +80,7 @@ def _odd_semi(gamma: float, n: int) -> list[ScaledReal]:
     const = (value_at_one(g, n) - value_at_one(g, n - 2)).mul_ratio(
         1.0, 2.0 * (n + gamma - 2)
     ) - value_at_one(g, n - 1)
-    d = deriv_ladder(g, n - 1, n - 1)
+    d = deriv_ladder(g, n - 1, n - 3)
     return [const] + [a - b for a, b in zip(d[1::2], d[2::2])]
 
 
@@ -116,7 +94,7 @@ def _odd_integrated(gamma: float, n: int) -> list[ScaledReal]:
     const = (t1 - t2 - value_at_one(g, n - 1) + value_at_one(g, n - 3)).mul_ratio(
         1.0, 2.0 * (n + g - 2)
     )
-    d = deriv_ladder(g, n - 2, n - 2)
+    d = deriv_ladder(g, n - 2, n - 4)
     return [const] + [a - b for a, b in zip(d[::2], d[1::2])]
 
 
@@ -126,13 +104,10 @@ def odd_charpoly(gamma: float, n: int) -> CharPoly:
     if n % 2 != 1 or n < 5:
         raise ValueError(f"odd modes need odd n >= 5, got {n}")
     if gamma > 1.5:
-        coeffs, prov = _odd_direct(gamma, n), "odd-direct"
-    elif gamma > 0.5:
-        coeffs, prov = _odd_semi(gamma, n), "odd-semi-integrated"
-    else:
-        coeffs, prov = _odd_integrated(gamma, n), "odd-integrated"
-    coeffs = _strip_exact_top_zero(coeffs, (n - 3) // 2)
-    return CharPoly("odd", n, gamma, coeffs, prov)
+        return CharPoly(_odd_direct(gamma, n))
+    if gamma > 0.5:
+        return CharPoly(_odd_semi(gamma, n))
+    return CharPoly(_odd_integrated(gamma, n))
 
 
 def second_order_pair(gamma: float, n: int) -> tuple[CharPoly, CharPoly]:
@@ -146,12 +121,7 @@ def second_order_pair(gamma: float, n: int) -> tuple[CharPoly, CharPoly]:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     d = deriv_ladder(gamma, n, n)
-    om, th = d[::2], d[1::2]
-    parity = "even" if n % 2 == 0 else "odd"
-    return (
-        CharPoly(parity, n, gamma, om, "second-order-even-part"),
-        CharPoly(parity, n, gamma, th, "second-order-odd-part"),
-    )
+    return CharPoly(d[::2]), CharPoly(d[1::2])
 
 
 def stability_poly(gamma: float, n: int) -> CharPoly:
@@ -167,7 +137,7 @@ def stability_poly(gamma: float, n: int) -> CharPoly:
         1.0, 2.0 * (n + gamma)
     )
     coeffs[0] = coeffs[0] + shift
-    return CharPoly("none", n, gamma, coeffs, "stability-shifted", variable="z")
+    return CharPoly(coeffs)
 
 
 def stability_constant(gamma: float, n: int) -> float:

@@ -53,9 +53,8 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dumps(obj, indent: int = 0) -> str:
+def dumps(obj) -> str:
     """JSON with fixed float formatting and insertion-ordered keys."""
-    pad = " " * indent
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -67,22 +66,20 @@ def dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        items = [f'{json.dumps(str(k))}: {dumps(v, indent)}' for k, v in obj.items()]
+        items = [f'{json.dumps(str(k))}: {dumps(v)}' for k, v in obj.items()]
         return "{" + ", ".join(items) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps(v, indent) for v in obj) + "]"
+        return "[" + ", ".join(dumps(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def make_manifest(argv: list[str], extras: dict | None = None) -> dict:
-    manifest = {
+def make_manifest(argv: list[str], extras: dict) -> dict:
+    return {
         "command": list(argv),
         "version": __version__,
         "timestamp": os.environ.get("GEGTAU_TIMESTAMP"),
+        **extras,
     }
-    if extras:
-        manifest.update(extras)
-    return manifest
 
 
 def _write(text: str, out: str | None) -> None:
@@ -264,6 +261,8 @@ def _sweep_point(kind: str, gamma: float, n: int, alpha: float) -> str:
 
 
 def cmd_sweep(args, argv: list[str]) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     kind = METHOD_NAMES[args.method]
     gammas = _parse_range(args.gamma_range, integer=False)
     ns = _parse_range(args.n_range, integer=True)
@@ -274,7 +273,7 @@ def cmd_sweep(args, argv: list[str]) -> int:
         argv,
         {"grid": {"gammas": gammas, "ns": ns, "method": kind, "alpha": args.alpha}},
     )
-    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
         rows = list(pool.map(lambda p: _sweep_point(kind, p[0], p[1], args.alpha), grid))
     lines = ["# manifest: " + dumps(manifest), SWEEP_CSV_HEADER] + rows
     _write("\n".join(lines), args.out)
@@ -345,10 +344,12 @@ def cmd_verify(args, argv: list[str]) -> int:
 def cmd_replay(args, argv: list[str]) -> int:
     with open(args.manifest) as fh:
         doc = json.load(fh)
-    manifest = doc.get("manifest", doc)
-    command = manifest.get("command")
-    if not command:
-        raise ValueError(f"{args.manifest} does not embed a manifest command")
+    manifest = doc.get("manifest", doc) if isinstance(doc, dict) else None
+    command = manifest.get("command") if isinstance(manifest, dict) else None
+    if not (isinstance(command, list) and command and all(isinstance(a, str) for a in command)):
+        raise ValueError(f"{args.manifest} does not embed a manifest command (a list of strings)")
+    if command[0] == "replay":
+        raise ValueError(f"{args.manifest} embeds a replay command; replay does not nest")
     return main(command)
 
 
@@ -413,7 +414,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SingularReductionError, ConvergenceError) as exc:
         print(f"numerical diagnostic: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

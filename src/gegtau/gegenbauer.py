@@ -89,7 +89,10 @@ def deriv_ladder(gamma: float, n: int, kmax: int) -> list[ScaledReal]:
     One running sum of log ratios gives every k at once.  Each ratio
     (2g+n+j)(n-j)/(2g+2j+1) is positive for gamma > -1/2 and 0 <= j < n, so
     every derivative value is strictly positive and the sequence is
-    nondecreasing in k.  Entries past k = n are exact zeros.
+    nondecreasing in k.  The last ratio (j = n-1) is exactly 1, so
+    D^{n-1} G_n(1) == D^n G_n(1); the odd characteristic polynomials leave
+    that pair out, as it would cancel to an exact zero.  Entries past
+    k = n are exact zeros.
     """
     gamma = check_gamma(gamma)
     if n < 0:
@@ -97,8 +100,7 @@ def deriv_ladder(gamma: float, n: int, kmax: int) -> list[ScaledReal]:
     if kmax < 0:
         raise ValueError(f"derivative order must be >= 0, got {kmax}")
     steps = min(kmax, n)
-    # grouping keeps num == den bit-identical at j = n-1 (ratio exactly 1),
-    # so the exact leading-coefficient cancellations downstream are exact
+    # grouping keeps num == den bit-identical at j = n-1 (ratio exactly 1)
     terms = (
         math.log((2.0 * gamma + (n + j)) * (n - j)) - math.log(2.0 * gamma + (2 * j + 1))
         for j in range(steps)

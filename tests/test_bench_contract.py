@@ -2,8 +2,9 @@
 
 ``perfbench/`` wraps gegtau functions by name and requires each workload's
 layers to fire.  Here block 0 of seed 0 of every workload runs through
-``gegtau.cli.main`` under the benchmark's own tracer, so a rename or a
-deletion that would break the traced benchmark fails the test suite.
+``gegtau.cli.main`` under the benchmark's own tracer, and the library call
+the gate makes itself (``worker.galerkin_counts``) runs as well, so a
+rename or a deletion that would break the benchmark fails the test suite.
 ``perfbench/`` is only read: no bytecode is written there.
 """
 
@@ -23,6 +24,7 @@ sys.dont_write_bytecode = True
 sys.path.insert(0, PERFBENCH)
 try:
     import spans
+    import worker
     import workloads
 finally:
     sys.path.remove(PERFBENCH)
@@ -62,3 +64,15 @@ def test_tau_assemble_evaluates_each_endpoint_column_once(parity):
         tracer.uninstall()
     endpoint = [s for s in tracer.spans if s[1] == "gegenbauer.endpoint"]
     assert len(endpoint) == pencil._columns(24, parity).size
+
+
+def test_modified_ops_gate_on_galerkin_reference_counts():
+    ops = [op for op in next(workloads.blocks("spectrum-nontau", 0)) if op.method == "modified"]
+    assert ops
+    for op in ops:
+        reference = worker.galerkin_counts(op)
+        assert list(reference) == list(worker.gate.FINITE_CLASSES)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(list(op.argv))
+        assert worker.gate.check(op, code, out.getvalue(), reference) == []

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gegtau
-from gegtau import cli, gegenbauer, pencil
+from gegtau import analysis, cli, gegenbauer, pencil
 from gegtau.eig import NEAR_INFINITE
 from gegtau.pencil import MethodConfig
 from gegtau.spectra import spectrum_report
@@ -304,6 +304,28 @@ def test_output_file_and_replay(tmp_path, capsys):
     assert out.read_text() == original  # replay reproduced the output file
 
 
+def test_unusable_out_path_exit_code(tmp_path, capsys):
+    code = cli.main(["spectrum", "--method", "tau", "--gamma", "1", "--n", "8", "--out", str(tmp_path)])
+    assert code == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
+# exit 1 means a failed verification, so a manifest that replay cannot run is a usage error
+BAD_MANIFESTS = {
+    "json-list": ["spectrum", "--method", "tau"],
+    "nested-replay": {"command": ["replay", "nested-replay.json"]},
+    "non-string-argument": {"manifest": {"command": ["spectrum", "--method", "tau", "--gamma", 1, "--n", "8"]}},
+}
+
+
+@pytest.mark.parametrize("case", BAD_MANIFESTS)
+def test_replay_rejects_bad_manifest(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    Path(f"{case}.json").write_text(json.dumps(BAD_MANIFESTS[case]))
+    assert cli.main(["replay", f"{case}.json"]) == 2
+    assert f"{case}.json" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -400,6 +422,13 @@ def test_sweep_jobs_share_endpoint_ladders(capsys):
     assert len(rows[0]) == 20 and rows[0] == rows[1]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_must_be_positive(capsys, jobs):
+    argv = ["sweep", "--method", "tau", "--gamma-range", "1:1:1", "--n-range", "8:8:1", "--jobs", jobs]
+    assert cli.main(argv) == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_sweep_empty_grid_rejected(capsys):
     code, _ = run(
         ["sweep", "--method", "tau", "--gamma-range", "1:0:1", "--n-range", "8:8:1"], capsys
@@ -442,6 +471,26 @@ def test_verify_equivalence_pass(capsys):
     )
     assert code == 0
     assert "[PASS]" in out
+
+
+@pytest.mark.parametrize(
+    "extra, gammas, ns",
+    [
+        ([], (0.0, 0.5, 1.25, 2.0), range(8, 25)),
+        (["--gamma", "2.5", "--n-lo", "8", "--n-hi", "8"], (2.5,), (8,)),
+    ],
+)
+def test_verify_equivalence_gamma_replaces_default_gammas(monkeypatch, capsys, extra, gammas, ns):
+    calls = []
+
+    def passing(gamma, n, tol):
+        calls.append((gamma, n))
+        return analysis.EquivalenceReport(tol)
+
+    monkeypatch.setattr(analysis, "equivalence_suite", passing)
+    code, _ = run(["verify", "--suite", "equivalence"] + extra, capsys)
+    assert code == 0
+    assert calls == [(g, n) for g in gammas for n in ns]
 
 
 def test_verify_exact_convergence(capsys):

@@ -204,6 +204,15 @@ def test_deriv_ladder_rejects_bad_args():
             deriv_ladder(*args)
 
 
+@pytest.mark.parametrize("gamma", [-0.45, 0.0, 0.5, 1.0, 3.5, 10.0])
+def test_deriv_ladder_top_pair_equal(gamma):
+    # the last ratio is exactly 1, so the odd characteristic polynomials
+    # leave out the pair D^{m-1} G_m(1), D^m G_m(1): it cancels to zero
+    for m in range(1, 201):
+        d = deriv_ladder(gamma, m, m)
+        assert d[m - 1] == d[m]
+
+
 class _CountingMath:
     """Stand-in for the math module that counts math.log calls."""
 
