@@ -1,21 +1,24 @@
 """Scientific checks: exact spectrum, perturbation law, positive pairs,
 stability via Hermite-Biehler, method equivalences, and endpoint-weight
 integrals.  Each check is an executable statement of a property of the
-discretization, verified numerically with independent machinery (bisection,
-weighted quadrature, brute-force comparisons) rather than the code path
-under test.
+discretization, verified with independent machinery rather than the code
+path under test: bisection, weighted quadrature and brute-force comparisons
+in floating point, and an exact integer Routh array for positive pairs and
+stability.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
 from .charpoly import CharPoly, second_order_pair
 from .eig import poly_roots
-from .gegenbauer import deriv_matrix, evaluate, mult_x_array
+from .gegenbauer import check_gamma, deriv_matrix, evaluate, mult_x_array, rational_ladder
 from .pencil import MethodConfig, assemble
 from .spectra import ladder_degree, pencil_lambdas, spectrum_report
 
@@ -123,83 +126,64 @@ def perturbation_mu1(n: int, parity: str, epsilon: float | None = None) -> Pertu
 # positive pairs and stability
 
 
-@dataclass
-class PairCheck:
-    ok: bool
-    failed_clause: str | None
+def _routh_failure(coeffs) -> int | None:
+    """First Routh row whose leading entry is not positive; None if stable.
 
-
-def _real_roots(cp: CharPoly) -> np.ndarray | None:
-    """Roots of a CharPoly if all are real (within tolerance), else None."""
-    coeffs = cp.normalized_coeffs()
-    if not np.any(coeffs != 0.0):
-        return None
-    roots = poly_roots(coeffs).roots
-    if roots.size == 0:
-        return roots.real
-    scale = float(np.max(np.abs(roots)))
-    ok = np.abs(roots.imag) <= np.maximum(1e-8 * np.abs(roots), 1e-10 * scale)
-    if not np.all(ok):
-        return None
-    return np.sort(roots.real)
-
-
-def positive_pair_check(p: CharPoly, q: CharPoly) -> PairCheck:
-    """Do (p, q) form a positive pair?
-
-    Clauses: (a) all roots of both polynomials real, negative, distinct;
-    (b) strictly interlacing, starting from p's root when deg q = deg p - 1
-    and from q's root when the degrees are equal, ending with p's largest;
-    (c) leading coefficients of like sign.
+    ``coeffs`` are ascending, each taken at its exact value (int, Fraction
+    or float).  The polynomial is scaled to integers with a positive leading
+    coefficient, and each Routh row is built fraction-free: cross-multiplied
+    by the previous row's positive leading entry, then divided by its gcd.
+    That keeps every sign, so the polynomial is Hurwitz stable iff all
+    deg + 1 leading entries are positive; a zero entry means a root on or
+    right of the imaginary axis, and counts as a failure.
     """
-    dp, dq = p.degree, q.degree
+    c = [Fraction(x) for x in reversed(coeffs)]  # descending
+    scale = math.lcm(*(x.denominator for x in c)) * (1 if c[0] > 0 else -1)
+    ints = [int(x * scale) for x in c]
+    prev, row = ints[0::2], ints[1::2]
+    if prev[0] <= 0:
+        return 0
+    for i in range(1, len(ints)):
+        if row[0] <= 0:
+            return i
+        nxt = [row[0] * a - prev[0] * b for a, b in itertools.zip_longest(prev[1:], row[1:], fillvalue=0)]
+        g = math.gcd(*nxt)
+        prev, row = row, [x // g for x in nxt] if g > 1 else nxt
+    return None
+
+
+def positive_pair_check(p, q) -> bool:
+    """Do (p, q) form a positive pair?  Exact for exact coefficients.
+
+    ``p`` and ``q`` are ascending coefficients (int or Fraction) with deg q
+    = deg p or deg p - 1.  By Hermite-Biehler, (p, q) is a positive pair
+    (real, negative, distinct, interlacing roots, leading coefficients of
+    like sign) iff p(z^2) + z q(z^2) is Hurwitz stable, which the Routh
+    array on the interleave p0, q0, p1, q1, ... decides.
+    """
+    dp, dq = len(p) - 1, len(q) - 1
     if dp - dq not in (0, 1):
         raise ValueError(f"degree gap must be 0 or 1, got deg p={dp}, deg q={dq}")
-    rp = _real_roots(p)
-    rq = _real_roots(q)
-    if rp is None or rq is None:
-        return PairCheck(False, "a: roots not all real")
-    for name, r in (("p", rp), ("q", rq)):
-        if np.any(r >= 0.0):
-            return PairCheck(False, f"a: {name} has a nonnegative root")
-        gaps = np.diff(r) / np.maximum(np.abs(r[1:]), 1e-300)
-        if np.any(gaps <= 1e-8):
-            return PairCheck(False, f"a: {name} roots not distinct")
-    merged = sorted([(v, "p") for v in rp] + [(v, "q") for v in rq])
-    tags = [t for _, t in merged]
-    start = "p" if dp - dq == 1 else "q"
-    expect = [start if i % 2 == 0 else ("q" if start == "p" else "p") for i in range(len(tags))]
-    if tags != expect or (tags and tags[-1] != "p"):
-        return PairCheck(False, "b: roots do not interlace")
-    lead_p = p.normalized_coeffs()[-1]
-    lead_q = q.normalized_coeffs()[-1]
-    if lead_p * lead_q <= 0.0:
-        return PairCheck(False, "c: leading coefficients differ in sign")
-    return PairCheck(True, None)
+    interleave = [c for pair in zip(p, q) for c in pair] + list(p[dq + 1 :])
+    return _routh_failure(interleave) is None
 
 
 def hermite_biehler_stability(p: CharPoly) -> bool:
-    """Stability of p(z) via the even/odd split p(z) = Om(z^2) + z Th(z^2).
+    """Is p(z) Hurwitz stable?  Routh on p's own coefficients, cross-checked.
 
-    Returns the positive-pair verdict on (Om, Th) and cross-validates it
-    against direct root computation (all real parts negative); the two must
-    agree or a RuntimeError is raised.
+    The verdict is exact for the coefficients it is given, taken as the
+    floats ``p.normalized_coeffs()`` hold, and is checked against direct
+    root computation (all real parts negative) on the same floats; the two
+    must agree or a RuntimeError is raised.
     """
-    coeffs = p.mu_coeffs
-    om = CharPoly(coeffs[0::2])
-    th_coeffs = coeffs[1::2]
-    hb = False
-    if th_coeffs and not all(c.is_zero() for c in th_coeffs):
-        th = CharPoly(th_coeffs)
-        if om.degree - th.degree in (0, 1):
-            hb = positive_pair_check(om, th).ok
-    direct_roots = poly_roots(p.normalized_coeffs()).roots
-    direct = bool(np.all(direct_roots.real < 0.0))
-    if hb != direct:
+    coeffs = p.normalized_coeffs()
+    routh = _routh_failure(coeffs.tolist()) is None
+    direct = bool(np.all(poly_roots(coeffs).roots.real < 0.0))
+    if routh != direct:
         raise RuntimeError(
-            f"Hermite-Biehler and direct-root stability disagree: hb={hb} direct={direct}"
+            f"Routh-Hurwitz and direct-root stability disagree: routh={routh} direct={direct}"
         )
-    return hb
+    return routh
 
 
 # ---------------------------------------------------------------------------
@@ -487,24 +471,23 @@ def suite_perturbation() -> SuiteResult:
 def suite_positive_pair(
     gammas: tuple[float, ...] = (-0.4, 0.0, 0.5, 1.0, 1.5), n_hi: int = 20
 ) -> SuiteResult:
-    """(Omega_n, Theta_n) and (Omega_n, Omega_{n-1} at gamma+1) are positive pairs."""
+    """(Omega_n, Theta_n) and (Omega_n, Omega_{n-1} at gamma+1) are positive pairs.
+
+    Decided exactly, on rational ladders at gamma read as its shortest
+    decimal (``repr``), so -0.4 is -2/5 and not its binary value.
+    """
     res = SuiteResult("positive-pair", True)
     for g in gammas:
+        exact = Fraction(repr(check_gamma(g)))
         for n in _degrees(2, n_hi):
-            om, th = second_order_pair(g, n)
-            chk = positive_pair_check(om, th)
-            if not chk.ok:
-                res.passed = False
-                res.counterexample = f"gamma={g} n={n}: (Omega,Theta) fails clause {chk.failed_clause}"
-                return res
+            d = rational_ladder(exact, n, n)
+            pairs = [("(Omega,Theta)", d[1::2])]
             if n >= 3:
-                om_up, _ = second_order_pair(g + 1.0, n - 1)
-                chk2 = positive_pair_check(om, om_up)
-                if not chk2.ok:
+                pairs.append(("(Omega_n, Omega_(n-1)^(g+1))", rational_ladder(exact + 1, n - 1, n - 1)[::2]))
+            for name, q in pairs:
+                if not positive_pair_check(d[::2], q):
                     res.passed = False
-                    res.counterexample = (
-                        f"gamma={g} n={n}: (Omega_n, Omega_(n-1)^(g+1)) fails clause {chk2.failed_clause}"
-                    )
+                    res.counterexample = f"gamma={g} n={n}: {name} is not a positive pair"
                     return res
     res.details.append("all positive-pair checks hold")
     return res

@@ -115,7 +115,8 @@ def second_order_pair(gamma: float, n: int) -> tuple[CharPoly, CharPoly]:
 
     Omega has coefficient k = D^{2k} G_n(1), Theta has D^{2k+1} G_n(1).
     For -1/2 < gamma <= 3/2 they form a positive pair, which is the engine
-    behind the realness proofs; the analysis module checks this numerically.
+    behind the realness proofs; the analysis module decides this exactly,
+    on the same ladder in rational arithmetic (``rational_ladder``).
     """
     gamma = check_gamma(gamma)
     if n < 1:

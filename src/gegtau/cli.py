@@ -402,11 +402,26 @@ COMMANDS = {
 }
 
 
+def _attach_range_values(argv: list[str]) -> list[str]:
+    """Write ``--gamma-range -0.4:0.1:0.5`` as ``--gamma-range=-0.4:0.1:0.5``.
+
+    argparse reads an argument with a leading minus as a flag unless it is
+    a plain negative number, which an A:B:STEP range never is.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--gamma-range", "--n-range") and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_range_values(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

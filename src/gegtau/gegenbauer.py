@@ -35,6 +35,7 @@ import functools
 import itertools
 import math
 import operator
+from fractions import Fraction
 
 import numpy as np
 
@@ -107,6 +108,21 @@ def deriv_ladder(gamma: float, n: int, kmax: int) -> list[ScaledReal]:
     )
     logs = itertools.accumulate(terms, initial=value_at_one(gamma, n).log_mag)
     return [ScaledReal(1, log) for log in logs] + [ScaledReal.zero()] * (kmax - steps)
+
+
+def rational_ladder(gamma: Fraction, n: int, kmax: int) -> list[Fraction]:
+    """``deriv_ladder`` in exact rational arithmetic, at gamma's exact value.
+
+    Build gamma from its decimal text (``Fraction("0.3")``): the binary
+    value of a float makes every entry hundreds of digits longer.
+    """
+    gamma = Fraction(gamma)
+    if gamma <= GAMMA_MIN or n < 0 or kmax < 0:
+        raise ValueError(f"need gamma > -1/2, n >= 0 and kmax >= 0, got {gamma}, {n}, {kmax}")
+    steps = min(kmax, n)
+    value = math.prod(((2 * gamma + j) / (j + 1) for j in range(1, n)), start=Fraction(1))
+    ratios = ((2 * gamma + n + j) * (n - j) / (2 * gamma + 2 * j + 1) for j in range(steps))
+    return list(itertools.accumulate(ratios, operator.mul, initial=value)) + [Fraction(0)] * (kmax - steps)
 
 
 def deriv_at_one(gamma: float, n: int, k: int) -> ScaledReal:

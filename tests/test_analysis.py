@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from gegtau.analysis import (
     EquivalenceReport,
+    _routh_failure,
     _spectrum_deviation,
     epsilon_integral_check,
     equivalence_suite,
@@ -23,8 +25,8 @@ from gegtau.analysis import (
     suite_theorem_range,
     tan_fixed_point,
 )
-from gegtau.charpoly import CharPoly, second_order_pair, stability_poly
-from gegtau.gegenbauer import evaluate
+from gegtau.charpoly import CharPoly, stability_poly
+from gegtau.gegenbauer import evaluate, rational_ladder
 from gegtau.pencil import MethodConfig
 from gegtau.scaled import ScaledReal
 from gegtau.spectra import pencil_lambdas, spectrum_report
@@ -113,39 +115,66 @@ def test_perturbed_extreme_eigenvalue_matches_prediction():
 # positive pairs and Hermite-Biehler
 
 
+def _ladder(gamma, n):
+    return rational_ladder(Fraction(gamma), n, n)
+
+
 def test_positive_pair_omega_theta():
-    om, th = second_order_pair(1.0, 10)
-    assert positive_pair_check(om, th).ok
+    d = _ladder(1, 10)
+    assert positive_pair_check(d[::2], d[1::2])
 
 
 def test_positive_pair_constructed_violation():
     # Omega with a positive root: (mu - 1)(mu + 2) = -2 - mu + mu^2
-    bad = CharPoly([ScaledReal.from_float(-2.0), ScaledReal.from_float(-1.0), ScaledReal.from_float(1.0)])
-    th = CharPoly([ScaledReal.from_float(1.5), ScaledReal.from_float(1.0)])
-    chk = positive_pair_check(bad, th)
-    assert not chk.ok
-    assert chk.failed_clause.startswith("a")
+    assert not positive_pair_check([-2, -1, 1], [Fraction(3, 2), 1])
 
 
 def test_positive_pair_omega_ladder():
-    om, _ = second_order_pair(0.5, 8)
-    om_up, _ = second_order_pair(1.5, 7)
-    assert positive_pair_check(om, om_up).ok
+    assert positive_pair_check(_ladder("0.5", 8)[::2], _ladder("1.5", 7)[::2])
 
 
 def test_positive_pair_rejects_degree_gap():
-    om, _ = second_order_pair(0.5, 8)
-    om2, _ = second_order_pair(0.5, 3)
     with pytest.raises(ValueError):
-        positive_pair_check(om, om2)
+        positive_pair_check(_ladder("0.5", 8)[::2], _ladder("0.5", 3)[::2])
 
 
 def test_positive_pair_interlacing_violation_detected():
     # roots -1, -3 vs -4: q root outside the p bracket
-    p = CharPoly([ScaledReal.from_float(3.0), ScaledReal.from_float(4.0), ScaledReal.from_float(1.0)])
-    q = CharPoly([ScaledReal.from_float(4.0), ScaledReal.from_float(1.0)])
-    chk = positive_pair_check(p, q)
-    assert not chk.ok and chk.failed_clause.startswith("b")
+    assert not positive_pair_check([3, 4, 1], [4, 1])
+
+
+def _stable_by_roots(coeffs):
+    """Hurwitz verdict from numpy.roots, or None within 1e-6 of the axis."""
+    re = np.roots(coeffs[::-1]).real
+    return None if np.any(np.abs(re) < 1e-6) else bool(np.all(re < 0.0))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_routh_matches_numpy_roots(seed):
+    rng = np.random.default_rng(seed)
+    compared = stable = 0
+    for _ in range(500):
+        deg = int(rng.integers(1, 9))
+        coeffs = [int(c) for c in rng.integers(-3, 12, size=deg + 1)]
+        if coeffs[-1] == 0:
+            continue
+        verdict = _stable_by_roots(coeffs)
+        if verdict is None:
+            continue
+        assert (_routh_failure(coeffs) is None) == verdict, coeffs
+        compared += 1
+        stable += verdict
+    assert compared >= 400 and 40 <= stable <= compared - 40
+
+
+@pytest.mark.parametrize("gamma", [Fraction(-2, 5), Fraction(0), Fraction(1, 2)])
+@pytest.mark.parametrize("n", [30, 60, 120])
+def test_exact_stability_poly_is_hurwitz(gamma, n):
+    # p_n(z) = (G_{n-1}(1) - G_{n+1}(1)) / (2(n+gamma)) + sum_k z^k D^k G_n(1)
+    coeffs = _ladder(gamma, n)
+    shift = (_ladder(gamma, n - 1)[0] - _ladder(gamma, n + 1)[0]) / (2 * (n + gamma))
+    coeffs[0] += shift
+    assert _routh_failure(coeffs) is None
 
 
 def test_hermite_biehler_on_stability_polys():

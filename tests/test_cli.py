@@ -429,6 +429,17 @@ def test_sweep_jobs_must_be_positive(capsys, jobs):
     assert "--jobs" in capsys.readouterr().err
 
 
+def test_sweep_negative_range_as_separate_argument(capsys):
+    outs = []
+    for gamma_range in (["--gamma-range", "-0.4:0.1:0.5"], ["--gamma-range=-0.4:0.1:0.5"]):
+        code, out = run(["sweep", "--method", "tau", *gamma_range, "--n-range", "8:8:1"], capsys)
+        assert code == 0
+        outs.append(out)
+    # the manifests echo each argv as given; the header and rows are equal
+    assert outs[0].splitlines()[1:] == outs[1].splitlines()[1:]
+    assert [r["gamma"] for r in parse_sweep(outs[0])] == pytest.approx([-0.4, 0.1])
+
+
 def test_sweep_empty_grid_rejected(capsys):
     code, _ = run(
         ["sweep", "--method", "tau", "--gamma-range", "1:0:1", "--n-range", "8:8:1"], capsys
@@ -446,6 +457,8 @@ BAD_INPUT = {
     "sweep-alpha-nan": ("sweep --method tau --gamma-range 1:1:1 --n-range 8:8:1 --alpha nan", "alpha"),
     "spectrum-alpha-nan": ("spectrum --method tau --gamma 1 --n 8 --alpha nan", "alpha"),
     "spectrum-alpha-inf": ("spectrum --method tau --gamma 1 --n 8 --alpha inf", "alpha"),
+    "positive-pair-gamma-nan": ("verify --suite positive-pair --gamma nan", "gamma"),
+    "positive-pair-gamma-inf": ("verify --suite positive-pair --gamma inf", "gamma"),
 }
 
 
@@ -509,6 +522,19 @@ def test_verify_failure_exit_code(capsys):
     )
     assert code == 1
     assert "[FAIL]" in out and "counterexample" in out
+
+
+def test_verify_positive_pair_past_n40(capsys):
+    # the lemma holds at every n for gamma <= 3/2, past n 40 too
+    code, out = run(["verify", "--suite", "positive-pair", "--gamma", "1", "--n-hi", "48"], capsys)
+    assert code == 0
+    assert out.startswith("[PASS] suite positive-pair")
+
+
+def test_verify_positive_pair_bound_is_sharp(capsys):
+    code, out = run(["verify", "--suite", "positive-pair", "--gamma", "1.6", "--n-hi", "20"], capsys)
+    assert code == 1
+    assert "first counterexample: gamma=1.6 n=14: (Omega,Theta)" in out
 
 
 @pytest.mark.parametrize(
@@ -598,7 +624,7 @@ def _readme_commands() -> list[list[str]]:
 def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     argvs = _readme_commands()
-    assert len(argvs) == 8
+    assert len(argvs) == 10
     for argv in argvs:
         assert cli.main(argv) == 0, argv
         capsys.readouterr()

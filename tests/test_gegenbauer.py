@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from gegtau.gegenbauer import (
     lobatto_interior_nodes,
     mult_x_array,
     norm_h,
+    rational_ladder,
     value_at_one,
 )
 from gegtau.pencil import MethodConfig
@@ -199,9 +202,29 @@ def test_deriv_ladder_matches_loop_oracle(gamma):
 
 
 def test_deriv_ladder_rejects_bad_args():
-    for args in ((1.0, -1, 2), (1.0, 3, -1), (-0.5, 3, 1)):
-        with pytest.raises(ValueError):
-            deriv_ladder(*args)
+    for ladder in (deriv_ladder, rational_ladder):
+        for args in ((1.0, -1, 2), (1.0, 3, -1), (-0.5, 3, 1)):
+            with pytest.raises(ValueError):
+                ladder(*args)
+
+
+@pytest.mark.parametrize("gamma", ["-0.4", "0", "0.3", "0.5", "1", "3.5"])
+def test_rational_ladder_matches_deriv_ladder(gamma):
+    # exact entries past float overflow, logs equal to the float ladder's
+    # up to its rounding
+    top = 0.0
+    for n in (0, 1, 2, 7, 64, 171, 300):
+        exact = rational_ladder(Fraction(gamma), n, n + 2)
+        floats = deriv_ladder(float(gamma), n, n + 2)
+        assert len(exact) == n + 3
+        for k, (e, f) in enumerate(zip(exact, floats)):
+            if k > n:
+                assert e == 0 and f.is_zero()
+                continue
+            log_e = math.log(e.numerator) - math.log(e.denominator)
+            assert abs(log_e - f.log_mag) <= 1e-12 * max(1.0, abs(log_e)), (n, k)
+            top = max(top, log_e)
+    assert top > math.log(sys.float_info.max)
 
 
 @pytest.mark.parametrize("gamma", [-0.45, 0.0, 0.5, 1.0, 3.5, 10.0])
