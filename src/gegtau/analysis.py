@@ -18,7 +18,7 @@ import numpy as np
 
 from .charpoly import CharPoly, second_order_pair
 from .eig import poly_roots
-from .gegenbauer import check_gamma, deriv_matrix, evaluate, mult_x_array, rational_ladder
+from .gegenbauer import deriv_matrix, evaluate, exact_gamma, mult_x_array
 from .pencil import MethodConfig, assemble
 from .spectra import ladder_degree, pencil_lambdas, spectrum_report
 
@@ -169,16 +169,16 @@ def positive_pair_check(p, q) -> bool:
 
 
 def hermite_biehler_stability(p: CharPoly) -> bool:
-    """Is p(z) Hurwitz stable?  Routh on p's own coefficients, cross-checked.
+    """Is p(z) Hurwitz stable?  Routh on p's exact coefficients, cross-checked.
 
-    The verdict is exact for the coefficients it is given, taken as the
-    floats ``p.normalized_coeffs()`` hold, and is checked against direct
-    root computation (all real parts negative) on the same floats; the two
-    must agree or a RuntimeError is raised.
+    The verdict is the integer Routh array on ``p.mu_coeffs``, exact for
+    every degree.  It is checked against direct root computation (all real
+    parts negative) on the rounded ``p.normalized_coeffs()``; where the two
+    disagree, as the float companion roots do on the stability polynomials
+    from degree 27 or 28, a RuntimeError is raised, never a verdict.
     """
-    coeffs = p.normalized_coeffs()
-    routh = _routh_failure(coeffs.tolist()) is None
-    direct = bool(np.all(poly_roots(coeffs).roots.real < 0.0))
+    routh = _routh_failure(p.mu_coeffs) is None
+    direct = bool(np.all(poly_roots(p.normalized_coeffs()).roots.real < 0.0))
     if routh != direct:
         raise RuntimeError(
             f"Routh-Hurwitz and direct-root stability disagree: routh={routh} direct={direct}"
@@ -473,19 +473,21 @@ def suite_positive_pair(
 ) -> SuiteResult:
     """(Omega_n, Theta_n) and (Omega_n, Omega_{n-1} at gamma+1) are positive pairs.
 
-    Decided exactly, on rational ladders at gamma read as its shortest
-    decimal (``repr``), so -0.4 is -2/5 and not its binary value.
+    Decided exactly, on the exact ``second_order_pair`` coefficients at
+    gamma read as its shortest decimal (``exact_gamma``), so -0.4 is -2/5
+    and not its binary value.
     """
     res = SuiteResult("positive-pair", True)
     for g in gammas:
-        exact = Fraction(repr(check_gamma(g)))
+        exact = exact_gamma(g)
         for n in _degrees(2, n_hi):
-            d = rational_ladder(exact, n, n)
-            pairs = [("(Omega,Theta)", d[1::2])]
+            omega, theta = second_order_pair(exact, n)
+            pairs = [("(Omega,Theta)", theta.mu_coeffs)]
             if n >= 3:
-                pairs.append(("(Omega_n, Omega_(n-1)^(g+1))", rational_ladder(exact + 1, n - 1, n - 1)[::2]))
+                raised, _ = second_order_pair(exact + 1, n - 1)
+                pairs.append(("(Omega_n, Omega_(n-1)^(g+1))", raised.mu_coeffs))
             for name, q in pairs:
-                if not positive_pair_check(d[::2], q):
+                if not positive_pair_check(omega.mu_coeffs, q):
                     res.passed = False
                     res.counterexample = f"gamma={g} n={n}: {name} is not a positive pair"
                     return res

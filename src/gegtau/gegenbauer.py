@@ -21,12 +21,14 @@ Key identities used throughout (all standard, stated in this normalization):
     G_n(1) = (2g+n-1)(2g+n-2)...(2g+1) / n!,
     D^{k+1} G_n(1) / D^k G_n(1) = (2g+n+k)(n-k) / (2g+2k+1).
 
-Endpoint quantities are evaluated from log running products (never via
-Gamma ratios, which are singular at gamma = 0) and returned as
+Endpoint quantities for the pencil are evaluated from log running products
+(never via Gamma ratios, which are singular at gamma = 0) and returned as
 ``ScaledReal``.  The logs of G_n(1) come from one cached prefix-sum ladder
 per gamma, so a row of n endpoint values costs O(n), not O(n^2), and so
 does the derivative ladder D^0..D^k G_n(1) (one running sum of log
-ratios); interior evaluation uses the three-term recurrence in float64.
+ratios).  ``rational_ladder`` is the same ladder in exact ``Fraction``s,
+from which the characteristic polynomials are built; interior evaluation
+uses the three-term recurrence in float64.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def value_at_one(gamma: float, n: int) -> ScaledReal:
 
     Always positive for gamma > -1/2; equals 1 for n = 0, 1.  The log is
     the sum of log((2g+j)/(j+1)), j = 1..n-1, so the Legendre case gives
-    exactly 1.0 and near-Legendre differences keep full relative accuracy.
+    exactly 1.0.
     The sum is read from the gamma's cached prefix ladder, O(1) per call
     once the ladder exists; it is bit-identical to adding the terms one by
     one, left to right from 0.0.
@@ -87,13 +89,12 @@ def _log_ladder(gamma: float, size: int) -> tuple[float, ...]:
 def deriv_ladder(gamma: float, n: int, kmax: int) -> list[ScaledReal]:
     """D^k G_n(1) for k = 0..kmax, by the ratio recurrence seeded at G_n(1).
 
-    One running sum of log ratios gives every k at once.  Each ratio
+    One running sum of log ratios gives every k at once; the pencil's
+    boundary rows read it, one ladder per column.  Each ratio
     (2g+n+j)(n-j)/(2g+2j+1) is positive for gamma > -1/2 and 0 <= j < n, so
     every derivative value is strictly positive and the sequence is
     nondecreasing in k.  The last ratio (j = n-1) is exactly 1, so
-    D^{n-1} G_n(1) == D^n G_n(1); the odd characteristic polynomials leave
-    that pair out, as it would cancel to an exact zero.  Entries past
-    k = n are exact zeros.
+    D^{n-1} G_n(1) == D^n G_n(1).  Entries past k = n are exact zeros.
     """
     gamma = check_gamma(gamma)
     if n < 0:
@@ -110,18 +111,30 @@ def deriv_ladder(gamma: float, n: int, kmax: int) -> list[ScaledReal]:
     return [ScaledReal(1, log) for log in logs] + [ScaledReal.zero()] * (kmax - steps)
 
 
+def exact_gamma(gamma: float | Fraction) -> Fraction:
+    """gamma as an exact rational: a Fraction as is, a float as its shortest
+    decimal (``repr``), so 0.3 is 3/10 and not the binary value of the float,
+    whose ladders would run hundreds of digits longer."""
+    return gamma if isinstance(gamma, Fraction) else Fraction(repr(check_gamma(gamma)))
+
+
 def rational_ladder(gamma: Fraction, n: int, kmax: int) -> list[Fraction]:
     """``deriv_ladder`` in exact rational arithmetic, at gamma's exact value.
 
-    Build gamma from its decimal text (``Fraction("0.3")``): the binary
-    value of a float makes every entry hundreds of digits longer.
+    Every characteristic polynomial and positive-pair test is built from
+    this ladder.  With gamma = p/q, the seed is
+    G_n(1) = prod_{j=1}^{n-1} (2p + jq) / (q^(n-1) n!), and ratio j is
+    (2p + (n+j)q)(n-j) / (2p + (2j+1)q), all in integers until one Fraction
+    each.  Pass gamma through ``exact_gamma``: the binary value of a float
+    makes every entry hundreds of digits longer.
     """
     gamma = Fraction(gamma)
     if gamma <= GAMMA_MIN or n < 0 or kmax < 0:
         raise ValueError(f"need gamma > -1/2, n >= 0 and kmax >= 0, got {gamma}, {n}, {kmax}")
+    p2, q = 2 * gamma.numerator, gamma.denominator
     steps = min(kmax, n)
-    value = math.prod(((2 * gamma + j) / (j + 1) for j in range(1, n)), start=Fraction(1))
-    ratios = ((2 * gamma + n + j) * (n - j) / (2 * gamma + 2 * j + 1) for j in range(steps))
+    value = Fraction(math.prod(p2 + j * q for j in range(1, n)), q ** max(n - 1, 0) * math.factorial(n))
+    ratios = (Fraction((p2 + (n + j) * q) * (n - j), p2 + (2 * j + 1) * q) for j in range(steps))
     return list(itertools.accumulate(ratios, operator.mul, initial=value)) + [Fraction(0)] * (kmax - steps)
 
 

@@ -28,7 +28,6 @@ from gegtau.analysis import (
 from gegtau.charpoly import CharPoly, stability_poly
 from gegtau.gegenbauer import evaluate, rational_ladder
 from gegtau.pencil import MethodConfig
-from gegtau.scaled import ScaledReal
 from gegtau.spectra import pencil_lambdas, spectrum_report
 
 
@@ -175,6 +174,7 @@ def test_exact_stability_poly_is_hurwitz(gamma, n):
     shift = (_ladder(gamma, n - 1)[0] - _ladder(gamma, n + 1)[0]) / (2 * (n + gamma))
     coeffs[0] += shift
     assert _routh_failure(coeffs) is None
+    assert stability_poly(gamma, n).mu_coeffs == coeffs
 
 
 def test_hermite_biehler_on_stability_polys():
@@ -186,8 +186,19 @@ def test_hermite_biehler_on_stability_polys():
 
 
 def test_hermite_biehler_unstable():
-    p = CharPoly([ScaledReal.from_float(-1.0), ScaledReal.zero(), ScaledReal.from_float(1.0)])
+    p = CharPoly([-1, 0, 1])
     assert not hermite_biehler_stability(p)
+
+
+@pytest.mark.parametrize("n", [72, 100])
+def test_hermite_biehler_raises_where_float_roots_fail(n):
+    # stable by the lemma and by the exact Routh array, but the companion
+    # roots of the rounded coefficients leave the left half-plane: the
+    # disagreement must raise, not come out as False
+    p = stability_poly(0.0, n)
+    assert _routh_failure(p.mu_coeffs) is None
+    with pytest.raises(RuntimeError, match="disagree"):
+        hermite_biehler_stability(p)
 
 
 # ---------------------------------------------------------------------------

@@ -628,3 +628,17 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     for argv in argvs:
         assert cli.main(argv) == 0, argv
         capsys.readouterr()
+
+
+def test_readme_python_quick_start_runs(capsys):
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert len(blocks) == 1
+    names = {}
+    exec(compile(blocks[0], "README.md", "exec"), names)
+    assert len(capsys.readouterr().out.splitlines()) == 2
+    # gamma 0 has exactly one spurious positive eigenvalue per parity, and
+    # the even polynomial's roots hold the even one
+    assert names["rep"].count("spurious_positive") == 2
+    lambdas = 1.0 / names["mu"]
+    assert np.all(lambdas.imag == 0.0) and np.sum(lambdas.real > 0.0) == 1

@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -127,7 +129,7 @@ def test_deriv_at_one_matches_gamma_formula(gamma, n):
 
 
 def test_deriv_at_one_degree_exhausted_and_errors():
-    assert deriv_at_one(1.0, 3, 4).is_zero()
+    assert deriv_at_one(1.0, 3, 4) == ScaledReal.zero()
     with pytest.raises(ValueError):
         deriv_at_one(1.0, 3, -1)
 
@@ -182,7 +184,7 @@ def test_endpoint_values_match_loop_oracle(gamma):
             for k in ks:
                 got = deriv_at_one(gamma, n, k)
                 want = deriv[n, k]
-                assert got.is_zero() if want is None else got.log_mag == want
+                assert got == ScaledReal.zero() if want is None else got.log_mag == want
             if n > 0:
                 assert norm_h(gamma, n).log_mag == log_h0 + value[n] - math.log(2.0 * (n + gamma))
     g1, dg1 = pencil._boundary_rows(gamma, np.arange(ORACLE_NMAX + 1), coupled=False)
@@ -198,7 +200,7 @@ def test_deriv_ladder_matches_loop_oracle(gamma):
             assert len(got) == kmax + 1
             for k, value in enumerate(got):
                 want = _oracle_log_deriv_at_one(gamma, n, k)
-                assert value.is_zero() if want is None else value == ScaledReal(1, want)
+                assert value == ScaledReal.zero() if want is None else value == ScaledReal(1, want)
 
 
 def test_deriv_ladder_rejects_bad_args():
@@ -206,6 +208,18 @@ def test_deriv_ladder_rejects_bad_args():
         for args in ((1.0, -1, 2), (1.0, 3, -1), (-0.5, 3, 1)):
             with pytest.raises(ValueError):
                 ladder(*args)
+
+
+def test_exact_gamma_reads_shortest_decimal():
+    assert gegenbauer.exact_gamma(0.3) == Fraction(3, 10)
+    assert gegenbauer.exact_gamma(-0.4) == Fraction(-2, 5)
+    assert gegenbauer.exact_gamma(np.float64(0.5 + 1e-6)) == Fraction(500001, 1000000)
+    assert gegenbauer.exact_gamma(2) == 2
+    third = Fraction(1, 3)
+    assert gegenbauer.exact_gamma(third) is third
+    for bad in (math.nan, math.inf, -0.5):
+        with pytest.raises(ValueError, match="gamma"):
+            gegenbauer.exact_gamma(bad)
 
 
 @pytest.mark.parametrize("gamma", ["-0.4", "0", "0.3", "0.5", "1", "3.5"])
@@ -219,7 +233,7 @@ def test_rational_ladder_matches_deriv_ladder(gamma):
         assert len(exact) == n + 3
         for k, (e, f) in enumerate(zip(exact, floats)):
             if k > n:
-                assert e == 0 and f.is_zero()
+                assert e == 0 and f == ScaledReal.zero()
                 continue
             log_e = math.log(e.numerator) - math.log(e.denominator)
             assert abs(log_e - f.log_mag) <= 1e-12 * max(1.0, abs(log_e)), (n, k)
@@ -285,12 +299,36 @@ CHARPOLY_BUILDERS = [
 def test_charpoly_builders_work_bound(monkeypatch, build, gamma, n):
     counting = _CountingMath()
     monkeypatch.setattr(gegenbauer, "math", counting)
-    gegenbauer._log_ladder.cache_clear()
+    ladders = []
+
+    def counted(g, m, kmax):
+        ladders.append(kmax + 1)
+        return rational_ladder(g, m, kmax)
+
+    monkeypatch.setattr(charpoly, "rational_ladder", counted)
     build(gamma, n)
-    # one 512-entry log ladder of G_m(1) for the builder's gamma, and one
-    # running sum of at most n+1 derivative ratios, two logs each; a
-    # deriv_at_one call per coefficient would make O(n^2)
-    assert counting.logs <= 2 * 512 + 2 * (n + 1)
+    # no logs; one rational ladder of at most n+1 entries, plus at most four
+    # one-entry seeds G_m(1); a ladder per coefficient would make O(n^2)
+    assert counting.logs == 0
+    assert len(ladders) <= 5 and sum(ladders) <= n + 4
+
+
+# the product formula rational_ladder used before it built the seed and
+# ratios in integers: an exact-equality oracle
+def _product_ladder(gamma, n, kmax):
+    steps = min(kmax, n)
+    value = math.prod(((2 * gamma + j) / (j + 1) for j in range(1, n)), start=Fraction(1))
+    ratios = ((2 * gamma + n + j) * (n - j) / (2 * gamma + 2 * j + 1) for j in range(steps))
+    return list(itertools.accumulate(ratios, operator.mul, initial=value)) + [Fraction(0)] * (kmax - steps)
+
+
+@pytest.mark.parametrize("gamma", ["-2/5", "0", "3/10", "1/2", "1", "7/2"])
+def test_rational_ladder_matches_product_formula(gamma):
+    g = Fraction(gamma)
+    for n in [*range(41), *range(45, 301, 5)]:
+        want = _product_ladder(g, n, n + 2)
+        for kmax in sorted({0, 1, n, n + 2}):
+            assert rational_ladder(g, n, kmax) == want[: kmax + 1], (n, kmax)
 
 
 # ---------------------------------------------------------------------------

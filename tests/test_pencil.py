@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gegtau.analysis import THEOREM_GAMMAS
 from gegtau.eig import dense_eigs
 from gegtau.gegenbauer import (
     basis_matrix,
@@ -391,6 +392,20 @@ def test_route_agreement(gamma):
             )
             assert inf_c == inf_p
             assert spectrum_dev(lam_c, lam_p) < 1e-8
+
+
+@pytest.mark.parametrize("gamma", THEOREM_GAMMAS)
+def test_route_agreement_past_n32(gamma):
+    # criterion 10's 1e-8 agreement past its n 32; exact coefficients,
+    # rounded once, hold it to n 43 (worst 5.8e-10 on this grid)
+    for n in range(33, 41):
+        for parity in ("even", "odd"):
+            lam_c, inf_c = charpoly_lambdas(gamma, n, parity)
+            lam_p, inf_p, _ = pencil_lambdas(
+                MethodConfig("tau", gamma, n, parity_split=True), parity
+            )
+            assert inf_c == inf_p, (n, parity)
+            assert spectrum_dev(lam_c, lam_p) <= 1e-8, (n, parity)
 
 
 def test_alpha_continuity():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gegtau.scaled import ScaledReal, max_log_mag, to_normalized_floats
+from gegtau.scaled import ScaledReal
 
 finite_floats = st.floats(
     min_value=1e-150, max_value=1e150, allow_nan=False, allow_infinity=False
@@ -14,8 +14,9 @@ signed_floats = st.one_of(finite_floats, finite_floats.map(lambda x: -x))
 
 def test_zero_and_one():
     assert ScaledReal.zero().to_float() == 0.0
-    assert ScaledReal.one().to_float() == 1.0
-    assert ScaledReal.from_float(0.0).is_zero()
+    assert ScaledReal.zero() == ScaledReal(0, 0.0)
+    assert ScaledReal(1, 0.0).to_float() == 1.0
+    assert ScaledReal(-1, 0.0).to_float() == -1.0
 
 
 def _log_ulp(*vals: float) -> float:
@@ -26,85 +27,13 @@ def _log_ulp(*vals: float) -> float:
 
 @given(signed_floats)
 def test_round_trip_faithful(x):
-    back = ScaledReal.from_float(x).to_float()
+    back = ScaledReal(1 if x > 0 else -1, math.log(abs(x))).to_float()
     assert back == pytest.approx(x, rel=2.0 * _log_ulp(x))
     assert math.copysign(1.0, back) == math.copysign(1.0, x)
 
 
-@given(signed_floats, signed_floats)
-def test_mul_matches_float(x, y):
-    got = (ScaledReal.from_float(x) * ScaledReal.from_float(y)).to_float()
-    assert got == pytest.approx(x * y, rel=4.0 * _log_ulp(x, y))
-
-
-@given(signed_floats, signed_floats)
-def test_div_matches_float(x, y):
-    got = (ScaledReal.from_float(x) / ScaledReal.from_float(y)).to_float()
-    assert got == pytest.approx(x / y, rel=4.0 * _log_ulp(x, y))
-
-
-@given(signed_floats, signed_floats)
-def test_add_matches_float(x, y):
-    got = (ScaledReal.from_float(x) + ScaledReal.from_float(y)).to_float()
-    ref = x + y
-    # max-factoring addition: accurate relative to the larger magnitude
-    assert got == pytest.approx(ref, abs=4.0 * _log_ulp(x, y) * max(abs(x), abs(y)))
-
-
-def test_exact_cancellation():
-    a = ScaledReal.from_float(3.7)
-    assert (a - a).is_zero()
-    assert (a + (-a)).is_zero()
-
-
-def test_mul_exact_in_log_space_beyond_float_range():
-    # product of many large factors overflows float64 but not the log form
-    big = ScaledReal.one()
-    for _ in range(100):
-        big = big * ScaledReal.from_float(1e10)
-    assert big.log_mag == pytest.approx(1000 * math.log(10.0), rel=1e-12)
-    assert big.to_float() == math.inf  # materialization overflows, log does not
-    ratio = big / big
-    assert ratio.to_float() == 1.0
-
-
-def test_division_by_zero_rejected():
-    with pytest.raises(ZeroDivisionError):
-        ScaledReal.one() / ScaledReal.zero()
-
-
-def test_from_float_rejects_non_finite():
-    with pytest.raises(ValueError):
-        ScaledReal.from_float(math.inf)
-
-
-def test_scaled_to_float_shifts():
-    v = ScaledReal(1, 800.0)  # e^800 overflows
-    assert v.to_float() == math.inf
-    assert v.scaled_to_float(800.0) == 1.0
-
-
-def test_normalized_floats():
-    vals = [ScaledReal(1, 700.0), ScaledReal(-1, 705.0), ScaledReal.zero()]
-    floats, shift = to_normalized_floats(vals)
-    assert shift == 705.0
-    assert floats[1] == -1.0
-    assert floats[0] == pytest.approx(math.exp(-5.0))
-    assert floats[2] == 0.0
-    assert max_log_mag([ScaledReal.zero()]) == -math.inf
-
-
-def test_mul_ratio_positive_only():
-    with pytest.raises(ValueError):
-        ScaledReal.one().mul_ratio(-1.0, 2.0)
-    got = ScaledReal.from_float(6.0).mul_ratio(3.0, 2.0).to_float()
-    assert got == pytest.approx(9.0, rel=1e-15)
-
-
-@given(signed_floats, signed_floats)
-def test_addition_monotone_safe(x, y):
-    # |x + y| never exceeds |x| + |y| in the scaled representation
-    s = ScaledReal.from_float(x) + ScaledReal.from_float(y)
-    bound = abs(x) + abs(y)
-    if not s.is_zero():
-        assert s.log_mag <= math.log(bound) + 1e-12
+def test_to_float_overflows_to_signed_inf():
+    # the log form holds what float64 cannot; materializing it overflows
+    assert ScaledReal(1, 1000 * math.log(10.0)).to_float() == math.inf
+    assert ScaledReal(-1, 800.0).to_float() == -math.inf
+    assert ScaledReal(1, -800.0).to_float() == 0.0
