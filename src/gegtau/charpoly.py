@@ -49,7 +49,7 @@ class CharPoly:
 
     @cached_property
     def _normalized(self) -> np.ndarray:
-        big = max(map(abs, self.mu_coeffs)) or 1
+        big = _max_abs(self.mu_coeffs) or 1
         # an int / int quotient is rounded once, correctly, with no gcd
         scale_n, scale_d = big.denominator, big.numerator
         return np.array([c.numerator * scale_n / (c.denominator * scale_d) for c in self.mu_coeffs])
@@ -57,6 +57,20 @@ class CharPoly:
     def normalized_coeffs(self) -> np.ndarray:
         """Coefficients divided exactly by the largest magnitude, each rounded once."""
         return self._normalized
+
+
+def _max_abs(coeffs: list[Fraction]) -> Fraction:
+    """``max(map(abs, coeffs))``, compared exactly only where it can matter.
+
+    A nonzero p/q with k = bitlen(p) - bitlen(q) lies in (2^(k-1), 2^(k+1)),
+    so only coefficients whose k is within 1 of the largest can be the
+    maximum; the others are never cross-multiplied.
+    """
+    keys = [(c.numerator.bit_length() - c.denominator.bit_length(), c) for c in coeffs if c]
+    if not keys:
+        return max(map(abs, coeffs))
+    top = max(k for k, _ in keys)
+    return max(abs(c) for k, c in keys if k >= top - 1)
 
 
 def _value(gamma: Fraction, n: int) -> Fraction:

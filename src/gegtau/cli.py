@@ -6,12 +6,14 @@ every output embeds a run manifest sufficient to reproduce it via
 ``gegtau replay``.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-diagnostic (singular reduction / eigensolver non-convergence).
+diagnostic (singular reduction, endpoint overflow, eigensolver
+non-convergence).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -356,7 +358,9 @@ def cmd_replay(args, argv: list[str]) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="gegtau",
         description="Gegenbauer tau/Galerkin spectra for D^4 u = lambda D^2 u with clamped boundaries",

@@ -89,8 +89,9 @@ def _log_ladder(gamma: float, size: int) -> tuple[float, ...]:
 def deriv_ladder(gamma: float, n: int, kmax: int) -> list[ScaledReal]:
     """D^k G_n(1) for k = 0..kmax, by the ratio recurrence seeded at G_n(1).
 
-    One running sum of log ratios gives every k at once; the pencil's
-    boundary rows read it, one ladder per column.  Each ratio
+    One running sum of log ratios gives every k at once.  The pencil's
+    boundary rows take only its first step, inline, with the same grouping
+    and seed, so their DG_j(1) is this ladder's entry 1.  Each ratio
     (2g+n+j)(n-j)/(2g+2j+1) is positive for gamma > -1/2 and 0 <= j < n, so
     every derivative value is strictly positive and the sequence is
     nondecreasing in k.  The last ratio (j = n-1) is exactly 1, so

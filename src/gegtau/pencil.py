@@ -26,10 +26,10 @@ from .eig import DEFAULT_TOLERANCES
 from .gegenbauer import (
     basis_matrix,
     check_gamma,
-    deriv_ladder,
     deriv_matrix,
     lobatto_interior_nodes,
     norm_h,
+    value_at_one,
 )
 
 KINDS = ("tau", "inviscid_galerkin", "galerkin", "modified_tau", "collocation")
@@ -37,7 +37,8 @@ GAMMA_SHIFT = {"tau": 0.0, "inviscid_galerkin": 1.0, "galerkin": 2.0}
 
 
 class SingularReductionError(RuntimeError):
-    """The reduced fourth-order block is numerically singular."""
+    """The pencil has no reliable float64 reduction: its reduced fourth-order
+    block is numerically singular, or an endpoint value overflows."""
 
 
 @dataclass(frozen=True)
@@ -99,10 +100,29 @@ def _boundary_rows(gamma: float, cols: np.ndarray, coupled: bool) -> np.ndarray:
     """Clamped rows against the degrees ``cols``: u and Du at +1 and -1.
 
     A parity ladder keeps only the two rows at +1; those at -1 repeat them
-    up to a sign.  Both rows of a column are entries 0 and 1 of its
-    endpoint derivative ladder.
+    up to a sign.  Column j reads G_j(1) once from ``value_at_one`` and
+    takes DG_j(1) by the first ratio step of ``deriv_ladder``, with its
+    grouping, so both are the floats of entries 0 and 1 of that ladder.
+    Raises ``SingularReductionError`` at the first value past float64: one
+    such entry would make every pivot of its row fail the elimination's
+    dependence test.
     """
-    g1, dg1 = np.array([[d.to_float() for d in deriv_ladder(gamma, j, 1)] for j in cols.tolist()]).T
+    g1, dg1 = [], []
+    for j in cols.tolist():
+        log = value_at_one(gamma, j).log_mag
+        # deriv_ladder's first ratio step, grouped as there; exp(-inf) is 0.0
+        dlog = log + (math.log((2.0 * gamma + j) * j) - math.log(2.0 * gamma + 1)) if j else -math.inf
+        try:
+            g, dg = math.exp(log), math.exp(dlog)
+        except OverflowError:
+            g = dg = math.inf
+        if not (math.isfinite(g) and math.isfinite(dg)):
+            raise SingularReductionError(
+                f"endpoint value G_j(1) or DG_j(1) overflows float64 at gamma {gamma}, degree j={j}"
+            )
+        g1.append(g)
+        dg1.append(dg)
+    g1, dg1 = np.array(g1), np.array(dg1)
     if not coupled:
         return np.vstack([g1, dg1])
     signs = (-1.0) ** cols
@@ -183,28 +203,27 @@ def _nullspace_by_elimination(c: np.ndarray) -> np.ndarray:
     """
     m, dim = c.shape
     u = c.copy()
-    row_max = np.max(np.abs(u), axis=1) if u.size else np.zeros(m)
-    is_piv = np.zeros(dim, dtype=bool)
+    row_max = np.max(np.abs(u), axis=1).tolist() if u.size else [0.0] * m
     piv_cols: list[int] = []
     for i in range(m):
-        sub = np.abs(u[i:, :])
-        sub[:, is_piv] = -1.0
-        r, j = np.unravel_index(int(np.argmax(sub)), sub.shape)
+        sub = np.abs(u[i:])
+        sub[:, piv_cols] = -1.0
+        r, j = divmod(int(np.argmax(sub)), dim)
         r += i
         if abs(u[r, j]) <= 1e-12 * row_max[r]:
             raise ValueError("lambda-independent rows are linearly dependent")
-        u[[i, r], :] = u[[r, i], :]
-        row_max[[i, r]] = row_max[[r, i]]
-        is_piv[j] = True
-        piv_cols.append(int(j))
-        rows = np.flatnonzero(u[:, j] != 0.0)
+        if r != i:
+            u[i], u[r] = u[r], u[i].copy()
+            row_max[i], row_max[r] = row_max[r], row_max[i]
+        piv_cols.append(j)
+        rows = np.flatnonzero(u[:, j])
         rows = rows[rows != i]
-        u[rows, :] -= (u[rows, j] / u[i, j])[:, None] * u[i, :]
-    piv = np.array(piv_cols, dtype=np.intp)
-    free = np.flatnonzero(~is_piv)
+        if rows.size:
+            u[rows] -= (u[rows, j] / u[i, j])[:, None] * u[i]
+    free = np.delete(np.arange(dim), piv_cols)
     t = np.zeros((dim, free.size))
     t[free, np.arange(free.size)] = 1.0
-    t[piv, :] = -u[:, free] / u[np.arange(m), piv][:, None]
+    t[piv_cols, :] = -u[:, free] / u[np.arange(m), piv_cols][:, None]
     return t
 
 

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from gegtau.charpoly import (
     CharPoly,
+    _max_abs,
     _odd_direct,
     _odd_integrated,
     _odd_semi,
@@ -305,6 +306,23 @@ def test_normalized_coeffs_exact_division():
     assert got.tolist() == [3 / 32, -1.0, 0.0, float(Fraction(10**400 + 1, 3 * 10**400))]
     assert CharPoly([Fraction(0), Fraction(0)]).normalized_coeffs().tolist() == [0.0, 0.0]
     assert CharPoly([-1, 0, 1]).normalized_coeffs().tolist() == [-1.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("gamma", ["-0.45", "0", "0.3", "0.500001", "1", "3.5", "10"])
+def test_max_abs_prefilter_matches_full_max(gamma):
+    g = Fraction(gamma)
+    lists = [[Fraction(0)], [Fraction(0)] * 3, [Fraction(-7, 3)], [Fraction(5), Fraction(-5)],
+             [Fraction(3, 2), Fraction(-2), Fraction(7, 4)], [Fraction(1, 2**60), Fraction(0)],
+             # 8/7 has the larger key (1 against 0) and the smaller value
+             [Fraction(8, 7), Fraction(-7, 4)]]
+    for n in (4, 5, 12, 13, 40, 41, 119):
+        lists.append((even_charpoly if n % 2 == 0 else odd_charpoly)(g, n).mu_coeffs)
+        lists += [cp.mu_coeffs for cp in second_order_pair(g, n)]
+        lists.append(stability_poly(g, n).mu_coeffs)
+    for coeffs in lists:
+        want = max(map(abs, coeffs))
+        got = _max_abs(coeffs)
+        assert got == want and type(got) is type(want)
 
 
 # ---------------------------------------------------------------------------

@@ -175,6 +175,19 @@ def test_spectrum_non_finite_reduced_matrix_exit_code(monkeypatch, capsys):
     assert "numerical diagnostic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "method, gamma, n, j",
+    [("tau", "500", "320", 310), ("modified", "1000", "240", 220), ("collocation", "1000", "260", 220)],
+)
+def test_endpoint_overflow_is_numerical_diagnostic(capsys, method, gamma, n, j):
+    # G_j(1) or DG_j(1) past float64 is a numerical limit, not a usage error
+    code = cli.main(["spectrum", "--method", method, "--gamma", gamma, "--n", n])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numerical diagnostic:")
+    assert f"gamma {float(gamma)}" in captured.err and f"j={j}" in captured.err
+
+
 def test_import_cli_skips_scipy_special():
     src = str(Path(gegtau.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -279,6 +292,31 @@ def test_spectrum_assembles_each_ladder_once(monkeypatch, capsys, method, parity
 def test_usage_error_exit_code(capsys):
     assert cli.main(["spectrum", "--method", "bogus", "--gamma", "0", "--n", "8"]) == 2
     capsys.readouterr()
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argvs = [
+        ["spectrum", "--method", "bogus", "--gamma", "0", "--n", "8"],
+        ["spectrum", "--method", "tau", "--gamma", "1.3", "--n", "12"],
+        ["verify", "--suite", "equivalence", "--gamma", "2.5", "--n-lo", "8", "--n-hi", "10"],
+        ["verify", "--suite", "equivalence", "--gamma", "1.5", "--n-lo", "8", "--n-hi", "10"],
+    ]
+
+    def outputs(fresh):
+        cli.build_parser.cache_clear()
+        got = []
+        for argv in argvs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            got.append((code, captured.out, captured.err))
+        return got
+
+    fresh, reused = outputs(fresh=True), outputs(fresh=False)
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0]
+    assert reused == fresh
 
 
 def test_determinism_byte_identical(capsys):

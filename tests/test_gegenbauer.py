@@ -146,25 +146,28 @@ def test_derivative_ladder_positive_and_nondecreasing(gamma, n):
         prev = cur
 
 
-def _oracle_log_value_at_one(gamma, n):
-    """log G_n(1) by the O(n) loop the cached ladder replaced: the reference."""
-    log = 0.0
-    for j in range(1, n):
+def _oracle_log_values_at_one(gamma, nmax):
+    """log G_n(1), n = 0..nmax, by the loop the cached ladder replaced: the
+    reference.  One running sum, added left to right from 0.0, so entry n
+    is the same float as a separate sum over j = 1..n-1."""
+    logs, log = [0.0], 0.0
+    for j in range(1, nmax + 1):
+        logs.append(log)
         log += math.log(2.0 * gamma + j) - math.log(j + 1.0)
-    return log
+    return logs
 
 
-def _oracle_log_deriv_at_one(gamma, n, k):
-    """deriv_at_one's ratio recurrence seeded by the loop oracle; None for k > n."""
-    if k > n:
-        return None
-    log = _oracle_log_value_at_one(gamma, n)
-    for j in range(k):
+def _oracle_log_deriv_ladder(gamma, n, kmax, log):
+    """deriv_at_one's ratio recurrence for k = 0..kmax, one running sum seeded
+    by the loop oracle's log G_n(1); None for k > n."""
+    logs = [log]
+    for j in range(min(kmax, n)):
         log += math.log((2.0 * gamma + (n + j)) * (n - j)) - math.log(2.0 * gamma + (2 * j + 1))
-    return log
+        logs.append(log)
+    return logs + [None] * (kmax + 1 - len(logs))
 
 
-ORACLE_GAMMAS = [-0.45, 0.0, 0.3, 0.5, 1.0, 3.5, 4.3, 200.0]
+ORACLE_GAMMAS = [-0.45, 0.0, 0.3, 0.5, 1.0, 3.5, 4.3, 200.0, 1000.0]
 ORACLE_NMAX = 400
 
 
@@ -172,8 +175,8 @@ ORACLE_NMAX = 400
 def test_endpoint_values_match_loop_oracle(gamma):
     ns = range(ORACLE_NMAX + 1)
     ks = (0, 1, 2, 3, 7)
-    value = [_oracle_log_value_at_one(gamma, n) for n in ns]
-    deriv = {(n, k): _oracle_log_deriv_at_one(gamma, n, k) for n in ns for k in ks}
+    value = _oracle_log_values_at_one(gamma, ORACLE_NMAX)
+    deriv = {n: _oracle_log_deriv_ladder(gamma, n, max(ks), value[n]) for n in ns}
     log_h0 = norm_h(gamma, 0).log_mag
     # a cold cache in both orders: descending builds the largest ladder
     # first, ascending grows through the 64/128/256/512 size classes
@@ -183,24 +186,32 @@ def test_endpoint_values_match_loop_oracle(gamma):
             assert value_at_one(gamma, n).log_mag == value[n]
             for k in ks:
                 got = deriv_at_one(gamma, n, k)
-                want = deriv[n, k]
+                want = deriv[n][k]
                 assert got == ScaledReal.zero() if want is None else got.log_mag == want
             if n > 0:
                 assert norm_h(gamma, n).log_mag == log_h0 + value[n] - math.log(2.0 * (n + gamma))
-    g1, dg1 = pencil._boundary_rows(gamma, np.arange(ORACLE_NMAX + 1), coupled=False)
-    assert np.array_equal(g1, [ScaledReal(1, value[n]).to_float() for n in ns])
-    assert np.array_equal(dg1, [ScaledReal(1, deriv[n, 1]).to_float() if n else 0.0 for n in ns])
+    g1 = [ScaledReal(1, value[n]).to_float() for n in ns]
+    dg1 = [ScaledReal(1, deriv[n][1]).to_float() if n else 0.0 for n in ns]
+    # the boundary rows hold these floats up to the first degree past float64
+    top = next((n for n in ns if math.isinf(g1[n]) or math.isinf(dg1[n])), None)
+    if top is not None:
+        with pytest.raises(pencil.SingularReductionError, match=rf"gamma {gamma}.*j={top}\b"):
+            pencil._boundary_rows(gamma, np.arange(ORACLE_NMAX + 1), coupled=False)
+    rows = pencil._boundary_rows(gamma, np.arange(ORACLE_NMAX + 1 if top is None else top), coupled=False)
+    assert np.array_equal(rows, [g1[: rows.shape[1]], dg1[: rows.shape[1]]])
+    assert (top is None) == (gamma < 1000.0)
 
 
 @pytest.mark.parametrize("gamma", ORACLE_GAMMAS)
 def test_deriv_ladder_matches_loop_oracle(gamma):
+    value = _oracle_log_values_at_one(gamma, 400)
     for n in (0, 1, 2, 7, 63, 64, 255, 400):
+        ladder = _oracle_log_deriv_ladder(gamma, n, n + 3, value[n])
         for kmax in sorted({0, 1, 3, n, n + 3}):
             got = deriv_ladder(gamma, n, kmax)
             assert len(got) == kmax + 1
-            for k, value in enumerate(got):
-                want = _oracle_log_deriv_at_one(gamma, n, k)
-                assert value == ScaledReal.zero() if want is None else value == ScaledReal(1, want)
+            for value_k, want in zip(got, ladder):
+                assert value_k == ScaledReal.zero() if want is None else value_k == ScaledReal(1, want)
 
 
 def test_deriv_ladder_rejects_bad_args():

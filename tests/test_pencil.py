@@ -331,6 +331,10 @@ ORACLE_CONFIGS = [
     for gamma, n, alpha in [(-0.45, 8, 0.0), (0.5, 13, 0.0), (1.0, 33, 0.0),
                             (4.3, 48, 0.0), (2.0, 24, 0.5)]
     if alpha == 0.0 or not split
+] + [
+    # 79 and 123 pivots: the elimination's many-pivot regime
+    MethodConfig("modified_tau", 5.0, 76),
+    MethodConfig("modified_tau", 8.0, 120),
 ]
 
 
