@@ -256,7 +256,7 @@ def equivalence_suite(gamma: float, n: int, tol: float) -> EquivalenceReport:
     if gamma > 0.5:
         cfg = MethodConfig("tau", gamma, n, parity_split=True)
         lam_even, _, _ = pencil_lambdas(cfg, "even")
-        om, _ = second_order_pair(gamma - 1.0, ladder_degree(n, "even") - 1)
+        om, _ = second_order_pair(exact_gamma(gamma) - 1, ladder_degree(n, "even") - 1)
         mus = poly_roots(om.normalized_coeffs()).roots
         lam_second = 1.0 / mus[np.abs(mus) > 0.0]
         rep.deviations["even4th_vs_odd2nd"] = _spectrum_deviation(lam_even, lam_second)

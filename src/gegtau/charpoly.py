@@ -2,26 +2,19 @@
 
 For the parity-decoupled Gegenbauer weighted-residual discretization the
 finite eigenvalues are roots of short polynomials in mu built from endpoint
-derivative ladders D^k G_m(1).  Four constructions cover the parameter range:
+derivative ladders D^k G_m(1), all at index gamma.  One construction per
+parity covers every gamma > -1/2, through the antiderivative constant
+P(m) = (G_{m+1}(1) - G_{m-1}(1)) / (2(m+gamma)):
 
-even modes
-    gamma > 1/2   coefficient k is D^{2k} G_{n-1}^{(gamma-1)}(1)
-    gamma <= 1/2  integrated form at index gamma: constant term
-                  (G_{n-1}(1) - G_{n-3}(1)) / (2(gamma+n-2)), then
-                  coefficient k >= 1 is D^{2k-1} G_{n-2}(1)
+even modes  constant P(n-2), then coefficient k >= 1 is D^{2k-1} G_{n-2}(1)
+odd modes   constant (P(n-1) - P(n-3)) / (2(n-2+gamma)) - P(n-2), then
+            coefficient k >= 1 is D^{2k-2} G_{n-2}(1) - D^{2k-1} G_{n-2}(1)
 
-odd modes
-    gamma > 3/2   D^{2k} G_n^{(gamma-2)}(1) - D^{2k+1} G_n^{(gamma-2)}(1)
-    1/2 < g <= 3/2  semi-integrated form at index gamma-1 (see _odd_semi)
-    gamma <= 1/2  twice-integrated form at index gamma (see _odd_integrated)
-
-On branch overlaps the constructions agree up to the overall factor 2*gamma
-(from the index-raising derivative identity); this is covered by tests.
 Every coefficient is an exact ``Fraction`` from ``rational_ladder`` at
 gamma's exact value (``exact_gamma``: a float is read as its shortest
 decimal), so exact cancellations are exact zeros; ``normalized_coeffs``
 divides by the largest magnitude and rounds each coefficient once.  The odd
-constructions leave out the last ladder pair D^{m-1} G_m(1), D^m G_m(1): its
+construction leaves out the last ladder pair D^{m-1} G_m(1), D^m G_m(1): its
 derivative ratio is exactly 1, so the pair would cancel to zero, and every
 polynomial has a nonzero leading coefficient.
 """
@@ -73,9 +66,18 @@ def _max_abs(coeffs: list[Fraction]) -> Fraction:
     return max(abs(c) for k, c in keys if k >= top - 1)
 
 
-def _value(gamma: Fraction, n: int) -> Fraction:
-    """G_n(1), the seed of the rational ladder."""
-    return rational_ladder(gamma, n, 0)[0]
+def _antiderivative_constants(gamma: Fraction, lo: int, hi: int) -> list[Fraction]:
+    """P(m) = (G_{m+1}(1) - G_{m-1}(1)) / (2(m+gamma)) for lo <= m <= hi, lo >= 2.
+
+    The same-index ladder 2(m+gamma) G_m = D[G_{m+1} - G_{m-1}] makes P(m)
+    the value at 1 of an antiderivative of G_m.  The values G_j(1) come from
+    one seed and the exact step G_{j+1}(1) = G_j(1) (2 gamma + j) / (j + 1),
+    which holds for j >= 1.
+    """
+    values = [rational_ladder(gamma, lo - 1, 0)[0]]
+    for j in range(lo - 1, hi + 1):
+        values.append(values[-1] * (2 * gamma + j) / (j + 1))
+    return [(values[i + 2] - values[i]) / (2 * (m + gamma)) for i, m in enumerate(range(lo, hi + 1))]
 
 
 def even_charpoly(gamma: float | Fraction, n: int) -> CharPoly:
@@ -83,35 +85,8 @@ def even_charpoly(gamma: float | Fraction, n: int) -> CharPoly:
     gamma = exact_gamma(gamma)
     if n % 2 != 0 or n < 4:
         raise ValueError(f"even modes need even n >= 4, got {n}")
-    deg = (n - 2) // 2
-    if gamma > 0.5:
-        return CharPoly(rational_ladder(gamma - 1, n - 1, 2 * deg)[::2])
-    const = (_value(gamma, n - 1) - _value(gamma, n - 3)) / (2 * (gamma + n - 2))
-    return CharPoly([const] + rational_ladder(gamma, n - 2, 2 * deg - 1)[1::2])
-
-
-def _odd_direct(gamma: Fraction, n: int) -> list[Fraction]:
-    d = rational_ladder(gamma - 2, n, n - 2)
-    return [a - b for a, b in zip(d[::2], d[1::2])]
-
-
-def _odd_semi(gamma: Fraction, n: int) -> list[Fraction]:
-    g = gamma - 1
-    d = rational_ladder(g, n - 1, n - 3)
-    const = (_value(g, n) - _value(g, n - 2)) / (2 * (n + gamma - 2)) - d[0]
-    return [const] + [a - b for a, b in zip(d[1::2], d[2::2])]
-
-
-def _odd_integrated(gamma: Fraction, n: int) -> list[Fraction]:
-    # double integration of the residual identity at index gamma, with the
-    # integration constants fixed by parity and the two boundary conditions;
-    # all values-at-zero cancel and only endpoint data survives
-    g = gamma
-    d = rational_ladder(g, n - 2, n - 4)
-    t1 = (_value(g, n) - d[0]) / (2 * (n - 1 + g))
-    t2 = (d[0] - _value(g, n - 4)) / (2 * (n - 3 + g))
-    const = (t1 - t2 - _value(g, n - 1) + _value(g, n - 3)) / (2 * (n + g - 2))
-    return [const] + [a - b for a, b in zip(d[::2], d[1::2])]
+    [const] = _antiderivative_constants(gamma, n - 2, n - 2)
+    return CharPoly([const] + rational_ladder(gamma, n - 2, n - 3)[1::2])
 
 
 def odd_charpoly(gamma: float | Fraction, n: int) -> CharPoly:
@@ -119,11 +94,13 @@ def odd_charpoly(gamma: float | Fraction, n: int) -> CharPoly:
     gamma = exact_gamma(gamma)
     if n % 2 != 1 or n < 5:
         raise ValueError(f"odd modes need odd n >= 5, got {n}")
-    if gamma > 1.5:
-        return CharPoly(_odd_direct(gamma, n))
-    if gamma > 0.5:
-        return CharPoly(_odd_semi(gamma, n))
-    return CharPoly(_odd_integrated(gamma, n))
+    # double integration of the residual identity, with the integration
+    # constants fixed by parity and the two boundary conditions; all
+    # values-at-zero cancel and only endpoint data survives
+    p3, p2, p1 = _antiderivative_constants(gamma, n - 3, n - 1)
+    d = rational_ladder(gamma, n - 2, n - 4)
+    const = (p1 - p3) / (2 * (n - 2 + gamma)) - p2
+    return CharPoly([const] + [a - b for a, b in zip(d[::2], d[1::2])])
 
 
 def second_order_pair(gamma: float | Fraction, n: int) -> tuple[CharPoly, CharPoly]:
@@ -150,7 +127,7 @@ def stability_poly(gamma: float | Fraction, n: int) -> CharPoly:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     coeffs = rational_ladder(gamma, n, n)
-    coeffs[0] += (_value(gamma, n - 1) - _value(gamma, n + 1)) / (2 * (n + gamma))
+    coeffs[0] -= _antiderivative_constants(gamma, n, n)[0]
     return CharPoly(coeffs)
 
 

@@ -25,7 +25,8 @@ from gegtau.analysis import (
     suite_theorem_range,
     tan_fixed_point,
 )
-from gegtau.charpoly import CharPoly, stability_poly
+from gegtau import analysis
+from gegtau.charpoly import CharPoly, second_order_pair, stability_poly
 from gegtau.gegenbauer import evaluate, rational_ladder
 from gegtau.pencil import MethodConfig
 from gegtau.spectra import pencil_lambdas, spectrum_report
@@ -219,6 +220,21 @@ def test_equivalence_remark_check():
     rep = equivalence_suite(1.25, 12, tol=1e-8)
     assert rep.passed
     assert rep.deviations["even4th_vs_odd2nd"] <= 1e-8
+
+
+def test_equivalence_remark_check_reads_gamma_exactly(monkeypatch):
+    # (iv) builds Omega at gamma - 1 from gamma's shortest decimal: float
+    # subtraction first would give 1.1 - 1.0 = 0.10000000000000009
+    seen = []
+
+    def recording(gamma, n):
+        seen.append(gamma)
+        return second_order_pair(gamma, n)
+
+    monkeypatch.setattr(analysis, "second_order_pair", recording)
+    rep = equivalence_suite(1.1, 8, tol=1e-8)
+    assert seen == [Fraction(1, 10)]
+    assert rep.passed
 
 
 def test_equivalence_legendre_counts():

@@ -9,9 +9,6 @@ from numpy.testing import assert_allclose
 from gegtau.charpoly import (
     CharPoly,
     _max_abs,
-    _odd_direct,
-    _odd_integrated,
-    _odd_semi,
     even_charpoly,
     odd_charpoly,
     second_order_pair,
@@ -30,11 +27,27 @@ def _value(g, n):
     return rational_ladder(g, n, 0)[0]
 
 
-def _even_integrated(g, n):
-    """The gamma <= 1/2 even construction, at any gamma (bridge oracle)."""
-    deg = (n - 2) // 2
-    const = (_value(g, n - 1) - _value(g, n - 3)) / (2 * (g + n - 2))
-    return [const] + rational_ladder(g, n - 2, 2 * deg - 1)[1::2]
+# The constructions the builders used above gamma 1/2 and 3/2, at a lower
+# index: exact multiples of the index-gamma forms (bridge oracles).
+
+
+def _even_direct(g, n):
+    """The former gamma > 1/2 even form: D^{2k} G_{n-1}(1) at index gamma - 1."""
+    return rational_ladder(g - 1, n - 1, n - 2)[::2]
+
+
+def _odd_semi(g, n):
+    """The former 1/2 < gamma <= 3/2 odd form, semi-integrated at index gamma - 1."""
+    h = g - 1
+    d = rational_ladder(h, n - 1, n - 3)
+    const = (_value(h, n) - _value(h, n - 2)) / (2 * (n + g - 2)) - d[0]
+    return [const] + [a - b for a, b in zip(d[1::2], d[2::2])]
+
+
+def _odd_direct(g, n):
+    """The former gamma > 3/2 odd form: D^{2k} G_n(1) - D^{2k+1} G_n(1) at index gamma - 2."""
+    d = rational_ladder(g - 2, n, n - 2)
+    return [a - b for a, b in zip(d[::2], d[1::2])]
 
 
 # ---------------------------------------------------------------------------
@@ -94,20 +107,20 @@ def test_even_bridge_identity(gamma):
     # exactly
     g = exact_gamma(gamma)
     for n in range(4, 21, 2):
-        direct = even_charpoly(gamma, n).mu_coeffs  # gamma > 1/2 branch
-        integrated = _even_integrated(g, n)
+        direct = _even_direct(g, n)
+        integrated = even_charpoly(gamma, n).mu_coeffs
         assert len(direct) == len(integrated)
         for cd, ci in zip(direct, integrated):
             assert ci != 0 and cd / ci == 2 * g
 
 
 def test_even_branch_overlap_near_half():
-    # just above the Legendre index both branches exist and agree up to scale
-    # exactly: the coefficients differ by the factor 2 gamma, so their
-    # normalized roundings are the same floats
+    # just above the Legendre index the former direct form exists and agrees
+    # up to scale exactly: the coefficients differ by the factor 2 gamma, so
+    # their normalized roundings are the same floats
     g = 0.5 + 1e-6
-    direct = even_charpoly(g, 12).normalized_coeffs()
-    integ = CharPoly(_even_integrated(exact_gamma(g), 12)).normalized_coeffs()
+    direct = CharPoly(_even_direct(exact_gamma(g), 12)).normalized_coeffs()
+    integ = even_charpoly(g, 12).normalized_coeffs()
     assert np.array_equal(direct, integ)
 
 
@@ -161,17 +174,38 @@ def test_odd_single_sign_mid_branch(gamma):
         assert np.all(c < 0.0) or np.all(c > 0.0)
 
 
-@pytest.mark.parametrize("gamma", [1.5 + 1e-6, 2.0, 3.0])
+@pytest.mark.parametrize("gamma", [0.6, 1.0, 1.5 + 1e-6, 2.0, 3.0])
 def test_odd_bridge_identity(gamma):
-    # direct (index gamma-2) equals 2(gamma-1) times the semi-integrated
-    # form, exactly
+    # semi-integrated (index gamma-1) equals 2 gamma times the twice-integrated
+    # form at index gamma, and direct (index gamma-2) 4 gamma (gamma-1) times
+    # it, exactly
     g = exact_gamma(gamma)
     for n in (5, 11, 21):
-        direct = _odd_direct(g, n)
+        integrated = odd_charpoly(gamma, n).mu_coeffs
         semi = _odd_semi(g, n)
-        assert len(direct) == len(semi)
-        for cd, cs in zip(direct, semi):
-            assert cs != 0 and cd / cs == 2 * (g - 1)
+        assert len(semi) == len(integrated)
+        for cs, ci in zip(semi, integrated):
+            assert ci != 0 and cs / ci == 2 * g
+        if g > 1.5:
+            direct = _odd_direct(g, n)
+            assert len(direct) == len(integrated)
+            for cd, ci in zip(direct, integrated):
+                assert cd / ci == 4 * g * (g - 1)
+
+
+@pytest.mark.parametrize("gamma", [0.500001, 0.6, 1.0, 1.499999, 1.5, 1.500001, 2.0, 3.5, 10.0])
+def test_normalized_coeffs_match_former_branches(gamma):
+    # the exact factors between the forms are positive, so dividing by the
+    # largest magnitude gives the same floats as the former branch did
+    g = exact_gamma(gamma)
+    for n in range(4, 81):
+        if n % 2 == 0:
+            got, former = even_charpoly(gamma, n), _even_direct(g, n)
+        elif n >= 5:
+            got, former = odd_charpoly(gamma, n), (_odd_direct if g > 1.5 else _odd_semi)(g, n)
+        else:
+            continue
+        assert np.array_equal(got.normalized_coeffs(), CharPoly(former).normalized_coeffs()), n
 
 
 def test_odd_branch_continuity_at_threshold():
@@ -262,15 +296,15 @@ def test_builders_match_per_coefficient_oracle(gamma):
     for n in range(4, 49, 2):
         deg = (n - 2) // 2
         got = even_charpoly(gamma, n).mu_coeffs
-        if G > 0.5:
-            want = [d(G - 1, n - 1, 2 * k) for k in range(deg + 1)]
-        else:
-            want = [(v(G, n - 1) - v(G, n - 3)) / (2 * (G + n - 2))]
-            want += [d(G, n - 2, 2 * k - 1) for k in range(1, deg + 1)]
+        want = [(v(G, n - 1) - v(G, n - 3)) / (2 * (G + n - 2))]
+        want += [d(G, n - 2, 2 * k - 1) for k in range(1, deg + 1)]
         assert got == want
+        if G > 0.5:
+            assert _even_direct(G, n) == [d(G - 1, n - 1, 2 * k) for k in range(deg + 1)]
         built.append(got)
     for n in range(5, 50, 2):
         ks = range(1, (n - 1) // 2)
+        # the former branches' forms, built in this file as bridge oracles
         g = G - 2
         if g > -0.5:
             assert _odd_direct(G, n) == [d(g, n, 2 * k) - d(g, n, 2 * k + 1) for k in range(len(ks) + 1)]
@@ -284,8 +318,9 @@ def test_builders_match_per_coefficient_oracle(gamma):
         t2 = (v(g, n - 2) - v(g, n - 4)) / (2 * (n - 3 + g))
         const = (t1 - t2 - v(g, n - 1) + v(g, n - 3)) / (2 * (n + g - 2))
         want = [const] + [d(g, n - 2, 2 * k - 2) - d(g, n - 2, 2 * k - 1) for k in ks]
-        assert _odd_integrated(G, n) == want
-        built.append(odd_charpoly(gamma, n).mu_coeffs)
+        got = odd_charpoly(gamma, n).mu_coeffs
+        assert got == want
+        built.append(got)
     for n in range(2, 49):
         om, th = second_order_pair(gamma, n)
         assert om.mu_coeffs == [d(G, n, 2 * k) for k in range(n // 2 + 1)]
@@ -331,7 +366,7 @@ def test_max_abs_prefilter_matches_full_max(gamma):
 # |log_mag| eps, so they agree with the exact coefficients to about 5e-13.
 # Next to a cancellation they lose more (at gamma 0.500001 the integrated
 # constant terms are off by 2.9e-11), which is why gamma 1/2 + 1e-6 is not
-# in the grid; the exact bridge test above covers it.
+# in the grid; the exact former-branch tests above cover it.
 
 
 def _log_add(a, b):
@@ -407,9 +442,11 @@ PARENT_GAMMAS = [-0.45, -0.25, 0.0, 0.3, 0.5, 0.6, 0.7, 1.0, 1.499999, 1.5, 1.50
 @pytest.mark.parametrize("gamma", PARENT_GAMMAS)
 def test_exact_builders_match_log_space_parent(gamma):
     for n in range(4, 120):
+        omega, theta = second_order_pair(gamma, n)
+        ladder = _log_ladder(gamma, n, n)
         cases = [
-            (second_order_pair(gamma, n)[0], _log_ladder(gamma, n, n)[::2]),
-            (second_order_pair(gamma, n)[1], _log_ladder(gamma, n, n)[1::2]),
+            (omega, ladder[::2]),
+            (theta, ladder[1::2]),
             (stability_poly(gamma, n), _log_stability(gamma, n)),
         ]
         if n % 2 == 0:

@@ -294,11 +294,11 @@ def test_endpoint_rows_work_bound(monkeypatch):
 
 
 CHARPOLY_BUILDERS = [
-    (charpoly.even_charpoly, 0.3, 400),  # integrated branch
-    (charpoly.even_charpoly, 1.0, 400),  # direct branch, at gamma - 1
-    (charpoly.odd_charpoly, 0.3, 401),  # twice-integrated
-    (charpoly.odd_charpoly, 1.0, 401),  # semi-integrated
-    (charpoly.odd_charpoly, 2.0, 401),  # direct
+    (charpoly.even_charpoly, 0.3, 400),  # below the former gamma 1/2 split
+    (charpoly.even_charpoly, 1.0, 400),  # above it
+    (charpoly.odd_charpoly, 0.3, 401),  # below the former 1/2 and 3/2 splits
+    (charpoly.odd_charpoly, 1.0, 401),  # between them
+    (charpoly.odd_charpoly, 2.0, 401),  # above both
     (charpoly.second_order_pair, 1.0, 400),
     (charpoly.stability_poly, 0.3, 400),
 ]
