@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
 from . import __version__, analysis
@@ -275,8 +275,19 @@ def cmd_sweep(args, argv: list[str]) -> int:
         argv,
         {"grid": {"gammas": gammas, "ns": ns, "method": kind, "alpha": args.alpha}},
     )
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        rows = list(pool.map(lambda p: _sweep_point(kind, p[0], p[1], args.alpha), grid))
+    def point(p: tuple[float, int]) -> str:
+        return _sweep_point(kind, p[0], p[1], args.alpha)
+
+    if args.jobs == 1:
+        rows = list(map(point, grid))
+    else:
+        # imported here, its only use: concurrent.futures (with logging and
+        # queue) is about 7 ms of the CLI's import time.  The solves hold
+        # the GIL, so threads give the same rows but never a faster sweep
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(point, grid))
     lines = ["# manifest: " + dumps(manifest), SWEEP_CSV_HEADER] + rows
     _write("\n".join(lines), args.out)
     return EXIT_OK

@@ -17,6 +17,7 @@ mu's; |mu| below a relative cutoff maps to the near-infinite lambda class.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,11 +79,27 @@ class Pencil:
         return self.A.shape[0]
 
 
+# The two builders below depend on (gamma, n[, alpha]) alone, so both parity
+# ladders of a configuration slice one cached, read-only result.  One entry
+# each: a spectrum solves its ladders back to back, and every entry kept
+# holds two (n+1)^2 matrices.
+@functools.lru_cache(maxsize=1)
 def _operator(gamma: float, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient-space matrices of (D^2 - a^2) and its square."""
+    """Coefficient-space matrices of (D^2 - a^2) and its square, read-only."""
     d = deriv_matrix(gamma, n + 1)
     ell = d @ d - (alpha * alpha) * np.eye(n + 1)
-    return ell, ell @ ell
+    ell2 = ell @ ell
+    ell.flags.writeable = ell2.flags.writeable = False
+    return ell, ell2
+
+
+@functools.lru_cache(maxsize=1)
+def _collocation_table(gamma: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The interior nodes and E[i, j] = G_j(node_i), j = 0..n, read-only."""
+    nodes = lobatto_interior_nodes(gamma, n)
+    e = basis_matrix(gamma, n, nodes)
+    nodes.flags.writeable = e.flags.writeable = False
+    return nodes, e
 
 
 def _columns(n: int, parity: str | None) -> np.ndarray:
@@ -143,6 +160,9 @@ def assemble(config: MethodConfig, parity: str | None = None) -> Pencil:
     when ``config.parity_split`` is set (alpha = 0 only).  Tau (and so
     Galerkin and inviscid Galerkin) and collocation differ only in their
     residual rows: coefficients 0..n-4, or values at the interior nodes.
+    Both ladders of one configuration share its operator (and collocation
+    nodes and basis table), built once and read-only; the returned pencil
+    is a fresh pair of arrays.
     """
     if config.parity_split and parity is None:
         raise ValueError("parity_split config needs parity='even' or 'odd'")
@@ -155,16 +175,16 @@ def assemble(config: MethodConfig, parity: str | None = None) -> Pencil:
     cols = _columns(n, parity)
     ell, ell2 = _operator(gamma, n, alpha)
     if config.kind == "collocation":
-        nodes = lobatto_interior_nodes(gamma, n)
-        if parity is None:
-            # the operands as they are: a copy indexed by all degrees
-            # changes BLAS's rounding in the last bits
-            e = basis_matrix(gamma, n, nodes)
-        else:
+        # the full ladder takes the operands as they are: a copy indexed by
+        # all degrees changes BLAS's rounding in the last bits
+        nodes, e = _collocation_table(gamma, n)
+        if parity is not None:
             # an odd residual vanishes identically at x = 0, so the origin
-            # node belongs to the even ladder; strictly positive nodes serve both
+            # node belongs to the even ladder; strictly positive nodes serve
+            # both.  Rows first, then columns: e[np.ix_(sel, cols)] is laid
+            # out otherwise and moves BLAS's rounding too.
             sel = nodes >= 0.0 if parity == "even" else nodes > 0.0
-            e = basis_matrix(gamma, n, nodes[sel])[:, cols]
+            e = e[sel][:, cols]
             ell, ell2 = ell[np.ix_(cols, cols)], ell2[np.ix_(cols, cols)]
         a_top, b_top = e @ ell2, e @ ell
     else:

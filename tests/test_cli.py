@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -191,7 +192,9 @@ def test_endpoint_overflow_is_numerical_diagnostic(capsys, method, gamma, n, j):
 def test_import_cli_skips_scipy_special():
     src = str(Path(gegtau.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = "import gegtau.cli, sys; assert 'scipy.special' not in sys.modules"
+    # concurrent.futures too: only a sweep at --jobs 2 or more imports it
+    lazy = ("scipy.special", "concurrent.futures")
+    code = f"import gegtau.cli, sys; assert not {lazy!r} & sys.modules.keys()"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),
@@ -254,7 +257,7 @@ def test_spectrum_collocation_duplicate_node_cases_solve(capsys, gamma, n, parit
     assert len(doc["spectrum"]["eigenvalues"]) == expected
 
 
-def test_node_search_failure_exit_code(monkeypatch, capsys):
+def test_node_search_failure_exit_code(monkeypatch, capsys, cold_pencil_caches):
     monkeypatch.setattr(gegenbauer, "_newton_all", lambda f, fp, seeds, fscale: seeds * np.nan)
     code = cli.main(["spectrum", "--method", "collocation", "--gamma", "1", "--n", "12"])
     assert code == 3
@@ -287,6 +290,27 @@ def test_spectrum_assembles_each_ladder_once(monkeypatch, capsys, method, parity
     )
     assert code == 0
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize(
+    "method, builder", [("collocation", "lobatto_interior_nodes"), ("tau", "deriv_matrix")]
+)
+def test_spectrum_builds_shared_ingredients_once(
+    monkeypatch, capsys, cold_pencil_caches, method, builder
+):
+    # both parity ladders slice one operator (and collocation table)
+    calls = []
+    original = getattr(pencil, builder)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pencil, builder, counted)
+    argv = ["spectrum", "--method", method, "--gamma", "1.3", "--n", "14", "--parity", "both"]
+    code, _ = run(argv, capsys)
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_usage_error_exit_code(capsys):
@@ -435,12 +459,21 @@ def test_sweep_complex_onset_beyond_seven_halves(capsys, gamma, onset):
     assert [r["n"] for r in parse_sweep(out) if r["complex"] > 0] == [onset]
 
 
-def test_sweep_jobs_deterministic(capsys):
+def test_sweep_jobs_deterministic(monkeypatch, capsys):
     argv = ["sweep", "--method", "tau", "--gamma-range", "0:2:0.5", "--n-range", "8:12:2"]
-    _, seq = run(argv + ["--jobs", "1"], capsys)
     _, par = run(argv + ["--jobs", "4"], capsys)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("sweep started a thread pool")
+
+    # --jobs 1 solves in the calling thread, with no executor at all
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+    code, seq = run(argv + ["--jobs", "1"], capsys)
+    assert code == 0
     # manifests differ in the --jobs flag; the data rows must be identical
     assert seq.split("\n")[1:] == par.split("\n")[1:]
+    with pytest.raises(AssertionError, match="thread pool"):
+        cli.main(argv + ["--jobs", "2"])  # the patch reaches the pooled path
 
 
 def test_sweep_jobs_share_endpoint_ladders(capsys):

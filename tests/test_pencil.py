@@ -19,6 +19,7 @@ from gegtau.pencil import (
     KINDS,
     MethodConfig,
     Pencil,
+    _collocation_table,
     _equilibrate,
     _nullspace_by_elimination,
     _operator,
@@ -135,7 +136,7 @@ def _oracle_parity_indices(n, parity):
 
 
 def _oracle_tau(gamma, n, alpha, parity):
-    ell, ell2 = _operator(gamma, n, alpha)
+    ell, ell2 = _operator.__wrapped__(gamma, n, alpha)
     g1, dg1 = _oracle_endpoint_rows(gamma, n)
     if parity is None:
         rows = np.arange(n - 3)
@@ -152,7 +153,7 @@ def _oracle_tau(gamma, n, alpha, parity):
 
 
 def _oracle_modified(gamma, n, alpha):
-    ell, _ = _operator(gamma, n, alpha)
+    ell, _ = _operator.__wrapped__(gamma, n, alpha)
     g1, dg1 = _oracle_endpoint_rows(gamma, n)
     dim, nrow = 2 * (n + 1), n - 1
     a, b = np.zeros((dim, dim)), np.zeros((dim, dim))
@@ -171,7 +172,7 @@ def _oracle_modified(gamma, n, alpha):
 
 def _oracle_collocation(gamma, n, alpha, parity):
     nodes = lobatto_interior_nodes(gamma, n)
-    ell, ell2 = _operator(gamma, n, alpha)
+    ell, ell2 = _operator.__wrapped__(gamma, n, alpha)
     g1, dg1 = _oracle_endpoint_rows(gamma, n)
     if parity is None:
         e = basis_matrix(gamma, n, nodes)
@@ -213,6 +214,13 @@ def test_assemble_matches_parent_oracle(kind):
                     assert _same_bytes(got.A, want.A) and np.array_equal(got.A, want.A), (config, parity)
                     assert _same_bytes(got.B, want.B) and np.array_equal(got.B, want.B), (config, parity)
                     assert got.bc_rows == want.bc_rows
+
+
+def test_shared_ingredients_are_read_only():
+    # both parity ladders of a configuration slice these cached arrays
+    for a in _operator(1.3, 14, 0.0) + _collocation_table(1.3, 14):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
