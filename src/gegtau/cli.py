@@ -275,19 +275,9 @@ def cmd_sweep(args, argv: list[str]) -> int:
         argv,
         {"grid": {"gammas": gammas, "ns": ns, "method": kind, "alpha": args.alpha}},
     )
-    def point(p: tuple[float, int]) -> str:
-        return _sweep_point(kind, p[0], p[1], args.alpha)
-
-    if args.jobs == 1:
-        rows = list(map(point, grid))
-    else:
-        # imported here, its only use: concurrent.futures (with logging and
-        # queue) is about 7 ms of the CLI's import time.  The solves hold
-        # the GIL, so threads give the same rows but never a faster sweep
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(point, grid))
+    # every --jobs value solves in the calling thread: the solves hold the
+    # GIL, so threads would only add cost
+    rows = [_sweep_point(kind, g, n, args.alpha) for g, n in grid]
     lines = ["# manifest: " + dumps(manifest), SWEEP_CSV_HEADER] + rows
     _write("\n".join(lines), args.out)
     return EXIT_OK
@@ -392,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--gamma-range", required=True, metavar="A:B:STEP")
     sw.add_argument("--n-range", required=True, metavar="A:B:STEP")
     sw.add_argument("--alpha", type=float, default=0.0)
+    # accepted and validated, but every value solves serially (see cmd_sweep)
     sw.add_argument("--jobs", type=int, default=1)
     sw.add_argument("--out", default=None)
 

@@ -80,7 +80,7 @@ def _log_ladder(gamma: float, size: int) -> tuple[float, ...]:
     ladder serves every degree below it and a process keeps a few ladders
     per gamma.  ``accumulate`` adds the terms left to right, so entry k is
     the same float as a running sum over j = 1..k.  The tuple is immutable
-    because every caller, on any thread, shares it.
+    because every caller shares it.
     """
     terms = (math.log(2.0 * gamma + j) - math.log(j + 1.0) for j in range(1, size))
     return tuple(itertools.accumulate(terms, initial=0.0))
