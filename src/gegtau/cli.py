@@ -100,23 +100,15 @@ def _write(text: str, out: str | None) -> None:
 # spectrum
 
 
-def _parity_split(kind: str, alpha: float) -> bool:
-    """Whether the CLI solves the parity ladders apart: alpha 0, any method but modified tau."""
-    return alpha == 0.0 and kind != "modified_tau"
-
-
 def _config_from_args(args) -> MethodConfig:
     kind = METHOD_NAMES[args.method]
-    split = _parity_split(kind, args.alpha)
-    if args.parity in ("even", "odd") and not split:
-        raise ValueError("single-parity spectra need alpha = 0 and a parity-decoupling method")
-    return MethodConfig(kind, args.gamma, args.n, alpha=args.alpha, parity_split=split)
+    return MethodConfig(kind, args.gamma, args.n, alpha=args.alpha, parity_split=True)
 
 
 def _report_rows(report: SpectrumReport, residuals: list[float]) -> list[dict]:
     rows = []
     for i, (lam, cls) in enumerate(zip(report.eigenvalues, report.classes)):
-        par = report.parities[i] if report.parities is not None else None
+        par = report.parities[i]
         if cls == NEAR_INFINITE:
             re_part, im_part = None, None
         else:
@@ -148,7 +140,7 @@ def _eigen_residuals(report: SpectrumReport) -> list[float]:
     smin: dict[tuple, float] = {}  # (parity, Re mu, |Im mu|) -> sigma_min
     out: list[float] = []
     for i, (lam, cls) in enumerate(zip(report.eigenvalues, report.classes)):
-        par = report.parities[i] if report.parities is not None else None
+        par = report.parities[i]
         m, norm, eye = ladders[par]
         mu = 0j if cls == NEAR_INFINITE else 1.0 / lam
         key = (par, mu.real, abs(mu.imag))
@@ -216,8 +208,7 @@ def cmd_spectrum(args, argv: list[str]) -> int:
         for i, r in enumerate(rows):
             re_s = "" if r["re"] is None else _fmt_float(r["re"])
             im_s = "" if r["im"] is None else _fmt_float(r["im"])
-            par = r["parity"] or ""
-            lines.append(f'{i},{re_s},{im_s},{r["class"]},{par},{_fmt_float(r["residual"])}')
+            lines.append(f'{i},{re_s},{im_s},{r["class"]},{r["parity"]},{_fmt_float(r["residual"])}')
         _write("\n".join(lines), args.out)
     return EXIT_OK
 
@@ -247,7 +238,7 @@ def _parse_range(spec: str, integer: bool) -> list:
 
 
 def _sweep_point(kind: str, gamma: float, n: int, alpha: float) -> str:
-    config = MethodConfig(kind, gamma, n, alpha=alpha, parity_split=_parity_split(kind, alpha))
+    config = MethodConfig(kind, gamma, n, alpha=alpha, parity_split=True)
     report = spectrum_report(config)
     finite = report.finite_eigenvalues()
     if finite:

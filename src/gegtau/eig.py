@@ -147,8 +147,9 @@ class SpectrumReport:
     distinct: bool
     interlaced: bool | None
     parities: list[str] | None = None
-    # parity ("even", "odd", or None for the coupled system) -> the reduced
-    # matrix M of that ladder, as solved by the pencil route; empty otherwise
+    # parity ("even", "odd", or None for the coupled system, which the CLI
+    # never solves) -> the reduced matrix M of that ladder, as solved by the
+    # pencil route; empty otherwise
     reduced: dict = field(default_factory=dict)
 
     def count(self, label: str) -> int:

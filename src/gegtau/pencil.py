@@ -44,7 +44,12 @@ class SingularReductionError(RuntimeError):
 
 @dataclass(frozen=True)
 class MethodConfig:
-    """One discretization: method kind, weight index, degree, wavenumber."""
+    """One discretization: method kind, weight index, degree, wavenumber.
+
+    ``parity_split`` solves the even and odd ladders apart, as the CLI does
+    for every configuration; without it the coupled pencil is solved, the
+    reference that the ladders are checked against.
+    """
 
     kind: str
     gamma: float
@@ -60,10 +65,6 @@ class MethodConfig:
             raise ValueError(f"need polynomial degree n >= 4, got {self.n}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):
             raise ValueError(f"wavenumber alpha must be finite and >= 0, got {self.alpha}")
-        if self.parity_split and self.alpha != 0.0:
-            raise ValueError("parity decoupling requires alpha = 0")
-        if self.parity_split and self.kind == "modified_tau":
-            raise ValueError("parity_split is not supported for modified_tau")
 
 
 @dataclass
@@ -156,13 +157,14 @@ def _with_constraints(a_top: np.ndarray, b_top: np.ndarray, constraint_rows: np.
 def assemble(config: MethodConfig, parity: str | None = None) -> Pencil:
     """Build the pencil for one method configuration.
 
-    ``parity`` selects the even or odd sub-ladder and is required exactly
-    when ``config.parity_split`` is set (alpha = 0 only).  Tau (and so
-    Galerkin and inviscid Galerkin) and collocation differ only in their
-    residual rows: coefficients 0..n-4, or values at the interior nodes.
-    Both ladders of one configuration share its operator (and collocation
-    nodes and basis table), built once and read-only; the returned pencil
-    is a fresh pair of arrays.
+    ``parity`` selects the even or odd sub-ladder, for any kind and alpha:
+    (D^2 - a^2) keeps the parity of a Gegenbauer series.  It is required
+    exactly when ``config.parity_split`` is set.  Tau (and so Galerkin and
+    inviscid Galerkin), collocation and modified tau differ only in their
+    residual rows: coefficients 0..n-4, values at the interior nodes, or
+    the (u, v) rows up to degree n-2.  Both ladders of one configuration
+    share its operator (and collocation nodes and basis table), built once
+    and read-only; the returned pencil is a fresh pair of arrays.
     """
     if config.parity_split and parity is None:
         raise ValueError("parity_split config needs parity='even' or 'odd'")
@@ -170,11 +172,22 @@ def assemble(config: MethodConfig, parity: str | None = None) -> Pencil:
         raise ValueError("parity given but config.parity_split is False")
     n, alpha = config.n, config.alpha
     gamma = config.gamma + GAMMA_SHIFT.get(config.kind, 0.0)
-    if config.kind == "modified_tau":
-        return _assemble_modified(gamma, n, alpha)
     cols = _columns(n, parity)
     ell, ell2 = _operator(gamma, n, alpha)
-    if config.kind == "collocation":
+    constraints = _boundary_rows(gamma, cols, parity is None)
+    if config.kind == "modified_tau":
+        # unknowns (u, v), v = (D^2-a^2)u, both of degree n: dynamic rows
+        # mu (L v)_k = v_k and coupling rows (L u)_k - v_k = 0 for k <= n-2,
+        # then the boundary rows on u
+        rows = cols[cols <= n - 2]
+        ell_rows = ell[np.ix_(rows, cols)]
+        eye = (rows[:, None] == cols[None, :]).astype(float)
+        zero = np.zeros(ell_rows.shape)
+        a_top, b_top = np.hstack([zero, ell_rows]), np.hstack([zero, eye])
+        constraints = np.vstack(
+            [np.hstack([ell_rows, -eye]), np.hstack([constraints, np.zeros(constraints.shape)])]
+        )
+    elif config.kind == "collocation":
         # the full ladder takes the operands as they are: a copy indexed by
         # all degrees changes BLAS's rounding in the last bits
         nodes, e = _collocation_table(gamma, n)
@@ -190,26 +203,10 @@ def assemble(config: MethodConfig, parity: str | None = None) -> Pencil:
     else:
         rows = cols[cols <= n - 4]
         a_top, b_top = ell2[np.ix_(rows, cols)], ell[np.ix_(rows, cols)]
-    p = _with_constraints(a_top, b_top, _boundary_rows(gamma, cols, parity is None))
-    if p.dim != cols.size:
-        raise ValueError(f"{config.kind} pencil is not square at n={n} ({p.dim} rows, {cols.size} cols)")
+    p = _with_constraints(a_top, b_top, constraints)
+    if p.dim != p.A.shape[1]:
+        raise ValueError(f"{config.kind} pencil is not square at n={n} ({p.dim} rows, {p.A.shape[1]} cols)")
     return p
-
-
-def _assemble_modified(gamma: float, n: int, alpha: float) -> Pencil:
-    """Coupled (u, v) system: Lu = v and Lv = lambda v, both truncated at n-2.
-
-    Both u and v keep full degree n, so the system has 2n+2 unknowns:
-    n-1 dynamic rows, n-1 coupling rows, 4 boundary rows on u.
-    """
-    ell, _ = _operator(gamma, n, alpha)
-    nrow = n - 1
-    eye = np.eye(n + 1)[:nrow]
-    zero = np.zeros((nrow, n + 1))
-    bc = _boundary_rows(gamma, _columns(n, None), coupled=True)
-    # dynamic rows mu (L v)_k = v_k; coupling rows (L u)_k - v_k = 0
-    coupling = np.vstack([np.hstack([ell[:nrow], -eye]), np.hstack([bc, np.zeros(bc.shape)])])
-    return _with_constraints(np.hstack([zero, ell[:nrow]]), np.hstack([zero, eye]), coupling)
 
 
 def _nullspace_by_elimination(c: np.ndarray) -> np.ndarray:

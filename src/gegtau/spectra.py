@@ -13,8 +13,6 @@ matrix ``M`` of each ladder in ``SpectrumReport.reduced``, so consumers
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .charpoly import CharPoly, even_charpoly, odd_charpoly
@@ -92,17 +90,18 @@ def _classified(config: MethodConfig, ladders: tuple[str | None, ...]) -> Spectr
 def spectrum_report(config: MethodConfig) -> SpectrumReport:
     """Classified spectrum for one configuration.
 
-    With ``config.parity_split`` the even and odd ladders are computed
-    separately and merged with parity tags, enabling the interlacing check;
-    otherwise the full coupled pencil is solved and no parity information
-    is attached.
+    With ``config.parity_split`` (every method, every alpha; the CLI always
+    sets it) the even and odd ladders are computed separately and merged
+    with parity tags, enabling the interlacing check; otherwise the full
+    coupled pencil is solved and no parity information is attached.
     """
     ladders = ("even", "odd") if config.parity_split else (None,)
     return _classified(config, ladders)
 
 
 def single_parity_report(config: MethodConfig, parity: str) -> SpectrumReport:
-    """Spectrum of one parity ladder only (interlacing not applicable)."""
-    report = _classified(dataclasses.replace(config, parity_split=True), (parity,))
+    """Spectrum of one parity ladder of a ``parity_split`` config (interlacing
+    not applicable)."""
+    report = _classified(config, (parity,))
     report.interlaced = None
     return report

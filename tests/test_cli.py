@@ -216,13 +216,18 @@ def test_spectrum_csv_format(capsys):
     assert len(lines) == 2 + 8 - 3
 
 
-def test_spectrum_single_parity_needs_decoupling(capsys):
-    code, _ = run(
-        ["spectrum", "--method", "tau", "--gamma", "0", "--n", "8", "--alpha", "0.1",
-         "--parity", "even"],
+@pytest.mark.parametrize("parity", ["even", "odd"])
+@pytest.mark.parametrize("method", sorted(cli.METHOD_NAMES))
+def test_spectrum_single_parity_at_positive_alpha(capsys, method, parity):
+    # (D^2 - a^2) keeps parity, so one ladder solves for any method and alpha
+    code, doc = run_json(
+        ["spectrum", "--method", method, "--gamma", "0", "--n", "8", "--alpha", "0.1",
+         "--parity", parity],
         capsys,
     )
-    assert code == 2
+    assert code == 0
+    rows = doc["spectrum"]["eigenvalues"]
+    assert rows and all(r["parity"] == parity for r in rows)
 
 
 def test_spectrum_modified_parity_both_ok(capsys):
@@ -231,7 +236,10 @@ def test_spectrum_modified_parity_both_ok(capsys):
     )
     assert code == 0
     assert doc["spectrum"]["counts"]["near_infinite"] == 2
-    assert doc["spectrum"]["interlaced"] is None
+    assert doc["spectrum"]["interlaced"] is True
+    # one structural infinite mode per parity ladder
+    infinite = [r["parity"] for r in doc["spectrum"]["eigenvalues"] if r["class"] == "near_infinite"]
+    assert infinite == ["even", "odd"]
 
 
 def test_spectrum_modified_large_gamma_solves(capsys):
@@ -281,7 +289,7 @@ def count_assembles(monkeypatch) -> list:
 
 @pytest.mark.parametrize(
     "method, parity, expected",
-    [("tau", "both", 2), ("tau", "even", 1), ("modified", "both", 1)],
+    [("tau", "both", 2), ("tau", "even", 1), ("modified", "both", 2)],
 )
 def test_spectrum_assembles_each_ladder_once(monkeypatch, capsys, method, parity, expected):
     calls = count_assembles(monkeypatch)

@@ -54,10 +54,6 @@ def test_config_validation():
         MethodConfig("tau", -0.6, 10)
     with pytest.raises(ValueError):
         MethodConfig("tau", 0.0, 10, alpha=-1.0)
-    with pytest.raises(ValueError):
-        MethodConfig("tau", 0.0, 10, alpha=0.5, parity_split=True)
-    with pytest.raises(ValueError):
-        MethodConfig("modified_tau", 0.0, 10, parity_split=True)
 
 
 def test_assemble_parity_consistency():
@@ -152,7 +148,18 @@ def _oracle_tau(gamma, n, alpha, parity):
     return Pencil(a, b, [a.shape[0] - 2, a.shape[0] - 1])
 
 
-def _oracle_modified(gamma, n, alpha):
+def _oracle_modified(gamma, n, alpha, parity):
+    if parity is not None:
+        # one parity's u and v columns, its dynamic and coupling rows up to
+        # degree n-2 and the two boundary rows at +1, sliced from the
+        # coupled oracle
+        full, nrow = _oracle_modified(gamma, n, alpha, None), n - 1
+        cols = _oracle_parity_indices(n, parity)
+        rows = cols[cols <= n - 2]
+        keep_rows = np.concatenate([rows, nrow + rows, [2 * nrow, 2 * nrow + 2]])
+        keep_cols = np.concatenate([cols, n + 1 + cols])
+        a, b = full.A[np.ix_(keep_rows, keep_cols)], full.B[np.ix_(keep_rows, keep_cols)]
+        return Pencil(a, b, list(range(rows.size, keep_rows.size)))
     ell, _ = _operator.__wrapped__(gamma, n, alpha)
     g1, dg1 = _oracle_endpoint_rows(gamma, n)
     dim, nrow = 2 * (n + 1), n - 1
@@ -193,7 +200,7 @@ def _oracle_assemble(config, parity):
     if config.kind in GAMMA_SHIFT:
         return _oracle_tau(config.gamma + GAMMA_SHIFT[config.kind], config.n, config.alpha, parity)
     if config.kind == "modified_tau":
-        return _oracle_modified(config.gamma, config.n, config.alpha)
+        return _oracle_modified(config.gamma, config.n, config.alpha, parity)
     return _oracle_collocation(config.gamma, config.n, config.alpha, parity)
 
 
@@ -205,9 +212,7 @@ def _same_bytes(x, y):
 def test_assemble_matches_parent_oracle(kind):
     for gamma in (-0.45, -0.2, 0.0, 0.3, 0.5, 1.0, 1.9, 3.0, 3.5, 4.3, 5.0):
         for n in (5, 8, 9, 13, 24, 33, 48, 64, 96):
-            for alpha, split in ((0.0, True), (0.0, False), (0.5, False)):
-                if split and kind == "modified_tau":
-                    continue
+            for alpha, split in ((0.0, True), (0.0, False), (0.5, False), (0.5, True)):
                 config = MethodConfig(kind, gamma, n, alpha=alpha, parity_split=split)
                 for parity in ("even", "odd") if split else (None,):
                     got, want = assemble(config, parity), _oracle_assemble(config, parity)
@@ -335,10 +340,9 @@ ORACLE_CONFIGS = [
     MethodConfig(kind, gamma, n, alpha=alpha, parity_split=split)
     for kind, split in [("tau", True), ("tau", False), ("galerkin", True),
                         ("inviscid_galerkin", False), ("modified_tau", False),
-                        ("collocation", True), ("collocation", False)]
+                        ("modified_tau", True), ("collocation", True), ("collocation", False)]
     for gamma, n, alpha in [(-0.45, 8, 0.0), (0.5, 13, 0.0), (1.0, 33, 0.0),
                             (4.3, 48, 0.0), (2.0, 24, 0.5)]
-    if alpha == 0.0 or not split
 ] + [
     # 79 and 123 pivots: the elimination's many-pivot regime
     MethodConfig("modified_tau", 5.0, 76),
@@ -463,6 +467,39 @@ def test_collocation_full_and_split_agree():
     lam_e, _, _ = pencil_lambdas(cfg, "even")
     lam_o, _, _ = pencil_lambdas(cfg, "odd")
     assert spectrum_dev(lam_full, np.concatenate([lam_e, lam_o])) < 1e-8
+
+
+# The CLI solves every configuration as two parity ladders; the coupled
+# pencil is their reference.  No gamma + shift is 1/2 here: at Legendre the
+# former infinite pair is ill-conditioned and moves by up to 7.2e-5.
+@pytest.mark.parametrize(
+    "kind, alpha", [(k, a) for k in KINDS for a in (0.5, 3.0)] + [("modified_tau", 0.0)]
+)
+def test_ladders_match_coupled(kind, alpha):
+    classes = ("real_negative", "spurious_positive", "complex_pair", "near_infinite")
+    for gamma in (-0.2, 0.3, 1.9, 3.0, 4.3):
+        for n in range(24, 65, 5):
+            split = spectrum_report(MethodConfig(kind, gamma, n, alpha=alpha, parity_split=True))
+            coupled = spectrum_report(MethodConfig(kind, gamma, n, alpha=alpha))
+            where = (gamma, n)
+            assert [split.count(c) for c in classes] == [coupled.count(c) for c in classes], where
+            assert spectrum_dev(split.finite_eigenvalues(), coupled.finite_eigenvalues()) <= 1e-8, where
+
+
+@pytest.mark.parametrize("kind", ["tau", "inviscid_galerkin", "galerkin", "modified_tau"])
+def test_theorem_range_interlaces_at_positive_alpha(kind):
+    # the Stokes problem keeps the theorem's verdict on 1/2 < gamma + shift
+    # <= 7/2: real, negative, distinct, and even and odd modes interlacing
+    shift = 2.0 if kind == "modified_tau" else GAMMA_SHIFT[kind]
+    for gamma in (0.6, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5):
+        if gamma + shift > 3.5:
+            continue
+        for alpha in (0.5, 1.0, 3.0, 10.0):
+            for n in (16, 24, 32, 48, 64):
+                rep = spectrum_report(MethodConfig(kind, gamma, n, alpha=alpha, parity_split=True))
+                where = (gamma, alpha, n)
+                assert rep.count("real_negative") == len(rep.finite_eigenvalues()) == n - 3, where
+                assert rep.distinct and rep.interlaced is True, where
 
 
 def test_no_zero_eigenvalue():
