@@ -244,8 +244,8 @@ def equivalence_suite(gamma: float, n: int, tol: float) -> EquivalenceReport:
     rep = EquivalenceReport(tol)
 
     def spec(kind: str, g: float) -> np.ndarray:
-        lams, _, _ = pencil_lambdas(MethodConfig(kind, g, n))
-        return lams
+        cfg = MethodConfig(kind, g, n)
+        return np.concatenate([pencil_lambdas(cfg, parity)[0] for parity in ("even", "odd")])
 
     galerkin = spec("galerkin", gamma)
     rep.deviations["galerkin_vs_tau_shift2"] = _spectrum_deviation(galerkin, spec("tau", gamma + 2.0))
@@ -254,8 +254,7 @@ def equivalence_suite(gamma: float, n: int, tol: float) -> EquivalenceReport:
     )
     rep.deviations["modified_vs_galerkin"] = _spectrum_deviation(spec("modified_tau", gamma), galerkin)
     if gamma > 0.5:
-        cfg = MethodConfig("tau", gamma, n, parity_split=True)
-        lam_even, _, _ = pencil_lambdas(cfg, "even")
+        lam_even, _, _ = pencil_lambdas(MethodConfig("tau", gamma, n), "even")
         om, _ = second_order_pair(exact_gamma(gamma) - 1, ladder_degree(n, "even") - 1)
         mus = poly_roots(om.normalized_coeffs()).roots
         lam_second = 1.0 / mus[np.abs(mus) > 0.0]
@@ -355,12 +354,19 @@ def legendre_infinite_mode(n: int, which: int) -> np.ndarray:
 
 
 def legendre_mode_residual(n: int) -> float:
-    """Max scaled residual of both mu = 0 modes in the Legendre tau equations."""
-    p = assemble(MethodConfig("tau", 0.5, n))
+    """Max scaled residual of both mu = 0 modes in the Legendre tau equations.
+
+    Each mode is checked on the parity ladder that holds it: the mode of
+    degree m = n - which has the parity of m, and is zero on the other
+    ladder's degrees.
+    """
+    config = MethodConfig("tau", 0.5, n)
     worst = 0.0
     for which in (4, 5):
-        u = legendre_infinite_mode(n, which)
-        tau_rows = p.B[: n - 3, :]
+        start = (n - which) % 2
+        p = assemble(config, ("even", "odd")[start])
+        u = legendre_infinite_mode(n, which)[start::2]
+        tau_rows = p.B[: p.bc_rows[0], :]
         r = tau_rows @ u
         bc = p.A[p.bc_rows, :] @ u
         scale = float(np.max(np.abs(tau_rows))) * float(np.max(np.abs(u)))
@@ -400,7 +406,7 @@ def suite_theorem_range(
     res = SuiteResult("theorem-range", True)
     for g in gammas:
         for n in _degrees(n_lo, n_hi):
-            rep = spectrum_report(MethodConfig("tau", g, n, parity_split=True))
+            rep = spectrum_report(MethodConfig("tau", g, n))
             bad = (
                 rep.count("spurious_positive") > 0
                 or rep.count("complex_pair") > 0
@@ -444,7 +450,7 @@ def suite_perturbation() -> SuiteResult:
     rel_tol = 0.05
     for eps in (1e-3, -1e-3):
         for n in (12, 16):
-            cfg = MethodConfig("tau", 0.5 + eps, n, parity_split=True)
+            cfg = MethodConfig("tau", 0.5 + eps, n)
             for parity in ("even", "odd"):
                 pred = perturbation_mu1(n, parity, eps)
                 lams, n_inf, _ = pencil_lambdas(cfg, parity)
@@ -515,7 +521,7 @@ def suite_exact_convergence(gamma: float = 2.0, n: int = 48, tol: float = 1e-8) 
     res = SuiteResult("exact-convergence", True)
     count = 3
     exact = exact_spectrum(count)
-    cfg = MethodConfig("tau", gamma, n, parity_split=True)
+    cfg = MethodConfig("tau", gamma, n)
     for parity, targets in (("even", exact.even), ("odd", exact.odd)):
         lams, _, _ = pencil_lambdas(cfg, parity)
         got = -np.sort(np.abs(lams.real))[:count]

@@ -102,7 +102,7 @@ def _write(text: str, out: str | None) -> None:
 
 def _config_from_args(args) -> MethodConfig:
     kind = METHOD_NAMES[args.method]
-    return MethodConfig(kind, args.gamma, args.n, alpha=args.alpha, parity_split=True)
+    return MethodConfig(kind, args.gamma, args.n, alpha=args.alpha)
 
 
 def _report_rows(report: SpectrumReport, residuals: list[float]) -> list[dict]:
@@ -238,7 +238,7 @@ def _parse_range(spec: str, integer: bool) -> list:
 
 
 def _sweep_point(kind: str, gamma: float, n: int, alpha: float) -> str:
-    config = MethodConfig(kind, gamma, n, alpha=alpha, parity_split=True)
+    config = MethodConfig(kind, gamma, n, alpha=alpha)
     report = spectrum_report(config)
     finite = report.finite_eigenvalues()
     if finite:

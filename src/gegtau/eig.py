@@ -147,9 +147,8 @@ class SpectrumReport:
     distinct: bool
     interlaced: bool | None
     parities: list[str] | None = None
-    # parity ("even", "odd", or None for the coupled system, which the CLI
-    # never solves) -> the reduced matrix M of that ladder, as solved by the
-    # pencil route; empty otherwise
+    # parity ("even" or "odd") -> the reduced matrix M of that ladder, as
+    # solved by the pencil route; empty otherwise
     reduced: dict = field(default_factory=dict)
 
     def count(self, label: str) -> int:
@@ -179,7 +178,9 @@ def classify(
     eigenvalues to exceed distinct_rel; a pair both below real_abs*scale is
     compared on that absolute scale.
     ``interlaced`` (merged even/odd reports only) checks that the real
-    eigenvalues sorted descending alternate parity.
+    eigenvalues sorted descending alternate parity.  With ``parities``,
+    ``infinite_parities`` tags the ``n_infinite`` near-infinite entries,
+    one each.
     """
     if scale <= 0.0:
         raise ValueError(f"scale must be positive, got {scale}")
@@ -187,6 +188,8 @@ def classify(
     eig_list = [complex(e) for e in np.atleast_1d(np.asarray(eigs, dtype=complex))]
     if parities is not None and len(parities) != len(eig_list):
         raise ValueError("parities must match eigenvalues in length")
+    if parities is not None and len(infinite_parities or ()) != n_infinite:
+        raise ValueError("infinite_parities must match n_infinite in length")
 
     classes: list[str] = []
     reals: list[tuple[float, str | None]] = []
@@ -220,7 +223,7 @@ def classify(
         eig_out.append(complex(math.inf, 0.0))
         classes.append(NEAR_INFINITE)
         if par_out is not None:
-            par_out.append(infinite_parities[j] if infinite_parities else "unknown")
+            par_out.append(infinite_parities[j])
     return SpectrumReport(
         eigenvalues=eig_out,
         classes=classes,

@@ -1,9 +1,10 @@
 """Generalized eigenvalue pencils for (D^2-a^2)^2 u = lambda (D^2-a^2) u.
 
-Unknowns are the Gegenbauer coefficients of u at index gamma (for the
+Each pencil is one parity ladder, even or odd.  Its unknowns are the
+Gegenbauer coefficients of u at index gamma on that ladder (for the
 modified tau variant, of u and of v = (D^2-a^2)u).  Assembly is entirely
 quadrature-free: residual rows live in coefficient space through the
-derivative operator, and boundary rows use endpoint values with parity signs.
+derivative operator, and boundary rows use endpoint values at x = 1.
 
 The pencil convention is mu * A a = B a with mu = 1/lambda: A holds the
 fourth-order rows plus all lambda-independent rows (boundary conditions and,
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -46,18 +47,22 @@ class SingularReductionError(RuntimeError):
 class MethodConfig:
     """One discretization: method kind, weight index, degree, wavenumber.
 
-    ``parity_split`` solves the even and odd ladders apart, as the CLI does
-    for every configuration; without it the coupled pencil is solved, the
-    reference that the ladders are checked against.
+    Every configuration is solved as its even and odd parity ladders.
+    ``parity_split`` is accepted for old callers and must be True.
     """
 
     kind: str
     gamma: float
     n: int
     alpha: float = 0.0
-    parity_split: bool = False
+    parity_split: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, parity_split: bool) -> None:
+        if not parity_split:
+            raise ValueError(
+                "the coupled pencil is not solved by the library; its reference "
+                "assembly is tests/test_pencil.py::_oracle_assemble"
+            )
         if self.kind not in KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}; expected one of {KINDS}")
         check_gamma(self.gamma)
@@ -103,10 +108,8 @@ def _collocation_table(gamma: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, e
 
 
-def _columns(n: int, parity: str | None) -> np.ndarray:
-    """The unknowns' degrees: all of 0..n, or those of one parity ladder."""
-    if parity is None:
-        return np.arange(n + 1)
+def _columns(n: int, parity: str) -> np.ndarray:
+    """The unknowns' degrees on one parity ladder of 0..n."""
     if parity == "even":
         return np.arange(0, n + 1, 2)
     if parity == "odd":
@@ -114,13 +117,13 @@ def _columns(n: int, parity: str | None) -> np.ndarray:
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
-def _boundary_rows(gamma: float, cols: np.ndarray, coupled: bool) -> np.ndarray:
-    """Clamped rows against the degrees ``cols``: u and Du at +1 and -1.
+def _boundary_rows(gamma: float, cols: np.ndarray) -> np.ndarray:
+    """Clamped rows of one parity ladder against the degrees ``cols``.
 
-    A parity ladder keeps only the two rows at +1; those at -1 repeat them
-    up to a sign.  Column j reads G_j(1) once from ``value_at_one`` and
-    takes DG_j(1) by the first ratio step of ``deriv_ladder``, with its
-    grouping, so both are the floats of entries 0 and 1 of that ladder.
+    Only u and Du at +1: the rows at -1 repeat them up to a sign.  Column
+    j reads G_j(1) once from ``value_at_one`` and takes DG_j(1) by the
+    first ratio step of ``deriv_ladder``, with its grouping, so both are
+    the floats of entries 0 and 1 of that ladder.
     Raises ``SingularReductionError`` at the first value past float64: one
     such entry would make every pivot of its row fail the elimination's
     dependence test.
@@ -140,11 +143,7 @@ def _boundary_rows(gamma: float, cols: np.ndarray, coupled: bool) -> np.ndarray:
             )
         g1.append(g)
         dg1.append(dg)
-    g1, dg1 = np.array(g1), np.array(dg1)
-    if not coupled:
-        return np.vstack([g1, dg1])
-    signs = (-1.0) ** cols
-    return np.vstack([g1, g1 * signs, dg1, -dg1 * signs])
+    return np.vstack([np.array(g1), np.array(dg1)])
 
 
 def _with_constraints(a_top: np.ndarray, b_top: np.ndarray, constraint_rows: np.ndarray) -> Pencil:
@@ -154,27 +153,23 @@ def _with_constraints(a_top: np.ndarray, b_top: np.ndarray, constraint_rows: np.
     return Pencil(a, b, list(range(a_top.shape[0], a.shape[0])))
 
 
-def assemble(config: MethodConfig, parity: str | None = None) -> Pencil:
-    """Build the pencil for one method configuration.
+def assemble(config: MethodConfig, parity: str) -> Pencil:
+    """Build the pencil of one parity ladder of a method configuration.
 
     ``parity`` selects the even or odd sub-ladder, for any kind and alpha:
-    (D^2 - a^2) keeps the parity of a Gegenbauer series.  It is required
-    exactly when ``config.parity_split`` is set.  Tau (and so Galerkin and
-    inviscid Galerkin), collocation and modified tau differ only in their
-    residual rows: coefficients 0..n-4, values at the interior nodes, or
-    the (u, v) rows up to degree n-2.  Both ladders of one configuration
-    share its operator (and collocation nodes and basis table), built once
-    and read-only; the returned pencil is a fresh pair of arrays.
+    (D^2 - a^2) keeps the parity of a Gegenbauer series.  Tau (and so
+    Galerkin and inviscid Galerkin), collocation and modified tau differ
+    only in their residual rows: coefficients 0..n-4, values at the
+    interior nodes, or the (u, v) rows up to degree n-2.  Both ladders of
+    one configuration share its operator (and collocation nodes and basis
+    table), built once and read-only; the returned pencil is a fresh pair
+    of arrays.
     """
-    if config.parity_split and parity is None:
-        raise ValueError("parity_split config needs parity='even' or 'odd'")
-    if not config.parity_split and parity is not None:
-        raise ValueError("parity given but config.parity_split is False")
     n, alpha = config.n, config.alpha
     gamma = config.gamma + GAMMA_SHIFT.get(config.kind, 0.0)
     cols = _columns(n, parity)
     ell, ell2 = _operator(gamma, n, alpha)
-    constraints = _boundary_rows(gamma, cols, parity is None)
+    constraints = _boundary_rows(gamma, cols)
     if config.kind == "modified_tau":
         # unknowns (u, v), v = (D^2-a^2)u, both of degree n: dynamic rows
         # mu (L v)_k = v_k and coupling rows (L u)_k - v_k = 0 for k <= n-2,
@@ -188,18 +183,14 @@ def assemble(config: MethodConfig, parity: str | None = None) -> Pencil:
             [np.hstack([ell_rows, -eye]), np.hstack([constraints, np.zeros(constraints.shape)])]
         )
     elif config.kind == "collocation":
-        # the full ladder takes the operands as they are: a copy indexed by
-        # all degrees changes BLAS's rounding in the last bits
+        # an odd residual vanishes identically at x = 0, so the origin node
+        # belongs to the even ladder; strictly positive nodes serve both.
+        # Rows first, then columns: e[np.ix_(sel, cols)] is laid out
+        # otherwise and moves BLAS's rounding in the last bits.
         nodes, e = _collocation_table(gamma, n)
-        if parity is not None:
-            # an odd residual vanishes identically at x = 0, so the origin
-            # node belongs to the even ladder; strictly positive nodes serve
-            # both.  Rows first, then columns: e[np.ix_(sel, cols)] is laid
-            # out otherwise and moves BLAS's rounding too.
-            sel = nodes >= 0.0 if parity == "even" else nodes > 0.0
-            e = e[sel][:, cols]
-            ell, ell2 = ell[np.ix_(cols, cols)], ell2[np.ix_(cols, cols)]
-        a_top, b_top = e @ ell2, e @ ell
+        sel = nodes >= 0.0 if parity == "even" else nodes > 0.0
+        e = e[sel][:, cols]
+        a_top, b_top = e @ ell2[np.ix_(cols, cols)], e @ ell[np.ix_(cols, cols)]
     else:
         rows = cols[cols <= n - 4]
         a_top, b_top = ell2[np.ix_(rows, cols)], ell[np.ix_(rows, cols)]

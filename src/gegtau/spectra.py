@@ -40,10 +40,9 @@ def charpoly_lambdas(gamma: float, n: int, parity: str) -> tuple[np.ndarray, int
     return split_finite(mus)
 
 
-def pencil_lambdas(
-    config: MethodConfig, parity: str | None = None
-) -> tuple[np.ndarray, int, np.ndarray]:
-    """Finite eigenvalues, near-infinite count, and the reduced matrix M.
+def pencil_lambdas(config: MethodConfig, parity: str) -> tuple[np.ndarray, int, np.ndarray]:
+    """Finite eigenvalues, near-infinite count, and the reduced matrix M of
+    one parity ladder.
 
     ``M`` is the matrix of the standard problem ``M x = mu x`` whose
     eigenvalues the lambdas (= 1/mu) came from; it is returned so that
@@ -62,11 +61,10 @@ def _scale_of(lams: np.ndarray) -> float:
     return float(np.median(mags)) if mags.size else 1.0
 
 
-def _classified(config: MethodConfig, ladders: tuple[str | None, ...]) -> SpectrumReport:
+def _classified(config: MethodConfig, ladders: tuple[str, ...]) -> SpectrumReport:
     """Solve each parity ladder once, classify the merged spectrum, keep each M.
 
-    ``ladders`` is ``(None,)`` for the coupled system; otherwise every
-    eigenvalue is tagged with the parity of the ladder it came from.
+    Every eigenvalue is tagged with the parity of the ladder it came from.
     """
     lams, parities, inf_parities, reduced = [], [], [], {}
     for parity in ladders:
@@ -75,13 +73,12 @@ def _classified(config: MethodConfig, ladders: tuple[str | None, ...]) -> Spectr
         parities += [parity] * lam.size
         inf_parities += [parity] * n_inf
     merged = np.concatenate(lams)
-    tagged = ladders != (None,)
     report = classify(
         merged,
         _scale_of(merged),
-        parities=parities if tagged else None,
+        parities=parities,
         n_infinite=len(inf_parities),
-        infinite_parities=inf_parities if tagged else None,
+        infinite_parities=inf_parities,
     )
     report.reduced = reduced
     return report
@@ -90,18 +87,14 @@ def _classified(config: MethodConfig, ladders: tuple[str | None, ...]) -> Spectr
 def spectrum_report(config: MethodConfig) -> SpectrumReport:
     """Classified spectrum for one configuration.
 
-    With ``config.parity_split`` (every method, every alpha; the CLI always
-    sets it) the even and odd ladders are computed separately and merged
-    with parity tags, enabling the interlacing check; otherwise the full
-    coupled pencil is solved and no parity information is attached.
+    The even and odd ladders are solved separately and merged with parity
+    tags, which the interlacing check reads.
     """
-    ladders = ("even", "odd") if config.parity_split else (None,)
-    return _classified(config, ladders)
+    return _classified(config, ("even", "odd"))
 
 
 def single_parity_report(config: MethodConfig, parity: str) -> SpectrumReport:
-    """Spectrum of one parity ladder of a ``parity_split`` config (interlacing
-    not applicable)."""
+    """Spectrum of one parity ladder of a config (interlacing not applicable)."""
     report = _classified(config, (parity,))
     report.interlaced = None
     return report

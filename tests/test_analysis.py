@@ -104,7 +104,7 @@ def test_mu1_rejects_uncovered_degrees():
 
 def test_perturbed_extreme_eigenvalue_matches_prediction():
     eps = 1e-3
-    cfg = MethodConfig("tau", 0.5 + eps, 12, parity_split=True)
+    cfg = MethodConfig("tau", 0.5 + eps, 12)
     lams, _, _ = pencil_lambdas(cfg, "even")
     extreme = lams.real[np.argmax(np.abs(lams.real))]
     pred = perturbation_mu1(12, "even", eps).predicted_lambda
@@ -241,9 +241,11 @@ def test_equivalence_legendre_counts():
     # both sides produce the same finite spectrum (n - 3 eigenvalues each)
     rep = equivalence_suite(0.5, 12, tol=1e-8)
     assert rep.passed
-    lam_m, inf_m, _ = pencil_lambdas(MethodConfig("modified_tau", 0.5, 12))
-    lam_g, inf_g, _ = pencil_lambdas(MethodConfig("galerkin", 0.5, 12))
-    assert lam_m.size == lam_g.size == 9
+    sizes = {
+        kind: sum(pencil_lambdas(MethodConfig(kind, 0.5, 12), parity)[0].size for parity in ("even", "odd"))
+        for kind in ("modified_tau", "galerkin")
+    }
+    assert sizes == {"modified_tau": 9, "galerkin": 9}
 
 
 def test_equivalence_report_worst():
@@ -391,13 +393,21 @@ def test_legendre_infinite_mode_satisfies_bcs_pointwise():
         assert val == pytest.approx(0.0, abs=1e-12)
 
 
+def test_legendre_infinite_mode_vanishes_on_other_ladder():
+    # legendre_mode_residual checks each mode on its own ladder only
+    for n in range(5, 121):
+        for which in (4, 5):
+            u = legendre_infinite_mode(n, which)
+            assert not np.any(u[1 - (n - which) % 2 :: 2]), (n, which)
+
+
 def test_legendre_mode_residual_small():
-    for n in (8, 16, 24, 32):
-        assert legendre_mode_residual(n) <= 1e-10
+    for n in range(8, 121):
+        assert legendre_mode_residual(n) <= 1e-10, n
 
 
 def test_legendre_two_near_infinite_via_report():
-    rep = spectrum_report(MethodConfig("tau", 0.5, 12, parity_split=True))
+    rep = spectrum_report(MethodConfig("tau", 0.5, 12))
     assert rep.n_infinite == 2
     pars = [p for p, c in zip(rep.parities, rep.classes) if c == "near_infinite"]
     assert sorted(pars) == ["even", "odd"]

@@ -49,9 +49,9 @@ def test_block_zero_fires_expected_spans(workload):
     assert workloads.EXPECTED_SPANS[workload] <= tracer.fired()
 
 
-@pytest.mark.parametrize("parity", [None, "even", "odd"])
+@pytest.mark.parametrize("parity", ["even", "odd"])
 def test_tau_assemble_evaluates_each_endpoint_column_once(parity):
-    config = pencil.MethodConfig("tau", 1.5, 24, parity_split=parity is not None)
+    config = pencil.MethodConfig("tau", 1.5, 24)
     tracer = spans.Tracer()
     tracer.install()
     try:

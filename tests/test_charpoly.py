@@ -149,7 +149,7 @@ def test_odd_all_real_negative_at_gamma_two():
     mus = roots_of(cp)
     lams = np.sort((1.0 / mus).real)
     assert np.all(np.abs(mus.imag) < 1e-12) and np.all(lams < 0)
-    ref, n_inf, _ = pencil_lambdas(MethodConfig("tau", 2.0, 5, parity_split=True), "odd")
+    ref, n_inf, _ = pencil_lambdas(MethodConfig("tau", 2.0, 5), "odd")
     assert n_inf == 0
     assert_allclose(lams, np.sort(ref.real), rtol=1e-10)
 

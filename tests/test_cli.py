@@ -142,7 +142,7 @@ def test_residuals_one_svd_per_shift_up_to_conjugation(monkeypatch, capsys):
     ],
 )
 def test_residuals_match_complex_oracle(gamma, n, classes):
-    report = spectrum_report(MethodConfig("tau", gamma, n, parity_split=True))
+    report = spectrum_report(MethodConfig("tau", gamma, n))
     assert set(report.classes) == classes
     got = cli._eigen_residuals(report)
     want = _oracle_eigen_residuals(report)
@@ -251,8 +251,8 @@ def test_spectrum_modified_large_gamma_solves(capsys):
 
 
 # The Chebyshev-extrema node seeds returned a duplicated node at both points:
-# a singular reduction (exit 3) in place of a spectrum.  The coupled system
-# has n-3 eigenvalues; the even ladder of n = 9 holds 3 of its 6.
+# a singular reduction (exit 3) in place of a spectrum.  The two ladders
+# hold n-3 eigenvalues; the even ladder of n = 9 holds 3 of its 6.
 @pytest.mark.parametrize(
     "gamma, n, parity, expected", [("4.3", 8, "both", 5), ("3.5", 9, "even", 3)]
 )

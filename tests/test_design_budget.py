@@ -12,7 +12,7 @@ from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gegtau").glob("*.py"))
 
-MAX_DEFAULTED_PARAMETERS = 19
+MAX_DEFAULTED_PARAMETERS = 17
 MAX_DATACLASS_FIELDS = 33
 
 

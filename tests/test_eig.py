@@ -41,7 +41,7 @@ def test_companion_of_z2_plus_1():
 def test_reduced_tau_matrix_all_real_negative():
     from gegtau.pencil import MethodConfig, assemble, reduce_to_standard
 
-    m = reduce_to_standard(assemble(MethodConfig("tau", 1.0, 16, parity_split=True), "even")).M
+    m = reduce_to_standard(assemble(MethodConfig("tau", 1.0, 16), "even")).M
     mus = dense_eigs(m)
     assert np.all(np.abs(mus.imag) <= 1e-10 * np.abs(mus))
     assert np.all(mus.real < 0.0)
@@ -241,6 +241,13 @@ def test_classify_near_infinite_entries():
     assert len(rep.eigenvalues) == 3
     assert rep.count("real_negative") + rep.n_infinite == 3
     assert rep.finite_eigenvalues() == [-2.0]
+
+
+@pytest.mark.parametrize("infinite_parities", [None, ["odd"], ["even", "odd", "odd"]])
+def test_classify_rejects_untagged_infinite_entries(infinite_parities):
+    # a tagged report tags every near-infinite entry from the caller's list
+    with pytest.raises(ValueError, match="infinite_parities"):
+        classify([-2.0], scale=2.0, parities=["even"], n_infinite=2, infinite_parities=infinite_parities)
 
 
 def test_classify_empty():

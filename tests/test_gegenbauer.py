@@ -196,8 +196,8 @@ def test_endpoint_values_match_loop_oracle(gamma):
     top = next((n for n in ns if math.isinf(g1[n]) or math.isinf(dg1[n])), None)
     if top is not None:
         with pytest.raises(pencil.SingularReductionError, match=rf"gamma {gamma}.*j={top}\b"):
-            pencil._boundary_rows(gamma, np.arange(ORACLE_NMAX + 1), coupled=False)
-    rows = pencil._boundary_rows(gamma, np.arange(ORACLE_NMAX + 1 if top is None else top), coupled=False)
+            pencil._boundary_rows(gamma, np.arange(ORACLE_NMAX + 1))
+    rows = pencil._boundary_rows(gamma, np.arange(ORACLE_NMAX + 1 if top is None else top))
     assert np.array_equal(rows, [g1[: rows.shape[1]], dg1[: rows.shape[1]]])
     assert (top is None) == (gamma < 1000.0)
 
@@ -280,7 +280,7 @@ def test_endpoint_rows_work_bound(monkeypatch):
     monkeypatch.setattr(gegenbauer, "math", counting)
     gegenbauer._log_ladder.cache_clear()
     n = 400
-    config = MethodConfig("tau", 1.0, n, parity_split=True)
+    config = MethodConfig("tau", 1.0, n)
     pencil.assemble(config, "even")
     builds = gegenbauer._log_ladder.cache_info().misses
     pencil.assemble(config, "odd")

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gegtau.analysis import THEOREM_GAMMAS
-from gegtau.eig import dense_eigs
+from gegtau.eig import classify, dense_eigs
 from gegtau.gegenbauer import (
     basis_matrix,
     deriv_at_one,
@@ -28,7 +28,9 @@ from gegtau.pencil import (
     reduce_to_standard,
     split_finite,
 )
-from gegtau.spectra import charpoly_lambdas, pencil_lambdas, spectrum_report
+from gegtau.spectra import _scale_of, charpoly_lambdas, pencil_lambdas, spectrum_report
+
+PARITIES = ("even", "odd")
 
 
 def sorted_c(z):
@@ -43,6 +45,12 @@ def spectrum_dev(a, b):
     return float(np.max(np.abs(sa - sb) / np.maximum(np.abs(sb), 1e-300)))
 
 
+def ladder_lambdas(config):
+    """Both ladders' finite eigenvalues, concatenated, and their near-infinite count."""
+    solved = [pencil_lambdas(config, parity) for parity in PARITIES]
+    return np.concatenate([lams for lams, _, _ in solved]), sum(n_inf for _, n_inf, _ in solved)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
@@ -54,14 +62,20 @@ def test_config_validation():
         MethodConfig("tau", -0.6, 10)
     with pytest.raises(ValueError):
         MethodConfig("tau", 0.0, 10, alpha=-1.0)
+    # the coupled pencil lives on only as the test oracle below
+    with pytest.raises(ValueError, match="_oracle_assemble"):
+        MethodConfig("tau", 0.0, 10, parity_split=False)
+    assert MethodConfig("tau", 0.0, 10, parity_split=True) == MethodConfig("tau", 0.0, 10)
 
 
 def test_assemble_parity_consistency():
-    cfg = MethodConfig("tau", 0.0, 10, parity_split=True)
-    with pytest.raises(ValueError):
+    cfg = MethodConfig("tau", 0.0, 10)
+    with pytest.raises(TypeError):
         assemble(cfg)  # parity required
+    with pytest.raises(TypeError):
+        pencil_lambdas(cfg)
     with pytest.raises(ValueError):
-        assemble(MethodConfig("tau", 0.0, 10), parity="even")
+        assemble(cfg, "both")
 
 
 # ---------------------------------------------------------------------------
@@ -69,25 +83,30 @@ def test_assemble_parity_consistency():
 
 
 def test_bc_rows_zero_in_b():
-    p = assemble(MethodConfig("tau", 0.5, 10))
-    assert p.dim == 11
-    zero_rows = [i for i in range(p.dim) if not np.any(p.B[i])]
-    assert zero_rows == p.bc_rows == [7, 8, 9, 10]
+    for parity, dim in (("even", 6), ("odd", 5)):
+        p = assemble(MethodConfig("tau", 0.5, 10), parity)
+        assert p.dim == dim
+        zero_rows = [i for i in range(p.dim) if not np.any(p.B[i])]
+        assert zero_rows == p.bc_rows == [dim - 2, dim - 1]
 
 
 def test_bc_rows_encode_clamped_conditions():
-    # u = (1-x^2)^2 expanded at gamma = 1/2 satisfies all four BC rows
+    # u = (1-x^2)^2 expanded at gamma = 1/2 satisfies all four BC rows of
+    # the coupled oracle, and the even ladder's two rows at +1
     from gegtau.analysis import legendre_infinite_mode
 
     u = legendre_infinite_mode(4, 4)  # (1-x^2)^2 * G_0
-    p = assemble(MethodConfig("tau", 0.5, 4))
+    config = MethodConfig("tau", 0.5, 4)
+    p = _oracle_assemble(config, None)
     assert_allclose(p.A[p.bc_rows, :] @ u, 0.0, atol=1e-14)
+    p = assemble(config, "even")
+    assert_allclose(p.A[p.bc_rows, :] @ u[0::2], 0.0, atol=1e-14)
 
 
 def test_parity_split_dimensions():
     for n in (8, 9, 15, 24):
         for parity in ("even", "odd"):
-            p = assemble(MethodConfig("tau", 1.0, n, parity_split=True), parity)
+            p = assemble(MethodConfig("tau", 1.0, n), parity)
             assert p.A.shape[0] == p.A.shape[1]
             m = reduce_to_standard(p).M
             ladder = n if (n % 2 == 0) == (parity == "even") else n - 1
@@ -96,29 +115,39 @@ def test_parity_split_dimensions():
 
 
 def test_modified_tau_dimension():
+    # (u, v) on each ladder's degrees; coupling rows up to degree n-2 and
+    # two boundary rows; the two reduced ladders hold n-1 mu's
     n = 12
-    p = assemble(MethodConfig("modified_tau", 0.0, n))
-    assert p.dim == 2 * n + 2
-    assert len(p.bc_rows) == n + 3
-    m = reduce_to_standard(p).M
-    assert m.shape == (n - 1, n - 1)
+    reduced = 0
+    for parity, cols, rows in (("even", 7, 6), ("odd", 6, 5)):
+        p = assemble(MethodConfig("modified_tau", 0.0, n), parity)
+        assert p.dim == 2 * cols
+        assert len(p.bc_rows) == rows + 2
+        m = reduce_to_standard(p).M
+        assert m.shape == (cols - 1, cols - 1)
+        reduced += m.shape[0]
+    assert reduced == n - 1
 
 
 def test_galerkin_is_tau_shifted_exactly():
-    a = assemble(MethodConfig("galerkin", 0.0, 12))
-    b = assemble(MethodConfig("tau", 2.0, 12))
-    assert_allclose(a.A, b.A, rtol=0, atol=0)
-    assert_allclose(a.B, b.B, rtol=0, atol=0)
+    for parity in PARITIES:
+        a = assemble(MethodConfig("galerkin", 0.0, 12), parity)
+        b = assemble(MethodConfig("tau", 2.0, 12), parity)
+        assert_allclose(a.A, b.A, rtol=0, atol=0)
+        assert_allclose(a.B, b.B, rtol=0, atol=0)
 
 
 def test_galerkin_spectrum_matches_shifted_tau():
-    lam_g, _, _ = pencil_lambdas(MethodConfig("galerkin", 0.0, 12))
-    lam_t, _, _ = pencil_lambdas(MethodConfig("tau", 2.0, 12))
+    lam_g, _ = ladder_lambdas(MethodConfig("galerkin", 0.0, 12))
+    lam_t, _ = ladder_lambdas(MethodConfig("tau", 2.0, 12))
     assert spectrum_dev(lam_g, lam_t) < 1e-10
 
 
 # the separate tau, modified tau and collocation assemblers that the one
-# assembly path replaced: the reference, byte for byte
+# assembly path replaced: the reference, byte for byte.  parity None builds
+# the coupled pencil on all degrees 0..n, with four boundary rows at +1 and
+# -1; the library solves only the ladders, and these tests check them
+# against it.
 
 
 def _oracle_endpoint_rows(gamma, n):
@@ -204,6 +233,17 @@ def _oracle_assemble(config, parity):
     return _oracle_collocation(config.gamma, config.n, config.alpha, parity)
 
 
+def _coupled_lambdas(config):
+    """Finite eigenvalues and near-infinite count of the coupled oracle pencil."""
+    return split_finite(dense_eigs(reduce_to_standard(_oracle_assemble(config, None)).M))
+
+
+def _coupled_report(config):
+    """The coupled oracle's spectrum, classified as the ladders' is, untagged."""
+    lams, n_inf = _coupled_lambdas(config)
+    return classify(lams, _scale_of(lams), n_infinite=n_inf)
+
+
 def _same_bytes(x, y):
     return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
@@ -212,9 +252,9 @@ def _same_bytes(x, y):
 def test_assemble_matches_parent_oracle(kind):
     for gamma in (-0.45, -0.2, 0.0, 0.3, 0.5, 1.0, 1.9, 3.0, 3.5, 4.3, 5.0):
         for n in (5, 8, 9, 13, 24, 33, 48, 64, 96):
-            for alpha, split in ((0.0, True), (0.0, False), (0.5, False), (0.5, True)):
-                config = MethodConfig(kind, gamma, n, alpha=alpha, parity_split=split)
-                for parity in ("even", "odd") if split else (None,):
+            for alpha in (0.0, 0.5):
+                config = MethodConfig(kind, gamma, n, alpha=alpha)
+                for parity in PARITIES:
                     got, want = assemble(config, parity), _oracle_assemble(config, parity)
                     assert _same_bytes(got.A, want.A) and np.array_equal(got.A, want.A), (config, parity)
                     assert _same_bytes(got.B, want.B) and np.array_equal(got.B, want.B), (config, parity)
@@ -233,35 +273,39 @@ def test_shared_ingredients_are_read_only():
 
 
 def test_reduce_n4_even_is_one_by_one():
-    m = reduce_to_standard(assemble(MethodConfig("tau", 0.0, 4, parity_split=True), "even")).M
+    m = reduce_to_standard(assemble(MethodConfig("tau", 0.0, 4), "even")).M
     assert m.shape == (1, 1)
     assert m[0, 0] == pytest.approx(1.0 / 12.0, rel=1e-13)
 
 
 def test_reduce_legendre_two_near_zero_mus():
-    m = reduce_to_standard(assemble(MethodConfig("tau", 0.5, 10))).M
-    mus = dense_eigs(m)
-    scaled = np.abs(mus) / np.max(np.abs(mus))
-    assert np.sum(scaled < 1e-12) == 2
+    # one near-zero mu on each ladder
+    for parity in PARITIES:
+        m = reduce_to_standard(assemble(MethodConfig("tau", 0.5, 10), parity)).M
+        mus = dense_eigs(m)
+        scaled = np.abs(mus) / np.max(np.abs(mus))
+        assert np.sum(scaled < 1e-12) == 1, parity
 
 
 def test_reduce_invariant_under_tau_row_rescaling():
     cfg = MethodConfig("tau", 0.75, 14)
-    p = assemble(cfg)
-    lam_ref, _, _ = pencil_lambdas(cfg)
     rng = np.random.default_rng(5)
-    scales = 10.0 ** rng.uniform(-3, 3, size=p.dim - 4)
-    a = p.A.copy()
-    b = p.B.copy()
-    a[: p.dim - 4] *= scales[:, None]
-    b[: p.dim - 4] *= scales[:, None]
-    mus = dense_eigs(reduce_to_standard(Pencil(a, b, p.bc_rows)).M)
-    lam, _ = split_finite(mus)
-    assert spectrum_dev(lam, lam_ref) < 1e-9
+    for parity in PARITIES:
+        p = assemble(cfg, parity)
+        lam_ref, _, _ = pencil_lambdas(cfg, parity)
+        tau = p.bc_rows[0]
+        scales = 10.0 ** rng.uniform(-3, 3, size=tau)
+        a = p.A.copy()
+        b = p.B.copy()
+        a[:tau] *= scales[:, None]
+        b[:tau] *= scales[:, None]
+        mus = dense_eigs(reduce_to_standard(Pencil(a, b, p.bc_rows)).M)
+        lam, _ = split_finite(mus)
+        assert spectrum_dev(lam, lam_ref) < 1e-9
 
 
 def test_reduce_rejects_nonzero_b_in_bc_rows():
-    p = assemble(MethodConfig("tau", 0.0, 8))
+    p = assemble(MethodConfig("tau", 0.0, 8), "even")
     p.B[p.bc_rows[0], 0] = 1.0
     with pytest.raises(ValueError):
         reduce_to_standard(p)
@@ -336,8 +380,10 @@ def _oracle_equilibrate(a, b):
     return a, b
 
 
+# (config, split): split reduces the library's two ladders, otherwise the
+# coupled oracle pencil is reduced
 ORACLE_CONFIGS = [
-    MethodConfig(kind, gamma, n, alpha=alpha, parity_split=split)
+    (MethodConfig(kind, gamma, n, alpha=alpha), split)
     for kind, split in [("tau", True), ("tau", False), ("galerkin", True),
                         ("inviscid_galerkin", False), ("modified_tau", False),
                         ("modified_tau", True), ("collocation", True), ("collocation", False)]
@@ -345,19 +391,19 @@ ORACLE_CONFIGS = [
                             (4.3, 48, 0.0), (2.0, 24, 0.5)]
 ] + [
     # 79 and 123 pivots: the elimination's many-pivot regime
-    MethodConfig("modified_tau", 5.0, 76),
-    MethodConfig("modified_tau", 8.0, 120),
+    (MethodConfig("modified_tau", 5.0, 76), False),
+    (MethodConfig("modified_tau", 8.0, 120), False),
 ]
 
 
 @pytest.mark.parametrize(
-    "config",
+    "config, split",
     ORACLE_CONFIGS,
-    ids=lambda c: f"{c.kind}-{c.gamma}-{c.n}-{c.alpha}-{'split' if c.parity_split else 'coupled'}",
+    ids=[f"{c.kind}-{c.gamma}-{c.n}-{c.alpha}-{'split' if s else 'coupled'}" for c, s in ORACLE_CONFIGS],
 )
-def test_reduction_steps_match_loop_oracles(config):
-    for parity in ("even", "odd") if config.parity_split else (None,):
-        p = assemble(config, parity)
+def test_reduction_steps_match_loop_oracles(config, split):
+    pencils = [assemble(config, parity) for parity in PARITIES] if split else [_oracle_assemble(config, None)]
+    for p in pencils:
         bc = sorted(p.bc_rows)
         dyn = [r for r in range(p.dim) if r not in set(bc)]
         t = _nullspace_by_elimination(p.A[bc, :])
@@ -403,9 +449,7 @@ def test_route_agreement(gamma):
     for n in (8, 13, 21, 32):
         for parity in ("even", "odd"):
             lam_c, inf_c = charpoly_lambdas(gamma, n, parity)
-            lam_p, inf_p, _ = pencil_lambdas(
-                MethodConfig("tau", gamma, n, parity_split=True), parity
-            )
+            lam_p, inf_p, _ = pencil_lambdas(MethodConfig("tau", gamma, n), parity)
             assert inf_c == inf_p
             assert spectrum_dev(lam_c, lam_p) < 1e-8
 
@@ -417,9 +461,7 @@ def test_route_agreement_past_n32(gamma):
     for n in range(33, 41):
         for parity in ("even", "odd"):
             lam_c, inf_c = charpoly_lambdas(gamma, n, parity)
-            lam_p, inf_p, _ = pencil_lambdas(
-                MethodConfig("tau", gamma, n, parity_split=True), parity
-            )
+            lam_p, inf_p, _ = pencil_lambdas(MethodConfig("tau", gamma, n), parity)
             assert inf_c == inf_p, (n, parity)
             assert spectrum_dev(lam_c, lam_p) <= 1e-8, (n, parity)
 
@@ -427,8 +469,8 @@ def test_route_agreement_past_n32(gamma):
 def test_alpha_continuity():
     cfg0 = MethodConfig("tau", 1.0, 16)
     cfg1 = MethodConfig("tau", 1.0, 16, alpha=1e-3)
-    lam0, _, _ = pencil_lambdas(cfg0)
-    lam1, _, _ = pencil_lambdas(cfg1)
+    lam0, _ = ladder_lambdas(cfg0)
+    lam1, _ = ladder_lambdas(cfg1)
     small0 = sorted_c(lam0[np.argsort(np.abs(lam0))[:5]])
     small1 = sorted_c(lam1[np.argsort(np.abs(lam1))[:5]])
     assert np.max(np.abs(small0 - small1) / np.abs(small0)) < 1e-2
@@ -442,8 +484,8 @@ def test_stokes_alpha_spectrum_real_negative():
 def test_modified_tau_equals_galerkin():
     for g in (0.0, 0.5):
         for n in (10, 16, 24):
-            lam_m, inf_m, _ = pencil_lambdas(MethodConfig("modified_tau", g, n))
-            lam_g, inf_g, _ = pencil_lambdas(MethodConfig("galerkin", g, n))
+            lam_m, inf_m = _coupled_lambdas(MethodConfig("modified_tau", g, n))
+            lam_g, inf_g = _coupled_lambdas(MethodConfig("galerkin", g, n))
             # the coupled system carries two structural infinite modes
             assert inf_m == 2 and inf_g == 0
             assert lam_m.size == lam_g.size == n - 3
@@ -453,25 +495,24 @@ def test_modified_tau_equals_galerkin():
 @pytest.mark.parametrize("g, n", [(4.7, 64), (5.0, 56)])
 def test_modified_tau_matches_galerkin_counts_large_gamma(g, n):
     # the boundary rows here span ten orders of magnitude in their row maxima
-    rep_m = spectrum_report(MethodConfig("modified_tau", g, n))
-    rep_g = spectrum_report(MethodConfig("galerkin", g, n))
+    rep_m = _coupled_report(MethodConfig("modified_tau", g, n))
+    rep_g = _coupled_report(MethodConfig("galerkin", g, n))
     for label in ("real_negative", "spurious_positive", "complex_pair"):
         assert rep_m.count(label) == rep_g.count(label)
     assert rep_m.n_infinite == 2 and rep_g.n_infinite == 0
 
 
 def test_collocation_full_and_split_agree():
-    g, n = 1.0, 12
-    lam_full, _, _ = pencil_lambdas(MethodConfig("collocation", g, n))
-    cfg = MethodConfig("collocation", g, n, parity_split=True)
-    lam_e, _, _ = pencil_lambdas(cfg, "even")
-    lam_o, _, _ = pencil_lambdas(cfg, "odd")
-    assert spectrum_dev(lam_full, np.concatenate([lam_e, lam_o])) < 1e-8
+    cfg = MethodConfig("collocation", 1.0, 12)
+    lam_full, _ = _coupled_lambdas(cfg)
+    lam_split, _ = ladder_lambdas(cfg)
+    assert spectrum_dev(lam_full, lam_split) < 1e-8
 
 
-# The CLI solves every configuration as two parity ladders; the coupled
-# pencil is their reference.  No gamma + shift is 1/2 here: at Legendre the
-# former infinite pair is ill-conditioned and moves by up to 7.2e-5.
+# The library solves every configuration as two parity ladders; the coupled
+# oracle pencil is their reference.  No gamma + shift is 1/2 here: at
+# Legendre the former infinite pair is ill-conditioned and moves by up to
+# 7.2e-5.
 @pytest.mark.parametrize(
     "kind, alpha", [(k, a) for k in KINDS for a in (0.5, 3.0)] + [("modified_tau", 0.0)]
 )
@@ -479,8 +520,8 @@ def test_ladders_match_coupled(kind, alpha):
     classes = ("real_negative", "spurious_positive", "complex_pair", "near_infinite")
     for gamma in (-0.2, 0.3, 1.9, 3.0, 4.3):
         for n in range(24, 65, 5):
-            split = spectrum_report(MethodConfig(kind, gamma, n, alpha=alpha, parity_split=True))
-            coupled = spectrum_report(MethodConfig(kind, gamma, n, alpha=alpha))
+            config = MethodConfig(kind, gamma, n, alpha=alpha)
+            split, coupled = spectrum_report(config), _coupled_report(config)
             where = (gamma, n)
             assert [split.count(c) for c in classes] == [coupled.count(c) for c in classes], where
             assert spectrum_dev(split.finite_eigenvalues(), coupled.finite_eigenvalues()) <= 1e-8, where
@@ -496,7 +537,7 @@ def test_theorem_range_interlaces_at_positive_alpha(kind):
             continue
         for alpha in (0.5, 1.0, 3.0, 10.0):
             for n in (16, 24, 32, 48, 64):
-                rep = spectrum_report(MethodConfig(kind, gamma, n, alpha=alpha, parity_split=True))
+                rep = spectrum_report(MethodConfig(kind, gamma, n, alpha=alpha))
                 where = (gamma, alpha, n)
                 assert rep.count("real_negative") == len(rep.finite_eigenvalues()) == n - 3, where
                 assert rep.distinct and rep.interlaced is True, where
@@ -506,7 +547,7 @@ def test_no_zero_eigenvalue():
     # lambda = 0 would force the trivial solution; the discrete spectrum
     # must keep a safe distance from it
     for kind in ("tau", "galerkin", "modified_tau", "collocation"):
-        lams, _, _ = pencil_lambdas(MethodConfig(kind, 0.8, 12))
+        lams, _ = ladder_lambdas(MethodConfig(kind, 0.8, 12))
         assert np.min(np.abs(lams)) > 1.0
 
 
@@ -580,7 +621,7 @@ def test_legendre_matrices_spectrum_matches_general_route():
     n = 12
     a, b = legendre_reduced_matrices(n)
     lam_basis, n_inf = split_finite(dense_eigs(np.linalg.solve(a, b)))
-    lam_pencil, n_inf2, _ = pencil_lambdas(MethodConfig("tau", 0.5, n))
+    lam_pencil, n_inf2 = ladder_lambdas(MethodConfig("tau", 0.5, n))
     assert n_inf == n_inf2 == 2
     assert spectrum_dev(lam_basis, lam_pencil) < 1e-8
 
