@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .charpoly import CharPoly, second_order_pair
-from .eig import poly_roots
+from .eig import ConvergenceError, poly_roots
 from .gegenbauer import deriv_matrix, evaluate, exact_gamma, mult_x_array
 from .pencil import MethodConfig, assemble
 from .spectra import ladder_degree, pencil_lambdas, spectrum_report
@@ -173,15 +173,15 @@ def hermite_biehler_stability(p: CharPoly) -> bool:
 
     The verdict is the integer Routh array on ``p.mu_coeffs``, exact for
     every degree.  It is checked against direct root computation (all real
-    parts negative) on the rounded ``p.normalized_coeffs()``; where the two
-    disagree, as the float companion roots do on the stability polynomials
-    from degree 27 or 28, a RuntimeError is raised, never a verdict.
+    parts negative) on the rounded ``p.normalized_coeffs()``.  Where they
+    disagree, ``ConvergenceError`` names the degree, never a verdict.  On the
+    stability polynomials that ends the working range at degree 26 (27 at gamma -0.4).
     """
     routh = _routh_failure(p.mu_coeffs) is None
     direct = bool(np.all(poly_roots(p.normalized_coeffs()).roots.real < 0.0))
     if routh != direct:
-        raise RuntimeError(
-            f"Routh-Hurwitz and direct-root stability disagree: routh={routh} direct={direct}"
+        raise ConvergenceError(
+            f"Routh-Hurwitz and direct roots disagree at degree {p.degree}: routh={routh} direct={direct}"
         )
     return routh
 

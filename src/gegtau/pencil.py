@@ -121,18 +121,19 @@ def _boundary_rows(gamma: float, cols: np.ndarray) -> np.ndarray:
     """Clamped rows of one parity ladder against the degrees ``cols``.
 
     Only u and Du at +1: the rows at -1 repeat them up to a sign.  Column
-    j reads G_j(1) once from ``value_at_one`` and takes DG_j(1) by the
-    first ratio step of ``deriv_ladder``, with its grouping, so both are
-    the floats of entries 0 and 1 of that ladder.
+    j reads G_j(1) once from ``value_at_one``; DG_j(1) = G_j(1) (2 gamma +
+    j) j / (2 gamma + 1), the Gegenbauer equation at x = 1, is taken as
+    exp(log G_j(1) + (log((2 gamma + j) j) - log(2 gamma + 1))), 0 at j = 0.
     Raises ``SingularReductionError`` at the first value past float64: one
     such entry would make every pivot of its row fail the elimination's
     dependence test.
     """
     g1, dg1 = [], []
+    log_den = math.log(2.0 * gamma + 1)
     for j in cols.tolist():
         log = value_at_one(gamma, j).log_mag
-        # deriv_ladder's first ratio step, grouped as there; exp(-inf) is 0.0
-        dlog = log + (math.log((2.0 * gamma + j) * j) - math.log(2.0 * gamma + 1)) if j else -math.inf
+        # exp(-inf) is 0.0
+        dlog = log + (math.log((2.0 * gamma + j) * j) - log_den) if j else -math.inf
         try:
             g, dg = math.exp(log), math.exp(dlog)
         except OverflowError:
@@ -143,14 +144,7 @@ def _boundary_rows(gamma: float, cols: np.ndarray) -> np.ndarray:
             )
         g1.append(g)
         dg1.append(dg)
-    return np.vstack([np.array(g1), np.array(dg1)])
-
-
-def _with_constraints(a_top: np.ndarray, b_top: np.ndarray, constraint_rows: np.ndarray) -> Pencil:
-    """The residual rows over the lambda-independent rows, which are zero in B."""
-    a = np.vstack([a_top, constraint_rows])
-    b = np.vstack([b_top, np.zeros(constraint_rows.shape)])
-    return Pencil(a, b, list(range(a_top.shape[0], a.shape[0])))
+    return np.array([g1, dg1])
 
 
 def assemble(config: MethodConfig, parity: str) -> Pencil:
@@ -192,9 +186,12 @@ def assemble(config: MethodConfig, parity: str) -> Pencil:
         e = e[sel][:, cols]
         a_top, b_top = e @ ell2[np.ix_(cols, cols)], e @ ell[np.ix_(cols, cols)]
     else:
-        rows = cols[cols <= n - 4]
-        a_top, b_top = ell2[np.ix_(rows, cols)], ell[np.ix_(rows, cols)]
-    p = _with_constraints(a_top, b_top, constraints)
+        c0 = int(cols[0])  # rows: the ladder's degrees up to n-4
+        a_top, b_top = ell2[c0 : n - 3 : 2, c0::2], ell[c0 : n - 3 : 2, c0::2]
+    # residual rows over the lambda-independent rows (zero in B), copied C-ordered
+    a = np.concatenate((a_top, constraints))
+    b = np.concatenate((b_top, np.zeros(constraints.shape)))
+    p = Pencil(a, b, list(range(a_top.shape[0], a.shape[0])))
     if p.dim != p.A.shape[1]:
         raise ValueError(f"{config.kind} pencil is not square at n={n} ({p.dim} rows, {p.A.shape[1]} cols)")
     return p
@@ -211,12 +208,13 @@ def _nullspace_by_elimination(c: np.ndarray) -> np.ndarray:
     """
     m, dim = c.shape
     u = c.copy()
-    row_max = np.max(np.abs(u), axis=1).tolist() if u.size else [0.0] * m
+    row_max = np.abs(u).max(axis=1).tolist() if u.size else [0.0] * m
     piv_cols: list[int] = []
     for i in range(m):
         sub = np.abs(u[i:])
-        sub[:, piv_cols] = -1.0
-        r, j = divmod(int(np.argmax(sub)), dim)
+        if piv_cols:
+            sub[:, piv_cols] = -1.0
+        r, j = divmod(int(sub.argmax()), dim)
         r += i
         if abs(u[r, j]) <= 1e-12 * row_max[r]:
             raise ValueError("lambda-independent rows are linearly dependent")
@@ -224,13 +222,14 @@ def _nullspace_by_elimination(c: np.ndarray) -> np.ndarray:
             u[i], u[r] = u[r], u[i].copy()
             row_max[i], row_max[r] = row_max[r], row_max[i]
         piv_cols.append(j)
-        rows = np.flatnonzero(u[:, j])
+        rows = u[:, j].nonzero()[0]
         rows = rows[rows != i]
         if rows.size:
             u[rows] -= (u[rows, j] / u[i, j])[:, None] * u[i]
-    free = np.delete(np.arange(dim), piv_cols)
-    t = np.zeros((dim, free.size))
-    t[free, np.arange(free.size)] = 1.0
+    free = np.ones(dim, dtype=bool)
+    free[piv_cols] = False
+    t = np.zeros((dim, dim - m))
+    t[free, np.arange(dim - m)] = 1.0
     t[piv_cols, :] = -u[:, free] / u[np.arange(m), piv_cols][:, None]
     return t
 
@@ -244,9 +243,9 @@ def _equilibrate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if a.size == 0:
         return a.copy(), b.copy()
-    f = _pow2_scales(np.maximum(np.max(np.abs(a), axis=1), np.max(np.abs(b), axis=1)))
+    f = _pow2_scales(np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1)))
     a, b = a * f[:, None], b * f[:, None]
-    f = _pow2_scales(np.maximum(np.max(np.abs(a), axis=0), np.max(np.abs(b), axis=0)))
+    f = _pow2_scales(np.maximum(np.abs(a).max(axis=0), np.abs(b).max(axis=0)))
     return a * f, b * f
 
 
@@ -264,14 +263,13 @@ class ReducedPencil:
 
 def reduce_to_standard(p: Pencil) -> ReducedPencil:
     """Eliminate the lambda-independent rows and return M = A'^{-1} B'."""
-    dim = p.dim
-    bc = sorted(p.bc_rows)
-    dyn = sorted(set(range(dim)).difference(bc))
-    if np.any(p.B[bc, :] != 0.0):
+    bc = np.zeros(p.dim, dtype=bool)
+    bc[p.bc_rows] = True
+    if p.B[bc].any():
         raise ValueError("bc_rows must be identically zero in B")
-    t = _nullspace_by_elimination(p.A[bc, :])
-    a1 = p.A[dyn, :] @ t
-    b1 = p.B[dyn, :] @ t
+    t = _nullspace_by_elimination(p.A[bc])
+    a1 = p.A[~bc] @ t
+    b1 = p.B[~bc] @ t
     a1, b1 = _equilibrate(a1, b1)
     if a1.size == 0:
         return ReducedPencil(np.zeros((0, 0)))
@@ -279,7 +277,7 @@ def reduce_to_standard(p: Pencil) -> ReducedPencil:
         m = np.linalg.solve(a1, b1)
     except np.linalg.LinAlgError as exc:
         raise SingularReductionError(f"reduced fourth-order block is singular: {exc}") from exc
-    resid = np.max(np.abs(a1 @ m - b1)) / max(1.0, np.max(np.abs(b1)))
+    resid = np.abs(a1 @ m - b1).max() / max(1.0, np.abs(b1).max())
     if resid > 1e-6:
         raise SingularReductionError(
             f"reduced solve is unreliable (residual {resid:.2e}); A' is near-singular"
@@ -292,8 +290,8 @@ def split_finite(mus: np.ndarray) -> tuple[np.ndarray, int]:
     mus = np.asarray(mus, dtype=complex)
     if mus.size == 0:
         return mus, 0
-    thresh = DEFAULT_TOLERANCES["mu_infinite"] * float(np.max(np.abs(mus)))
-    finite = mus[np.abs(mus) > thresh]
+    mags = np.abs(mus)
+    finite = mus[mags > DEFAULT_TOLERANCES["mu_infinite"] * float(mags.max())]
     n_inf = int(mus.size - finite.size)
     return 1.0 / finite, n_inf
 

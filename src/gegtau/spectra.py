@@ -56,9 +56,11 @@ def pencil_lambdas(config: MethodConfig, parity: str) -> tuple[np.ndarray, int, 
 
 
 def _scale_of(lams: np.ndarray) -> float:
+    """The median of the nonzero |lambda|, as ``np.median`` rounds it; 1.0 if none."""
     mags = np.abs(lams)
-    mags = mags[mags > 0.0]
-    return float(np.median(mags)) if mags.size else 1.0
+    mags = sorted(mags[mags > 0.0].tolist()) or [1.0]
+    k = len(mags) // 2
+    return mags[k] if len(mags) % 2 else (mags[k - 1] + mags[k]) / 2
 
 
 def _classified(config: MethodConfig, ladders: tuple[str, ...]) -> SpectrumReport:

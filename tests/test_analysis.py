@@ -27,6 +27,7 @@ from gegtau.analysis import (
 )
 from gegtau import analysis
 from gegtau.charpoly import CharPoly, second_order_pair, stability_poly
+from gegtau.eig import ConvergenceError
 from gegtau.gegenbauer import evaluate, rational_ladder
 from gegtau.pencil import MethodConfig
 from gegtau.spectra import pencil_lambdas, spectrum_report
@@ -200,6 +201,15 @@ def test_hermite_biehler_raises_where_float_roots_fail(n):
     assert _routh_failure(p.mu_coeffs) is None
     with pytest.raises(RuntimeError, match="disagree"):
         hermite_biehler_stability(p)
+
+
+@pytest.mark.parametrize("gamma, n", [(0.0, 27), (0.5, 27), (-0.4, 28)])
+def test_hermite_biehler_working_range_ends_in_typed_error(gamma, n):
+    # the last degree with a verdict, then the first where the float roots
+    # disagree: a ConvergenceError (exit 3 in the CLI) naming the degree
+    assert hermite_biehler_stability(stability_poly(gamma, n - 1))
+    with pytest.raises(ConvergenceError, match=f"at degree {n}:"):
+        hermite_biehler_stability(stability_poly(gamma, n))
 
 
 # ---------------------------------------------------------------------------

@@ -192,9 +192,19 @@ def test_endpoint_overflow_is_numerical_diagnostic(capsys, method, gamma, n, j):
 def test_import_cli_skips_scipy_special():
     src = str(Path(gegtau.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # all of scipy, not only scipy.special: the solve path needs none of it,
+    # and an import of scipy.linalg alone costs tens of ms of start-up.
+    # numpy.ma (which np.median imports) holds about 1 MB of resident memory.
     # concurrent.futures too: sweeps solve in the calling thread
-    lazy = ("scipy.special", "concurrent.futures")
-    code = f"import gegtau.cli, sys; assert not {lazy!r} & sys.modules.keys()"
+    lazy = ("scipy", "numpy.ma", "concurrent.futures")
+    solves = [["spectrum", "--method", m, "--gamma", "1", "--n", "8"] for m in cli.METHOD_NAMES]
+    code = (
+        "import contextlib, io, sys, gegtau.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {solves!r}]\n"
+        f"assert codes == {[0] * len(solves)!r}, codes\n"
+        f"assert not {lazy!r} & sys.modules.keys(), sorted({lazy!r} & sys.modules.keys())\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=path),

@@ -434,6 +434,53 @@ def test_reduction_steps_match_loop_oracles_on_edge_inputs():
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_pencil_lambdas_matches_oracle_chain(kind):
+    # the whole ladder solve against the test-side references chained end to
+    # end: every stage is pinned on its own above, this pins their hand-offs
+    for gamma in (-0.45, 1.25, 4.3):
+        for alpha in (0.0, 0.5):
+            for n in (5, 8, 13, 24, 40):
+                config = MethodConfig(kind, gamma, n, alpha=alpha)
+                for parity in PARITIES:
+                    p = _oracle_assemble(config, parity)
+                    dyn = [r for r in range(p.dim) if r not in p.bc_rows]
+                    t = _oracle_nullspace_by_elimination(p.A[p.bc_rows, :])
+                    m = np.linalg.solve(*_oracle_equilibrate(p.A[dyn, :] @ t, p.B[dyn, :] @ t))
+                    mus = np.linalg.eigvals(m).astype(complex)
+                    finite = np.abs(mus) > 1e-12 * np.max(np.abs(mus))
+                    lams, n_inf, got_m = pencil_lambdas(config, parity)
+                    where = (config, parity)
+                    assert _same_bytes(got_m, m), where
+                    assert _same_bytes(lams, 1.0 / mus[finite]), where
+                    assert n_inf == int(np.count_nonzero(~finite)), where
+
+
+def test_scale_of_is_numpy_median_of_nonzero_magnitudes():
+    rng = np.random.default_rng(17)
+    cases = [
+        np.zeros(0, dtype=complex),
+        np.zeros(5, dtype=complex),  # all zero: no scale, 1.0
+        np.array([-3.0]),
+        np.array([0.0, -1.0, 3.0]),
+        np.array([2.0, -1.0, 0.5]),
+        np.array([4.0, -1.0, 2.0, 3.0]),
+        np.array([1.0, -1.0, 1j, -1j, 2.0, 0.0]),  # ties across the middle
+        np.array([1.5e308, -1.7e308]),  # the middle pair's sum overflows
+        np.array([np.inf, -2.0, 5.0 + 1e-300j]),
+    ]
+    for size in range(1, 41):
+        z = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        cases += [z, z * 10.0 ** rng.integers(-200, 200, size), np.where(rng.random(size) < 0.3, 0.0, z)]
+    for lams in cases:
+        mags = np.abs(lams)
+        mags = mags[mags > 0.0]
+        with np.errstate(over="ignore"):
+            want = float(np.median(mags)) if mags.size else 1.0
+        got = _scale_of(lams)
+        assert type(got) is float and got.hex() == want.hex(), lams
+
+
 def test_split_finite_cutoff():
     lams, n_inf = split_finite(np.array([1e-30, 0.5, -0.25]))
     assert n_inf == 1
