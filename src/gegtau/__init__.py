@@ -5,7 +5,6 @@ from .charpoly import (
     even_charpoly,
     odd_charpoly,
     second_order_pair,
-    stability_constant,
     stability_poly,
 )
 from .eig import SpectrumReport, classify, dense_eigs, poly_roots
@@ -50,7 +49,6 @@ __all__ = [
     "reduce_to_standard",
     "second_order_pair",
     "spectrum_report",
-    "stability_constant",
     "stability_poly",
     "value_at_one",
     "__version__",

@@ -366,12 +366,11 @@ def legendre_mode_residual(n: int) -> float:
         start = (n - which) % 2
         p = assemble(config, ("even", "odd")[start])
         u = legendre_infinite_mode(n, which)[start::2]
-        tau_rows = p.B[: p.bc_rows[0], :]
-        r = tau_rows @ u
-        bc = p.A[p.bc_rows, :] @ u
-        scale = float(np.max(np.abs(tau_rows))) * float(np.max(np.abs(u)))
+        r = p.B @ u
+        bc = p.C @ u
+        scale = float(np.max(np.abs(p.B))) * float(np.max(np.abs(u)))
         worst = max(worst, float(np.max(np.abs(r))) / scale)
-        bscale = float(np.max(np.abs(p.A[p.bc_rows, :]))) * float(np.max(np.abs(u)))
+        bscale = float(np.max(np.abs(p.C))) * float(np.max(np.abs(u)))
         worst = max(worst, float(np.max(np.abs(bc))) / bscale)
     return worst
 

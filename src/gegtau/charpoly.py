@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .gegenbauer import check_gamma, exact_gamma, rational_ladder
+from .gegenbauer import exact_gamma, rational_ladder
 
 
 @dataclass
@@ -130,10 +130,3 @@ def stability_poly(gamma: float | Fraction, n: int) -> CharPoly:
     coeffs[0] -= _antiderivative_constants(gamma, n, n)[0]
     return CharPoly(coeffs)
 
-
-def stability_constant(gamma: float, n: int) -> float:
-    """The constant K = (n+2) / (2 (n+gamma+1)(n+2 gamma-1)) of the stability proof."""
-    gamma = check_gamma(gamma)
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return (n + 2.0) / (2.0 * (n + gamma + 1.0) * (n + 2.0 * gamma - 1.0))

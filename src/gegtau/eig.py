@@ -162,16 +162,24 @@ class SpectrumReport:
         return [e for e, c in zip(self.eigenvalues, self.classes) if c != NEAR_INFINITE]
 
 
+def _scale_of(lams: np.ndarray) -> float:
+    """The median of the nonzero |lambda|, as ``np.median`` rounds it; 1.0 if none."""
+    mags = np.abs(lams)
+    mags = sorted(mags[mags > 0.0].tolist()) or [1.0]
+    k = len(mags) // 2
+    return mags[k] if len(mags) % 2 else (mags[k - 1] + mags[k]) / 2
+
+
 def classify(
     eigs: np.ndarray | list[complex],
-    scale: float,
     parities: list[str] | None = None,
     n_infinite: int = 0,
     infinite_parities: list[str] | None = None,
 ) -> SpectrumReport:
     """Label eigenvalues and evaluate distinctness / parity interlacing.
 
-    The thresholds are the fixed ``DEFAULT_TOLERANCES``.  An eigenvalue is
+    The thresholds are the fixed ``DEFAULT_TOLERANCES``, and ``scale`` is
+    the median of the nonzero |lambda| (1.0 if none).  An eigenvalue is
     real when |Im| <= max(real_rel*|lambda|, real_abs*scale); a real one is
     negative when its real part is below -real_abs*scale, and spurious
     otherwise.  ``distinct`` requires all relative gaps between real
@@ -182,10 +190,10 @@ def classify(
     ``infinite_parities`` tags the ``n_infinite`` near-infinite entries,
     one each.
     """
-    if scale <= 0.0:
-        raise ValueError(f"scale must be positive, got {scale}")
     tol = DEFAULT_TOLERANCES
-    eig_list = [complex(e) for e in np.atleast_1d(np.asarray(eigs, dtype=complex))]
+    eigs = np.atleast_1d(np.asarray(eigs, dtype=complex))
+    scale = _scale_of(eigs)
+    eig_list = [complex(e) for e in eigs]
     if parities is not None and len(parities) != len(eig_list):
         raise ValueError("parities must match eigenvalues in length")
     if parities is not None and len(infinite_parities or ()) != n_infinite:

@@ -6,14 +6,14 @@ modified tau variant, of u and of v = (D^2-a^2)u).  Assembly is entirely
 quadrature-free: residual rows live in coefficient space through the
 derivative operator, and boundary rows use endpoint values at x = 1.
 
-The pencil convention is mu * A a = B a with mu = 1/lambda: A holds the
-fourth-order rows plus all lambda-independent rows (boundary conditions and,
-for modified tau, the coefficient-identification rows), B holds the
-second-order rows and is zero on the lambda-independent rows.
+The pencil convention is mu * A a = B a subject to C a = 0, with
+mu = 1/lambda: A holds the fourth-order rows, B the second-order rows, and C
+the lambda-independent rows (boundary conditions and, for modified tau, the
+coefficient-identification rows).
 
-``reduce_to_standard`` eliminates the lambda-independent rows exactly (they
-carry no eigenvalue) and returns M = A'^{-1} B' whose eigenvalues are the
-mu's; |mu| below a relative cutoff maps to the near-infinite lambda class.
+``reduce_to_standard`` eliminates C exactly (its rows carry no eigenvalue)
+and returns M = A'^{-1} B' whose eigenvalues are the mu's; |mu| below a
+relative cutoff maps to the near-infinite lambda class.
 """
 
 from __future__ import annotations
@@ -40,7 +40,8 @@ GAMMA_SHIFT = {"tau": 0.0, "inviscid_galerkin": 1.0, "galerkin": 2.0}
 
 class SingularReductionError(RuntimeError):
     """The pencil has no reliable float64 reduction: its reduced fourth-order
-    block is numerically singular, or an endpoint value overflows."""
+    block is singular or its lambda-independent rows are dependent, to working
+    precision, or an endpoint value, (D^2 - a^2)^2 or a reduced row overflows."""
 
 
 @dataclass(frozen=True)
@@ -74,15 +75,15 @@ class MethodConfig:
 
 @dataclass
 class Pencil:
-    """Matrix pair with mu A a = B a; bc_rows are identically zero in B."""
+    """One parity ladder of mu A a = B a subject to C a = 0.
+
+    A and B hold the residual rows; C holds the lambda-independent rows
+    (boundary conditions and modified tau's coupling rows).
+    """
 
     A: np.ndarray
     B: np.ndarray
-    bc_rows: list[int]
-
-    @property
-    def dim(self) -> int:
-        return self.A.shape[0]
+    C: np.ndarray
 
 
 # The two builders below depend on (gamma, n[, alpha]) alone, so both parity
@@ -91,10 +92,14 @@ class Pencil:
 # holds two (n+1)^2 matrices.
 @functools.lru_cache(maxsize=1)
 def _operator(gamma: float, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient-space matrices of (D^2 - a^2) and its square, read-only."""
+    """Coefficient-space matrices of (D^2 - a^2) and its square, read-only;
+    raises ``SingularReductionError`` when the square overflows float64."""
     d = deriv_matrix(gamma, n + 1)
-    ell = d @ d - (alpha * alpha) * np.eye(n + 1)
-    ell2 = ell @ ell
+    with np.errstate(over="ignore", invalid="ignore"):
+        ell = d @ d - (alpha * alpha) * np.eye(n + 1)
+        ell2 = ell @ ell
+    if not np.isfinite(ell2).all():
+        raise SingularReductionError(f"(D^2 - a^2)^2 overflows float64 at alpha {alpha}, gamma {gamma}, n={n}")
     ell.flags.writeable = ell2.flags.writeable = False
     return ell, ell2
 
@@ -137,11 +142,9 @@ def _boundary_rows(gamma: float, cols: np.ndarray) -> np.ndarray:
         try:
             g, dg = math.exp(log), math.exp(dlog)
         except OverflowError:
-            g = dg = math.inf
-        if not (math.isfinite(g) and math.isfinite(dg)):
             raise SingularReductionError(
                 f"endpoint value G_j(1) or DG_j(1) overflows float64 at gamma {gamma}, degree j={j}"
-            )
+            ) from None
         g1.append(g)
         dg1.append(dg)
     return np.array([g1, dg1])
@@ -156,14 +159,14 @@ def assemble(config: MethodConfig, parity: str) -> Pencil:
     only in their residual rows: coefficients 0..n-4, values at the
     interior nodes, or the (u, v) rows up to degree n-2.  Both ladders of
     one configuration share its operator (and collocation nodes and basis
-    table), built once and read-only; the returned pencil is a fresh pair
-    of arrays.
+    table), built once and read-only; the returned blocks are fresh,
+    writable, C-ordered arrays.
     """
     n, alpha = config.n, config.alpha
     gamma = config.gamma + GAMMA_SHIFT.get(config.kind, 0.0)
     cols = _columns(n, parity)
     ell, ell2 = _operator(gamma, n, alpha)
-    constraints = _boundary_rows(gamma, cols)
+    c = _boundary_rows(gamma, cols)
     if config.kind == "modified_tau":
         # unknowns (u, v), v = (D^2-a^2)u, both of degree n: dynamic rows
         # mu (L v)_k = v_k and coupling rows (L u)_k - v_k = 0 for k <= n-2,
@@ -172,10 +175,8 @@ def assemble(config: MethodConfig, parity: str) -> Pencil:
         ell_rows = ell[np.ix_(rows, cols)]
         eye = (rows[:, None] == cols[None, :]).astype(float)
         zero = np.zeros(ell_rows.shape)
-        a_top, b_top = np.hstack([zero, ell_rows]), np.hstack([zero, eye])
-        constraints = np.vstack(
-            [np.hstack([ell_rows, -eye]), np.hstack([constraints, np.zeros(constraints.shape)])]
-        )
+        a, b = np.hstack([zero, ell_rows]), np.hstack([zero, eye])
+        c = np.vstack([np.hstack([ell_rows, -eye]), np.hstack([c, np.zeros(c.shape)])])
     elif config.kind == "collocation":
         # an odd residual vanishes identically at x = 0, so the origin node
         # belongs to the even ladder; strictly positive nodes serve both.
@@ -184,31 +185,27 @@ def assemble(config: MethodConfig, parity: str) -> Pencil:
         nodes, e = _collocation_table(gamma, n)
         sel = nodes >= 0.0 if parity == "even" else nodes > 0.0
         e = e[sel][:, cols]
-        a_top, b_top = e @ ell2[np.ix_(cols, cols)], e @ ell[np.ix_(cols, cols)]
+        a, b = e @ ell2[np.ix_(cols, cols)], e @ ell[np.ix_(cols, cols)]
     else:
-        c0 = int(cols[0])  # rows: the ladder's degrees up to n-4
-        a_top, b_top = ell2[c0 : n - 3 : 2, c0::2], ell[c0 : n - 3 : 2, c0::2]
-    # residual rows over the lambda-independent rows (zero in B), copied C-ordered
-    a = np.concatenate((a_top, constraints))
-    b = np.concatenate((b_top, np.zeros(constraints.shape)))
-    p = Pencil(a, b, list(range(a_top.shape[0], a.shape[0])))
-    if p.dim != p.A.shape[1]:
-        raise ValueError(f"{config.kind} pencil is not square at n={n} ({p.dim} rows, {p.A.shape[1]} cols)")
-    return p
+        # rows: the ladder's degrees up to n-4, copied out of the cached
+        # operator C-ordered, the layout the reduction's products round in
+        c0 = int(cols[0])
+        a, b = ell2[c0 : n - 3 : 2, c0::2].copy(), ell[c0 : n - 3 : 2, c0::2].copy()
+    return Pencil(a, b, c)
 
 
 def _nullspace_by_elimination(c: np.ndarray) -> np.ndarray:
     """Basis of the nullspace of the constraint rows, by full-pivot Gauss.
 
-    Raises if the rows are linearly dependent (rank-deficient pivot).  Each
-    pivot is tested against the largest entry its own row had before
-    elimination: boundary rows at large gamma and n span many orders of
-    magnitude, and a test against the whole matrix would reject the small
-    rows although they are independent.
+    Raises ``SingularReductionError`` if the rows are numerically
+    dependent (rank-deficient pivot).  Each pivot is tested against the
+    largest entry its own row had before elimination: boundary rows at large
+    gamma and n span many orders of magnitude, and a test against the whole
+    matrix would reject the small rows although they are independent.
     """
     m, dim = c.shape
     u = c.copy()
-    row_max = np.abs(u).max(axis=1).tolist() if u.size else [0.0] * m
+    row_max = np.abs(u).max(axis=1).tolist()
     piv_cols: list[int] = []
     for i in range(m):
         sub = np.abs(u[i:])
@@ -217,7 +214,7 @@ def _nullspace_by_elimination(c: np.ndarray) -> np.ndarray:
         r, j = divmod(int(sub.argmax()), dim)
         r += i
         if abs(u[r, j]) <= 1e-12 * row_max[r]:
-            raise ValueError("lambda-independent rows are linearly dependent")
+            raise SingularReductionError("lambda-independent rows are linearly dependent")
         if r != i:
             u[i], u[r] = u[r], u[i].copy()
             row_max[i], row_max[r] = row_max[r], row_max[i]
@@ -239,11 +236,13 @@ def _equilibrate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Row scaling of the pair leaves the pencil eigenvalues unchanged; column
     scaling is a similarity on M = A^{-1}B.  Power-of-two factors keep the
-    transformation exact.
+    transformation exact.  Raises ``SingularReductionError`` when a row
+    holds a value past float64.
     """
-    if a.size == 0:
-        return a.copy(), b.copy()
-    f = _pow2_scales(np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1)))
+    s = np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1))
+    if not np.isfinite(s).all():
+        raise SingularReductionError("a reduced row overflows float64")
+    f = _pow2_scales(s)
     a, b = a * f[:, None], b * f[:, None]
     f = _pow2_scales(np.maximum(np.abs(a).max(axis=0), np.abs(b).max(axis=0)))
     return a * f, b * f
@@ -262,17 +261,18 @@ class ReducedPencil:
 
 
 def reduce_to_standard(p: Pencil) -> ReducedPencil:
-    """Eliminate the lambda-independent rows and return M = A'^{-1} B'."""
-    bc = np.zeros(p.dim, dtype=bool)
-    bc[p.bc_rows] = True
-    if p.B[bc].any():
-        raise ValueError("bc_rows must be identically zero in B")
-    t = _nullspace_by_elimination(p.A[bc])
-    a1 = p.A[~bc] @ t
-    b1 = p.B[~bc] @ t
-    a1, b1 = _equilibrate(a1, b1)
+    """Eliminate C a = 0 and return M = A'^{-1} B'.
+
+    A' and B' are A and B on the nullspace of C, equilibrated.  An empty
+    ladder (the odd one at n = 4) reduces to a 0 x 0 M.
+    """
+    if p.A.shape[0] + p.C.shape[0] != p.A.shape[1]:
+        raise ValueError(f"pencil is not square: {p.A.shape[0]} + {p.C.shape[0]} rows, {p.A.shape[1]} columns")
+    t = _nullspace_by_elimination(p.C)
+    a1, b1 = p.A @ t, p.B @ t
     if a1.size == 0:
-        return ReducedPencil(np.zeros((0, 0)))
+        return ReducedPencil(a1)
+    a1, b1 = _equilibrate(a1, b1)
     try:
         m = np.linalg.solve(a1, b1)
     except np.linalg.LinAlgError as exc:

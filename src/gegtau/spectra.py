@@ -49,18 +49,8 @@ def pencil_lambdas(config: MethodConfig, parity: str) -> tuple[np.ndarray, int, 
     consumers such as the residual check reuse it instead of rebuilding it.
     """
     red = reduce_to_standard(assemble(config, parity))
-    if red.M.shape[0] == 0:
-        return np.zeros(0, dtype=complex), 0, red.M
     lams, n_inf = split_finite(dense_eigs(red.M))
     return lams, n_inf, red.M
-
-
-def _scale_of(lams: np.ndarray) -> float:
-    """The median of the nonzero |lambda|, as ``np.median`` rounds it; 1.0 if none."""
-    mags = np.abs(lams)
-    mags = sorted(mags[mags > 0.0].tolist()) or [1.0]
-    k = len(mags) // 2
-    return mags[k] if len(mags) % 2 else (mags[k - 1] + mags[k]) / 2
 
 
 def _classified(config: MethodConfig, ladders: tuple[str, ...]) -> SpectrumReport:
@@ -75,13 +65,7 @@ def _classified(config: MethodConfig, ladders: tuple[str, ...]) -> SpectrumRepor
         parities += [parity] * lam.size
         inf_parities += [parity] * n_inf
     merged = np.concatenate(lams)
-    report = classify(
-        merged,
-        _scale_of(merged),
-        parities=parities,
-        n_infinite=len(inf_parities),
-        infinite_parities=inf_parities,
-    )
+    report = classify(merged, parities=parities, n_infinite=len(inf_parities), infinite_parities=inf_parities)
     report.reduced = reduced
     return report
 

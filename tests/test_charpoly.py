@@ -12,7 +12,6 @@ from gegtau.charpoly import (
     even_charpoly,
     odd_charpoly,
     second_order_pair,
-    stability_constant,
     stability_poly,
 )
 from gegtau.eig import poly_roots
@@ -263,10 +262,6 @@ def test_stability_poly_n2_roots():
     r = np.sort_complex(roots_of(stability_poly(0.7, 2)))
     ref = np.sort_complex(np.array([-0.5 - 1j * np.sqrt(3) / 6, -0.5 + 1j * np.sqrt(3) / 6]))
     assert_allclose(r, ref, atol=1e-13)
-
-
-def test_stability_constant():
-    assert stability_constant(0.5, 2) == pytest.approx(2.0 / 7.0, rel=1e-15)
 
 
 def test_stability_poly_variable_tag():

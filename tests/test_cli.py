@@ -189,6 +189,38 @@ def test_endpoint_overflow_is_numerical_diagnostic(capsys, method, gamma, n, j):
     assert f"gamma {float(gamma)}" in captured.err and f"j={j}" in captured.err
 
 
+def test_extreme_alpha_and_dependent_rows_are_numerical_diagnostics():
+    # past alpha ~1e77, (D^2 - a^2)^2 or a reduced row overflows float64, and
+    # from alpha ~1e8 modified tau's lambda-independent rows are dependent:
+    # numerical limits, exit 3.  At 1e77 the tau family still solves (every
+    # eigenvalue near -alpha^2) and collocation overflows.  The commands run
+    # in a child process, as from a shell: numpy may warn about the
+    # overflowing product first, and pytest would raise that warning.
+    src = str(Path(gegtau.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cases = [(m, a) for m in sorted(cli.METHOD_NAMES) for a in ("1e77", "1e78", "1e80", "1e150", "1e200")]
+    cases += [("modified", "1e8"), ("tau", "1e76")]
+    code = (
+        "import contextlib, io, gegtau.cli as cli\n"
+        f"for method, alpha in {cases!r}:\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+        "        rc = cli.main(['spectrum', '--method', method, '--gamma', '1', '--n', '16', '--alpha', alpha])\n"
+        "    print(method, alpha, rc, 'numerical diagnostic:' in err.getvalue())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    solves = {("tau", "1e77"), ("galerkin", "1e77"), ("inviscid", "1e77"), ("tau", "1e76")}
+    want = [f"{m} {a} 0 False" if (m, a) in solves else f"{m} {a} 3 True" for m, a in cases]
+    assert proc.stdout.splitlines() == want
+
+
 def test_import_cli_skips_scipy_special():
     src = str(Path(gegtau.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

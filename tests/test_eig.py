@@ -14,6 +14,7 @@ from gegtau.eig import (
     COMPLEX_PAIR,
     DEFAULT_TOLERANCES,
     ConvergenceError,
+    _scale_of,
     classify,
     dense_eigs,
     poly_roots,
@@ -191,18 +192,18 @@ def test_poly_roots_polish_overflow_warns_nothing(coeffs):
 
 def test_classify_exact_pair():
     q1 = 4.493409457909064  # bisection oracle for q = tan q in (pi, 3pi/2)
-    rep = classify([-math.pi**2, -(q1**2)], scale=10.0, parities=["even", "odd"])
+    rep = classify([-math.pi**2, -(q1**2)], parities=["even", "odd"])
     assert rep.classes == ["real_negative", "real_negative"]
     assert rep.distinct and rep.interlaced
 
 
 def test_classify_spurious():
-    rep = classify([12.0], scale=12.0)
+    rep = classify([12.0])
     assert rep.classes == ["spurious_positive"]
 
 
 def test_classify_conjugate_dust_merges_to_real():
-    rep = classify([complex(-1.0, 1e-15), complex(-1.0, -1e-15)], scale=1.0)
+    rep = classify([complex(-1.0, 1e-15), complex(-1.0, -1e-15)])
     assert rep.classes == ["real_negative", "real_negative"]
     # one eigenvalue after the conjugate merge: the two entries coincide
     assert not rep.distinct
@@ -210,33 +211,19 @@ def test_classify_conjugate_dust_merges_to_real():
 
 
 def test_classify_complex_pair():
-    rep = classify([complex(-1.0, 2.0), complex(-1.0, -2.0)], scale=1.0)
+    rep = classify([complex(-1.0, 2.0), complex(-1.0, -2.0)])
     assert rep.classes == ["complex_pair", "complex_pair"]
 
 
 def test_classify_interlacing_detection():
-    rep = classify(
-        [-1.0, -2.0, -3.0, -4.0],
-        scale=2.0,
-        parities=["even", "odd", "even", "odd"],
-    )
+    rep = classify([-1.0, -2.0, -3.0, -4.0], parities=["even", "odd", "even", "odd"])
     assert rep.interlaced
-    rep2 = classify(
-        [-1.0, -2.0, -3.0, -4.0],
-        scale=2.0,
-        parities=["even", "odd", "odd", "even"],
-    )
+    rep2 = classify([-1.0, -2.0, -3.0, -4.0], parities=["even", "odd", "odd", "even"])
     assert not rep2.interlaced
 
 
 def test_classify_near_infinite_entries():
-    rep = classify(
-        [-2.0],
-        scale=2.0,
-        parities=["even"],
-        n_infinite=2,
-        infinite_parities=["even", "odd"],
-    )
+    rep = classify([-2.0], parities=["even"], n_infinite=2, infinite_parities=["even", "odd"])
     assert rep.n_infinite == 2
     assert len(rep.eigenvalues) == 3
     assert rep.count("real_negative") + rep.n_infinite == 3
@@ -247,11 +234,11 @@ def test_classify_near_infinite_entries():
 def test_classify_rejects_untagged_infinite_entries(infinite_parities):
     # a tagged report tags every near-infinite entry from the caller's list
     with pytest.raises(ValueError, match="infinite_parities"):
-        classify([-2.0], scale=2.0, parities=["even"], n_infinite=2, infinite_parities=infinite_parities)
+        classify([-2.0], parities=["even"], n_infinite=2, infinite_parities=infinite_parities)
 
 
 def test_classify_empty():
-    rep = classify([], scale=1.0)
+    rep = classify([])
     assert rep.eigenvalues == [] and rep.classes == []
     assert rep.distinct
 
@@ -274,14 +261,19 @@ def _near(value, threshold, rel):
 @example(pairs=[(99.99999999999999, 1e-06)], c=1e-06)
 def test_classify_scale_invariance(pairs, c):
     eigs = [complex(re, im) for re, im in pairs]
-    base = classify(eigs, scale=7.0)
+    scaled_eigs = [c * e for e in eigs]
+    scale = _scale_of(np.array(eigs))
+    # classify's scale is the median nonzero |lambda|; drop inputs where a
+    # product underflows and so moves it by more than rounding
+    assume(math.isclose(_scale_of(np.array(scaled_eigs)), c * scale, rel_tol=1e-12))
+    base = classify(eigs)
     # Rounding c * lambda moves a quantity that sits on a threshold across
     # it, so inputs whose deciding ratios lie that close are dropped: within
     # a relative 1e-12 for |Im| and Re against their thresholds, and within
     # 1e-6 for the distinct gap, whose rounding error is absolute (a few
     # ulps of 1, i.e. ~1e-8 relative to distinct_rel = 1e-8).
     tol = DEFAULT_TOLERANCES
-    floor = tol["real_abs"] * 7.0
+    floor = tol["real_abs"] * scale
     reals = []
     for lam, cls in zip(eigs, base.classes):
         assume(not _near(abs(lam.imag), max(tol["real_rel"] * abs(lam), floor), 1e-12))
@@ -292,14 +284,9 @@ def test_classify_scale_invariance(pairs, c):
     for a, b in zip(reals, reals[1:]):
         gap = abs(b - a) / max(abs(a), abs(b), floor)
         assume(not _near(gap, tol["distinct_rel"], 1e-6))
-    scaled = classify([c * e for e in eigs], scale=7.0 * c)
+    scaled = classify(scaled_eigs)
     assert base.classes == scaled.classes
     assert base.distinct == scaled.distinct
-
-
-def test_classify_rejects_bad_scale():
-    with pytest.raises(ValueError):
-        classify([1.0], scale=0.0)
 
 
 def test_every_tolerance_is_applied():

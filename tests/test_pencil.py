@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gegtau.analysis import THEOREM_GAMMAS
-from gegtau.eig import classify, dense_eigs
+from gegtau.eig import _scale_of, classify, dense_eigs
 from gegtau.gegenbauer import (
     basis_matrix,
     deriv_at_one,
@@ -19,6 +19,7 @@ from gegtau.pencil import (
     KINDS,
     MethodConfig,
     Pencil,
+    SingularReductionError,
     _collocation_table,
     _equilibrate,
     _nullspace_by_elimination,
@@ -28,7 +29,7 @@ from gegtau.pencil import (
     reduce_to_standard,
     split_finite,
 )
-from gegtau.spectra import _scale_of, charpoly_lambdas, pencil_lambdas, spectrum_report
+from gegtau.spectra import charpoly_lambdas, pencil_lambdas, spectrum_report
 
 PARITIES = ("even", "odd")
 
@@ -83,11 +84,12 @@ def test_assemble_parity_consistency():
 
 
 def test_bc_rows_zero_in_b():
+    # the two boundary rows are their own block; every residual row of B is nonzero
     for parity, dim in (("even", 6), ("odd", 5)):
         p = assemble(MethodConfig("tau", 0.5, 10), parity)
-        assert p.dim == dim
-        zero_rows = [i for i in range(p.dim) if not np.any(p.B[i])]
-        assert zero_rows == p.bc_rows == [dim - 2, dim - 1]
+        assert p.A.shape == p.B.shape == (dim - 2, dim)
+        assert p.C.shape == (2, dim)
+        assert np.abs(p.B).max(axis=1).all()
 
 
 def test_bc_rows_encode_clamped_conditions():
@@ -97,21 +99,23 @@ def test_bc_rows_encode_clamped_conditions():
 
     u = legendre_infinite_mode(4, 4)  # (1-x^2)^2 * G_0
     config = MethodConfig("tau", 0.5, 4)
-    p = _oracle_assemble(config, None)
-    assert_allclose(p.A[p.bc_rows, :] @ u, 0.0, atol=1e-14)
-    p = assemble(config, "even")
-    assert_allclose(p.A[p.bc_rows, :] @ u[0::2], 0.0, atol=1e-14)
+    assert_allclose(_oracle_assemble(config, None).C @ u, 0.0, atol=1e-14)
+    assert_allclose(assemble(config, "even").C @ u[0::2], 0.0, atol=1e-14)
 
 
 def test_parity_split_dimensions():
-    for n in (8, 9, 15, 24):
+    # n 4's odd ladder is empty: a 0 x 0 M and no eigenvalue
+    for n in (4, 8, 9, 15, 24):
+        config = MethodConfig("tau", 1.0, n)
         for parity in ("even", "odd"):
-            p = assemble(MethodConfig("tau", 1.0, n), parity)
-            assert p.A.shape[0] == p.A.shape[1]
+            p = assemble(config, parity)
+            assert p.A.shape[0] + p.C.shape[0] == p.A.shape[1]
             m = reduce_to_standard(p).M
             ladder = n if (n % 2 == 0) == (parity == "even") else n - 1
             expected = (ladder - 2) // 2 if parity == "even" else (ladder - 3) // 2
-            assert m.shape[0] == expected
+            assert m.shape == (expected, expected)
+            lams, n_inf, _ = pencil_lambdas(config, parity)
+            assert lams.size + n_inf == expected
 
 
 def test_modified_tau_dimension():
@@ -121,8 +125,8 @@ def test_modified_tau_dimension():
     reduced = 0
     for parity, cols, rows in (("even", 7, 6), ("odd", 6, 5)):
         p = assemble(MethodConfig("modified_tau", 0.0, n), parity)
-        assert p.dim == 2 * cols
-        assert len(p.bc_rows) == rows + 2
+        assert p.A.shape[1] == 2 * cols
+        assert p.C.shape[0] == rows + 2
         m = reduce_to_standard(p).M
         assert m.shape == (cols - 1, cols - 1)
         reduced += m.shape[0]
@@ -147,7 +151,8 @@ def test_galerkin_spectrum_matches_shifted_tau():
 # assembly path replaced: the reference, byte for byte.  parity None builds
 # the coupled pencil on all degrees 0..n, with four boundary rows at +1 and
 # -1; the library solves only the ladders, and these tests check them
-# against it.
+# against it.  Each builds the stacked pencil, lambda-independent rows
+# listed by index, and _oracle_assemble splits it into blocks.
 
 
 def _oracle_endpoint_rows(gamma, n):
@@ -169,12 +174,12 @@ def _oracle_tau(gamma, n, alpha, parity):
         bc = np.vstack([g1, g1 * signs, dg1, -dg1 * signs])
         a = np.vstack([ell2[rows], bc])
         b = np.vstack([ell[rows], np.zeros((4, n + 1))])
-        return Pencil(a, b, list(range(n - 3, n + 1)))
+        return a, b, list(range(n - 3, n + 1))
     cols = _oracle_parity_indices(n, parity)
     rows = cols[cols <= n - 4]
     a = np.vstack([ell2[np.ix_(rows, cols)], g1[cols], dg1[cols]])
     b = np.vstack([ell[np.ix_(rows, cols)], np.zeros((2, cols.size))])
-    return Pencil(a, b, [a.shape[0] - 2, a.shape[0] - 1])
+    return a, b, [a.shape[0] - 2, a.shape[0] - 1]
 
 
 def _oracle_modified(gamma, n, alpha, parity):
@@ -182,13 +187,13 @@ def _oracle_modified(gamma, n, alpha, parity):
         # one parity's u and v columns, its dynamic and coupling rows up to
         # degree n-2 and the two boundary rows at +1, sliced from the
         # coupled oracle
-        full, nrow = _oracle_modified(gamma, n, alpha, None), n - 1
+        (full_a, full_b, _), nrow = _oracle_modified(gamma, n, alpha, None), n - 1
         cols = _oracle_parity_indices(n, parity)
         rows = cols[cols <= n - 2]
         keep_rows = np.concatenate([rows, nrow + rows, [2 * nrow, 2 * nrow + 2]])
         keep_cols = np.concatenate([cols, n + 1 + cols])
-        a, b = full.A[np.ix_(keep_rows, keep_cols)], full.B[np.ix_(keep_rows, keep_cols)]
-        return Pencil(a, b, list(range(rows.size, keep_rows.size)))
+        a, b = full_a[np.ix_(keep_rows, keep_cols)], full_b[np.ix_(keep_rows, keep_cols)]
+        return a, b, list(range(rows.size, keep_rows.size))
     ell, _ = _operator.__wrapped__(gamma, n, alpha)
     g1, dg1 = _oracle_endpoint_rows(gamma, n)
     dim, nrow = 2 * (n + 1), n - 1
@@ -203,7 +208,7 @@ def _oracle_modified(gamma, n, alpha, parity):
     a[2 * nrow + 1, u] = g1 * signs
     a[2 * nrow + 2, u] = dg1
     a[2 * nrow + 3, u] = -dg1 * signs
-    return Pencil(a, b, list(range(nrow, dim)))
+    return a, b, list(range(nrow, dim))
 
 
 def _oracle_collocation(gamma, n, alpha, parity):
@@ -216,21 +221,31 @@ def _oracle_collocation(gamma, n, alpha, parity):
         bc = np.vstack([g1, g1 * signs, dg1, -dg1 * signs])
         a = np.vstack([e @ ell2, bc])
         b = np.vstack([e @ ell, np.zeros((4, n + 1))])
-        return Pencil(a, b, list(range(n - 3, n + 1)))
+        return a, b, list(range(n - 3, n + 1))
     cols = _oracle_parity_indices(n, parity)
     sel = nodes >= 0.0 if parity == "even" else nodes > 0.0
     e = basis_matrix(gamma, n, nodes[sel])[:, cols]
     a = np.vstack([e @ ell2[np.ix_(cols, cols)], g1[cols], dg1[cols]])
     b = np.vstack([e @ ell[np.ix_(cols, cols)], np.zeros((2, cols.size))])
-    return Pencil(a, b, [a.shape[0] - 2, a.shape[0] - 1])
+    return a, b, [a.shape[0] - 2, a.shape[0] - 1]
+
+
+def _oracle_blocks(a, b, bc_rows):
+    """The stacked pencil as blocks; its lambda-independent rows are zero in B."""
+    bc = np.zeros(a.shape[0], dtype=bool)
+    bc[bc_rows] = True
+    assert not b[bc].any()
+    return Pencil(a[~bc], b[~bc], a[bc])
 
 
 def _oracle_assemble(config, parity):
     if config.kind in GAMMA_SHIFT:
-        return _oracle_tau(config.gamma + GAMMA_SHIFT[config.kind], config.n, config.alpha, parity)
-    if config.kind == "modified_tau":
-        return _oracle_modified(config.gamma, config.n, config.alpha, parity)
-    return _oracle_collocation(config.gamma, config.n, config.alpha, parity)
+        stacked = _oracle_tau(config.gamma + GAMMA_SHIFT[config.kind], config.n, config.alpha, parity)
+    elif config.kind == "modified_tau":
+        stacked = _oracle_modified(config.gamma, config.n, config.alpha, parity)
+    else:
+        stacked = _oracle_collocation(config.gamma, config.n, config.alpha, parity)
+    return _oracle_blocks(*stacked)
 
 
 def _coupled_lambdas(config):
@@ -241,7 +256,7 @@ def _coupled_lambdas(config):
 def _coupled_report(config):
     """The coupled oracle's spectrum, classified as the ladders' is, untagged."""
     lams, n_inf = _coupled_lambdas(config)
-    return classify(lams, _scale_of(lams), n_infinite=n_inf)
+    return classify(lams, n_infinite=n_inf)
 
 
 def _same_bytes(x, y):
@@ -258,14 +273,22 @@ def test_assemble_matches_parent_oracle(kind):
                     got, want = assemble(config, parity), _oracle_assemble(config, parity)
                     assert _same_bytes(got.A, want.A) and np.array_equal(got.A, want.A), (config, parity)
                     assert _same_bytes(got.B, want.B) and np.array_equal(got.B, want.B), (config, parity)
-                    assert got.bc_rows == want.bc_rows
+                    assert _same_bytes(got.C, want.C) and np.array_equal(got.C, want.C), (config, parity)
 
 
 def test_shared_ingredients_are_read_only():
     # both parity ladders of a configuration slice these cached arrays
-    for a in _operator(1.3, 14, 0.0) + _collocation_table(1.3, 14):
+    shared = _operator(1.3, 14, 0.0) + _collocation_table(1.3, 14)
+    for a in shared:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
+    # and each pencil's blocks are its own: writable and C-ordered
+    for kind in KINDS:
+        for parity in PARITIES:
+            p = assemble(MethodConfig(kind, 1.3, 14), parity)
+            for block in (p.A, p.B, p.C):
+                assert block.flags.writeable and block.flags.c_contiguous, (kind, parity)
+                assert not any(np.shares_memory(block, a) for a in shared), (kind, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +316,15 @@ def test_reduce_invariant_under_tau_row_rescaling():
     for parity in PARITIES:
         p = assemble(cfg, parity)
         lam_ref, _, _ = pencil_lambdas(cfg, parity)
-        tau = p.bc_rows[0]
+        tau = p.A.shape[0]
         scales = 10.0 ** rng.uniform(-3, 3, size=tau)
         a = p.A.copy()
         b = p.B.copy()
         a[:tau] *= scales[:, None]
         b[:tau] *= scales[:, None]
-        mus = dense_eigs(reduce_to_standard(Pencil(a, b, p.bc_rows)).M)
+        mus = dense_eigs(reduce_to_standard(Pencil(a, b, p.C)).M)
         lam, _ = split_finite(mus)
         assert spectrum_dev(lam, lam_ref) < 1e-9
-
-
-def test_reduce_rejects_nonzero_b_in_bc_rows():
-    p = assemble(MethodConfig("tau", 0.0, 8), "even")
-    p.B[p.bc_rows[0], 0] = 1.0
-    with pytest.raises(ValueError):
-        reduce_to_standard(p)
 
 
 def test_nullspace_by_elimination():
@@ -317,7 +333,7 @@ def test_nullspace_by_elimination():
     t = _nullspace_by_elimination(c)
     assert t.shape == (11, 7)
     assert_allclose(c @ t, 0.0, atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularReductionError):
         _nullspace_by_elimination(np.vstack([c, c[0]]))  # dependent rows
     # rows many orders apart are still independent; pivots are tested
     # against their own row's scale, not the largest entry of the matrix
@@ -325,7 +341,7 @@ def test_nullspace_by_elimination():
     t = _nullspace_by_elimination(scaled)
     assert t.shape == (11, 7)
     assert_allclose(scaled @ t / np.max(np.abs(scaled), axis=1)[:, None], 0.0, atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(SingularReductionError):
         _nullspace_by_elimination(np.vstack([scaled, 1e-9 * c[0]]))
 
 
@@ -404,11 +420,9 @@ ORACLE_CONFIGS = [
 def test_reduction_steps_match_loop_oracles(config, split):
     pencils = [assemble(config, parity) for parity in PARITIES] if split else [_oracle_assemble(config, None)]
     for p in pencils:
-        bc = sorted(p.bc_rows)
-        dyn = [r for r in range(p.dim) if r not in set(bc)]
-        t = _nullspace_by_elimination(p.A[bc, :])
-        assert np.array_equal(t, _oracle_nullspace_by_elimination(p.A[bc, :]))
-        a1, b1 = p.A[dyn, :] @ t, p.B[dyn, :] @ t
+        t = _nullspace_by_elimination(p.C)
+        assert np.array_equal(t, _oracle_nullspace_by_elimination(p.C))
+        a1, b1 = p.A @ t, p.B @ t
         want = _oracle_equilibrate(a1, b1)
         for got, w in zip(_equilibrate(a1, b1), want):
             assert np.array_equal(got, w)
@@ -429,9 +443,8 @@ def test_reduction_steps_match_loop_oracles_on_edge_inputs():
     a[4], b[4] = 0.0, 0.0  # an all-zero row keeps factor 1
     b[:, 1] = 0.0
     a[:, 1] = 2.0 ** np.arange(-3, 3)  # exact powers of two on the log2 boundary
-    for pair in ((a, b), (a[:0], b[:0])):
-        for got, want in zip(_equilibrate(*pair), _oracle_equilibrate(*pair)):
-            assert np.array_equal(got, want)
+    for got, want in zip(_equilibrate(a, b), _oracle_equilibrate(a, b)):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -444,9 +457,8 @@ def test_pencil_lambdas_matches_oracle_chain(kind):
                 config = MethodConfig(kind, gamma, n, alpha=alpha)
                 for parity in PARITIES:
                     p = _oracle_assemble(config, parity)
-                    dyn = [r for r in range(p.dim) if r not in p.bc_rows]
-                    t = _oracle_nullspace_by_elimination(p.A[p.bc_rows, :])
-                    m = np.linalg.solve(*_oracle_equilibrate(p.A[dyn, :] @ t, p.B[dyn, :] @ t))
+                    t = _oracle_nullspace_by_elimination(p.C)
+                    m = np.linalg.solve(*_oracle_equilibrate(p.A @ t, p.B @ t))
                     mus = np.linalg.eigvals(m).astype(complex)
                     finite = np.abs(mus) > 1e-12 * np.max(np.abs(mus))
                     lams, n_inf, got_m = pencil_lambdas(config, parity)
