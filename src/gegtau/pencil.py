@@ -185,7 +185,8 @@ def assemble(config: MethodConfig, parity: str) -> Pencil:
         nodes, e = _collocation_table(gamma, n)
         sel = nodes >= 0.0 if parity == "even" else nodes > 0.0
         e = e[sel][:, cols]
-        a, b = e @ ell2[np.ix_(cols, cols)], e @ ell[np.ix_(cols, cols)]
+        with np.errstate(over="ignore", invalid="ignore"):  # reduce_to_standard raises on overflow
+            a, b = e @ ell2[np.ix_(cols, cols)], e @ ell[np.ix_(cols, cols)]
     else:
         # rows: the ladder's degrees up to n-4, copied out of the cached
         # operator C-ordered, the layout the reduction's products round in
@@ -269,7 +270,8 @@ def reduce_to_standard(p: Pencil) -> ReducedPencil:
     if p.A.shape[0] + p.C.shape[0] != p.A.shape[1]:
         raise ValueError(f"pencil is not square: {p.A.shape[0]} + {p.C.shape[0]} rows, {p.A.shape[1]} columns")
     t = _nullspace_by_elimination(p.C)
-    a1, b1 = p.A @ t, p.B @ t
+    with np.errstate(over="ignore", invalid="ignore"):  # _equilibrate raises on overflow
+        a1, b1 = p.A @ t, p.B @ t
     if a1.size == 0:
         return ReducedPencil(a1)
     a1, b1 = _equilibrate(a1, b1)

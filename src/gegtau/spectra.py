@@ -17,7 +17,7 @@ import numpy as np
 
 from .charpoly import CharPoly, even_charpoly, odd_charpoly
 from .eig import SpectrumReport, classify, dense_eigs, poly_roots
-from .pencil import MethodConfig, assemble, reduce_to_standard, split_finite
+from .pencil import GAMMA_SHIFT, MethodConfig, assemble, reduce_to_standard, split_finite
 
 
 def ladder_degree(n: int, parity: str) -> int:
@@ -40,6 +40,23 @@ def charpoly_lambdas(gamma: float, n: int, parity: str) -> tuple[np.ndarray, int
     return split_finite(mus)
 
 
+# ladders solved in the open ``shared_ladders`` scope, oldest first; None outside
+_shared: dict | None = None
+
+
+class shared_ladders:
+    """Scope in which ``pencil_lambdas`` solves each distinct ladder once; a
+    nested scope reuses the outer table, which dies with the outermost."""
+
+    def __enter__(self) -> None:
+        global _shared
+        self.outer, _shared = _shared, {} if _shared is None else _shared
+
+    def __exit__(self, *exc) -> None:
+        global _shared
+        _shared = self.outer
+
+
 def pencil_lambdas(config: MethodConfig, parity: str) -> tuple[np.ndarray, int, np.ndarray]:
     """Finite eigenvalues, near-infinite count, and the reduced matrix M of
     one parity ladder.
@@ -47,9 +64,27 @@ def pencil_lambdas(config: MethodConfig, parity: str) -> tuple[np.ndarray, int, 
     ``M`` is the matrix of the standard problem ``M x = mu x`` whose
     eigenvalues the lambdas (= 1/mu) came from; it is returned so that
     consumers such as the residual check reuse it instead of rebuilding it.
+    Inside ``shared_ladders`` both arrays are read-only, and one of the last
+    16 results, kept by shifted gamma and ladder degree (n for collocation),
+    is reused only if its A, B and C equal the fresh ones byte for byte (BLAS
+    may round one ladder at two degrees differently): no output depends on it.
     """
-    red = reduce_to_standard(assemble(config, parity))
+    p = assemble(config, parity)
+    if _shared is not None:
+        kind = "tau" if config.kind in GAMMA_SHIFT else config.kind
+        degree = config.n if kind == "collocation" else ladder_degree(config.n, parity)
+        key = (kind, config.gamma + GAMMA_SHIFT.get(config.kind, 0.0), degree, config.alpha, parity)
+        blocks = (p.A.tobytes(), p.B.tobytes(), p.C.tobytes())
+        if (entry := _shared.get(key)) and entry[0] == blocks:
+            return entry[1]
+    red = reduce_to_standard(p)
     lams, n_inf = split_finite(dense_eigs(red.M))
+    if _shared is not None:
+        lams.flags.writeable = red.M.flags.writeable = False
+        _shared.pop(key, None)
+        if len(_shared) == 16:
+            del _shared[next(iter(_shared))]
+        _shared[key] = (blocks, (lams, n_inf, red.M))
     return lams, n_inf, red.M
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from fractions import Fraction
 
@@ -25,12 +26,12 @@ from gegtau.analysis import (
     suite_theorem_range,
     tan_fixed_point,
 )
-from gegtau import analysis
+from gegtau import analysis, cli, spectra
 from gegtau.charpoly import CharPoly, second_order_pair, stability_poly
 from gegtau.eig import ConvergenceError
 from gegtau.gegenbauer import evaluate, rational_ladder
-from gegtau.pencil import MethodConfig
-from gegtau.spectra import pencil_lambdas, spectrum_report
+from gegtau.pencil import KINDS, MethodConfig, SingularReductionError
+from gegtau.spectra import pencil_lambdas, shared_ladders, spectrum_report
 
 
 # ---------------------------------------------------------------------------
@@ -461,3 +462,148 @@ def test_suite_appendix_b():
 def test_suite_exact_convergence():
     res = suite_exact_convergence(gamma=2.0, n=40)
     assert res.passed, res.counterexample
+
+
+# ---------------------------------------------------------------------------
+# ladders shared within a verify suite or sweep
+
+
+def _counting(monkeypatch, name):
+    """Replace spectra's ``name`` by a wrapper that records each call."""
+    calls = []
+    original = getattr(spectra, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(spectra, name, counted)
+    return calls
+
+
+def _solved(result):
+    lams, n_inf, m = result
+    return lams.tobytes(), n_inf, m.shape, m.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+@pytest.mark.parametrize("kind", KINDS)
+def test_shared_ladders_match_unshared_solves(monkeypatch, kind, alpha):
+    configs = [
+        (MethodConfig(kind, g, n, alpha=alpha), parity)
+        for g in (0.3, 1.25)
+        for n in range(8, 21)
+        for parity in ("even", "odd")
+    ]
+    alone = [_solved(pencil_lambdas(c, parity)) for c, parity in configs]
+    reduces = _counting(monkeypatch, "reduce_to_standard")
+    with shared_ladders():
+        shared = [_solved(pencil_lambdas(c, parity)) for c, parity in configs]
+    assert shared == alone
+    # two adjacent degrees share each ladder; collocation's nodes move with n
+    if kind == "collocation":
+        assert len(reduces) == len(configs)
+    else:
+        assert len(reduces) <= 0.6 * len(configs)
+
+
+@pytest.mark.parametrize(
+    "suite, kwargs",
+    [
+        (suite_theorem_range, {"gammas": (0.6, 3.5), "n_lo": 8, "n_hi": 20}),
+        (suite_theorem_range, {"gammas": (3.6,), "n_lo": 8, "n_hi": 20}),
+        (suite_equivalence, {"gammas": (0.0, 1.25), "n_lo": 8, "n_hi": 14}),
+        (suite_equivalence, {"gammas": (0.5, 2.0), "n_lo": 8, "n_hi": 12, "tol": 1e-14}),
+    ],
+)
+def test_suites_identical_with_and_without_shared_ladders(monkeypatch, suite, kwargs):
+    shared = suite(**kwargs)
+    monkeypatch.setattr(analysis, "shared_ladders", contextlib.nullcontext)
+    alone = suite(**kwargs)
+    assert repr(vars(shared)) == repr(vars(alone))
+
+
+@pytest.mark.parametrize("alpha", ["0", "0.5"])
+@pytest.mark.parametrize("method", sorted(cli.METHOD_NAMES))
+def test_sweep_output_identical_with_and_without_shared_ladders(monkeypatch, capsys, method, alpha):
+    argv = ["sweep", "--method", method, "--gamma-range", "0.3:1.3:0.5", "--n-range", "8:20:1", "--alpha", alpha]
+    assert cli.main(argv) == 0
+    shared = capsys.readouterr()
+    monkeypatch.setattr(cli, "shared_ladders", contextlib.nullcontext)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == shared
+
+
+def test_default_suites_solve_each_shared_ladder_once(monkeypatch):
+    assembles = _counting(monkeypatch, "assemble")
+    reduces = _counting(monkeypatch, "reduce_to_standard")
+    for suite, ladders, share in ((suite_theorem_range, 574, 0.60), (suite_equivalence, 714, 0.45)):
+        assembles.clear()
+        reduces.clear()
+        assert suite().passed
+        assert len(assembles) == ladders
+        assert len(reduces) <= share * ladders, suite.__name__
+
+
+def test_shared_ladder_is_solved_again_when_its_blocks_differ(monkeypatch):
+    config = MethodConfig("tau", 1.25, 16)
+    assemble = spectra.assemble
+
+    def nudged(config, parity):
+        p = assemble(config, parity)
+        p.A[0, 0] = np.nextafter(p.A[0, 0], np.inf)
+        return p
+
+    reduces = _counting(monkeypatch, "reduce_to_standard")
+    with shared_ladders():
+        first = pencil_lambdas(config, "even")
+        assert all(a is b for a, b in zip(pencil_lambdas(config, "even"), first))
+        assert len(reduces) == 1
+        monkeypatch.setattr(spectra, "assemble", nudged)
+        resolved = pencil_lambdas(config, "even")
+        assert len(reduces) == 2
+        # the re-solved ladder replaced the entry under the same key
+        assert all(a is b for a, b in zip(pencil_lambdas(config, "even"), resolved))
+        assert len(reduces) == 2 and len(spectra._shared) == 1
+    assert _solved(resolved) == _solved(pencil_lambdas(config, "even"))
+
+
+def test_shared_table_dies_with_its_scope(monkeypatch):
+    config = MethodConfig("inviscid_galerkin", 0.75, 12)
+    reduces = _counting(monkeypatch, "reduce_to_standard")
+    with shared_ladders():
+        pencil_lambdas(config, "odd")
+        table = spectra._shared
+        with shared_ladders():
+            assert spectra._shared is table
+            pencil_lambdas(config, "odd")
+            pencil_lambdas(MethodConfig("tau", 1.75, 12), "odd")  # the same ladder
+        assert spectra._shared is table and len(table) == 1
+    assert len(reduces) == 1 and spectra._shared is None
+    with pytest.raises(KeyError):
+        with shared_ladders():
+            pencil_lambdas(config, "odd")
+            raise KeyError("leave the scope by an exception")
+    assert len(reduces) == 2 and spectra._shared is None
+
+
+def test_shared_results_are_read_only():
+    config = MethodConfig("galerkin", 0.5, 14)
+    with shared_ladders():
+        for _ in range(2):  # the first solve, then its reuse
+            lams, _, m = pencil_lambdas(config, "even")
+            assert not lams.flags.writeable and not m.flags.writeable
+            with pytest.raises(ValueError):
+                m[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("gamma", [1.0, 3.5])
+def test_failed_ladder_is_not_shared(gamma):
+    # the reduced rows (and at gamma 3.5 the collocation rows themselves)
+    # overflow float64, without a numpy warning: exit 3 from the CLI
+    config = MethodConfig("collocation", gamma, 16, alpha=1e77)
+    with shared_ladders():
+        for _ in range(2):
+            with pytest.raises(SingularReductionError):
+                pencil_lambdas(config, "even")
+            assert spectra._shared == {}

@@ -191,11 +191,12 @@ def test_endpoint_overflow_is_numerical_diagnostic(capsys, method, gamma, n, j):
 
 def test_extreme_alpha_and_dependent_rows_are_numerical_diagnostics():
     # past alpha ~1e77, (D^2 - a^2)^2 or a reduced row overflows float64, and
-    # from alpha ~1e8 modified tau's lambda-independent rows are dependent:
-    # numerical limits, exit 3.  At 1e77 the tau family still solves (every
-    # eigenvalue near -alpha^2) and collocation overflows.  The commands run
-    # in a child process, as from a shell: numpy may warn about the
-    # overflowing product first, and pytest would raise that warning.
+    # at gamma 1, n 16 modified tau's lambda-independent rows fail the
+    # elimination's pivot test from alpha 1e6 (1e5 still solves): numerical
+    # limits, exit 3.  At 1e77 the tau family still solves (every eigenvalue
+    # near -alpha^2) and collocation overflows.  The commands run in a child
+    # process, as from a shell, outside pytest's warning filter: none may
+    # print a numpy RuntimeWarning before its diagnostic.
     src = str(Path(gegtau.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     cases = [(m, a) for m in sorted(cli.METHOD_NAMES) for a in ("1e77", "1e78", "1e80", "1e150", "1e200")]
@@ -206,7 +207,7 @@ def test_extreme_alpha_and_dependent_rows_are_numerical_diagnostics():
         "    err = io.StringIO()\n"
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
         "        rc = cli.main(['spectrum', '--method', method, '--gamma', '1', '--n', '16', '--alpha', alpha])\n"
-        "    print(method, alpha, rc, 'numerical diagnostic:' in err.getvalue())\n"
+        "    print(method, alpha, rc, 'numerical diagnostic:' in err.getvalue(), 'RuntimeWarning' in err.getvalue())\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -216,8 +217,9 @@ def test_extreme_alpha_and_dependent_rows_are_numerical_diagnostics():
         timeout=120,
     )
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr, proc.stderr
     solves = {("tau", "1e77"), ("galerkin", "1e77"), ("inviscid", "1e77"), ("tau", "1e76")}
-    want = [f"{m} {a} 0 False" if (m, a) in solves else f"{m} {a} 3 True" for m, a in cases]
+    want = [f"{m} {a} 0 False False" if (m, a) in solves else f"{m} {a} 3 True False" for m, a in cases]
     assert proc.stdout.splitlines() == want
 
 
