@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -27,17 +28,42 @@ from .spectra import ladder_degree, pencil_lambdas, shared_ladders, spectrum_rep
 # it is used to check)
 
 
+def jacobi_rule(exponent: float, npts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights of the npts-point Gauss rule for the
+    weight (1-x^2)^exponent on [-1, 1], exponent > -1.
+
+    Golub & Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the weight's symmetric Jacobi matrix, and the weights are mu0 v_0^2, the
+    first components of its unit eigenvectors squared, times
+    mu0 = int (1-x^2)^a dx = Gamma(1/2) Gamma(a+1) / Gamma(a+3/2), a = exponent.
+    The weight is Gegenbauer's at index lam = a + 1/2: zero diagonal,
+    off-diagonal b_k with b_k^2 = k(k+2 lam-1) / (4(k+lam)(k+lam-1)), and
+    b_1^2 = 1/(2(1+lam)) in closed form, where lam = 0 would divide 0 by 0.
+    The matrix is written out here, not taken from gegenbauer, because this
+    rule is the independent oracle that norm_h and the orthogonality of the
+    recurrences are tested against.
+    """
+    if not isinstance(npts, numbers.Integral) or npts < 1:
+        raise ValueError(f"npts must be a positive integer, got {npts!r}")
+    a = float(exponent)
+    if not (math.isfinite(a) and a > -1.0):
+        raise ValueError(f"exponent must be finite and > -1, got {exponent!r}")
+    lam = a + 0.5
+    k = np.arange(2.0, npts)
+    b2 = np.append(0.5 / (1.0 + lam), k * (k + 2.0 * lam - 1.0) / (4.0 * (k + lam) * (k + lam - 1.0)))
+    b = np.sqrt(b2[: npts - 1])
+    x, v = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))
+    mu0 = math.exp(math.lgamma(0.5) + math.lgamma(a + 1.0) - math.lgamma(a + 1.5))
+    return x, mu0 * v[0] ** 2
+
+
 def jacobi_quad(exponent: float, f, npts: int) -> float:
     """int_{-1}^{1} f(x) (1-x^2)^exponent dx by Gauss-Jacobi quadrature.
 
     Exact for polynomial f of degree <= 2*npts - 1, including the
     singular-endpoint range -1 < exponent < 0.
     """
-    # imported here, its only use: scipy.special is most of the package's
-    # import time, and only the verify suites reach this function
-    from scipy.special import roots_jacobi
-
-    x, w = roots_jacobi(npts, exponent, exponent)
+    x, w = jacobi_rule(exponent, npts)
     return float(np.sum(w * f(x)))
 
 

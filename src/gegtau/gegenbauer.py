@@ -198,31 +198,6 @@ def _eval_table(gamma: float, nmax: int, x: np.ndarray) -> np.ndarray:
     return table
 
 
-def diff_coeff_array(coeffs: np.ndarray, gamma: float) -> np.ndarray:
-    """Coefficients of the derivative, same index gamma, degree reduced by 1.
-
-    Back-substitution of the same-index derivative ladder gives
-    b_k = 2(k+gamma) * (a_{k+1} + a_{k+3} + ...) for k >= 1 and
-    b_0 = a_1 + a_3 + ... .
-    """
-    a = np.asarray(coeffs, dtype=float)
-    n = a.size - 1
-    if n < 1:
-        return np.zeros(0)
-    b = np.empty(n)
-    tail_even = 0.0  # sum of a_j over j > k with j even
-    tail_odd = 0.0
-    for k in range(n - 1, -1, -1):
-        if (k + 1) % 2 == 0:
-            tail_even += a[k + 1]
-            t = tail_even
-        else:
-            tail_odd += a[k + 1]
-            t = tail_odd
-        b[k] = t if k == 0 else 2.0 * (k + gamma) * t
-    return b
-
-
 def deriv_matrix(gamma: float, size: int) -> np.ndarray:
     """Operator D with (D a) = coefficients of the derivative, shape (size, size)."""
     gamma = check_gamma(gamma)

@@ -1,9 +1,12 @@
 import contextlib
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
+from scipy.special import roots_jacobi
 
 from gegtau.analysis import (
     EquivalenceReport,
@@ -14,6 +17,7 @@ from gegtau.analysis import (
     exact_spectrum,
     hermite_biehler_stability,
     jacobi_quad,
+    jacobi_rule,
     legendre_infinite_mode,
     legendre_mode_residual,
     perturbation_mu1,
@@ -359,6 +363,85 @@ def test_epsilon_integral_rejects_large_epsilon():
 def test_jacobi_quad_polynomial_exactness():
     # int (1-x^2)^e * x^2 dx for e = 0 is 2/3
     assert jacobi_quad(0.0, lambda x: x * x, 6) == pytest.approx(2.0 / 3.0, rel=1e-14)
+
+
+# singular (-0.95), Chebyshev (-0.5), Legendre (0) and smooth weights, and
+# near-Legendre ones (-1e-4, 1e-5) like the appendixB suite's
+RULE_EXPONENTS = [-0.95, -0.5, -1e-4, 0.0, 1e-5, 0.5, 2.5, 4.5]
+
+
+@pytest.mark.parametrize("exponent", RULE_EXPONENTS)
+def test_jacobi_rule_matches_scipy(exponent):
+    for npts in range(1, 65):
+        x, w = jacobi_rule(exponent, npts)
+        xs, ws = roots_jacobi(npts, exponent, exponent)
+        assert_allclose(x, xs, rtol=0, atol=1e-14, err_msg=f"nodes, npts {npts}")
+        assert_allclose(w, ws, rtol=1e-9, atol=0, err_msg=f"weights, npts {npts}")
+
+
+@pytest.mark.parametrize("exponent", RULE_EXPONENTS)
+def test_jacobi_rule_integrates_even_moments_exactly(exponent):
+    # int x^(2k) (1-x^2)^a dx = Gamma(k+1/2) Gamma(a+1) / Gamma(k+a+3/2).  The
+    # eigensolver places a node near +-1 to a few ulps, and x^(2k) multiplies
+    # that by 2k, so the bound grows with the degree past 1e-13 (at 2k = 23)
+    for npts in range(1, 65):
+        x, w = jacobi_rule(exponent, npts)
+        for k in range(npts):  # 2k <= 2 npts - 1
+            exact = math.gamma(k + 0.5) * math.gamma(exponent + 1.0) / math.gamma(k + exponent + 1.5)
+            got = np.sum(w * x ** (2 * k))
+            assert got == pytest.approx(exact, rel=max(1e-13, 4e-15 * (2 * k + 2))), (npts, k)
+
+
+# int P_m (1-x^2)^eps dx and the two perturbed entries of suite_appendix_b,
+# from a 40-digit mpmath evaluation of the exact monomial expansion (each
+# x^(2j) integrates to B(j+1/2, eps+1)), eps taken at its double value
+APPENDIX_B_REFERENCE = {
+    "n=6,eps=0.0001,main": -9.520509067930876475686403e-06,
+    "n=6,eps=0.0001,entry_even": -4.79871360124780233850219e-04,
+    "n=6,eps=0.0001,entry_odd": -3.199462347066574883171776e-04,
+    "n=6,eps=1e-05,main": -9.523479426115026413664664e-07,
+    "n=6,eps=1e-05,entry_even": -4.799871343929066563460929e-05,
+    "n=6,eps=1e-05,entry_odd": -3.199946228748331858961826e-05,
+    "n=10,eps=0.0001,main": -3.63474455779361032407471e-06,
+    "n=10,eps=0.0001,entry_even": -1.865916111852722358117523e-03,
+    "n=10,eps=0.0001,entry_odd": -1.492782648903808013430184e-03,
+    "n=10,eps=1e-05,main": -3.636201695967692609461664e-07,
+    "n=10,eps=1e-05,entry_even": -1.866591597530658936018089e-04,
+    "n=10,eps=1e-05,entry_odd": -1.49327825561871254452336e-04,
+}
+
+
+def test_appendix_b_integrals_match_extended_precision():
+    res = suite_appendix_b()
+    assert res.passed
+    assert res.data.keys() == APPENDIX_B_REFERENCE.keys()
+    for key, ref in APPENDIX_B_REFERENCE.items():
+        assert res.data[key][0] == pytest.approx(ref, rel=2e-9), key
+
+
+@pytest.mark.parametrize("npts", [0, -3, 2.5, 4.0, "4", None])
+def test_jacobi_quad_rejects_npts_that_is_not_a_positive_integer(npts):
+    with pytest.raises(ValueError, match="npts"):
+        jacobi_quad(0.0, np.ones_like, npts)
+
+
+@pytest.mark.parametrize("exponent", [-1.0, -1.5, -np.inf, np.inf, np.nan])
+def test_jacobi_quad_rejects_exponent_outside_the_weight_range(exponent):
+    with pytest.raises(ValueError, match="exponent"):
+        jacobi_quad(exponent, np.ones_like, 4)
+
+
+@pytest.mark.parametrize("exponent", [-1.0 + 1e-12, -0.5, 0.0, 1e3])
+@pytest.mark.parametrize("npts", [1, 2, np.int64(64)])
+def test_jacobi_rule_is_warning_free_near_its_edges(exponent, npts):
+    # -0.5 is lambda = 0, where b_1^2's general formula reads 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, w = jacobi_rule(exponent, npts)
+    mu0 = math.exp(math.lgamma(0.5) + math.lgamma(exponent + 1.0) - math.lgamma(exponent + 1.5))
+    assert x.shape == w.shape == (npts,)
+    assert np.all(np.abs(x) <= 1.0) and np.all(w > 0.0)
+    assert np.sum(w) == pytest.approx(mu0, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -232,12 +232,20 @@ def test_import_cli_skips_scipy_special():
     # concurrent.futures too: sweeps solve in the calling thread
     lazy = ("scipy", "numpy.ma", "concurrent.futures")
     solves = [["spectrum", "--method", m, "--gamma", "1", "--n", "8"] for m in cli.METHOD_NAMES]
+    # every verify suite at its defaults: appendixB's quadrature is numpy's
+    # LAPACK too, so no command of the package loads scipy
+    suites = [["verify", "--suite", name] for name in sorted(analysis.SUITES)]
     code = (
         "import contextlib, io, sys, gegtau.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    codes = [cli.main(argv) for argv in {solves!r}]\n"
         f"assert codes == {[0] * len(solves)!r}, codes\n"
         f"assert not {lazy!r} & sys.modules.keys(), sorted({lazy!r} & sys.modules.keys())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [cli.main(argv) for argv in {suites!r}]\n"
+        f"assert codes == {[0] * len(suites)!r}, codes\n"
+        "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not scipy, scipy\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],

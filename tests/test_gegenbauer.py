@@ -19,7 +19,6 @@ from gegtau.gegenbauer import (
     _newton_all,
     deriv_at_one,
     deriv_ladder,
-    diff_coeff_array,
     deriv_matrix,
     evaluate,
     lobatto_interior_nodes,
@@ -420,6 +419,32 @@ def test_orthogonality(gamma):
 
 # ---------------------------------------------------------------------------
 # coefficient-space derivative
+
+
+def diff_coeff_array(coeffs, gamma):
+    """Coefficients of the derivative, same index gamma, degree reduced by 1:
+    the loop oracle for ``deriv_matrix``.
+
+    Back-substitution of the same-index derivative ladder gives
+    b_k = 2(k+gamma) * (a_{k+1} + a_{k+3} + ...) for k >= 1 and
+    b_0 = a_1 + a_3 + ... .
+    """
+    a = np.asarray(coeffs, dtype=float)
+    n = a.size - 1
+    if n < 1:
+        return np.zeros(0)
+    b = np.empty(n)
+    tail_even = 0.0  # sum of a_j over j > k with j even
+    tail_odd = 0.0
+    for k in range(n - 1, -1, -1):
+        if (k + 1) % 2 == 0:
+            tail_even += a[k + 1]
+            t = tail_even
+        else:
+            tail_odd += a[k + 1]
+            t = tail_odd
+        b[k] = t if k == 0 else 2.0 * (k + gamma) * t
+    return b
 
 
 def test_diff_coeffs_g2():
