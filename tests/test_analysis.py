@@ -431,6 +431,14 @@ def test_jacobi_quad_rejects_exponent_outside_the_weight_range(exponent):
         jacobi_quad(exponent, np.ones_like, 4)
 
 
+@pytest.mark.parametrize("exponent", [1e3 * (1.0 + 2.0**-52), 1e6, 1e160])
+def test_jacobi_rule_rejects_exponent_above_its_accuracy_bound(exponent):
+    # mu0's lgamma difference cancels: the weight sum is off by 1.7e-9 at
+    # 1e6, and at 1e160 the Jacobi matrix overflows
+    with pytest.raises(ValueError, match="exponent"):
+        jacobi_rule(exponent, 3)
+
+
 @pytest.mark.parametrize("exponent", [-1.0 + 1e-12, -0.5, 0.0, 1e3])
 @pytest.mark.parametrize("npts", [1, 2, np.int64(64)])
 def test_jacobi_rule_is_warning_free_near_its_edges(exponent, npts):

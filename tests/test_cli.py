@@ -84,15 +84,39 @@ def test_spectrum_residuals_small(capsys):
 
 
 def _oracle_eigen_residuals(report):
-    """One complex SVD per eigenvalue: the residual column's definition."""
+    """The residual column's definition, one eigenpair at a time: the
+    eigenvector v of M whose eigenvalue is nearest the shift mu, and
+    ||M v - mu v|| / (sigma_max(M) ||v||), with math.hypot's norm.
+
+    The residual is a difference of nearly equal vectors, so it is formed as
+    the CLI forms it: M v is read from the one product M V (M v alone rounds
+    differently), and v * mu keeps the CLI's operand order (with fused
+    multiply-adds, numpy's complex product rounds v * mu and mu * v apart).
+    """
     out = []
-    for i, (lam, cls) in enumerate(zip(report.eigenvalues, report.classes)):
-        par = report.parities[i] if report.parities is not None else None
+    ladders = {}
+    for lam, cls, par in zip(report.eigenvalues, report.classes, report.parities):
+        m = report.reduced[par]
+        if par not in ladders:
+            w, v = np.linalg.eig(m)
+            ladders[par] = (w, v, m @ v, np.linalg.svd(m, compute_uv=False)[0])
+        w, v, mv, smax = ladders[par]
+        mu = 0.0 if cls == NEAR_INFINITE else 1.0 / lam
+        j = np.argmin(np.abs(w - mu))
+        r = mv[:, j] - v[:, j] * mu
+        out.append(math.hypot(*np.abs(r)) / smax / math.hypot(*np.abs(v[:, j])))
+    return out
+
+
+def _complex_svd_bounds(report):
+    """sigma_min(M - mu I) / sigma_max(M) per eigenvalue, from one complex SVD
+    each: no eigenpair's backward error is smaller."""
+    out = []
+    for lam, cls, par in zip(report.eigenvalues, report.classes, report.parities):
         m = report.reduced[par]
         mu = 0.0 if cls == NEAR_INFINITE else 1.0 / lam
-        shifted = m - mu * np.eye(m.shape[0], dtype=complex)
-        smin = float(np.linalg.svd(shifted, compute_uv=False)[-1])
-        out.append(smin / (float(np.linalg.norm(m)) or 1.0))
+        s = np.linalg.svd(m - mu * np.eye(m.shape[0], dtype=complex), compute_uv=False)
+        out.append(float(s[-1] / np.linalg.svd(m, compute_uv=False)[0]))
     return out
 
 
@@ -110,27 +134,40 @@ def count_cli_svds(monkeypatch):
     return dtypes
 
 
-def test_residuals_one_svd_per_shift_up_to_conjugation(monkeypatch, capsys):
+def test_residuals_one_svd_per_ladder(monkeypatch, capsys):
     dtypes = count_cli_svds(monkeypatch)
     code, doc = run_json(
         ["spectrum", "--method", "tau", "--gamma", "4.5", "--n", "48", "--parity", "both"], capsys
     )
     assert code == 0
     rows = doc["spectrum"]["eigenvalues"]
-    shifts = {
-        (r["parity"], None, None) if r["re"] is None else (r["parity"], r["re"], abs(r["im"]))
-        for r in rows
-    }
-    real = {key for key in shifts if key[2] in (None, 0.0)}
     assert doc["spectrum"]["counts"]["complex_pair"] > 0
-    assert len(dtypes) == len(shifts) < len(rows)
-    assert sum(dt == np.float64 for dt in dtypes) == len(real) > 0
+    assert dtypes == [np.float64, np.float64]  # sigma_max of the even and the odd M
     # conjugate twins print the same residual
     by_key = {}
     for r in rows:
         if r["class"] == "complex_pair":
             by_key.setdefault((r["parity"], r["re"], abs(r["im"])), []).append(r["residual"])
     assert by_key and all(len(v) == 2 and v[0] == v[1] for v in by_key.values())
+    # one ladder's near-infinite entries share the shift mu = 0, so one value
+    del dtypes[:]
+    code, doc = run_json(["spectrum", "--method", "modified", "--gamma", "200", "--n", "48"], capsys)
+    assert code == 0 and dtypes == [np.float64, np.float64]
+    infinite = {}
+    for r in doc["spectrum"]["eigenvalues"]:
+        if r["class"] == "near_infinite":
+            infinite.setdefault(r["parity"], set()).add(r["residual"])
+    assert len(infinite["even"]) == 1 and doc["spectrum"]["counts"]["near_infinite"] > 2
+
+
+def _check_residuals_against_oracle(report):
+    got = cli._eigen_residuals(report)
+    want = _oracle_eigen_residuals(report)
+    floor = _complex_svd_bounds(report)
+    eps = np.finfo(float).eps
+    for g, w, lo in zip(got, want, floor):
+        assert abs(g - w) <= 4 * eps * w
+        assert g >= lo - 4e-16
 
 
 @pytest.mark.parametrize(
@@ -144,14 +181,26 @@ def test_residuals_one_svd_per_shift_up_to_conjugation(monkeypatch, capsys):
 def test_residuals_match_complex_oracle(gamma, n, classes):
     report = spectrum_report(MethodConfig("tau", gamma, n))
     assert set(report.classes) == classes
-    got = cli._eigen_residuals(report)
-    want = _oracle_eigen_residuals(report)
-    eps = np.finfo(float).eps
-    for g, w, cls in zip(got, want, report.classes):
-        if cls == "complex_pair":
-            assert g == w  # a complex shift is factored as before
-        else:
-            assert abs(g - w) <= 64 * eps
+    _check_residuals_against_oracle(report)
+
+
+def test_residuals_match_oracle_at_galerkin_worst_case():
+    # 2.7e-13, the largest residual at n <= 100 over 5 methods, gamma
+    # {-0.45, 0, 0.5, 1, 3.5, 4.5, 20, 200} and alpha {0, 0.5, 3}
+    report = spectrum_report(MethodConfig("galerkin", 4.5, 100))
+    _check_residuals_against_oracle(report)
+    assert max(cli._eigen_residuals(report)) < 1e-12
+
+
+def test_residual_eigenvector_failure_exit_code(monkeypatch, capsys):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", no_convergence)
+    code = cli.main(["spectrum", "--method", "tau", "--gamma", "1", "--n", "10"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("numerical diagnostic:")
 
 
 def test_spectrum_residuals_finite_when_norm_overflows(capsys):
