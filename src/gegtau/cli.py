@@ -126,12 +126,13 @@ def _eigen_residuals(report: SpectrumReport) -> list[float]:
     """||M v - mu v||_2 / (sigma_max(M) ||v||_2) per eigenvalue, M of its
     parity ladder: the normwise backward error of the eigenpair (mu, v).
 
-    Per ladder, one singular-value solve for sigma_max(M), one ``eig`` for
-    the eigenvectors and one product ``M V``: O(m^3) work.  The shift is
-    mu = 1/lambda, or 0 for a near-infinite entry, and v is the eigenvector
-    whose eigenvalue lies nearest mu.  A shift below the real axis takes its
-    conjugate, whose residual is the same for real M, so conjugate twins
-    print one value.
+    The eigenvectors are the report's own (``SpectrumReport.eigenpairs``,
+    from the one LAPACK solve that gave the eigenvalues), so this makes no
+    eigensolve: per ladder, one singular-value solve for sigma_max(M) and one
+    product ``M V``, O(m^3) work.  The shift is mu = 1/lambda, or 0 for a
+    near-infinite entry, and v is the eigenvector whose eigenvalue lies
+    nearest mu.  A shift below the real axis takes its conjugate, whose
+    residual is the same for real M, so conjugate twins print one value.
     """
     out = np.empty(len(report.eigenvalues))
     parities = np.array(report.parities)
@@ -143,10 +144,7 @@ def _eigen_residuals(report: SpectrumReport) -> list[float]:
         if not np.all(np.isfinite(m)):
             raise ConvergenceError("reduced matrix has non-finite entries")
         smax = float(np.linalg.svd(m, compute_uv=False)[0]) or 1.0
-        try:
-            w, v = np.linalg.eig(m)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"LAPACK eigenvector solve failed (dim {m.shape[0]}): {exc}") from exc
+        w, v = report.eigenpairs[par]
         mu = mus[rows]
         mu = np.where(mu.imag < 0.0, mu.conj(), mu)
         j = np.argmin(np.abs(w[:, None] - mu), axis=0)
@@ -163,9 +161,9 @@ def _eigen_residuals(report: SpectrumReport) -> list[float]:
 def cmd_spectrum(args, argv: list[str]) -> int:
     config = _config_from_args(args)
     if args.parity in ("even", "odd"):
-        report = single_parity_report(config, args.parity)
+        report = single_parity_report(config, args.parity, vectors=True)
     else:
-        report = spectrum_report(config)
+        report = spectrum_report(config, vectors=True)
     rows = _report_rows(report, _eigen_residuals(report))
     manifest = make_manifest(
         argv,

@@ -1,8 +1,9 @@
 """Dense eigenvalues, polynomial roots, and spectrum labeling.
 
-Dense eigenvalues come from LAPACK (``numpy.linalg.eigvals``, which balances,
-reduces to Hessenberg form and runs shifted QR).  For a real matrix, complex
-eigenvalues come out as exact conjugate pairs.
+Dense eigenvalues come from LAPACK's ``dgeev`` (``numpy.linalg.eigvals``, or
+``numpy.linalg.eig`` when the right eigenvectors are wanted too), which
+balances, reduces to Hessenberg form and runs shifted QR.  For a real matrix,
+complex eigenvalues come out as exact conjugate pairs.
 
 Polynomial roots come from the companion matrix of the normalized
 coefficients, Newton-polished, with a per-root residual check.
@@ -32,9 +33,16 @@ class ConvergenceError(RuntimeError):
     """An eigensolve (LAPACK's, or the collocation node search) did not converge."""
 
 
-def dense_eigs(m: np.ndarray) -> np.ndarray:
-    """All eigenvalues of a real square matrix, as a complex128 array.
+def dense_eigs(m: np.ndarray, vectors: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues of a real square matrix, as a complex128 array; with
+    ``vectors``, the pair ``(eigenvalues, V)`` whose column ``V[:, j]`` is a
+    unit right eigenvector of eigenvalue j.
 
+    The two are LAPACK ``dgeev``'s two jobs: ``np.linalg.eigvals`` and
+    ``np.linalg.eig``.  Asking for V costs 1.3-1.7x the values alone (tau
+    ladders of dimension 7 to 79).  Below dimension 75, where ``dhseqr``
+    runs ``dlahqr``, both jobs return the same eigenvalue bytes; from 75 on
+    they can differ in the last bits.
     Raises ValueError for a non-square or non-finite matrix, and
     ConvergenceError when LAPACK's QR iteration fails to converge.
     """
@@ -44,6 +52,9 @@ def dense_eigs(m: np.ndarray) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     try:
+        if vectors:
+            w, v = np.linalg.eig(a)
+            return w.astype(complex), v
         eigs = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigensolve failed (dim {a.shape[0]}): {exc}") from exc
@@ -140,7 +151,13 @@ def poly_roots(coeffs: np.ndarray) -> RootResult:
 
 @dataclass
 class SpectrumReport:
-    """Classified eigenvalue list in the real/spurious/complex/infinite taxonomy."""
+    """Classified eigenvalue list in the real/spurious/complex/infinite taxonomy.
+
+    A pencil-route report also keeps what each parity ladder's one LAPACK
+    solve produced: the reduced matrix M, and with vectors asked for, M's
+    eigenvalues and right eigenvectors, so that the residual column needs no
+    second eigensolve.
+    """
 
     eigenvalues: list[complex]
     classes: list[str]
@@ -150,6 +167,10 @@ class SpectrumReport:
     # parity ("even" or "odd") -> the reduced matrix M of that ladder, as
     # solved by the pencil route; empty otherwise
     reduced: dict = field(default_factory=dict)
+    # parity -> (mu, V): the eigenvalues of that ladder's M and its right
+    # eigenvectors, from the same LAPACK solve, when the report was asked
+    # for vectors; empty otherwise
+    eigenpairs: dict = field(default_factory=dict)
 
     def count(self, label: str) -> int:
         return self.classes.count(label)

@@ -8,7 +8,12 @@ Their agreement is the central cross-validation of the package.
 The pencil route solves each parity ladder exactly once: ``pencil_lambdas``
 returns ``(lambdas, n_infinite, M)``, and every report keeps the reduced
 matrix ``M`` of each ladder in ``SpectrumReport.reduced``, so consumers
-(such as the CLI's residual column) never assemble or reduce again.
+(such as the CLI's residual column) never assemble or reduce again.  Asked
+for ``vectors``, that one solve is LAPACK's eigenvalues-and-eigenvectors job,
+and the report keeps ``M``'s eigenvalues and right eigenvectors in
+``SpectrumReport.eigenpairs`` as well, so the residual column makes no
+eigensolve of its own.  Every other caller asks for the eigenvalues alone,
+which is the cheaper job.
 """
 
 from __future__ import annotations
@@ -57,9 +62,10 @@ class shared_ladders:
         _shared = self.outer
 
 
-def pencil_lambdas(config: MethodConfig, parity: str) -> tuple[np.ndarray, int, np.ndarray]:
+def pencil_lambdas(config: MethodConfig, parity: str, vectors: bool = False) -> tuple:
     """Finite eigenvalues, near-infinite count, and the reduced matrix M of
-    one parity ladder.
+    one parity ladder; with ``vectors``, also ``(mu, V)``, M's eigenvalues
+    and right eigenvectors from the same solve.
 
     ``M`` is the matrix of the standard problem ``M x = mu x`` whose
     eigenvalues the lambdas (= 1/mu) came from; it is returned so that
@@ -68,9 +74,10 @@ def pencil_lambdas(config: MethodConfig, parity: str) -> tuple[np.ndarray, int, 
     16 results, kept by shifted gamma and ladder degree (n for collocation),
     is reused only if its A, B and C equal the fresh ones byte for byte (BLAS
     may round one ladder at two degrees differently): no output depends on it.
+    A solve with ``vectors`` is never shared.
     """
     p = assemble(config, parity)
-    if _shared is not None:
+    if _shared is not None and not vectors:
         kind = "tau" if config.kind in GAMMA_SHIFT else config.kind
         degree = config.n if kind == "collocation" else ladder_degree(config.n, parity)
         key = (kind, config.gamma + GAMMA_SHIFT.get(config.kind, 0.0), degree, config.alpha, parity)
@@ -78,6 +85,9 @@ def pencil_lambdas(config: MethodConfig, parity: str) -> tuple[np.ndarray, int, 
         if (entry := _shared.get(key)) and entry[0] == blocks:
             return entry[1]
     red = reduce_to_standard(p)
+    if vectors:
+        pair = dense_eigs(red.M, vectors)
+        return (*split_finite(pair[0]), red.M, pair)
     lams, n_inf = split_finite(dense_eigs(red.M))
     if _shared is not None:
         lams.flags.writeable = red.M.flags.writeable = False
@@ -88,34 +98,39 @@ def pencil_lambdas(config: MethodConfig, parity: str) -> tuple[np.ndarray, int, 
     return lams, n_inf, red.M
 
 
-def _classified(config: MethodConfig, ladders: tuple[str, ...]) -> SpectrumReport:
-    """Solve each parity ladder once, classify the merged spectrum, keep each M.
+def _classified(config: MethodConfig, ladders: tuple[str, ...], vectors: bool) -> SpectrumReport:
+    """Solve each parity ladder once, classify the merged spectrum, keep each
+    M (and with ``vectors``, each ladder's eigenvalues and eigenvectors).
 
     Every eigenvalue is tagged with the parity of the ladder it came from.
     """
-    lams, parities, inf_parities, reduced = [], [], [], {}
+    lams, parities, inf_parities, reduced, eigenpairs = [], [], [], {}, {}
     for parity in ladders:
-        lam, n_inf, reduced[parity] = pencil_lambdas(config, parity)
+        lam, n_inf, reduced[parity], *pair = pencil_lambdas(config, parity, vectors)
+        if pair:
+            eigenpairs[parity] = pair[0]
         lams.append(lam)
         parities += [parity] * lam.size
         inf_parities += [parity] * n_inf
     merged = np.concatenate(lams)
     report = classify(merged, parities=parities, n_infinite=len(inf_parities), infinite_parities=inf_parities)
-    report.reduced = reduced
+    report.reduced, report.eigenpairs = reduced, eigenpairs
     return report
 
 
-def spectrum_report(config: MethodConfig) -> SpectrumReport:
+def spectrum_report(config: MethodConfig, vectors: bool = False) -> SpectrumReport:
     """Classified spectrum for one configuration.
 
     The even and odd ladders are solved separately and merged with parity
-    tags, which the interlacing check reads.
+    tags, which the interlacing check reads.  ``vectors`` asks each ladder's
+    solve for right eigenvectors too (``SpectrumReport.eigenpairs``).
     """
-    return _classified(config, ("even", "odd"))
+    return _classified(config, ("even", "odd"), vectors)
 
 
-def single_parity_report(config: MethodConfig, parity: str) -> SpectrumReport:
-    """Spectrum of one parity ladder of a config (interlacing not applicable)."""
-    report = _classified(config, (parity,))
+def single_parity_report(config: MethodConfig, parity: str, vectors: bool) -> SpectrumReport:
+    """Spectrum of one parity ladder of a config (interlacing not applicable);
+    ``vectors`` as in ``spectrum_report``."""
+    report = _classified(config, (parity,), vectors)
     report.interlaced = None
     return report

@@ -86,7 +86,8 @@ def test_spectrum_residuals_small(capsys):
 def _oracle_eigen_residuals(report):
     """The residual column's definition, one eigenpair at a time: the
     eigenvector v of M whose eigenvalue is nearest the shift mu, and
-    ||M v - mu v|| / (sigma_max(M) ||v||), with math.hypot's norm.
+    ||M v - mu v|| / (sigma_max(M) ||v||), with math.hypot's norm.  It makes
+    its own ``eig`` of M as the reference; the CLI reads the report's.
 
     The residual is a difference of nearly equal vectors, so it is formed as
     the CLI forms it: M v is read from the one product M V (M v alone rounds
@@ -160,6 +161,40 @@ def test_residuals_one_svd_per_ladder(monkeypatch, capsys):
     assert len(infinite["even"]) == 1 and doc["spectrum"]["counts"]["near_infinite"] > 2
 
 
+def count_eigensolves(monkeypatch):
+    """Calls of LAPACK's two eigensolver jobs, by numpy name."""
+    calls = {"eig": 0, "eigvals": 0}
+    for name in calls:
+
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["spectrum", "--method", "tau", "--gamma", "4.5", "--n", "48"], {"eig": 2, "eigvals": 0}),
+        (["spectrum", "--method", "collocation", "--gamma", "1", "--n", "33", "--format", "csv"], {"eig": 2, "eigvals": 0}),
+        (["spectrum", "--method", "galerkin", "--gamma", "1", "--n", "40", "--parity", "odd"], {"eig": 1, "eigvals": 0}),
+        (["sweep", "--method", "tau", "--gamma-range", "0:1:0.5", "--n-range", "8:12:4"], {"eig": 0}),
+        (["verify", "--suite", "theorem-range"], {"eig": 0}),
+    ],
+)
+def test_one_eigensolve_per_ladder(monkeypatch, capsys, argv, want):
+    # spectrum's residual column reads the eigenvectors of the solve that gave
+    # its eigenvalues; every other command asks LAPACK for eigenvalues alone
+    calls = count_eigensolves(monkeypatch)
+    code, _ = run(argv, capsys)
+    assert code == 0
+    assert {name: calls[name] for name in want} == want
+    if "eigvals" not in want:
+        assert calls["eigvals"] > 0
+
+
 def _check_residuals_against_oracle(report):
     got = cli._eigen_residuals(report)
     want = _oracle_eigen_residuals(report)
@@ -179,7 +214,7 @@ def _check_residuals_against_oracle(report):
     ],
 )
 def test_residuals_match_complex_oracle(gamma, n, classes):
-    report = spectrum_report(MethodConfig("tau", gamma, n))
+    report = spectrum_report(MethodConfig("tau", gamma, n), vectors=True)
     assert set(report.classes) == classes
     _check_residuals_against_oracle(report)
 
@@ -187,7 +222,7 @@ def test_residuals_match_complex_oracle(gamma, n, classes):
 def test_residuals_match_oracle_at_galerkin_worst_case():
     # 2.7e-13, the largest residual at n <= 100 over 5 methods, gamma
     # {-0.45, 0, 0.5, 1, 3.5, 4.5, 20, 200} and alpha {0, 0.5, 3}
-    report = spectrum_report(MethodConfig("galerkin", 4.5, 100))
+    report = spectrum_report(MethodConfig("galerkin", 4.5, 100), vectors=True)
     _check_residuals_against_oracle(report)
     assert max(cli._eigen_residuals(report)) < 1e-12
 
@@ -214,8 +249,8 @@ def test_spectrum_residuals_finite_when_norm_overflows(capsys):
 
 
 def test_spectrum_non_finite_reduced_matrix_exit_code(monkeypatch, capsys):
-    def poisoned(config):
-        report = spectrum_report(config)
+    def poisoned(config, vectors):
+        report = spectrum_report(config, vectors)
         report.reduced["even"][0, 0] = np.inf
         return report
 
@@ -774,7 +809,8 @@ def test_eigensolver_failure_exit_code(monkeypatch, capsys):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
-    code = cli.main(["spectrum", "--method", "tau", "--gamma", "1", "--n", "10"])
+    # sweep solves for eigenvalues alone (spectrum's eig failure has its own test)
+    code = cli.main(["sweep", "--method", "tau", "--gamma-range", "1:1:1", "--n-range", "10:10:1"])
     assert code == 3
     assert "numerical diagnostic" in capsys.readouterr().err
 

@@ -29,7 +29,7 @@ from gegtau.pencil import (
     reduce_to_standard,
     split_finite,
 )
-from gegtau.spectra import charpoly_lambdas, pencil_lambdas, spectrum_report
+from gegtau.spectra import charpoly_lambdas, pencil_lambdas, shared_ladders, spectrum_report
 
 PARITIES = ("even", "odd")
 
@@ -466,6 +466,38 @@ def test_pencil_lambdas_matches_oracle_chain(kind):
                     assert _same_bytes(got_m, m), where
                     assert _same_bytes(lams, 1.0 / mus[finite]), where
                     assert n_inf == int(np.count_nonzero(~finite)), where
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_vectors_route_eigenvalues_match_values_route(kind):
+    # LAPACK's eigenvalues-and-vectors job and its values-only job agree byte
+    # for byte below ladder dimension 75, where dhseqr runs dlahqr for both
+    # (every ladder here is below 52), so only the spectrum command's digits
+    # at higher degree may differ from sweep's and verify's
+    for gamma in (0.0, 1.0, 3.5):
+        for n in (24, 64, 100):
+            for alpha in (0.0, 1.0):
+                config = MethodConfig(kind, gamma, n, alpha=alpha)
+                values, vectors = spectrum_report(config), spectrum_report(config, vectors=True)
+                where = (config,)
+                assert _same_bytes(np.array(vectors.eigenvalues), np.array(values.eigenvalues)), where
+                assert (vectors.classes, vectors.parities) == (values.classes, values.parities), where
+                assert (vectors.distinct, vectors.interlaced) == (values.distinct, values.interlaced), where
+                assert values.eigenpairs == {} and set(vectors.eigenpairs) == set(PARITIES), where
+                for parity in PARITIES:
+                    m = vectors.reduced[parity]
+                    assert _same_bytes(m, values.reduced[parity]), where
+                    mu, v = vectors.eigenpairs[parity]
+                    assert _same_bytes(mu, dense_eigs(m)), where
+                    assert v.shape == m.shape, where
+
+
+def test_vectors_solve_is_never_shared():
+    config = MethodConfig("tau", 1.5, 24)
+    with shared_ladders():
+        assert len(pencil_lambdas(config, "even")) == 3
+        assert len(pencil_lambdas(config, "even", vectors=True)) == 4
+        assert len(pencil_lambdas(config, "even")) == 3
 
 
 def test_scale_of_is_numpy_median_of_nonzero_magnitudes():

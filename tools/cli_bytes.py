@@ -1,0 +1,158 @@
+"""Compare the CLI output of two checkouts, command by command.
+
+    python3 tools/cli_bytes.py --parent ../parent --change .
+
+Runs one fixed grid of ``gegtau`` commands in each checkout:
+
+- ``spectrum`` for every method, gamma in GAMMAS, n in NS and alpha in
+  ALPHAS, in JSON and CSV, at parity both, even and odd;
+- ``sweep`` for every method at alpha {0, 0.5} and ``--jobs`` {1, 2};
+- the six ``verify`` suites at their defaults, and one failing run.
+
+Each checkout runs the whole grid in one Python process that imports
+``gegtau`` from the checkout's ``src`` and calls ``gegtau.cli.main`` per
+command, with BLAS on one thread, ``GEGTAU_TIMESTAMP`` fixed and every
+warning shown; the two checkouts run at the same time.  The tool prints
+every command whose exit code, stdout or stderr differs, marks with
+``CLASS COUNTS`` each one whose class counts (with ``distinct`` and
+``interlaced``, a sweep's count columns, or a suite's verdict) differ, and
+ends with a summary line.  It exits 1 if any command differs.  Uses the
+standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import concurrent.futures
+import contextlib
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import traceback
+import warnings
+from pathlib import Path
+
+METHODS = ("tau", "galerkin", "inviscid", "modified", "collocation")
+GAMMAS = (-0.45, 0.0, 0.5, 1.0, 2.25, 3.5, 4.5, 20.0)
+NS = (4, 5, 8, 13, 24, 33, 48, 64, 100, 128, 150, 152, 160, 200)
+ALPHAS = (0.0, 3.0)
+SUITES = ("theorem-range", "equivalence", "perturbation", "positive-pair", "appendixB", "exact-convergence")
+
+
+def spectrum_commands(methods, gammas, ns, alphas) -> list[list[str]]:
+    """``spectrum`` argvs over a grid, each in JSON and CSV at every parity."""
+    return [
+        ["spectrum", "--method", m, "--gamma", repr(g), "--n", str(n), "--alpha", repr(a),
+         "--format", fmt, "--parity", parity]
+        for m in methods for g in gammas for n in ns for a in alphas
+        for fmt in ("json", "csv") for parity in ("both", "even", "odd")
+    ]
+
+
+def grid() -> list[list[str]]:
+    """The fixed grid of commands that ``main`` compares."""
+    sweeps = [
+        ["sweep", "--method", m, "--gamma-range", "-0.4:4.6:0.5", "--n-range", "8:40:4",
+         "--alpha", alpha, "--jobs", jobs]
+        for m in METHODS for alpha in ("0", "0.5") for jobs in ("1", "2")
+    ]
+    verify = [["verify", "--suite", s] for s in SUITES] + [["verify", "--suite", "theorem-range", "--gamma", "3.6"]]
+    return spectrum_commands(METHODS, GAMMAS, NS, ALPHAS) + sweeps + verify
+
+
+def class_summary(argv: list[str], stdout: str):
+    """What a command's output says about the spectrum classes, or None."""
+    lines = stdout.splitlines()
+    try:
+        if argv[0] == "spectrum" and "csv" in argv:
+            classes = [line.split(",")[3] for line in lines[2:]]
+            return {c: classes.count(c) for c in sorted(set(classes))}
+        if argv[0] == "spectrum":
+            doc = json.loads(stdout)["spectrum"]
+            return [doc["counts"], doc["distinct"], doc["interlaced"]]
+        if argv[0] == "sweep":
+            return [line.split(",")[:9] for line in lines[2:]]
+        if argv[0] == "verify":
+            return lines[0]
+    except (ValueError, IndexError, KeyError):
+        return None  # no output, or output that does not parse: stdout differs anyway
+    return None
+
+
+def serve() -> None:
+    """Run the JSON list of argvs on stdin through ``gegtau.cli.main``; one
+    JSON line per command on stdout: exit code, output digests, class summary."""
+    from gegtau import cli
+
+    real_stdout = sys.stdout
+    warnings.simplefilter("always")
+    for argv in json.load(sys.stdin):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except Exception:  # an escaped exception is a result to compare, too
+                code = "raised"
+                traceback.print_exc()
+        result = {
+            "code": code,
+            "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+            "classes": class_summary(argv, out.getvalue()),
+        }
+        real_stdout.write(json.dumps(result) + "\n")
+
+
+def run_grid(checkout: Path, commands: list[list[str]]) -> list[dict]:
+    """``serve``'s results for ``commands`` in a fresh interpreter on ``checkout``."""
+    env = dict(os.environ, GEGTAU_TIMESTAMP="2000-01-01T00:00:00Z", PYTHONDONTWRITEBYTECODE="1",
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env.pop("PYTHONPATH", None)
+    paths = [str(Path(__file__).resolve().parent), str(checkout.resolve() / "src")]
+    code = f"import sys; sys.path[:0] = {paths!r}; import cli_bytes; cli_bytes.serve()"
+    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(commands),
+                          capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        raise RuntimeError(f"grid run in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def compare(parent: Path, change: Path, commands: list[list[str]]) -> list[str]:
+    """One line per command whose exit code, stdout or stderr differs."""
+    with concurrent.futures.ThreadPoolExecutor(2) as pool:
+        old, new = pool.map(run_grid, (parent, change), (commands, commands))
+    lines = []
+    for argv, a, b in zip(commands, old, new):
+        what = [k for k in ("stdout", "stderr") if a[k] != b[k]]
+        if a["code"] != b["code"]:
+            what.append(f"exit {a['code']} -> {b['code']}")
+        if a["classes"] != b["classes"]:
+            what.append("CLASS COUNTS")
+        if what:
+            lines.append(f"{', '.join(what)}: {' '.join(argv)}")
+    return lines
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description="compare the CLI output of two checkouts")
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    args = ap.parse_args()
+
+    commands = grid()
+    lines = compare(args.parent, args.change, commands)
+    for line in lines:
+        print(line)
+    count = {key: sum(key in line.split(": ")[0] for line in lines) for key in ("stdout", "stderr", "exit", "CLASS")}
+    print(
+        f"{len(commands)} commands, {len(lines)} differ (stdout {count['stdout']}, stderr {count['stderr']}, "
+        f"exit code {count['exit']}, class counts {count['CLASS']})"
+    )
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
