@@ -161,7 +161,7 @@ def _eigen_residuals(report: SpectrumReport) -> list[float]:
 def cmd_spectrum(args, argv: list[str]) -> int:
     config = _config_from_args(args)
     if args.parity in ("even", "odd"):
-        report = single_parity_report(config, args.parity, vectors=True)
+        report = single_parity_report(config, args.parity)
     else:
         report = spectrum_report(config, vectors=True)
     rows = _report_rows(report, _eigen_residuals(report))

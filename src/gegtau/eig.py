@@ -40,9 +40,10 @@ def dense_eigs(m: np.ndarray, vectors: bool = False) -> np.ndarray | tuple[np.nd
 
     The two are LAPACK ``dgeev``'s two jobs: ``np.linalg.eigvals`` and
     ``np.linalg.eig``.  Asking for V costs 1.3-1.7x the values alone (tau
-    ladders of dimension 7 to 79).  Below dimension 75, where ``dhseqr``
-    runs ``dlahqr``, both jobs return the same eigenvalue bytes; from 75 on
-    they can differ in the last bits.
+    ladders of dimension 7 to 79).  The two jobs' eigenvalues agree to
+    rounding; whether they agree byte for byte depends on the LAPACK build
+    (with reference or OpenBLAS LAPACK, ``dhseqr`` runs ``dlahqr`` for both
+    below dimension 75, and they were found byte-identical there).
     Raises ValueError for a non-square or non-finite matrix, and
     ConvergenceError when LAPACK's QR iteration fails to converge.
     """

@@ -128,9 +128,9 @@ def spectrum_report(config: MethodConfig, vectors: bool = False) -> SpectrumRepo
     return _classified(config, ("even", "odd"), vectors)
 
 
-def single_parity_report(config: MethodConfig, parity: str, vectors: bool) -> SpectrumReport:
-    """Spectrum of one parity ladder of a config (interlacing not applicable);
-    ``vectors`` as in ``spectrum_report``."""
-    report = _classified(config, (parity,), vectors)
+def single_parity_report(config: MethodConfig, parity: str) -> SpectrumReport:
+    """Spectrum of one parity ladder of a config (interlacing not applicable),
+    with the ladder's eigenvalues and eigenvectors in ``eigenpairs``."""
+    report = _classified(config, (parity,), True)
     report.interlaced = None
     return report

@@ -468,19 +468,31 @@ def test_pencil_lambdas_matches_oracle_chain(kind):
                     assert n_inf == int(np.count_nonzero(~finite)), where
 
 
+def _agree_to_rounding(got, want) -> bool:
+    # rounding-level perturbations of these ladders' M move eigenvalues by
+    # up to 7e-9 relative (tau, n 100), so 1e-6 leaves room for any LAPACK
+    # (modified tau lists its infinite eigenvalues, which must stay put)
+    got, want = np.asarray(got), np.asarray(want)
+    finite = np.isfinite(want)
+    if got.shape != want.shape or not np.array_equal(np.isfinite(got), finite):
+        return False
+    got, want = got[finite], want[finite]
+    scale = np.max(np.abs(want), initial=0.0)
+    return bool(np.all(np.abs(got - want) <= 1e-6 * np.abs(want) + 1e-12 * scale))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_vectors_route_eigenvalues_match_values_route(kind):
-    # LAPACK's eigenvalues-and-vectors job and its values-only job agree byte
-    # for byte below ladder dimension 75, where dhseqr runs dlahqr for both
-    # (every ladder here is below 52), so only the spectrum command's digits
-    # at higher degree may differ from sweep's and verify's
+    # LAPACK's eigenvalues-and-vectors job and its values-only job are two
+    # QR runs, so their eigenvalues agree to rounding, not necessarily byte
+    # for byte; the classification read from them must not change
     for gamma in (0.0, 1.0, 3.5):
         for n in (24, 64, 100):
             for alpha in (0.0, 1.0):
                 config = MethodConfig(kind, gamma, n, alpha=alpha)
                 values, vectors = spectrum_report(config), spectrum_report(config, vectors=True)
                 where = (config,)
-                assert _same_bytes(np.array(vectors.eigenvalues), np.array(values.eigenvalues)), where
+                assert _agree_to_rounding(vectors.eigenvalues, values.eigenvalues), where
                 assert (vectors.classes, vectors.parities) == (values.classes, values.parities), where
                 assert (vectors.distinct, vectors.interlaced) == (values.distinct, values.interlaced), where
                 assert values.eigenpairs == {} and set(vectors.eigenpairs) == set(PARITIES), where
@@ -488,7 +500,7 @@ def test_vectors_route_eigenvalues_match_values_route(kind):
                     m = vectors.reduced[parity]
                     assert _same_bytes(m, values.reduced[parity]), where
                     mu, v = vectors.eigenpairs[parity]
-                    assert _same_bytes(mu, dense_eigs(m)), where
+                    assert _agree_to_rounding(mu, dense_eigs(m)), where
                     assert v.shape == m.shape, where
 
 
