@@ -5,9 +5,9 @@ flags (floats printed with 17 significant digits, fixed field order), and
 every output embeds a run manifest sufficient to reproduce it via
 ``gegtau replay``.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-diagnostic (singular reduction, endpoint overflow, eigensolver
-non-convergence).
+Exit codes: 0 success, 1 verification failure, 2 usage error (or a size
+too large to allocate), 3 numerical diagnostic (singular reduction, endpoint
+overflow, eigensolver non-convergence).
 """
 
 from __future__ import annotations
@@ -420,6 +420,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:  # a size too large to allocate is no verdict
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

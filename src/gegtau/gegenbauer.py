@@ -24,11 +24,13 @@ Key identities used throughout (all standard, stated in this normalization):
 Endpoint quantities for the pencil are evaluated from log running products
 (never via Gamma ratios, which are singular at gamma = 0) and returned as
 ``ScaledReal``.  The logs of G_n(1) come from one cached prefix-sum ladder
-per gamma, so a row of n endpoint values costs O(n), not O(n^2), and so
-does the derivative ladder D^0..D^k G_n(1) (one running sum of log
-ratios).  ``rational_ladder`` is the same ladder in exact ``Fraction``s,
-from which the characteristic polynomials are built; interior evaluation
-uses the three-term recurrence in float64.
+per gamma, so each value is O(1) and a row of n endpoint values costs O(n),
+not O(n^2); the derivative ladder D^0..D^k G_n(1) is one running sum of log
+ratios.  Inside ``spectra.shared_ladders`` the pencil's boundary rows take
+each (gamma, degree) once per command, so the rows of a grid over n cost
+O(max n) per gamma, not O(sum of n).  ``rational_ladder`` is the same
+ladder in exact ``Fraction``s, from which the characteristic polynomials
+are built; interior evaluation uses the three-term recurrence in float64.
 """
 
 from __future__ import annotations

@@ -122,6 +122,14 @@ def _columns(n: int, parity: str) -> np.ndarray:
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
+# Endpoint columns of the last few shifted gammas, gamma -> (columns of
+# degrees 0..K, first degree past float64 or None), most recently used
+# last.  None except inside ``spectra.shared_ladders``, which opens and
+# drops it.  Four gammas: sweeps run gamma-major, and one equivalence point
+# reads gamma, gamma + 1 and gamma + 2.
+_endpoints: dict | None = None
+
+
 def _boundary_rows(gamma: float, cols: np.ndarray) -> np.ndarray:
     """Clamped rows of one parity ladder against the degrees ``cols``.
 
@@ -129,25 +137,57 @@ def _boundary_rows(gamma: float, cols: np.ndarray) -> np.ndarray:
     j reads G_j(1) once from ``value_at_one``; DG_j(1) = G_j(1) (2 gamma +
     j) j / (2 gamma + 1), the Gegenbauer equation at x = 1, is taken as
     exp(log G_j(1) + (log((2 gamma + j) j) - log(2 gamma + 1))), 0 at j = 0.
-    Raises ``SingularReductionError`` at the first value past float64: one
-    such entry would make every pivot of its row fail the elimination's
-    dependence test.
+    Raises ``SingularReductionError`` at the ladder's first value past
+    float64: one such entry would make every pivot of its row fail the
+    elimination's dependence test.
+
+    Inside ``spectra.shared_ladders`` each (gamma, degree) is evaluated
+    once: the gamma's table grows to the largest degree asked for, and
+    every ladder takes a fresh, C-ordered copy of its columns.
     """
-    g1, dg1 = [], []
+    if _endpoints is None:
+        c, over = _endpoint_columns(gamma, cols.tolist())
+    else:
+        hi = int(cols.max())
+        table, over = _endpoints.pop(gamma, (np.empty((2, 0)), None))
+        if table.shape[1] <= hi:
+            new, new_over = _endpoint_columns(gamma, range(table.shape[1], hi + 1))
+            table, over = np.hstack([table, new]), new_over if over is None else over
+        if len(_endpoints) == 4:
+            del _endpoints[next(iter(_endpoints))]
+        _endpoints[gamma] = table, over
+        # take, not table[:, cols]: fancy indexing returns a transposed view
+        c = table.take(cols, axis=1)
+        if over is not None and over <= hi:
+            past = cols[np.isinf(c).any(axis=0)]
+            over = int(past[0]) if past.size else None
+        else:
+            over = None
+    if over is not None:
+        raise SingularReductionError(
+            f"endpoint value G_j(1) or DG_j(1) overflows float64 at gamma {gamma}, degree j={over}"
+        )
+    return c
+
+
+def _endpoint_columns(gamma: float, degrees: list[int] | range) -> tuple[np.ndarray, int | None]:
+    """G_j(1) and DG_j(1) for each of ``degrees`` as two rows, and the first
+    degree past float64 (whose column holds inf), or None."""
+    g1, dg1, over = [], [], None
     log_den = math.log(2.0 * gamma + 1)
-    for j in cols.tolist():
+    for j in degrees:
         log = value_at_one(gamma, j).log_mag
         # exp(-inf) is 0.0
         dlog = log + (math.log((2.0 * gamma + j) * j) - log_den) if j else -math.inf
         try:
             g, dg = math.exp(log), math.exp(dlog)
         except OverflowError:
-            raise SingularReductionError(
-                f"endpoint value G_j(1) or DG_j(1) overflows float64 at gamma {gamma}, degree j={j}"
-            ) from None
+            g = dg = math.inf
+            if over is None:
+                over = j
         g1.append(g)
         dg1.append(dg)
-    return np.array([g1, dg1])
+    return np.array([g1, dg1]), over
 
 
 def assemble(config: MethodConfig, parity: str) -> Pencil:

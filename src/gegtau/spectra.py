@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import pencil
 from .charpoly import CharPoly, even_charpoly, odd_charpoly
 from .eig import SpectrumReport, classify, dense_eigs, poly_roots
 from .pencil import GAMMA_SHIFT, MethodConfig, assemble, reduce_to_standard, split_finite
@@ -50,16 +51,20 @@ _shared: dict | None = None
 
 
 class shared_ladders:
-    """Scope in which ``pencil_lambdas`` solves each distinct ladder once; a
-    nested scope reuses the outer table, which dies with the outermost."""
+    """Scope in which ``pencil_lambdas`` solves each distinct ladder once and
+    assembly evaluates each endpoint column once per shifted gamma
+    (``pencil._endpoints``); a nested scope reuses the outer tables, which
+    die with the outermost."""
 
     def __enter__(self) -> None:
         global _shared
-        self.outer, _shared = _shared, {} if _shared is None else _shared
+        self.outer = _shared, pencil._endpoints
+        if _shared is None:
+            _shared, pencil._endpoints = {}, {}
 
     def __exit__(self, *exc) -> None:
         global _shared
-        _shared = self.outer
+        _shared, pencil._endpoints = self.outer
 
 
 def pencil_lambdas(config: MethodConfig, parity: str, vectors: bool = False) -> tuple:
@@ -74,7 +79,9 @@ def pencil_lambdas(config: MethodConfig, parity: str, vectors: bool = False) -> 
     16 results, kept by shifted gamma and ladder degree (n for collocation),
     is reused only if its A, B and C equal the fresh ones byte for byte (BLAS
     may round one ladder at two degrees differently): no output depends on it.
-    A solve with ``vectors`` is never shared.
+    Every ladder is still assembled, its boundary rows sliced from the
+    scope's endpoint columns of the shifted gamma.  A solve with ``vectors``
+    is never shared.
     """
     p = assemble(config, parity)
     if _shared is not None and not vectors:

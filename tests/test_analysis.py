@@ -30,7 +30,7 @@ from gegtau.analysis import (
     suite_theorem_range,
     tan_fixed_point,
 )
-from gegtau import analysis, cli, spectra
+from gegtau import analysis, cli, pencil, spectra
 from gegtau.charpoly import CharPoly, second_order_pair, stability_poly
 from gegtau.eig import ConvergenceError
 from gegtau.gegenbauer import evaluate, rational_ladder
@@ -664,18 +664,25 @@ def test_shared_table_dies_with_its_scope(monkeypatch):
     reduces = _counting(monkeypatch, "reduce_to_standard")
     with shared_ladders():
         pencil_lambdas(config, "odd")
-        table = spectra._shared
+        table, endpoints = spectra._shared, pencil._endpoints
         with shared_ladders():
-            assert spectra._shared is table
+            assert spectra._shared is table and pencil._endpoints is endpoints
             pencil_lambdas(config, "odd")
             pencil_lambdas(MethodConfig("tau", 1.75, 12), "odd")  # the same ladder
         assert spectra._shared is table and len(table) == 1
-    assert len(reduces) == 1 and spectra._shared is None
+        # one endpoint table per shifted gamma, degrees 0..11, for the last
+        # four gammas only
+        assert list(endpoints) == [1.75] and endpoints[1.75][0].shape == (2, 12)
+        for gamma in (0.5, 1.5, 2.5, 3.5, 4.5):
+            pencil_lambdas(MethodConfig("tau", gamma, 12), "even")
+        assert pencil._endpoints is endpoints and list(endpoints) == [1.5, 2.5, 3.5, 4.5]
+    assert len(reduces) == 6 and spectra._shared is None and pencil._endpoints is None
     with pytest.raises(KeyError):
         with shared_ladders():
             pencil_lambdas(config, "odd")
+            assert list(pencil._endpoints) == [1.75]
             raise KeyError("leave the scope by an exception")
-    assert len(reduces) == 2 and spectra._shared is None
+    assert len(reduces) == 7 and spectra._shared is None and pencil._endpoints is None
 
 
 def test_shared_results_are_read_only():

@@ -1,3 +1,4 @@
+import collections
 import concurrent.futures
 import json
 import math
@@ -271,6 +272,23 @@ def test_endpoint_overflow_is_numerical_diagnostic(capsys, method, gamma, n, j):
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("numerical diagnostic:")
     assert f"gamma {float(gamma)}" in captured.err and f"j={j}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "spectrum --method tau --gamma 1 --n 10000000",
+        "sweep --method tau --gamma-range 1:1:1 --n-range 10000000:10000000:1",
+    ],
+)
+def test_size_too_large_to_allocate_is_usage_error(capsys, argv):
+    # the (n+1)^2 operator at n = 10^7 is larger than the user address
+    # space, so its allocation fails before it touches memory: one error
+    # line and exit 2, not a traceback and exit 1, a failed verdict
+    code = cli.main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: out of memory:") and captured.err.count("\n") == 1
 
 
 def test_extreme_alpha_and_dependent_rows_are_numerical_diagnostics():
@@ -630,6 +648,31 @@ def test_sweep_jobs_share_endpoint_ladders(capsys):
         _, out = run(argv + ["--jobs", jobs], capsys)
         rows.append(out.splitlines()[2:])  # the data rows, after manifest and header
     assert len(rows[0]) == 20 and rows[0] == rows[1]
+
+
+@pytest.mark.parametrize(
+    "argv, pairs",
+    [
+        (["verify", "--suite", "theorem-range"], 7 * 49),  # 7 gammas x degrees 0..48
+        (["sweep", "--method", "galerkin", "--gamma-range", "1:1:1", "--n-range", "8:40:1"], 41),
+    ],
+)
+def test_command_evaluates_each_endpoint_column_once(monkeypatch, capsys, argv, pairs):
+    # the scope's endpoint table serves every ladder of the command and
+    # dies with it: a second run in the same process evaluates them again
+    calls = collections.Counter()
+    real = gegenbauer.value_at_one
+
+    def counted(gamma, n):
+        calls[gamma, n] += 1
+        return real(gamma, n)
+
+    for module in (gegenbauer, pencil):
+        monkeypatch.setattr(module, "value_at_one", counted)
+    for _ in range(2):
+        calls.clear()
+        assert run(argv, capsys)[0] == 0
+        assert len(calls) == pairs and set(calls.values()) == {1}
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -29,6 +29,7 @@ from gegtau.gegenbauer import (
 )
 from gegtau.pencil import MethodConfig
 from gegtau.scaled import ScaledReal
+from gegtau.spectra import shared_ladders
 
 GAMMAS = [-0.4, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 3.5]
 
@@ -199,6 +200,23 @@ def test_endpoint_values_match_loop_oracle(gamma):
     rows = pencil._boundary_rows(gamma, np.arange(ORACLE_NMAX + 1 if top is None else top))
     assert np.array_equal(rows, [g1[: rows.shape[1]], dg1[: rows.shape[1]]])
     assert (top is None) == (gamma < 1000.0)
+    # inside a scope the parity ladders slice one table per gamma, grown
+    # by the longest ladder first or last: the same floats in a fresh
+    # C-ordered array, and a ladder that reaches past float64 raises at its
+    # own first such degree, also where a longer ladder stored it
+    ladders = [(n, parity) for n in (7, 64, 219, 220, 221, ORACLE_NMAX) for parity in ("even", "odd")]
+    for order in (ladders[::-1], ladders):
+        with shared_ladders():
+            for n, parity in order:
+                cols = pencil._columns(n, parity)
+                first = next((j for j in cols.tolist() if top is not None and j >= top), None)
+                if first is not None:
+                    with pytest.raises(pencil.SingularReductionError, match=rf"gamma {gamma}.*j={first}\b"):
+                        pencil._boundary_rows(gamma, cols)
+                    continue
+                rows = pencil._boundary_rows(gamma, cols)
+                assert np.array_equal(rows, [[g1[j] for j in cols], [dg1[j] for j in cols]])
+                assert rows.flags.c_contiguous and rows.flags.owndata and rows.flags.writeable
 
 
 @pytest.mark.parametrize("gamma", ORACLE_GAMMAS)

@@ -7,6 +7,11 @@ Runs one fixed grid of ``gegtau`` commands in each checkout:
 - ``spectrum`` for every method, gamma in GAMMAS, n in NS and alpha in
   ALPHAS, in JSON and CSV, at parity both, even and odd;
 - ``sweep`` for every method at alpha {0, 0.5} and ``--jobs`` {1, 2};
+- step-1 sweeps over n, whose ladders repeat and share solves and
+  endpoint columns inside one command, for tau, galerkin and modified;
+- endpoint overflow: ``spectrum`` at gamma 5000 (past float64 from degree
+  136), tau sweeps at gamma 5000 that exit 3 partway, and a galerkin sweep
+  at gamma 4998, which overflows through the gamma + 2 shift;
 - the six ``verify`` suites at their defaults, and one failing run.
 
 Each checkout runs the whole grid in one Python process that imports
@@ -59,8 +64,17 @@ def grid() -> list[list[str]]:
          "--alpha", alpha, "--jobs", jobs]
         for m in METHODS for alpha in ("0", "0.5") for jobs in ("1", "2")
     ]
+    sweeps += [
+        ["sweep", "--method", m, "--gamma-range", "-0.4:4.6:0.5", "--n-range", "8:48:1"]
+        for m in ("tau", "galerkin", "modified")
+    ]
+    sweeps += [
+        ["sweep", "--method", m, "--gamma-range", g, "--n-range", ns]
+        for m, g in (("tau", "5000:5000:1"), ("galerkin", "4998:4998:1")) for ns in ("120:150:2", "130:140:1")
+    ]
+    overflow = spectrum_commands(METHODS, (5000.0,), (134, 136), (0.0,))
     verify = [["verify", "--suite", s] for s in SUITES] + [["verify", "--suite", "theorem-range", "--gamma", "3.6"]]
-    return spectrum_commands(METHODS, GAMMAS, NS, ALPHAS) + sweeps + verify
+    return spectrum_commands(METHODS, GAMMAS, NS, ALPHAS) + overflow + sweeps + verify
 
 
 def class_summary(argv: list[str], stdout: str):
