@@ -22,7 +22,6 @@ from .pencil import (
     legendre_reduced_matrices,
     reduce_to_standard,
 )
-from .scaled import ScaledReal
 from .spectra import charpoly_lambdas, pencil_lambdas, spectrum_report
 
 __version__ = "0.1.0"
@@ -31,7 +30,6 @@ __all__ = [
     "CharPoly",
     "MethodConfig",
     "Pencil",
-    "ScaledReal",
     "SpectrumReport",
     "assemble",
     "charpoly_lambdas",

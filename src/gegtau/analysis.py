@@ -1,10 +1,9 @@
-"""Scientific checks: exact spectrum, perturbation law, positive pairs,
-stability via Hermite-Biehler, method equivalences, and endpoint-weight
-integrals.  Each check is an executable statement of a property of the
-discretization, verified with independent machinery rather than the code
-path under test: bisection, weighted quadrature and brute-force comparisons
-in floating point, and an exact integer Routh array for positive pairs and
-stability.
+"""Scientific checks: exact spectrum, perturbation law, positive pairs via
+Hermite-Biehler, method equivalences, and endpoint-weight integrals.  Each
+check is an executable statement of a property of the discretization,
+verified with independent machinery rather than the code path under test:
+bisection, weighted quadrature and brute-force comparisons in floating
+point, and an exact integer Routh array for positive pairs and stability.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .charpoly import CharPoly, second_order_pair
-from .eig import ConvergenceError, poly_roots
+from .charpoly import second_order_pair
+from .eig import poly_roots
 from .gegenbauer import deriv_matrix, evaluate, exact_gamma, mult_x_array
 from .pencil import MethodConfig, assemble
 from .spectra import ladder_degree, pencil_lambdas, shared_ladders, spectrum_report
@@ -200,24 +199,6 @@ def positive_pair_check(p, q) -> bool:
         raise ValueError(f"degree gap must be 0 or 1, got deg p={dp}, deg q={dq}")
     interleave = [c for pair in zip(p, q) for c in pair] + list(p[dq + 1 :])
     return _routh_failure(interleave) is None
-
-
-def hermite_biehler_stability(p: CharPoly) -> bool:
-    """Is p(z) Hurwitz stable?  Routh on p's exact coefficients, cross-checked.
-
-    The verdict is the integer Routh array on ``p.mu_coeffs``, exact for
-    every degree.  It is checked against direct root computation (all real
-    parts negative) on the rounded ``p.normalized_coeffs()``.  Where they
-    disagree, ``ConvergenceError`` names the degree, never a verdict.  On the
-    stability polynomials that ends the working range at degree 26 (27 at gamma -0.4).
-    """
-    routh = _routh_failure(p.mu_coeffs) is None
-    direct = bool(np.all(poly_roots(p.normalized_coeffs()).roots.real < 0.0))
-    if routh != direct:
-        raise ConvergenceError(
-            f"Routh-Hurwitz and direct roots disagree at degree {p.degree}: routh={routh} direct={direct}"
-        )
-    return routh
 
 
 # ---------------------------------------------------------------------------

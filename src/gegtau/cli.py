@@ -222,7 +222,7 @@ def _parse_range(spec: str, integer: bool) -> list:
         raise ValueError(f"{flag} step must be positive, got {step}")
     vals = []
     x = a
-    while x <= b + 1e-9 * max(1.0, abs(step)):
+    while x <= b + 1e-9 * step:
         vals.append(int(round(x)) if integer else round(x, 12))
         x += step
     return vals
@@ -294,6 +294,8 @@ def _suite_kwargs(args) -> dict:
             raise ValueError(f"verify --suite {args.suite} does not take {flag}")
         if key == "tol" and not math.isfinite(value):  # no deviation exceeds a nan tol
             raise ValueError(f"verify --tol must be finite, got {value}")
+        if key == "tol" and value < 0.0:  # every deviation exceeds it: a usage error, not a verdict
+            raise ValueError(f"verify --tol must be >= 0, got {value}")
         if key == "gammas":  # --gamma repeats
             value = tuple(value)
         elif key == "gamma":

@@ -23,12 +23,14 @@ Key identities used throughout (all standard, stated in this normalization):
 
 Endpoint quantities for the pencil are evaluated from log running products
 (never via Gamma ratios, which are singular at gamma = 0) and returned as
-``ScaledReal``.  The logs of G_n(1) come from one cached prefix-sum ladder
-per gamma, so each value is O(1) and a row of n endpoint values costs O(n),
-not O(n^2); the derivative ladder D^0..D^k G_n(1) is one running sum of log
-ratios.  Inside ``spectra.shared_ladders`` the pencil's boundary rows take
-each (gamma, degree) once per command, so the rows of a grid over n cost
-O(max n) per gamma, not O(sum of n).  ``rational_ladder`` is the same
+their natural logs, floats that stay finite past float64's range (near
+degree 170): every endpoint value is positive.  The logs of G_n(1) come
+from one cached prefix-sum ladder per gamma, so each value is O(1) and a
+row of n endpoint values costs O(n), not O(n^2); the derivative ladder
+D^0..D^k G_n(1) is one running sum of log ratios.  Inside
+``spectra.shared_ladders`` the pencil's boundary rows take each (gamma,
+degree) once per command, so the rows of a grid over n cost O(max n) per
+gamma, not O(sum of n).  ``rational_ladder`` is the same
 ladder in exact ``Fraction``s, from which the characteristic polynomials
 are built; interior evaluation uses the three-term recurrence in float64.
 """
@@ -44,7 +46,6 @@ from fractions import Fraction
 import numpy as np
 
 from .eig import ConvergenceError
-from .scaled import ScaledReal
 
 GAMMA_MIN = -0.5
 _LADDER_MIN_SIZE = 64  # smallest cached log ladder; larger ones double
@@ -57,12 +58,12 @@ def check_gamma(gamma: float) -> float:
     return gamma
 
 
-def value_at_one(gamma: float, n: int) -> ScaledReal:
-    """G_n(1), via the running product (2g+1)...(2g+n-1)/n!.
+def value_at_one(gamma: float, n: int) -> float:
+    """log G_n(1), via the running product (2g+1)...(2g+n-1)/n!.
 
-    Always positive for gamma > -1/2; equals 1 for n = 0, 1.  The log is
-    the sum of log((2g+j)/(j+1)), j = 1..n-1, so the Legendre case gives
-    exactly 1.0.
+    G_n(1) is positive for gamma > -1/2 and equals 1 for n = 0, 1.  The log
+    is the sum of log((2g+j)/(j+1)), j = 1..n-1, so the Legendre case gives
+    exactly 0.0.
     The sum is read from the gamma's cached prefix ladder, O(1) per call
     once the ladder exists; it is bit-identical to adding the terms one by
     one, left to right from 0.0.
@@ -71,7 +72,7 @@ def value_at_one(gamma: float, n: int) -> ScaledReal:
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     size = max(_LADDER_MIN_SIZE, 1 << operator.index(n).bit_length())
-    return ScaledReal(1, _log_ladder(gamma, size)[max(n - 1, 0)])
+    return _log_ladder(gamma, size)[max(n - 1, 0)]
 
 
 @functools.lru_cache(maxsize=32)
@@ -88,8 +89,8 @@ def _log_ladder(gamma: float, size: int) -> tuple[float, ...]:
     return tuple(itertools.accumulate(terms, initial=0.0))
 
 
-def deriv_ladder(gamma: float, n: int, kmax: int) -> list[ScaledReal]:
-    """D^k G_n(1) for k = 0..kmax, by the ratio recurrence seeded at G_n(1).
+def deriv_ladder(gamma: float, n: int, kmax: int) -> list[float]:
+    """log D^k G_n(1) for k = 0..kmax, by the ratio recurrence seeded at G_n(1).
 
     One running sum of log ratios gives every k at once.  The pencil's
     boundary rows take only its first step, inline, with the same grouping
@@ -97,7 +98,8 @@ def deriv_ladder(gamma: float, n: int, kmax: int) -> list[ScaledReal]:
     (2g+n+j)(n-j)/(2g+2j+1) is positive for gamma > -1/2 and 0 <= j < n, so
     every derivative value is strictly positive and the sequence is
     nondecreasing in k.  The last ratio (j = n-1) is exactly 1, so
-    D^{n-1} G_n(1) == D^n G_n(1).  Entries past k = n are exact zeros.
+    D^{n-1} G_n(1) == D^n G_n(1).  Entries past k = n are exact zeros, whose
+    log is -inf.
     """
     gamma = check_gamma(gamma)
     if n < 0:
@@ -110,8 +112,8 @@ def deriv_ladder(gamma: float, n: int, kmax: int) -> list[ScaledReal]:
         math.log((2.0 * gamma + (n + j)) * (n - j)) - math.log(2.0 * gamma + (2 * j + 1))
         for j in range(steps)
     )
-    logs = itertools.accumulate(terms, initial=value_at_one(gamma, n).log_mag)
-    return [ScaledReal(1, log) for log in logs] + [ScaledReal.zero()] * (kmax - steps)
+    logs = itertools.accumulate(terms, initial=value_at_one(gamma, n))
+    return list(logs) + [-math.inf] * (kmax - steps)
 
 
 def exact_gamma(gamma: float | Fraction) -> Fraction:
@@ -141,13 +143,13 @@ def rational_ladder(gamma: Fraction, n: int, kmax: int) -> list[Fraction]:
     return list(itertools.accumulate(ratios, operator.mul, initial=value)) + [Fraction(0)] * (kmax - steps)
 
 
-def deriv_at_one(gamma: float, n: int, k: int) -> ScaledReal:
-    """D^k G_n(1): entry k of ``deriv_ladder``, exact zero for k > n."""
+def deriv_at_one(gamma: float, n: int, k: int) -> float:
+    """log D^k G_n(1): entry k of ``deriv_ladder``, -inf for k > n."""
     return deriv_ladder(gamma, n, k)[k]
 
 
-def norm_h(gamma: float, n: int) -> ScaledReal:
-    """Squared weighted norm h_n = int W(x) G_n(x)^2 dx, strictly positive.
+def norm_h(gamma: float, n: int) -> float:
+    """log h_n, the squared weighted norm h_n = int W(x) G_n(x)^2 dx > 0.
 
     h_0 = pi 2^(-2g) Gamma(2g+1)/Gamma(g+1)^2 (all Gamma arguments positive
     for g > -1/2, so lgamma is safe); h_n = h_0 G_n(1) / (2 (n+gamma)).
@@ -162,9 +164,8 @@ def norm_h(gamma: float, n: int) -> ScaledReal:
         - 2.0 * math.lgamma(gamma + 1.0)
     )
     if n == 0:
-        return ScaledReal(1, log_h0)
-    g1 = value_at_one(gamma, n)
-    return ScaledReal(1, log_h0 + g1.log_mag - math.log(2.0 * (n + gamma)))
+        return log_h0
+    return log_h0 + value_at_one(gamma, n) - math.log(2.0 * (n + gamma))
 
 
 def evaluate(gamma: float, n: int, x: float | np.ndarray) -> float | np.ndarray:
@@ -261,8 +262,12 @@ def lobatto_interior_nodes(gamma: float, n: int) -> np.ndarray:
     k = np.arange(1.0, m)
     off = np.sqrt(k * (k + 2.0 * g1 - 1.0) / (4.0 * (k + g1) * (k + g1 - 1.0)))
     seeds = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))  # ascending
-    # residual scale for the convergence check: |G_m^{(g1)}| peaks at +-1
-    fscale = value_at_one(g1, m).to_float()
+    # residual scale for the convergence check: |G_m^{(g1)}| peaks at +-1,
+    # inf past float64, as at gamma 1000, n 230
+    try:
+        fscale = math.exp(value_at_one(g1, m))
+    except OverflowError:
+        fscale = math.inf
     roots = _newton_all(f, fp, seeds, fscale)
     nearest = np.argmin(np.abs(roots[:, None] - seeds[None, :]), axis=1)
     if not np.all(np.isfinite(roots)) or np.any(nearest != np.arange(m)):

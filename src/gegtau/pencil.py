@@ -122,72 +122,50 @@ def _columns(n: int, parity: str) -> np.ndarray:
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
-# Endpoint columns of the last few shifted gammas, gamma -> (columns of
-# degrees 0..K, first degree past float64 or None), most recently used
-# last.  None except inside ``spectra.shared_ladders``, which opens and
-# drops it.  Four gammas: sweeps run gamma-major, and one equivalence point
-# reads gamma, gamma + 1 and gamma + 2.
+# Endpoint tables of the last few shifted gammas, gamma -> {degree j:
+# (G_j(1), DG_j(1))}, most recently used last.  None except inside
+# ``spectra.shared_ladders``, which opens and drops it.  Four gammas: sweeps
+# run gamma-major, and one equivalence point reads gamma, gamma + 1 and
+# gamma + 2.
 _endpoints: dict | None = None
 
 
 def _boundary_rows(gamma: float, cols: np.ndarray) -> np.ndarray:
     """Clamped rows of one parity ladder against the degrees ``cols``.
 
-    Only u and Du at +1: the rows at -1 repeat them up to a sign.  Column
-    j reads G_j(1) once from ``value_at_one``; DG_j(1) = G_j(1) (2 gamma +
-    j) j / (2 gamma + 1), the Gegenbauer equation at x = 1, is taken as
-    exp(log G_j(1) + (log((2 gamma + j) j) - log(2 gamma + 1))), 0 at j = 0.
-    Raises ``SingularReductionError`` at the ladder's first value past
-    float64: one such entry would make every pivot of its row fail the
+    Only u and Du at +1: the rows at -1 repeat them up to a sign.  Row 0
+    holds G_j(1) = exp(``value_at_one``); row 1 holds DG_j(1) = G_j(1)
+    (2 gamma + j) j / (2 gamma + 1), the Gegenbauer equation at x = 1, taken
+    as exp(log G_j(1) + (log((2 gamma + j) j) - log(2 gamma + 1))), 0 at
+    j = 0.  Raises ``SingularReductionError`` at the ladder's first value
+    past float64: one such entry would make every pivot of its row fail the
     elimination's dependence test.
 
-    Inside ``spectra.shared_ladders`` each (gamma, degree) is evaluated
-    once: the gamma's table grows to the largest degree asked for, and
-    every ladder takes a fresh, C-ordered copy of its columns.
+    The values come from a per-degree table of the gamma, which inside
+    ``spectra.shared_ladders`` is the scope's, so each (gamma, degree) is
+    evaluated once per command; outside a scope it serves this call alone.
     """
     if _endpoints is None:
-        c, over = _endpoint_columns(gamma, cols.tolist())
+        table = {}
     else:
-        hi = int(cols.max())
-        table, over = _endpoints.pop(gamma, (np.empty((2, 0)), None))
-        if table.shape[1] <= hi:
-            new, new_over = _endpoint_columns(gamma, range(table.shape[1], hi + 1))
-            table, over = np.hstack([table, new]), new_over if over is None else over
+        table = _endpoints.pop(gamma, {})
         if len(_endpoints) == 4:
             del _endpoints[next(iter(_endpoints))]
-        _endpoints[gamma] = table, over
-        # take, not table[:, cols]: fancy indexing returns a transposed view
-        c = table.take(cols, axis=1)
-        if over is not None and over <= hi:
-            past = cols[np.isinf(c).any(axis=0)]
-            over = int(past[0]) if past.size else None
-        else:
-            over = None
-    if over is not None:
-        raise SingularReductionError(
-            f"endpoint value G_j(1) or DG_j(1) overflows float64 at gamma {gamma}, degree j={over}"
-        )
-    return c
-
-
-def _endpoint_columns(gamma: float, degrees: list[int] | range) -> tuple[np.ndarray, int | None]:
-    """G_j(1) and DG_j(1) for each of ``degrees`` as two rows, and the first
-    degree past float64 (whose column holds inf), or None."""
-    g1, dg1, over = [], [], None
+        _endpoints[gamma] = table
     log_den = math.log(2.0 * gamma + 1)
+    degrees = cols.tolist()
     for j in degrees:
-        log = value_at_one(gamma, j).log_mag
-        # exp(-inf) is 0.0
-        dlog = log + (math.log((2.0 * gamma + j) * j) - log_den) if j else -math.inf
-        try:
-            g, dg = math.exp(log), math.exp(dlog)
-        except OverflowError:
-            g = dg = math.inf
-            if over is None:
-                over = j
-        g1.append(g)
-        dg1.append(dg)
-    return np.array([g1, dg1]), over
+        if j not in table:
+            log = value_at_one(gamma, j)
+            # exp(-inf) is 0.0
+            dlog = log + (math.log((2.0 * gamma + j) * j) - log_den) if j else -math.inf
+            try:
+                table[j] = math.exp(log), math.exp(dlog)
+            except OverflowError:
+                raise SingularReductionError(
+                    f"endpoint value G_j(1) or DG_j(1) overflows float64 at gamma {gamma}, degree j={j}"
+                ) from None
+    return np.array([table[j] for j in degrees]).T.copy()  # C-ordered
 
 
 def assemble(config: MethodConfig, parity: str) -> Pencil:
@@ -352,7 +330,7 @@ def legendre_reduced_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     m = n - 3  # matrix dimension, indices 0..n-4
     d = deriv_matrix(0.5, n + 1)
     d2 = d @ d
-    h = np.array([norm_h(0.5, k).to_float() for k in range(n - 1)])
+    h = np.array([math.exp(norm_h(0.5, k)) for k in range(n - 1)])
     cl = np.array([(l + 1) * (l + 2) * (l + 3) * (l + 4) / 15.0 for l in range(m)])
     # D^2 [(1-x^2)^2 G_l^{(5/2)}] = C_l P_{l+2}: column l reads column l+2 of D^2
     a = cl * d2[:m, 2 : m + 2] * h[:m, None]

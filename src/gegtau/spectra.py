@@ -23,7 +23,7 @@ import numpy as np
 from . import pencil
 from .charpoly import CharPoly, even_charpoly, odd_charpoly
 from .eig import SpectrumReport, classify, dense_eigs, poly_roots
-from .pencil import GAMMA_SHIFT, MethodConfig, assemble, reduce_to_standard, split_finite
+from .pencil import MethodConfig, assemble, reduce_to_standard, split_finite
 
 
 def ladder_degree(n: int, parity: str) -> int:
@@ -46,13 +46,14 @@ def charpoly_lambdas(gamma: float, n: int, parity: str) -> tuple[np.ndarray, int
     return split_finite(mus)
 
 
-# ladders solved in the open ``shared_ladders`` scope, oldest first; None outside
+# ladders solved in the open ``shared_ladders`` scope, keyed by their blocks,
+# oldest first; None outside
 _shared: dict | None = None
 
 
 class shared_ladders:
     """Scope in which ``pencil_lambdas`` solves each distinct ladder once and
-    assembly evaluates each endpoint column once per shifted gamma
+    assembly evaluates each endpoint value once per shifted gamma and degree
     (``pencil._endpoints``); a nested scope reuses the outer tables, which
     die with the outermost."""
 
@@ -75,33 +76,29 @@ def pencil_lambdas(config: MethodConfig, parity: str, vectors: bool = False) -> 
     ``M`` is the matrix of the standard problem ``M x = mu x`` whose
     eigenvalues the lambdas (= 1/mu) came from; it is returned so that
     consumers such as the residual check reuse it instead of rebuilding it.
-    Inside ``shared_ladders`` both arrays are read-only, and one of the last
-    16 results, kept by shifted gamma and ladder degree (n for collocation),
-    is reused only if its A, B and C equal the fresh ones byte for byte (BLAS
-    may round one ladder at two degrees differently): no output depends on it.
-    Every ladder is still assembled, its boundary rows sliced from the
-    scope's endpoint columns of the shifted gamma.  A solve with ``vectors``
-    is never shared.
+    Inside ``shared_ladders`` both arrays are read-only, and the last 16
+    results are kept under their ladder's A, B and C, so a ladder whose
+    blocks equal a kept one's byte for byte reuses that solve: no output
+    depends on it.  Every ladder is still assembled, its boundary rows read
+    from the scope's endpoint table of the shifted gamma.  A solve with
+    ``vectors`` is never shared.
     """
     p = assemble(config, parity)
-    if _shared is not None and not vectors:
-        kind = "tau" if config.kind in GAMMA_SHIFT else config.kind
-        degree = config.n if kind == "collocation" else ladder_degree(config.n, parity)
-        key = (kind, config.gamma + GAMMA_SHIFT.get(config.kind, 0.0), degree, config.alpha, parity)
-        blocks = (p.A.tobytes(), p.B.tobytes(), p.C.tobytes())
-        if (entry := _shared.get(key)) and entry[0] == blocks:
-            return entry[1]
+    share = _shared is not None and not vectors
+    if share:
+        key = (p.A.shape, p.A.tobytes(), p.B.tobytes(), p.C.tobytes())
+        if key in _shared:
+            return _shared[key]
     red = reduce_to_standard(p)
     if vectors:
         pair = dense_eigs(red.M, vectors)
         return (*split_finite(pair[0]), red.M, pair)
     lams, n_inf = split_finite(dense_eigs(red.M))
-    if _shared is not None:
+    if share:
         lams.flags.writeable = red.M.flags.writeable = False
-        _shared.pop(key, None)
         if len(_shared) == 16:
             del _shared[next(iter(_shared))]
-        _shared[key] = (blocks, (lams, n_inf, red.M))
+        _shared[key] = lams, n_inf, red.M
     return lams, n_inf, red.M
 
 

@@ -12,10 +12,10 @@ import numpy as np
 import pytest
 
 from gegtau.analysis import (
+    _routh_failure,
     epsilon_integral_check,
     equivalence_suite,
     exact_spectrum,
-    hermite_biehler_stability,
     legendre_mode_residual,
     perturbation_mu1,
 )
@@ -156,8 +156,10 @@ def test_08_appendix_c_stability():
             assert np.max(np.abs(roots - ref)) <= 1e-12
         for g in (-0.4, 0.0, 0.5):
             for n in range(2, 21):
-                # raises if the positive-pair verdict disagrees with the roots
-                assert hermite_biehler_stability(stability_poly(g, n))
+                # the exact Routh verdict, and the float roots agree with it
+                p = stability_poly(g, n)
+                assert _routh_failure(p.mu_coeffs) is None
+                assert np.all(poly_roots(p.normalized_coeffs()).roots.real < 0.0)
 
 
 def test_09_appendix_b_integrals():

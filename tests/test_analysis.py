@@ -15,7 +15,6 @@ from gegtau.analysis import (
     epsilon_integral_check,
     equivalence_suite,
     exact_spectrum,
-    hermite_biehler_stability,
     jacobi_quad,
     jacobi_rule,
     legendre_infinite_mode,
@@ -31,8 +30,7 @@ from gegtau.analysis import (
     tan_fixed_point,
 )
 from gegtau import analysis, cli, pencil, spectra
-from gegtau.charpoly import CharPoly, second_order_pair, stability_poly
-from gegtau.eig import ConvergenceError
+from gegtau.charpoly import second_order_pair, stability_poly
 from gegtau.gegenbauer import evaluate, rational_ladder
 from gegtau.pencil import KINDS, MethodConfig, SingularReductionError
 from gegtau.spectra import pencil_lambdas, shared_ladders, spectrum_report
@@ -184,37 +182,9 @@ def test_exact_stability_poly_is_hurwitz(gamma, n):
     assert stability_poly(gamma, n).mu_coeffs == coeffs
 
 
-def test_hermite_biehler_on_stability_polys():
-    assert hermite_biehler_stability(stability_poly(0.0, 2))
-    assert hermite_biehler_stability(stability_poly(0.4, 12))
-    for g in (-0.4, 0.0, 0.5):
-        for n in (2, 5, 9, 14, 20):
-            assert hermite_biehler_stability(stability_poly(g, n))
-
-
 def test_hermite_biehler_unstable():
-    p = CharPoly([-1, 0, 1])
-    assert not hermite_biehler_stability(p)
-
-
-@pytest.mark.parametrize("n", [72, 100])
-def test_hermite_biehler_raises_where_float_roots_fail(n):
-    # stable by the lemma and by the exact Routh array, but the companion
-    # roots of the rounded coefficients leave the left half-plane: the
-    # disagreement must raise, not come out as False
-    p = stability_poly(0.0, n)
-    assert _routh_failure(p.mu_coeffs) is None
-    with pytest.raises(RuntimeError, match="disagree"):
-        hermite_biehler_stability(p)
-
-
-@pytest.mark.parametrize("gamma, n", [(0.0, 27), (0.5, 27), (-0.4, 28)])
-def test_hermite_biehler_working_range_ends_in_typed_error(gamma, n):
-    # the last degree with a verdict, then the first where the float roots
-    # disagree: a ConvergenceError (exit 3 in the CLI) naming the degree
-    assert hermite_biehler_stability(stability_poly(gamma, n - 1))
-    with pytest.raises(ConvergenceError, match=f"at degree {n}:"):
-        hermite_biehler_stability(stability_poly(gamma, n))
+    # z^2 - 1 has the root +1: the Routh array fails
+    assert _routh_failure([-1, 0, 1]) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -640,23 +610,32 @@ def test_shared_ladder_is_solved_again_when_its_blocks_differ(monkeypatch):
     config = MethodConfig("tau", 1.25, 16)
     assemble = spectra.assemble
 
-    def nudged(config, parity):
-        p = assemble(config, parity)
-        p.A[0, 0] = np.nextafter(p.A[0, 0], np.inf)
-        return p
+    def nudged(name):
+        def build(config, parity):
+            p = assemble(config, parity)
+            block = getattr(p, name)
+            block[0, 0] = np.nextafter(block[0, 0], np.inf)
+            return p
+
+        return build
 
     reduces = _counting(monkeypatch, "reduce_to_standard")
     with shared_ladders():
         first = pencil_lambdas(config, "even")
         assert all(a is b for a, b in zip(pencil_lambdas(config, "even"), first))
         assert len(reduces) == 1
-        monkeypatch.setattr(spectra, "assemble", nudged)
-        resolved = pencil_lambdas(config, "even")
-        assert len(reduces) == 2
-        # the re-solved ladder replaced the entry under the same key
-        assert all(a is b for a, b in zip(pencil_lambdas(config, "even"), resolved))
-        assert len(reduces) == 2 and len(spectra._shared) == 1
-    assert _solved(resolved) == _solved(pencil_lambdas(config, "even"))
+        resolved = {}
+        for name in "ABC":
+            monkeypatch.setattr(spectra, "assemble", nudged(name))
+            resolved[name] = pencil_lambdas(config, "even")
+            # the nudged blocks are a new entry, and a repeat reuses it
+            assert all(a is b for a, b in zip(pencil_lambdas(config, "even"), resolved[name]))
+        assert len(reduces) == 4 and len(spectra._shared) == 4
+        monkeypatch.setattr(spectra, "assemble", assemble)
+        assert all(a is b for a, b in zip(pencil_lambdas(config, "even"), first))
+        assert len(reduces) == 4
+    monkeypatch.setattr(spectra, "assemble", nudged("A"))
+    assert _solved(resolved["A"]) == _solved(pencil_lambdas(config, "even"))
 
 
 def test_shared_table_dies_with_its_scope(monkeypatch):
@@ -670,9 +649,9 @@ def test_shared_table_dies_with_its_scope(monkeypatch):
             pencil_lambdas(config, "odd")
             pencil_lambdas(MethodConfig("tau", 1.75, 12), "odd")  # the same ladder
         assert spectra._shared is table and len(table) == 1
-        # one endpoint table per shifted gamma, degrees 0..11, for the last
-        # four gammas only
-        assert list(endpoints) == [1.75] and endpoints[1.75][0].shape == (2, 12)
+        # one endpoint table per shifted gamma, holding the degrees asked
+        # for (the odd ones 1..11), for the last four gammas only
+        assert list(endpoints) == [1.75] and list(endpoints[1.75]) == list(range(1, 12, 2))
         for gamma in (0.5, 1.5, 2.5, 3.5, 4.5):
             pencil_lambdas(MethodConfig("tau", gamma, 12), "even")
         assert pencil._endpoints is endpoints and list(endpoints) == [1.5, 2.5, 3.5, 4.5]

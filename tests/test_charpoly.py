@@ -357,8 +357,8 @@ def test_max_abs_prefilter_matches_full_max(gamma):
 
 # ---------------------------------------------------------------------------
 # the parent oracle: the sign / log-magnitude builders the exact ones
-# replaced, on the float ladders of gegenbauer.  Their sums round at
-# |log_mag| eps, so they agree with the exact coefficients to about 5e-13.
+# replaced, on the float log ladders of gegenbauer.  Their sums round at
+# |log| eps, so they agree with the exact coefficients to about 5e-13.
 # Next to a cancellation they lose more (at gamma 0.500001 the integrated
 # constant terms are off by 2.9e-11), which is why gamma 1/2 + 1e-6 is not
 # in the grid; the exact former-branch tests above cover it.
@@ -385,11 +385,11 @@ def _log_div(a, den):
 
 
 def _log_value(g, n):
-    return (1, value_at_one(g, n).log_mag)
+    return (1, value_at_one(g, n))
 
 
 def _log_ladder(g, n, kmax):
-    return [(d.sign, d.log_mag) for d in deriv_ladder(g, n, kmax)]
+    return [(0, 0.0) if d == -math.inf else (1, d) for d in deriv_ladder(g, n, kmax)]
 
 
 def _log_even(g, n):

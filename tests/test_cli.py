@@ -691,6 +691,11 @@ def test_sweep_negative_range_as_separate_argument(capsys):
     # the manifests echo each argv as given; the header and rows are equal
     assert outs[0].splitlines()[1:] == outs[1].splitlines()[1:]
     assert [r["gamma"] for r in parse_sweep(outs[0])] == pytest.approx([-0.4, 0.1])
+    # the slack past the end is relative to the step: a tiny step stops at it
+    argv = ["sweep", "--method", "tau", "--gamma-range", "0:1e-10:1e-11", "--n-range", "8:8:1"]
+    code, out = run(argv, capsys)
+    gammas = [r["gamma"] for r in parse_sweep(out)]
+    assert code == 0 and len(gammas) == 11 and gammas[-1] == pytest.approx(1e-10, rel=1e-9, abs=0.0)
 
 
 def test_sweep_empty_grid_rejected(capsys):
@@ -806,6 +811,18 @@ def test_verify_rejects_a_check_it_cannot_run(capsys, extra):
     code, out = run(["verify"] + extra, capsys)
     assert code == 2
     assert "[PASS]" not in out
+
+
+@pytest.mark.parametrize("suite, extra", [("equivalence", []), ("exact-convergence", ["--n", "10"])])
+def test_verify_negative_tol_is_usage_error(capsys, suite, extra):
+    # no deviation is below a negative tol: a usage error (exit 2), not a
+    # failed verdict (exit 1); tol 0 is a legal, strict check
+    code = cli.main(["verify", "--suite", suite, *extra, "--tol", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: verify --tol must be >= 0, got -1.0\n"
+    code, out = run(["verify", "--suite", suite, *extra, "--tol", "0"], capsys)
+    assert code in (0, 1) and out
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,7 @@ from pathlib import Path
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gegtau").glob("*.py"))
 
 MAX_DEFAULTED_PARAMETERS = 20
-MAX_DATACLASS_FIELDS = 34
+MAX_DATACLASS_FIELDS = 32
 
 
 def _trees():
