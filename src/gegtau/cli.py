@@ -3,7 +3,8 @@
 Outputs are machine-readable (JSON or CSV), deterministic for identical
 flags (floats printed with 17 significant digits, fixed field order), and
 every output embeds a run manifest sufficient to reproduce it via
-``gegtau replay``.
+``gegtau replay``: a JSON output under its "manifest" key, a CSV output on
+its first line.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error (or a size
 too large to allocate), 3 numerical diagnostic (singular reduction, endpoint
@@ -18,6 +19,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -33,6 +35,12 @@ METHOD_NAMES = {
     "modified": "modified_tau",
     "collocation": "collocation",
 }
+
+# the first line of a CSV output: this prefix, then the manifest as JSON
+MANIFEST_PREFIX = "# manifest: "
+
+# the most (gamma, n) points one sweep runs, and the most points one range holds
+MAX_SWEEP_POINTS = 100_000
 
 SWEEP_CSV_HEADER = (
     "gamma,n,method,alpha,parity,n_real_negative,n_spurious_positive,"
@@ -50,28 +58,44 @@ EXIT_NUMERICAL = 3
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        return "null"
-    return format(x, ".17g")
+    return format(x, ".17g") if math.isfinite(x) else "null"
+
+
+class RawJSON(str):
+    """JSON text built elsewhere, which ``dumps`` writes as it is."""
 
 
 def dumps(obj) -> str:
-    """JSON with fixed float formatting and insertion-ordered keys."""
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    """JSON with fixed float formatting and insertion-ordered keys.
+
+    Exact ``float``, ``str``, ``dict``, ``list`` and ``tuple`` skip the
+    chain of type tests that every other type (None, bool, int, numpy
+    scalars, subclasses) goes through; the text is the same either way.
+    Strings are escaped by ``encode_basestring_ascii``, as ``json.dumps``
+    escapes them, and a ``RawJSON`` is written as it is.
+    """
+    kind = type(obj)
+    if kind is float:
+        return _fmt_float(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is RawJSON:
+        return obj
+    if kind not in (dict, list, tuple):
+        if obj is None:
+            return "null"
+        if isinstance(obj, bool):
+            return "true" if obj else "false"
+        if isinstance(obj, (int, np.integer)):
+            return str(int(obj))
+        if isinstance(obj, (float, np.floating)):
+            return _fmt_float(float(obj))
+        if isinstance(obj, str):
+            return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
-        items = [f'{json.dumps(str(k))}: {dumps(v)}' for k, v in obj.items()]
-        return "{" + ", ".join(items) + "}"
+        return "{" + ", ".join(f"{encode_basestring_ascii(str(k))}: {dumps(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps(v) for v in obj) + "]"
+        return "[" + ", ".join(map(dumps, obj)) + "]"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -105,21 +129,21 @@ def _config_from_args(args) -> MethodConfig:
     return MethodConfig(kind, args.gamma, args.n, alpha=args.alpha)
 
 
-def _report_rows(report: SpectrumReport, residuals: list[float]) -> list[dict]:
-    rows = []
-    for i, (lam, cls) in enumerate(zip(report.eigenvalues, report.classes)):
-        par = report.parities[i]
+def _report_rows(report: SpectrumReport, residuals: list[float]) -> list[tuple]:
+    """The printed rows (re, im, class, parity, residual), each number as text.
+
+    Finite entries come first, sorted by (re, im) with a stable sort, then
+    near-infinite ones in report order, whose re and im are None.  Each
+    number is formatted once, for the JSON and the CSV writer alike.
+    """
+    finite, infinite = [], []
+    for lam, cls, par, res in zip(report.eigenvalues, report.classes, report.parities, residuals):
         if cls == NEAR_INFINITE:
-            re_part, im_part = None, None
+            infinite.append((None, None, cls, par, _fmt_float(res)))
         else:
-            re_part, im_part = lam.real, lam.imag
-        rows.append(
-            {"re": re_part, "im": im_part, "class": cls, "parity": par, "residual": residuals[i]}
-        )
-    finite = [r for r in rows if r["class"] != NEAR_INFINITE]
-    infinite = [r for r in rows if r["class"] == NEAR_INFINITE]
-    finite.sort(key=lambda r: (r["re"], r["im"]))
-    return finite + infinite
+            finite.append((lam.real, lam.imag, cls, par, res))
+    finite.sort(key=lambda r: (r[0], r[1]))
+    return [(_fmt_float(re), _fmt_float(im), cls, par, _fmt_float(res)) for re, im, cls, par, res in finite] + infinite
 
 
 def _eigen_residuals(report: SpectrumReport) -> list[float]:
@@ -178,10 +202,16 @@ def cmd_spectrum(args, argv: list[str]) -> int:
         },
     )
     if args.format == "json":
+        # a formatted float is never empty, so `or` substitutes only for None;
+        # class and parity names are plain identifiers that need no escaping
+        eigenvalues = ", ".join(
+            f'{{"re": {re or "null"}, "im": {im or "null"}, "class": "{cls}", "parity": "{par}", "residual": {res}}}'
+            for re, im, cls, par, res in rows
+        )
         doc = {
             "manifest": manifest,
             "spectrum": {
-                "eigenvalues": rows,
+                "eigenvalues": RawJSON(f"[{eigenvalues}]"),
                 "counts": {
                     "real_negative": report.count("real_negative"),
                     "spurious_positive": report.count("spurious_positive"),
@@ -195,11 +225,8 @@ def cmd_spectrum(args, argv: list[str]) -> int:
         }
         _write(dumps(doc), args.out)
     else:
-        lines = ["# manifest: " + dumps(manifest), "index,re,im,class,parity,residual"]
-        for i, r in enumerate(rows):
-            re_s = "" if r["re"] is None else _fmt_float(r["re"])
-            im_s = "" if r["im"] is None else _fmt_float(r["im"])
-            lines.append(f'{i},{re_s},{im_s},{r["class"]},{r["parity"]},{_fmt_float(r["residual"])}')
+        lines = [MANIFEST_PREFIX + dumps(manifest), "index,re,im,class,parity,residual"]
+        lines += [f'{i},{re or ""},{im or ""},{cls},{par},{res}' for i, (re, im, cls, par, res) in enumerate(rows)]
         _write("\n".join(lines), args.out)
     return EXIT_OK
 
@@ -209,6 +236,11 @@ def cmd_spectrum(args, argv: list[str]) -> int:
 
 
 def _parse_range(spec: str, integer: bool) -> list:
+    """The points A, A + STEP, ... up to B of an A:B:STEP range, by a running sum.
+
+    A range whose (B - A)/STEP + 1 points exceed ``MAX_SWEEP_POINTS``, or
+    whose step leaves a point unmoved, is a usage error.
+    """
     flag = "--n-range" if integer else "--gamma-range"
     parts = spec.split(":")
     if len(parts) != 3:
@@ -220,10 +252,15 @@ def _parse_range(spec: str, integer: bool) -> list:
         raise ValueError(f"{flag} must be integers, got {spec!r}")
     if step <= 0:
         raise ValueError(f"{flag} step must be positive, got {step}")
+    end = b + 1e-9 * step
+    if (end - a) / step >= MAX_SWEEP_POINTS:  # overflows to inf at worst, never raises
+        raise ValueError(f"{flag} has more than {MAX_SWEEP_POINTS} points, got {spec!r}")
     vals = []
     x = a
-    while x <= b + 1e-9 * step:
+    while x <= end:
         vals.append(int(round(x)) if integer else round(x, 12))
+        if x + step == x:
+            raise ValueError(f"{flag} step {step!r} does not move past {x!r}, got {spec!r}")
         x += step
     return vals
 
@@ -250,6 +287,8 @@ def cmd_sweep(args, argv: list[str]) -> int:
     kind = METHOD_NAMES[args.method]
     gammas = _parse_range(args.gamma_range, integer=False)
     ns = _parse_range(args.n_range, integer=True)
+    if len(gammas) * len(ns) > MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep grid has {len(gammas) * len(ns)} points, more than {MAX_SWEEP_POINTS}")
     grid = [(g, n) for g in gammas for n in ns]
     if not grid:
         raise ValueError("empty sweep grid")
@@ -261,7 +300,7 @@ def cmd_sweep(args, argv: list[str]) -> int:
     # GIL, so threads would only add cost
     with shared_ladders():
         rows = [_sweep_point(kind, g, n, args.alpha) for g, n in grid]
-    lines = ["# manifest: " + dumps(manifest), SWEEP_CSV_HEADER] + rows
+    lines = [MANIFEST_PREFIX + dumps(manifest), SWEEP_CSV_HEADER] + rows
     _write("\n".join(lines), args.out)
     return EXIT_OK
 
@@ -331,7 +370,10 @@ def cmd_verify(args, argv: list[str]) -> int:
 
 def cmd_replay(args, argv: list[str]) -> int:
     with open(args.manifest) as fh:
-        doc = json.load(fh)
+        text = fh.read()
+    if text.startswith(MANIFEST_PREFIX):  # a CSV output: the manifest is its first line
+        text = text[len(MANIFEST_PREFIX) :].partition("\n")[0]
+    doc = json.loads(text)
     manifest = doc.get("manifest", doc) if isinstance(doc, dict) else None
     command = manifest.get("command") if isinstance(manifest, dict) else None
     if not (isinstance(command, list) and command and all(isinstance(a, str) for a in command)):

@@ -528,6 +528,25 @@ def test_output_file_and_replay(tmp_path, capsys):
     assert out.read_text() == original  # replay reproduced the output file
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--method", "tau", "--gamma", "0.5", "--n", "12", "--format", "csv", "--out", "out.csv"],
+        ["sweep", "--method", "tau", "--gamma-range", "0:1:0.5", "--n-range", "8:12:4", "--out", "out.csv"],
+    ],
+    ids=["spectrum", "sweep"],
+)
+def test_csv_output_replays(tmp_path, monkeypatch, capsys, argv):
+    # a CSV output's manifest is its first line, after "# manifest: "
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 0
+    original = Path("out.csv").read_text()
+    Path("out.csv").write_text(original.splitlines()[0] + "\n")
+    assert cli.main(["replay", "out.csv"]) == 0
+    assert Path("out.csv").read_text() == original
+    assert capsys.readouterr().err == ""
+
+
 def test_unusable_out_path_exit_code(tmp_path, capsys):
     code = cli.main(["spectrum", "--method", "tau", "--gamma", "1", "--n", "8", "--out", str(tmp_path)])
     assert code == 2
@@ -703,6 +722,36 @@ def test_sweep_empty_grid_rejected(capsys):
         ["sweep", "--method", "tau", "--gamma-range", "1:0:1", "--n-range", "8:8:1"], capsys
     )
     assert code == 2
+
+
+# test id -> (--gamma-range, --n-range, the error's start): each is refused before any point is solved
+UNBOUNDED_SWEEPS = {
+    "step-below-rounding": ("1:2:1e-300", "8:8:1", "--gamma-range has more than"),
+    "step-stalls-past-start": ("1:1:1", "9007199254740990:9007199254741000:1", "--n-range step 1.0 does not move"),
+    "step-stalls-at-start": ("1e20:1e20:1", "8:8:1", "--gamma-range step 1.0 does not move"),
+    "huge-gamma-range": ("0:1:1e-12", "8:8:1", "--gamma-range has more than"),
+    "huge-n-range": ("1:1:1", "8:1e15:1", "--n-range has more than"),
+    "range-overflows": ("-1e308:1e308:1e-300", "8:8:1", "--gamma-range has more than"),
+    "grid-product": ("0:999:1", "8:1007:1", "sweep grid has 1000000 points"),
+}
+
+
+@pytest.mark.parametrize("case", UNBOUNDED_SWEEPS)
+def test_sweep_grid_is_bounded(monkeypatch, capsys, case):
+    gamma_range, n_range, message = UNBOUNDED_SWEEPS[case]
+    monkeypatch.setattr(cli, "_sweep_point", None)  # no point may be solved
+    assert cli.main(["sweep", "--method", "tau", "--gamma-range", gamma_range, "--n-range", n_range]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {message}")
+
+
+def test_sweep_range_bound_is_exact():
+    bound = cli.MAX_SWEEP_POINTS
+    assert len(cli._parse_range(f"0:{bound - 1}:1", integer=True)) == bound
+    assert len(cli._parse_range(f"0:{(bound - 1) / 4}:0.25", integer=False)) == bound
+    for spec, integer in ((f"0:{bound}:1", True), (f"0:{bound / 4}:0.25", False)):
+        with pytest.raises(ValueError, match="more than"):
+            cli._parse_range(spec, integer)
 
 
 # test id -> (command line, the flag or field its error names)

@@ -32,3 +32,13 @@ def test_grid_runs_every_command():
 def test_checkout_matches_itself():
     assert cli_bytes.compare(ROOT, ROOT, COMMANDS) == []
     assert len(cli_bytes.grid()) > 6000
+
+
+def test_written_files_are_compared():
+    commands = cli_bytes.output_files([["verify", "--suite", "theorem-range", "--gamma", "3.6"]])
+    results = cli_bytes.run_grid(ROOT, commands)
+    # each writer is followed by its replay; theorem-range fails at gamma 3.6
+    assert [argv[0] for argv in commands[1::2]] == ["replay"] * 4
+    assert [r["code"] for r in results] == [0, 0, 0, 0, 0, 0, 1, 1]
+    files = [r["file"] for r in results]
+    assert None not in files and files[::2] == files[1::2]  # replay rewrote each file byte for byte

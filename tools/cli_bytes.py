@@ -12,13 +12,18 @@ Runs one fixed grid of ``gegtau`` commands in each checkout:
 - endpoint overflow: ``spectrum`` at gamma 5000 (past float64 from degree
   136), tau sweeps at gamma 5000 that exit 3 partway, and a galerkin sweep
   at gamma 4998, which overflows through the gamma + 2 shift;
-- the six ``verify`` suites at their defaults, and one failing run.
+- the six ``verify`` suites at their defaults, and one failing run;
+- output files: ``spectrum --out`` in JSON and CSV, ``sweep --out``, and
+  ``verify --out`` for the six suites and the failing run, each followed by
+  a ``replay`` of the file it wrote.
 
 Each checkout runs the whole grid in one Python process that imports
 ``gegtau`` from the checkout's ``src`` and calls ``gegtau.cli.main`` per
-command, with BLAS on one thread, ``GEGTAU_TIMESTAMP`` fixed and every
-warning shown; the two checkouts run at the same time.  The tool prints
-every command whose exit code, stdout or stderr differs, marks with
+command, in an empty working directory of its own, with BLAS on one thread,
+``GEGTAU_TIMESTAMP`` fixed and every warning shown; the two checkouts run at
+the same time.  A command that names a file (``--out F``, or ``replay F``)
+is also compared on the bytes of F after it ran.  The tool prints
+every command whose exit code, stdout, stderr or file differs, marks with
 ``CLASS COUNTS`` each one whose class counts (with ``distinct`` and
 ``interlaced``, a sweep's count columns, or a suite's verdict) differ, and
 ends with a summary line.  It exits 1 if any command differs.  Uses the
@@ -36,6 +41,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import traceback
 import warnings
 from pathlib import Path
@@ -74,7 +80,25 @@ def grid() -> list[list[str]]:
     ]
     overflow = spectrum_commands(METHODS, (5000.0,), (134, 136), (0.0,))
     verify = [["verify", "--suite", s] for s in SUITES] + [["verify", "--suite", "theorem-range", "--gamma", "3.6"]]
-    return spectrum_commands(METHODS, GAMMAS, NS, ALPHAS) + overflow + sweeps + verify
+    return spectrum_commands(METHODS, GAMMAS, NS, ALPHAS) + overflow + sweeps + verify + output_files(verify)
+
+
+def output_files(verify: list[list[str]]) -> list[list[str]]:
+    """Commands that write a file with ``--out``, each followed by a ``replay`` of it."""
+    writers = [
+        ["spectrum", "--method", "modified", "--gamma", "0.5", "--n", "24", "--format", "json", "--out", "spectrum.json"],
+        ["spectrum", "--method", "tau", "--gamma", "4.5", "--n", "33", "--format", "csv", "--out", "spectrum.csv"],
+        ["sweep", "--method", "tau", "--gamma-range", "0:4:0.5", "--n-range", "8:16:4", "--out", "sweep.csv"],
+    ]
+    writers += [argv + ["--out", f"verify-{k}.json"] for k, argv in enumerate(verify)]
+    return [cmd for argv in writers for cmd in (argv, ["replay", argv[-1]])]
+
+
+def written_file(argv: list[str]) -> str | None:
+    """The file a command writes or replays, or None."""
+    if argv[0] == "replay":
+        return argv[1]
+    return argv[argv.index("--out") + 1] if "--out" in argv else None
 
 
 def class_summary(argv: list[str], stdout: str):
@@ -111,10 +135,12 @@ def serve() -> None:
             except Exception:  # an escaped exception is a result to compare, too
                 code = "raised"
                 traceback.print_exc()
+        path = written_file(argv)
         result = {
             "code": code,
             "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
             "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest(),
+            "file": hashlib.sha256(Path(path).read_bytes()).hexdigest() if path and Path(path).is_file() else None,
             "classes": class_summary(argv, out.getvalue()),
         }
         real_stdout.write(json.dumps(result) + "\n")
@@ -127,20 +153,21 @@ def run_grid(checkout: Path, commands: list[list[str]]) -> list[dict]:
     env.pop("PYTHONPATH", None)
     paths = [str(Path(__file__).resolve().parent), str(checkout.resolve() / "src")]
     code = f"import sys; sys.path[:0] = {paths!r}; import cli_bytes; cli_bytes.serve()"
-    proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(commands),
-                          capture_output=True, text=True, env=env)
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-c", code], input=json.dumps(commands),
+                              capture_output=True, text=True, env=env, cwd=cwd)
     if proc.returncode != 0:
         raise RuntimeError(f"grid run in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
 def compare(parent: Path, change: Path, commands: list[list[str]]) -> list[str]:
-    """One line per command whose exit code, stdout or stderr differs."""
+    """One line per command whose exit code, stdout, stderr or file differs."""
     with concurrent.futures.ThreadPoolExecutor(2) as pool:
         old, new = pool.map(run_grid, (parent, change), (commands, commands))
     lines = []
     for argv, a, b in zip(commands, old, new):
-        what = [k for k in ("stdout", "stderr") if a[k] != b[k]]
+        what = [k for k in ("stdout", "stderr", "file") if a[k] != b[k]]
         if a["code"] != b["code"]:
             what.append(f"exit {a['code']} -> {b['code']}")
         if a["classes"] != b["classes"]:
@@ -160,10 +187,11 @@ def main() -> int:
     lines = compare(args.parent, args.change, commands)
     for line in lines:
         print(line)
-    count = {key: sum(key in line.split(": ")[0] for line in lines) for key in ("stdout", "stderr", "exit", "CLASS")}
+    keys = ("stdout", "stderr", "file", "exit", "CLASS")
+    count = {key: sum(key in line.split(": ")[0] for line in lines) for key in keys}
     print(
         f"{len(commands)} commands, {len(lines)} differ (stdout {count['stdout']}, stderr {count['stderr']}, "
-        f"exit code {count['exit']}, class counts {count['CLASS']})"
+        f"file {count['file']}, exit code {count['exit']}, class counts {count['CLASS']})"
     )
     return 1 if lines else 0
 
