@@ -131,10 +131,10 @@ def exact_spectrum(count: int) -> ExactSpectrum:
 @dataclass
 class PerturbationPrediction:
     mu1: float
-    predicted_lambda: float | None
+    predicted_lambda: float
 
 
-def perturbation_mu1(n: int, parity: str, epsilon: float | None = None) -> PerturbationPrediction:
+def perturbation_mu1(n: int, parity: str, epsilon: float) -> PerturbationPrediction:
     """First-order drift mu ~ eps*mu1 of the Legendre infinite eigenvalues.
 
     For even system degree m: mu1 = -4/((m-2)^2 (m-1)^2) for the even mode
@@ -151,8 +151,7 @@ def perturbation_mu1(n: int, parity: str, epsilon: float | None = None) -> Pertu
         mu1 = -4.0 / ((m - 2) ** 2 * (m - 1) ** 2)
     else:
         mu1 = -4.0 / ((m - 4) ** 2 * (m - 1) ** 2)
-    pred = None if epsilon is None else 1.0 / (epsilon * mu1)
-    return PerturbationPrediction(mu1, pred)
+    return PerturbationPrediction(mu1, 1.0 / (epsilon * mu1))
 
 
 # ---------------------------------------------------------------------------

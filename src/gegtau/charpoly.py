@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
@@ -40,16 +39,12 @@ class CharPoly:
     def degree(self) -> int:
         return len(self.mu_coeffs) - 1
 
-    @cached_property
-    def _normalized(self) -> np.ndarray:
+    def normalized_coeffs(self) -> np.ndarray:
+        """Coefficients divided exactly by the largest magnitude, each rounded once."""
         big = _max_abs(self.mu_coeffs) or 1
         # an int / int quotient is rounded once, correctly, with no gcd
         scale_n, scale_d = big.denominator, big.numerator
         return np.array([c.numerator * scale_n / (c.denominator * scale_d) for c in self.mu_coeffs])
-
-    def normalized_coeffs(self) -> np.ndarray:
-        """Coefficients divided exactly by the largest magnitude, each rounded once."""
-        return self._normalized
 
 
 def _max_abs(coeffs: list[Fraction]) -> Fraction:

@@ -150,25 +150,25 @@ def _eigen_residuals(report: SpectrumReport) -> list[float]:
     """||M v - mu v||_2 / (sigma_max(M) ||v||_2) per eigenvalue, M of its
     parity ladder: the normwise backward error of the eigenpair (mu, v).
 
-    The eigenvectors are the report's own (``SpectrumReport.eigenpairs``,
-    from the one LAPACK solve that gave the eigenvalues), so this makes no
-    eigensolve: per ladder, one singular-value solve for sigma_max(M) and one
-    product ``M V``, O(m^3) work.  The shift is mu = 1/lambda, or 0 for a
-    near-infinite entry, and v is the eigenvector whose eigenvalue lies
-    nearest mu.  A shift below the real axis takes its conjugate, whose
-    residual is the same for real M, so conjugate twins print one value.
+    M, its eigenvalues and its eigenvectors are the report's own
+    (``SpectrumReport.eigenpairs``, from the one LAPACK solve that gave the
+    printed eigenvalues), so this makes no eigensolve: per ladder, one
+    singular-value solve for sigma_max(M) and one product ``M V``, O(m^3)
+    work.  The shift is mu = 1/lambda, or 0 for a near-infinite entry, and
+    v is the eigenvector whose eigenvalue lies nearest mu.  A shift below
+    the real axis takes its conjugate, whose residual is the same for real
+    M, so conjugate twins print one value.
     """
     out = np.empty(len(report.eigenvalues))
     parities = np.array(report.parities)
     mus = np.array([0j if cls == NEAR_INFINITE else 1.0 / lam for lam, cls in zip(report.eigenvalues, report.classes)])
-    for par, m in report.reduced.items():
+    for par, (m, w, v) in report.eigenpairs.items():
         rows = np.flatnonzero(parities == par)
         if rows.size == 0:
             continue
         if not np.all(np.isfinite(m)):
             raise ConvergenceError("reduced matrix has non-finite entries")
         smax = float(np.linalg.svd(m, compute_uv=False)[0]) or 1.0
-        w, v = report.eigenpairs[par]
         mu = mus[rows]
         mu = np.where(mu.imag < 0.0, mu.conj(), mu)
         j = np.argmin(np.abs(w[:, None] - mu), axis=0)
@@ -236,10 +236,12 @@ def cmd_spectrum(args, argv: list[str]) -> int:
 
 
 def _parse_range(spec: str, integer: bool) -> list:
-    """The points A, A + STEP, ... up to B of an A:B:STEP range, by a running sum.
+    """The points A, A + STEP, ... up to B of an A:B:STEP range, by a running
+    sum; gammas are rounded to 12 decimals.
 
-    A range whose (B - A)/STEP + 1 points exceed ``MAX_SWEEP_POINTS``, or
-    whose step leaves a point unmoved, is a usage error.
+    A range whose (B - A)/STEP + 1 points exceed ``MAX_SWEEP_POINTS``, whose
+    step leaves a point unmoved, or whose rounded gammas repeat is a usage
+    error.
     """
     flag = "--n-range" if integer else "--gamma-range"
     parts = spec.split(":")
@@ -262,6 +264,8 @@ def _parse_range(spec: str, integer: bool) -> list:
         if x + step == x:
             raise ValueError(f"{flag} step {step!r} does not move past {x!r}, got {spec!r}")
         x += step
+    if not integer and len(set(vals)) < len(vals):
+        raise ValueError(f"{flag} points repeat once rounded to 12 decimals, got {spec!r}")
     return vals
 
 

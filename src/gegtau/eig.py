@@ -154,23 +154,19 @@ def poly_roots(coeffs: np.ndarray) -> RootResult:
 class SpectrumReport:
     """Classified eigenvalue list in the real/spurious/complex/infinite taxonomy.
 
-    A pencil-route report also keeps what each parity ladder's one LAPACK
-    solve produced: the reduced matrix M, and with vectors asked for, M's
-    eigenvalues and right eigenvectors, so that the residual column needs no
-    second eigensolve.
+    Each eigenvalue carries the parity of the ladder it came from.  A report
+    asked for vectors also keeps what each ladder's one LAPACK solve produced,
+    so that the residual column needs no second eigensolve.
     """
 
     eigenvalues: list[complex]
     classes: list[str]
     distinct: bool
     interlaced: bool | None
-    parities: list[str] | None = None
-    # parity ("even" or "odd") -> the reduced matrix M of that ladder, as
-    # solved by the pencil route; empty otherwise
-    reduced: dict = field(default_factory=dict)
-    # parity -> (mu, V): the eigenvalues of that ladder's M and its right
-    # eigenvectors, from the same LAPACK solve, when the report was asked
-    # for vectors; empty otherwise
+    parities: list[str]
+    # parity -> (M, mu, V): that ladder's reduced matrix M, M's eigenvalues
+    # and right eigenvectors from the same LAPACK solve, when the report was
+    # asked for vectors; empty otherwise
     eigenpairs: dict = field(default_factory=dict)
 
     def count(self, label: str) -> int:
@@ -192,13 +188,14 @@ def _scale_of(lams: np.ndarray) -> float:
     return mags[k] if len(mags) % 2 else (mags[k - 1] + mags[k]) / 2
 
 
-def classify(
-    eigs: np.ndarray | list[complex],
-    parities: list[str] | None = None,
-    n_infinite: int = 0,
-    infinite_parities: list[str] | None = None,
-) -> SpectrumReport:
-    """Label eigenvalues and evaluate distinctness / parity interlacing.
+def classify(ladders: dict) -> SpectrumReport:
+    """Label the eigenvalues of parity ladders, and evaluate distinctness and
+    the interlacing of the ladders' spectra.
+
+    ``ladders`` maps each parity to ``(lambdas, n_infinite)``, its finite
+    eigenvalues and its count of near-infinite ones.  The report lists every
+    ladder's finite eigenvalues in the dict's order, then its near-infinite
+    entries ladder by ladder, each tagged with its ladder's parity.
 
     The thresholds are the fixed ``DEFAULT_TOLERANCES``, and ``scale`` is
     the median of the nonzero |lambda| (1.0 if none).  An eigenvalue is
@@ -206,30 +203,30 @@ def classify(
     negative when its real part is below -real_abs*scale, and spurious
     otherwise.  ``distinct`` requires all relative gaps between real
     eigenvalues to exceed distinct_rel; a pair both below real_abs*scale is
-    compared on that absolute scale.
-    ``interlaced`` (merged even/odd reports only) checks that the real
-    eigenvalues sorted descending alternate parity.  With ``parities``,
-    ``infinite_parities`` tags the ``n_infinite`` near-infinite entries,
-    one each.
+    compared on that absolute scale.  ``interlaced`` checks that the real
+    eigenvalues sorted descending alternate parity; it is None for a single
+    ladder.
     """
     tol = DEFAULT_TOLERANCES
-    eigs = np.atleast_1d(np.asarray(eigs, dtype=complex))
-    scale = _scale_of(eigs)
-    eig_list = [complex(e) for e in eigs]
-    if parities is not None and len(parities) != len(eig_list):
-        raise ValueError("parities must match eigenvalues in length")
-    if parities is not None and len(infinite_parities or ()) != n_infinite:
-        raise ValueError("infinite_parities must match n_infinite in length")
+    eig_list: list[complex] = []
+    parities: list[str] = []
+    inf_parities: list[str] = []
+    for parity, (lams, n_infinite) in ladders.items():
+        lams = np.asarray(lams, dtype=complex).ravel().tolist()
+        eig_list += lams
+        parities += [parity] * len(lams)
+        inf_parities += [parity] * n_infinite
+    scale = _scale_of(np.array(eig_list, dtype=complex))
 
     classes: list[str] = []
-    reals: list[tuple[float, str | None]] = []
-    for i, lam in enumerate(eig_list):
+    reals: list[tuple[float, str]] = []
+    for lam, parity in zip(eig_list, parities):
         is_real = abs(lam.imag) <= max(tol["real_rel"] * abs(lam), tol["real_abs"] * scale)
         if is_real:
             # a real part within real_abs * scale of zero is not negative
             negative = lam.real < -tol["real_abs"] * scale
             classes.append(REAL_NEGATIVE if negative else SPURIOUS_POSITIVE)
-            reals.append((lam.real, parities[i] if parities else None))
+            reals.append((lam.real, parity))
         else:
             classes.append(COMPLEX_PAIR)
 
@@ -243,21 +240,14 @@ def classify(
             break
 
     interlaced: bool | None = None
-    if parities is not None:
+    if len(ladders) > 1:
         seq = [p for _, p in sorted(reals, key=lambda t: -t[0])]
         interlaced = all(p != q for p, q in zip(seq, seq[1:]))
 
-    eig_out = list(eig_list)
-    par_out = list(parities) if parities is not None else None
-    for j in range(n_infinite):
-        eig_out.append(complex(math.inf, 0.0))
-        classes.append(NEAR_INFINITE)
-        if par_out is not None:
-            par_out.append(infinite_parities[j])
     return SpectrumReport(
-        eigenvalues=eig_out,
-        classes=classes,
+        eigenvalues=eig_list + [complex(math.inf, 0.0)] * len(inf_parities),
+        classes=classes + [NEAR_INFINITE] * len(inf_parities),
         distinct=distinct,
         interlaced=interlaced,
-        parities=par_out,
+        parities=parities + inf_parities,
     )

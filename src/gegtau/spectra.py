@@ -6,14 +6,13 @@ and the characteristic-polynomial route (endpoint ladders, companion roots).
 Their agreement is the central cross-validation of the package.
 
 The pencil route solves each parity ladder exactly once: ``pencil_lambdas``
-returns ``(lambdas, n_infinite, M)``, and every report keeps the reduced
-matrix ``M`` of each ladder in ``SpectrumReport.reduced``, so consumers
-(such as the CLI's residual column) never assemble or reduce again.  Asked
-for ``vectors``, that one solve is LAPACK's eigenvalues-and-eigenvectors job,
-and the report keeps ``M``'s eigenvalues and right eigenvectors in
-``SpectrumReport.eigenpairs`` as well, so the residual column makes no
-eigensolve of its own.  Every other caller asks for the eigenvalues alone,
-which is the cheaper job.
+returns ``(lambdas, n_infinite, M)``, and ``classify`` labels the ladders'
+eigenvalues together.  Asked for ``vectors``, that one solve is LAPACK's
+eigenvalues-and-eigenvectors job, and the report keeps each ladder's ``M``
+with its eigenvalues and right eigenvectors in ``SpectrumReport.eigenpairs``,
+so consumers such as the CLI's residual column never assemble, reduce or
+solve again.  Every other caller asks for the eigenvalues alone, which is
+the cheaper job, and its report keeps no matrix.
 """
 
 from __future__ import annotations
@@ -103,38 +102,26 @@ def pencil_lambdas(config: MethodConfig, parity: str, vectors: bool = False) -> 
 
 
 def _classified(config: MethodConfig, ladders: tuple[str, ...], vectors: bool) -> SpectrumReport:
-    """Solve each parity ladder once, classify the merged spectrum, keep each
-    M (and with ``vectors``, each ladder's eigenvalues and eigenvectors).
-
-    Every eigenvalue is tagged with the parity of the ladder it came from.
-    """
-    lams, parities, inf_parities, reduced, eigenpairs = [], [], [], {}, {}
-    for parity in ladders:
-        lam, n_inf, reduced[parity], *pair = pencil_lambdas(config, parity, vectors)
-        if pair:
-            eigenpairs[parity] = pair[0]
-        lams.append(lam)
-        parities += [parity] * lam.size
-        inf_parities += [parity] * n_inf
-    merged = np.concatenate(lams)
-    report = classify(merged, parities=parities, n_infinite=len(inf_parities), infinite_parities=inf_parities)
-    report.reduced, report.eigenpairs = reduced, eigenpairs
+    """Solve each parity ladder once and classify them together; with
+    ``vectors``, keep each ladder's M, eigenvalues and eigenvectors."""
+    solves = {parity: pencil_lambdas(config, parity, vectors) for parity in ladders}
+    report = classify({parity: solve[:2] for parity, solve in solves.items()})
+    if vectors:
+        report.eigenpairs = {parity: (m, *pair) for parity, (_, _, m, pair) in solves.items()}
     return report
 
 
 def spectrum_report(config: MethodConfig, vectors: bool = False) -> SpectrumReport:
     """Classified spectrum for one configuration.
 
-    The even and odd ladders are solved separately and merged with parity
-    tags, which the interlacing check reads.  ``vectors`` asks each ladder's
-    solve for right eigenvectors too (``SpectrumReport.eigenpairs``).
+    The even and odd ladders are solved separately and classified together,
+    which the interlacing check needs.  ``vectors`` asks each ladder's solve
+    for right eigenvectors too (``SpectrumReport.eigenpairs``).
     """
     return _classified(config, ("even", "odd"), vectors)
 
 
 def single_parity_report(config: MethodConfig, parity: str) -> SpectrumReport:
     """Spectrum of one parity ladder of a config (interlacing not applicable),
-    with the ladder's eigenvalues and eigenvectors in ``eigenpairs``."""
-    report = _classified(config, (parity,), True)
-    report.interlaced = None
-    return report
+    with the ladder's M, eigenvalues and eigenvectors in ``eigenpairs``."""
+    return _classified(config, (parity,), True)

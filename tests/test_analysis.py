@@ -79,17 +79,17 @@ def test_exact_spectrum_rejects_zero_count():
 
 
 def test_mu1_even_n6():
-    assert perturbation_mu1(6, "even").mu1 == pytest.approx(-0.01, rel=1e-15)
+    assert perturbation_mu1(6, "even", 1e-3).mu1 == pytest.approx(-0.01, rel=1e-15)
 
 
 def test_mu1_odd_n6():
-    assert perturbation_mu1(6, "odd").mu1 == pytest.approx(-1.0 / 25.0, rel=1e-15)
+    assert perturbation_mu1(6, "odd", 1e-3).mu1 == pytest.approx(-1.0 / 25.0, rel=1e-15)
 
 
 def test_mu1_odd_degree_substitution():
     # odd n: even mode uses n-1, odd mode uses n+1
-    assert perturbation_mu1(13, "even").mu1 == perturbation_mu1(12, "even").mu1
-    assert perturbation_mu1(13, "odd").mu1 == perturbation_mu1(14, "odd").mu1
+    assert perturbation_mu1(13, "even", 1e-3).mu1 == perturbation_mu1(12, "even", 1e-3).mu1
+    assert perturbation_mu1(13, "odd", 1e-3).mu1 == perturbation_mu1(14, "odd", 1e-3).mu1
 
 
 def test_mu1_sign_rule():
@@ -101,9 +101,9 @@ def test_mu1_sign_rule():
 
 def test_mu1_rejects_uncovered_degrees():
     with pytest.raises(ValueError):
-        perturbation_mu1(4, "even")
+        perturbation_mu1(4, "even", 1e-3)
     with pytest.raises(ValueError):
-        perturbation_mu1(12, "diagonal")
+        perturbation_mu1(12, "diagonal", 1e-3)
 
 
 def test_perturbed_extreme_eigenvalue_matches_prediction():
@@ -145,6 +145,38 @@ def test_positive_pair_rejects_degree_gap():
 def test_positive_pair_interlacing_violation_detected():
     # roots -1, -3 vs -4: q root outside the p bracket
     assert not positive_pair_check([3, 4, 1], [4, 1])
+
+
+# the theorem-range gammas, the sharp edge past 7/2, and gammas outside the
+# class on both sides
+VERDICT_GAMMAS = (-0.3, 0.0, 0.3, 0.6, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 3.51, 3.6, 4.0, 5.0)
+
+
+def test_exact_pair_verdict_matches_pencil_verdict():
+    # By Hermite-Biehler, (p_n, -p_o) is a positive pair exactly when the two
+    # ladders' mu roots are real, negative and simple and interlace, and
+    # mu = 1/lambda keeps their order on (-inf, 0): p_n is the polynomial of
+    # the ladder whose degree is n, p_o the other ladder's.  The pencil's
+    # verdict is the theorem's: no spurious, no complex, no near-infinite
+    # eigenvalue, distinct, interlaced.
+    verdicts = []
+    with shared_ladders():
+        for gamma in VERDICT_GAMMAS:
+            for n in range(8, 49):
+                rep = spectrum_report(MethodConfig("tau", gamma, n))
+                pencil_verdict = (
+                    rep.count("spurious_positive") == rep.count("complex_pair") == rep.n_infinite == 0
+                    and rep.distinct
+                    and rep.interlaced is True
+                )
+                own, other = ("even", "odd") if n % 2 == 0 else ("odd", "even")
+                p_n = spectra.charpoly_for(gamma, n, own).mu_coeffs
+                p_o = spectra.charpoly_for(gamma, n, other).mu_coeffs
+                exact = positive_pair_check(p_n, [-c for c in p_o])
+                assert exact == pencil_verdict, (gamma, n)
+                verdicts.append(exact)
+    # every n at the 7 gammas in (1/2, 7/2], and 27 low-n points at 3.51, 3.6 and 4
+    assert len(verdicts) == 574 and sum(verdicts) == 7 * 41 + 27
 
 
 def _stable_by_roots(coeffs):

@@ -98,7 +98,7 @@ def _oracle_eigen_residuals(report):
     out = []
     ladders = {}
     for lam, cls, par in zip(report.eigenvalues, report.classes, report.parities):
-        m = report.reduced[par]
+        m = report.eigenpairs[par][0]
         if par not in ladders:
             w, v = np.linalg.eig(m)
             ladders[par] = (w, v, m @ v, np.linalg.svd(m, compute_uv=False)[0])
@@ -115,7 +115,7 @@ def _complex_svd_bounds(report):
     each: no eigenpair's backward error is smaller."""
     out = []
     for lam, cls, par in zip(report.eigenvalues, report.classes, report.parities):
-        m = report.reduced[par]
+        m = report.eigenpairs[par][0]
         mu = 0.0 if cls == NEAR_INFINITE else 1.0 / lam
         s = np.linalg.svd(m - mu * np.eye(m.shape[0], dtype=complex), compute_uv=False)
         out.append(float(s[-1] / np.linalg.svd(m, compute_uv=False)[0]))
@@ -252,7 +252,7 @@ def test_spectrum_residuals_finite_when_norm_overflows(capsys):
 def test_spectrum_non_finite_reduced_matrix_exit_code(monkeypatch, capsys):
     def poisoned(config, vectors):
         report = spectrum_report(config, vectors)
-        report.reduced["even"][0, 0] = np.inf
+        report.eigenpairs["even"][0][0, 0] = np.inf
         return report
 
     monkeypatch.setattr(cli, "spectrum_report", poisoned)
@@ -733,6 +733,7 @@ UNBOUNDED_SWEEPS = {
     "huge-n-range": ("1:1:1", "8:1e15:1", "--n-range has more than"),
     "range-overflows": ("-1e308:1e308:1e-300", "8:8:1", "--gamma-range has more than"),
     "grid-product": ("0:999:1", "8:1007:1", "sweep grid has 1000000 points"),
+    "gammas-repeat-once-rounded": ("0:1e-11:1e-13", "8:8:1", "--gamma-range points repeat once rounded to 12 decimals"),
 }
 
 

@@ -32,6 +32,7 @@ def test_grid_runs_every_command():
 def test_checkout_matches_itself():
     assert cli_bytes.compare(ROOT, ROOT, COMMANDS) == []
     assert len(cli_bytes.grid()) > 6000
+    assert set(cli_bytes.DECLARED) <= {" ".join(argv) for argv in cli_bytes.grid()}
 
 
 def test_written_files_are_compared():

@@ -12,8 +12,8 @@ from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gegtau").glob("*.py"))
 
-MAX_DEFAULTED_PARAMETERS = 20
-MAX_DATACLASS_FIELDS = 32
+MAX_DEFAULTED_PARAMETERS = 16
+MAX_DATACLASS_FIELDS = 31
 
 
 def _trees():

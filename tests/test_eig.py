@@ -1,4 +1,5 @@
 import ast
+import functools
 import math
 import warnings
 from pathlib import Path
@@ -14,6 +15,7 @@ from gegtau.eig import (
     COMPLEX_PAIR,
     DEFAULT_TOLERANCES,
     ConvergenceError,
+    SpectrumReport,
     _scale_of,
     classify,
     dense_eigs,
@@ -192,18 +194,18 @@ def test_poly_roots_polish_overflow_warns_nothing(coeffs):
 
 def test_classify_exact_pair():
     q1 = 4.493409457909064  # bisection oracle for q = tan q in (pi, 3pi/2)
-    rep = classify([-math.pi**2, -(q1**2)], parities=["even", "odd"])
+    rep = classify({"even": ([-math.pi**2], 0), "odd": ([-(q1**2)], 0)})
     assert rep.classes == ["real_negative", "real_negative"]
     assert rep.distinct and rep.interlaced
 
 
 def test_classify_spurious():
-    rep = classify([12.0])
+    rep = classify({"even": ([12.0], 0)})
     assert rep.classes == ["spurious_positive"]
 
 
 def test_classify_conjugate_dust_merges_to_real():
-    rep = classify([complex(-1.0, 1e-15), complex(-1.0, -1e-15)])
+    rep = classify({"even": ([complex(-1.0, 1e-15), complex(-1.0, -1e-15)], 0)})
     assert rep.classes == ["real_negative", "real_negative"]
     # one eigenvalue after the conjugate merge: the two entries coincide
     assert not rep.distinct
@@ -211,36 +213,122 @@ def test_classify_conjugate_dust_merges_to_real():
 
 
 def test_classify_complex_pair():
-    rep = classify([complex(-1.0, 2.0), complex(-1.0, -2.0)])
+    rep = classify({"even": ([complex(-1.0, 2.0), complex(-1.0, -2.0)], 0)})
     assert rep.classes == ["complex_pair", "complex_pair"]
 
 
 def test_classify_interlacing_detection():
-    rep = classify([-1.0, -2.0, -3.0, -4.0], parities=["even", "odd", "even", "odd"])
+    rep = classify({"even": ([-1.0, -3.0], 0), "odd": ([-2.0, -4.0], 0)})
     assert rep.interlaced
-    rep2 = classify([-1.0, -2.0, -3.0, -4.0], parities=["even", "odd", "odd", "even"])
+    rep2 = classify({"even": ([-1.0, -4.0], 0), "odd": ([-2.0, -3.0], 0)})
     assert not rep2.interlaced
+    # one ladder has nothing to interlace with
+    assert classify({"odd": ([-1.0, -3.0], 0)}).interlaced is None
 
 
 def test_classify_near_infinite_entries():
-    rep = classify([-2.0], parities=["even"], n_infinite=2, infinite_parities=["even", "odd"])
+    rep = classify({"even": ([-2.0], 1), "odd": ([], 1)})
     assert rep.n_infinite == 2
     assert len(rep.eigenvalues) == 3
     assert rep.count("real_negative") + rep.n_infinite == 3
     assert rep.finite_eigenvalues() == [-2.0]
-
-
-@pytest.mark.parametrize("infinite_parities", [None, ["odd"], ["even", "odd", "odd"]])
-def test_classify_rejects_untagged_infinite_entries(infinite_parities):
-    # a tagged report tags every near-infinite entry from the caller's list
-    with pytest.raises(ValueError, match="infinite_parities"):
-        classify([-2.0], parities=["even"], n_infinite=2, infinite_parities=infinite_parities)
+    assert rep.parities == ["even", "even", "odd"]
 
 
 def test_classify_empty():
-    rep = classify([])
-    assert rep.eigenvalues == [] and rep.classes == []
-    assert rep.distinct
+    for ladders in ({}, {"even": ([], 0)}):
+        rep = classify(ladders)
+        assert rep.eigenvalues == [] and rep.classes == [] and rep.parities == []
+        assert rep.distinct
+
+
+def parent_classify(eigs, parities=None, n_infinite=0, infinite_parities=None):
+    """The earlier ``classify``: one flat eigenvalue array and parity tag
+    lists built by the caller, one tag per eigenvalue and per near-infinite
+    entry."""
+    tol = DEFAULT_TOLERANCES
+    eigs = np.atleast_1d(np.asarray(eigs, dtype=complex))
+    scale = _scale_of(eigs)
+    eig_list = [complex(e) for e in eigs]
+    if parities is not None and len(parities) != len(eig_list):
+        raise ValueError("parities must match eigenvalues in length")
+    if parities is not None and len(infinite_parities or ()) != n_infinite:
+        raise ValueError("infinite_parities must match n_infinite in length")
+
+    classes = []
+    reals = []
+    for i, lam in enumerate(eig_list):
+        is_real = abs(lam.imag) <= max(tol["real_rel"] * abs(lam), tol["real_abs"] * scale)
+        if is_real:
+            negative = lam.real < -tol["real_abs"] * scale
+            classes.append("real_negative" if negative else "spurious_positive")
+            reals.append((lam.real, parities[i] if parities else None))
+        else:
+            classes.append(COMPLEX_PAIR)
+
+    reals.sort(key=lambda t: t[0])
+    distinct = True
+    for (a, _), (b, _) in zip(reals, reals[1:]):
+        gap = abs(b - a) / max(abs(a), abs(b), tol["real_abs"] * scale)
+        if gap <= tol["distinct_rel"]:
+            distinct = False
+            break
+
+    interlaced = None
+    if parities is not None:
+        seq = [p for _, p in sorted(reals, key=lambda t: -t[0])]
+        interlaced = all(p != q for p, q in zip(seq, seq[1:]))
+
+    eig_out = list(eig_list)
+    par_out = list(parities) if parities is not None else None
+    for j in range(n_infinite):
+        eig_out.append(complex(math.inf, 0.0))
+        classes.append("near_infinite")
+        if par_out is not None:
+            par_out.append(infinite_parities[j])
+    return SpectrumReport(eigenvalues=eig_out, classes=classes, distinct=distinct, interlaced=interlaced,
+                          parities=par_out)
+
+
+def parent_ladder_report(ladders):
+    """The earlier spectrum drivers' report of parity ladders: the tag lists
+    built from the ladders, and ``interlaced`` reset for a single ladder."""
+    lams, parities, inf_parities = [], [], []
+    for parity, (lam, n_inf) in ladders.items():
+        lams.append(np.asarray(lam, dtype=complex))
+        parities += [parity] * len(lam)
+        inf_parities += [parity] * n_inf
+    report = parent_classify(np.concatenate(lams), parities, len(inf_parities), inf_parities)
+    if len(ladders) == 1:
+        report.interlaced = None
+    return report
+
+
+# real parts that tie across and within ladders, straddle -real_abs * scale
+# at scale 1, or spread widely; no subnormal, where real_abs * scale is 0
+FLOATS = functools.partial(st.floats, allow_subnormal=False)
+TIE_REALS = st.sampled_from([-1.0, -2.0, 3.0, 0.0, -0.0, -1e-10, 1e-10, -1.0000001e-10, -9.9999999e-11, -2e-10])
+REALS = st.one_of(TIE_REALS, FLOATS(-100, 100), FLOATS(-1e-9, 1e-9))
+DUST = FLOATS(0.0, 1e-9) | st.sampled_from([1e-15, 1e-10, 1.0000001e-10, 1e-8])
+# one real eigenvalue, or a conjugate pair with a wide or a dust-sized imaginary part
+ENTRIES = st.one_of(
+    REALS.map(lambda re: [complex(re, 0.0)]),
+    st.tuples(REALS, FLOATS(-100, 100) | DUST).map(lambda t: [complex(*t), complex(t[0], -t[1])]),
+)
+LADDER = st.tuples(st.lists(ENTRIES, max_size=6).map(lambda xs: [z for x in xs for z in x]), st.integers(0, 3))
+
+
+@given(st.one_of(
+    st.tuples(st.sampled_from(["even", "odd"]), LADDER).map(lambda t: {t[0]: t[1]}),
+    st.tuples(LADDER, LADDER).map(lambda t: {"even": t[0], "odd": t[1]}),
+))
+@example({"even": ([-1.0, -3.0], 0), "odd": ([-1.0, -2.0], 2)})
+@example({"odd": ([], 2)})
+def test_classify_matches_parent_tag_lists(ladders):
+    got, want = classify(ladders), parent_ladder_report(ladders)
+    assert list(map(repr, got.eigenvalues)) == list(map(repr, want.eigenvalues))
+    assert (got.classes, got.parities) == (want.classes, want.parities)
+    assert (got.distinct, got.interlaced) == (want.distinct, want.interlaced)
 
 
 def _near(value, threshold, rel):
@@ -266,7 +354,7 @@ def test_classify_scale_invariance(pairs, c):
     # classify's scale is the median nonzero |lambda|; drop inputs where a
     # product underflows and so moves it by more than rounding
     assume(math.isclose(_scale_of(np.array(scaled_eigs)), c * scale, rel_tol=1e-12))
-    base = classify(eigs)
+    base = classify({"even": (eigs, 0)})
     # Rounding c * lambda moves a quantity that sits on a threshold across
     # it, so inputs whose deciding ratios lie that close are dropped: within
     # a relative 1e-12 for |Im| and Re against their thresholds, and within
@@ -284,7 +372,7 @@ def test_classify_scale_invariance(pairs, c):
     for a, b in zip(reals, reals[1:]):
         gap = abs(b - a) / max(abs(a), abs(b), floor)
         assume(not _near(gap, tol["distinct_rel"], 1e-6))
-    scaled = classify(scaled_eigs)
+    scaled = classify({"even": (scaled_eigs, 0)})
     assert base.classes == scaled.classes
     assert base.distinct == scaled.distinct
 

@@ -262,9 +262,8 @@ def _coupled_lambdas(config):
 
 
 def _coupled_report(config):
-    """The coupled oracle's spectrum, classified as the ladders' is, untagged."""
-    lams, n_inf = _coupled_lambdas(config)
-    return classify(lams, n_infinite=n_inf)
+    """The coupled oracle's spectrum, classified as the ladders' is, as one ladder."""
+    return classify({"coupled": _coupled_lambdas(config)})
 
 
 def _same_bytes(x, y):
@@ -505,9 +504,8 @@ def test_vectors_route_eigenvalues_match_values_route(kind):
                 assert (vectors.distinct, vectors.interlaced) == (values.distinct, values.interlaced), where
                 assert values.eigenpairs == {} and set(vectors.eigenpairs) == set(PARITIES), where
                 for parity in PARITIES:
-                    m = vectors.reduced[parity]
-                    assert _same_bytes(m, values.reduced[parity]), where
-                    mu, v = vectors.eigenpairs[parity]
+                    m, mu, v = vectors.eigenpairs[parity]
+                    assert _same_bytes(m, pencil_lambdas(config, parity)[2]), where
                     assert _agree_to_rounding(mu, dense_eigs(m)), where
                     assert v.shape == m.shape, where
 
