@@ -20,7 +20,7 @@ from .charpoly import second_order_pair
 from .eig import poly_roots
 from .gegenbauer import deriv_matrix, evaluate, exact_gamma, mult_x_array
 from .pencil import MethodConfig, assemble
-from .spectra import ladder_degree, pencil_lambdas, shared_ladders, spectrum_report
+from .spectra import ladder_degree, pencil_lambdas, spectrum_report
 
 # ---------------------------------------------------------------------------
 # weighted quadrature (verification oracle, independent of the recurrences
@@ -417,24 +417,23 @@ def suite_theorem_range(
 ) -> SuiteResult:
     """Real, negative, distinct, interlaced spectra on 1/2 < gamma <= 7/2."""
     res = SuiteResult("theorem-range", True)
-    with shared_ladders():
-        for g in gammas:
-            for n in _degrees(n_lo, n_hi):
-                rep = spectrum_report(MethodConfig("tau", g, n))
-                bad = (
-                    rep.count("spurious_positive") > 0
-                    or rep.count("complex_pair") > 0
-                    or not rep.distinct
-                    or rep.interlaced is not True
+    for g in gammas:
+        for n in _degrees(n_lo, n_hi):
+            rep = spectrum_report(MethodConfig("tau", g, n))
+            bad = (
+                rep.count("spurious_positive") > 0
+                or rep.count("complex_pair") > 0
+                or not rep.distinct
+                or rep.interlaced is not True
+            )
+            if bad:
+                res.passed = False
+                res.counterexample = (
+                    f"gamma={g} n={n}: spurious={rep.count('spurious_positive')} "
+                    f"complex={rep.count('complex_pair')} distinct={rep.distinct} "
+                    f"interlaced={rep.interlaced}"
                 )
-                if bad:
-                    res.passed = False
-                    res.counterexample = (
-                        f"gamma={g} n={n}: spurious={rep.count('spurious_positive')} "
-                        f"complex={rep.count('complex_pair')} distinct={rep.distinct} "
-                        f"interlaced={rep.interlaced}"
-                    )
-                    return res
+                return res
     res.details.append(f"{len(gammas)} gammas x n in [{n_lo},{n_hi}]: all real negative distinct interlaced")
     return res
 
@@ -446,15 +445,14 @@ def suite_equivalence(
     tol: float = 1e-8,
 ) -> SuiteResult:
     res = SuiteResult("equivalence", True)
-    with shared_ladders():
-        for g in gammas:
-            for n in _degrees(n_lo, n_hi):
-                rep = equivalence_suite(g, n, tol=tol)
-                if not rep.passed:
-                    name, dev = rep.worst()
-                    res.passed = False
-                    res.counterexample = f"gamma={g} n={n}: {name} deviates {dev:.2e} > {tol:.0e}"
-                    return res
+    for g in gammas:
+        for n in _degrees(n_lo, n_hi):
+            rep = equivalence_suite(g, n, tol=tol)
+            if not rep.passed:
+                name, dev = rep.worst()
+                res.passed = False
+                res.counterexample = f"gamma={g} n={n}: {name} deviates {dev:.2e} > {tol:.0e}"
+                return res
     res.details.append(f"all equivalences within {tol:.0e} on n in [{n_lo},{n_hi}]")
     return res
 

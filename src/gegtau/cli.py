@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, analysis
 from .eig import DEFAULT_TOLERANCES, NEAR_INFINITE, ConvergenceError, SpectrumReport
 from .pencil import MethodConfig, SingularReductionError
-from .spectra import shared_ladders, single_parity_report, spectrum_report
+from .spectra import single_parity_report, spectrum_report
 
 METHOD_NAMES = {
     "tau": "tau",
@@ -302,8 +302,7 @@ def cmd_sweep(args, argv: list[str]) -> int:
     )
     # every --jobs value solves in the calling thread: the solves hold the
     # GIL, so threads would only add cost
-    with shared_ladders():
-        rows = [_sweep_point(kind, g, n, args.alpha) for g, n in grid]
+    rows = [_sweep_point(kind, g, n, args.alpha) for g, n in grid]
     lines = [MANIFEST_PREFIX + dumps(manifest), SWEEP_CSV_HEADER] + rows
     _write("\n".join(lines), args.out)
     return EXIT_OK

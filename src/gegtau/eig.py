@@ -233,8 +233,10 @@ def classify(ladders: dict) -> SpectrumReport:
     reals.sort(key=lambda t: t[0])
     distinct = True
     for (a, _), (b, _) in zip(reals, reals[1:]):
-        # below real_abs * scale, gaps are measured on the absolute scale
-        gap = abs(b - a) / max(abs(a), abs(b), tol["real_abs"] * scale)
+        # below real_abs * scale, gaps are measured on the absolute scale;
+        # a zero denominator (a subnormal scale) means a == b == 0
+        den = max(abs(a), abs(b), tol["real_abs"] * scale)
+        gap = abs(b - a) / den if den else 0.0
         if gap <= tol["distinct_rel"]:
             distinct = False
             break

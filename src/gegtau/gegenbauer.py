@@ -27,10 +27,10 @@ their natural logs, floats that stay finite past float64's range (near
 degree 170): every endpoint value is positive.  The logs of G_n(1) come
 from one cached prefix-sum ladder per gamma, so each value is O(1) and a
 row of n endpoint values costs O(n), not O(n^2); the derivative ladder
-D^0..D^k G_n(1) is one running sum of log ratios.  Inside
-``spectra.shared_ladders`` the pencil's boundary rows take each (gamma,
-degree) once per command, so the rows of a grid over n cost O(max n) per
-gamma, not O(sum of n).  ``rational_ladder`` is the same
+D^0..D^k G_n(1) is one running sum of log ratios.  The pencil's boundary
+rows take each (gamma, degree) once while the gamma is among the last four
+(``pencil._endpoint_table``), so the rows of a grid over n cost O(max n)
+per gamma, not O(sum of n).  ``rational_ladder`` is the same
 ladder in exact ``Fraction``s, from which the characteristic polynomials
 are built; interior evaluation uses the three-term recurrence in float64.
 """

@@ -122,12 +122,12 @@ def _columns(n: int, parity: str) -> np.ndarray:
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
-# Endpoint tables of the last few shifted gammas, gamma -> {degree j:
-# (G_j(1), DG_j(1))}, most recently used last.  None except inside
-# ``spectra.shared_ladders``, which opens and drops it.  Four gammas: sweeps
-# run gamma-major, and one equivalence point reads gamma, gamma + 1 and
-# gamma + 2.
-_endpoints: dict | None = None
+# Four gammas: sweeps run gamma-major, and one equivalence point reads
+# gamma, gamma + 1 and gamma + 2.
+@functools.lru_cache(maxsize=4)
+def _endpoint_table(gamma: float) -> dict:
+    """``gamma``'s endpoint values {j: (G_j(1), DG_j(1))}, as ``_boundary_rows`` fills it."""
+    return {}
 
 
 def _boundary_rows(gamma: float, cols: np.ndarray) -> np.ndarray:
@@ -141,17 +141,10 @@ def _boundary_rows(gamma: float, cols: np.ndarray) -> np.ndarray:
     past float64: one such entry would make every pivot of its row fail the
     elimination's dependence test.
 
-    The values come from a per-degree table of the gamma, which inside
-    ``spectra.shared_ladders`` is the scope's, so each (gamma, degree) is
-    evaluated once per command; outside a scope it serves this call alone.
+    The values come from the gamma's ``_endpoint_table``, so each (gamma,
+    degree) is evaluated once while the gamma is among the last four.
     """
-    if _endpoints is None:
-        table = {}
-    else:
-        table = _endpoints.pop(gamma, {})
-        if len(_endpoints) == 4:
-            del _endpoints[next(iter(_endpoints))]
-        _endpoints[gamma] = table
+    table = _endpoint_table(gamma)
     log_den = math.log(2.0 * gamma + 1)
     degrees = cols.tolist()
     for j in degrees:

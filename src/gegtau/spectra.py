@@ -13,13 +13,17 @@ with its eigenvalues and right eigenvectors in ``SpectrumReport.eigenpairs``,
 so consumers such as the CLI's residual column never assemble, reduce or
 solve again.  Every other caller asks for the eigenvalues alone, which is
 the cheaper job, and its report keeps no matrix.
+
+Ladders repeat: stepping n by one gives each to two adjacent degrees, and
+Galerkin and inviscid Galerkin are tau at gamma + 2 and gamma + 1.  So the
+last 16 values-only solves are kept for the process, keyed by their blocks,
+as ``pencil`` keeps its last operator; no caller opts in.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import pencil
 from .charpoly import CharPoly, even_charpoly, odd_charpoly
 from .eig import SpectrumReport, classify, dense_eigs, poly_roots
 from .pencil import MethodConfig, assemble, reduce_to_standard, split_finite
@@ -45,26 +49,8 @@ def charpoly_lambdas(gamma: float, n: int, parity: str) -> tuple[np.ndarray, int
     return split_finite(mus)
 
 
-# ladders solved in the open ``shared_ladders`` scope, keyed by their blocks,
-# oldest first; None outside
-_shared: dict | None = None
-
-
-class shared_ladders:
-    """Scope in which ``pencil_lambdas`` solves each distinct ladder once and
-    assembly evaluates each endpoint value once per shifted gamma and degree
-    (``pencil._endpoints``); a nested scope reuses the outer tables, which
-    die with the outermost."""
-
-    def __enter__(self) -> None:
-        global _shared
-        self.outer = _shared, pencil._endpoints
-        if _shared is None:
-            _shared, pencil._endpoints = {}, {}
-
-    def __exit__(self, *exc) -> None:
-        global _shared
-        _shared, pencil._endpoints = self.outer
+# the last 16 values-only ladders solved, keyed by their blocks, oldest first
+_shared: dict = {}
 
 
 def pencil_lambdas(config: MethodConfig, parity: str, vectors: bool = False) -> tuple:
@@ -75,30 +61,28 @@ def pencil_lambdas(config: MethodConfig, parity: str, vectors: bool = False) -> 
     ``M`` is the matrix of the standard problem ``M x = mu x`` whose
     eigenvalues the lambdas (= 1/mu) came from; it is returned so that
     consumers such as the residual check reuse it instead of rebuilding it.
-    Inside ``shared_ladders`` both arrays are read-only, and the last 16
-    results are kept under their ladder's A, B and C, so a ladder whose
-    blocks equal a kept one's byte for byte reuses that solve: no output
-    depends on it.  Every ladder is still assembled, its boundary rows read
-    from the scope's endpoint table of the shifted gamma.  A solve with
-    ``vectors`` is never shared.
+    Both arrays are read-only, and the last 16 results are kept under their
+    ladder's A, B and C, so a ladder whose blocks equal a kept one's byte
+    for byte reuses that solve: no output depends on it.  Every ladder is
+    still assembled, its boundary rows read from the endpoint table of the
+    shifted gamma.  A solve with ``vectors`` is never kept, and its arrays
+    stay writable.
     """
     p = assemble(config, parity)
-    share = _shared is not None and not vectors
-    if share:
-        key = (p.A.shape, p.A.tobytes(), p.B.tobytes(), p.C.tobytes())
-        if key in _shared:
-            return _shared[key]
-    red = reduce_to_standard(p)
     if vectors:
+        red = reduce_to_standard(p)
         pair = dense_eigs(red.M, vectors)
         return (*split_finite(pair[0]), red.M, pair)
-    lams, n_inf = split_finite(dense_eigs(red.M))
-    if share:
+    key = (p.A.shape, p.A.tobytes(), p.B.tobytes(), p.C.tobytes())
+    solve = _shared.get(key)
+    if solve is None:
+        red = reduce_to_standard(p)
+        lams, n_inf = split_finite(dense_eigs(red.M))
         lams.flags.writeable = red.M.flags.writeable = False
         if len(_shared) == 16:
             del _shared[next(iter(_shared))]
-        _shared[key] = lams, n_inf, red.M
-    return lams, n_inf, red.M
+        solve = _shared[key] = lams, n_inf, red.M
+    return solve
 
 
 def _classified(config: MethodConfig, ladders: tuple[str, ...], vectors: bool) -> SpectrumReport:

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import warnings
 from fractions import Fraction
@@ -33,7 +32,7 @@ from gegtau import analysis, cli, pencil, spectra
 from gegtau.charpoly import second_order_pair, stability_poly
 from gegtau.gegenbauer import evaluate, rational_ladder
 from gegtau.pencil import KINDS, MethodConfig, SingularReductionError
-from gegtau.spectra import pencil_lambdas, shared_ladders, spectrum_report
+from gegtau.spectra import pencil_lambdas, spectrum_report
 
 
 # ---------------------------------------------------------------------------
@@ -152,31 +151,46 @@ def test_positive_pair_interlacing_violation_detected():
 VERDICT_GAMMAS = (-0.3, 0.0, 0.3, 0.6, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 3.51, 3.6, 4.0, 5.0)
 
 
-def test_exact_pair_verdict_matches_pencil_verdict():
+def _verdicts(gamma, n):
+    """The exact positive-pair verdict of a tau configuration, the pencil's
+    theorem verdict, and the pencil's report."""
     # By Hermite-Biehler, (p_n, -p_o) is a positive pair exactly when the two
     # ladders' mu roots are real, negative and simple and interlace, and
     # mu = 1/lambda keeps their order on (-inf, 0): p_n is the polynomial of
     # the ladder whose degree is n, p_o the other ladder's.  The pencil's
     # verdict is the theorem's: no spurious, no complex, no near-infinite
     # eigenvalue, distinct, interlaced.
+    rep = spectrum_report(MethodConfig("tau", gamma, n))
+    pencil_verdict = (
+        rep.count("spurious_positive") == rep.count("complex_pair") == rep.n_infinite == 0
+        and rep.distinct
+        and rep.interlaced is True
+    )
+    own, other = ("even", "odd") if n % 2 == 0 else ("odd", "even")
+    p_n = spectra.charpoly_for(gamma, n, own).mu_coeffs
+    p_o = spectra.charpoly_for(gamma, n, other).mu_coeffs
+    return positive_pair_check(p_n, [-c for c in p_o]), pencil_verdict, rep
+
+
+def test_exact_pair_verdict_matches_pencil_verdict():
     verdicts = []
-    with shared_ladders():
-        for gamma in VERDICT_GAMMAS:
-            for n in range(8, 49):
-                rep = spectrum_report(MethodConfig("tau", gamma, n))
-                pencil_verdict = (
-                    rep.count("spurious_positive") == rep.count("complex_pair") == rep.n_infinite == 0
-                    and rep.distinct
-                    and rep.interlaced is True
-                )
-                own, other = ("even", "odd") if n % 2 == 0 else ("odd", "even")
-                p_n = spectra.charpoly_for(gamma, n, own).mu_coeffs
-                p_o = spectra.charpoly_for(gamma, n, other).mu_coeffs
-                exact = positive_pair_check(p_n, [-c for c in p_o])
-                assert exact == pencil_verdict, (gamma, n)
-                verdicts.append(exact)
+    for gamma in VERDICT_GAMMAS:
+        for n in range(8, 49):
+            exact, pencil_verdict, _ = _verdicts(gamma, n)
+            assert exact == pencil_verdict, (gamma, n)
+            verdicts.append(exact)
     # every n at the 7 gammas in (1/2, 7/2], and 27 low-n points at 3.51, 3.6 and 4
     assert len(verdicts) == 574 and sum(verdicts) == 7 * 41 + 27
+    # past the float routes' certain range: (gamma, n, verdict, spurious, complex)
+    for gamma, n, passes, spurious, complex_ in (
+        (1.0, 96, True, 0, 0),
+        (5.0, 96, False, 0, 40),
+        (0.3, 96, False, 2, 0),
+        (2.5, 97, True, 0, 0),
+    ):
+        exact, pencil_verdict, rep = _verdicts(gamma, n)
+        assert exact == pencil_verdict == passes, (gamma, n)
+        assert (rep.count("spurious_positive"), rep.count("complex_pair")) == (spurious, complex_), (gamma, n)
 
 
 def _stable_by_roots(coeffs):
@@ -558,7 +572,7 @@ def test_suite_exact_convergence():
 
 
 # ---------------------------------------------------------------------------
-# ladders shared within a verify suite or sweep
+# solves and endpoint columns shared across ladders
 
 
 def _counting(monkeypatch, name):
@@ -579,19 +593,35 @@ def _solved(result):
     return lams.tobytes(), n_inf, m.shape, m.tobytes()
 
 
+class _Forgetful(dict):
+    """A solve table in which no ladder is ever found."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def _defeat_sharing(monkeypatch):
+    """Solve every ladder and evaluate every endpoint column afresh."""
+    monkeypatch.setattr(spectra, "_shared", _Forgetful())
+    monkeypatch.setattr(pencil, "_endpoint_table", lambda gamma: {})
+
+
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 @pytest.mark.parametrize("kind", KINDS)
-def test_shared_ladders_match_unshared_solves(monkeypatch, kind, alpha):
+def test_shared_ladders_match_unshared_solves(monkeypatch, cold_pencil_caches, kind, alpha):
     configs = [
         (MethodConfig(kind, g, n, alpha=alpha), parity)
         for g in (0.3, 1.25)
         for n in range(8, 21)
         for parity in ("even", "odd")
     ]
-    alone = [_solved(pencil_lambdas(c, parity)) for c, parity in configs]
+    alone = []
+    for c, parity in configs:
+        spectra._shared.clear()
+        alone.append(_solved(pencil_lambdas(c, parity)))
+    spectra._shared.clear()
     reduces = _counting(monkeypatch, "reduce_to_standard")
-    with shared_ladders():
-        shared = [_solved(pencil_lambdas(c, parity)) for c, parity in configs]
+    shared = [_solved(pencil_lambdas(c, parity)) for c, parity in configs]
     assert shared == alone
     # two adjacent degrees share each ladder; collocation's nodes move with n
     if kind == "collocation":
@@ -609,25 +639,29 @@ def test_shared_ladders_match_unshared_solves(monkeypatch, kind, alpha):
         (suite_equivalence, {"gammas": (0.5, 2.0), "n_lo": 8, "n_hi": 12, "tol": 1e-14}),
     ],
 )
-def test_suites_identical_with_and_without_shared_ladders(monkeypatch, suite, kwargs):
-    shared = suite(**kwargs)
-    monkeypatch.setattr(analysis, "shared_ladders", contextlib.nullcontext)
+def test_suites_identical_with_and_without_shared_ladders(monkeypatch, cold_pencil_caches, suite, kwargs):
+    cold, warm = suite(**kwargs), suite(**kwargs)
+    _defeat_sharing(monkeypatch)
     alone = suite(**kwargs)
-    assert repr(vars(shared)) == repr(vars(alone))
+    assert repr(vars(cold)) == repr(vars(warm)) == repr(vars(alone))
 
 
 @pytest.mark.parametrize("alpha", ["0", "0.5"])
 @pytest.mark.parametrize("method", sorted(cli.METHOD_NAMES))
-def test_sweep_output_identical_with_and_without_shared_ladders(monkeypatch, capsys, method, alpha):
+def test_sweep_output_identical_with_and_without_shared_ladders(
+    monkeypatch, capsys, cold_pencil_caches, method, alpha
+):
     argv = ["sweep", "--method", method, "--gamma-range", "0.3:1.3:0.5", "--n-range", "8:20:1", "--alpha", alpha]
-    assert cli.main(argv) == 0
-    shared = capsys.readouterr()
-    monkeypatch.setattr(cli, "shared_ladders", contextlib.nullcontext)
-    assert cli.main(argv) == 0
-    assert capsys.readouterr() == shared
+    outputs = []
+    for defeat in (False, False, True):  # cold, warm, then with nothing shared
+        if defeat:
+            _defeat_sharing(monkeypatch)
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_default_suites_solve_each_shared_ladder_once(monkeypatch):
+def test_default_suites_solve_each_shared_ladder_once(monkeypatch, cold_pencil_caches):
     assembles = _counting(monkeypatch, "assemble")
     reduces = _counting(monkeypatch, "reduce_to_standard")
     for suite, ladders, share in ((suite_theorem_range, 574, 0.60), (suite_equivalence, 714, 0.45)):
@@ -638,7 +672,7 @@ def test_default_suites_solve_each_shared_ladder_once(monkeypatch):
         assert len(reduces) <= share * ladders, suite.__name__
 
 
-def test_shared_ladder_is_solved_again_when_its_blocks_differ(monkeypatch):
+def test_shared_ladder_is_solved_again_when_its_blocks_differ(monkeypatch, cold_pencil_caches):
     config = MethodConfig("tau", 1.25, 16)
     assemble = spectra.assemble
 
@@ -652,67 +686,65 @@ def test_shared_ladder_is_solved_again_when_its_blocks_differ(monkeypatch):
         return build
 
     reduces = _counting(monkeypatch, "reduce_to_standard")
-    with shared_ladders():
-        first = pencil_lambdas(config, "even")
-        assert all(a is b for a, b in zip(pencil_lambdas(config, "even"), first))
-        assert len(reduces) == 1
-        resolved = {}
-        for name in "ABC":
-            monkeypatch.setattr(spectra, "assemble", nudged(name))
-            resolved[name] = pencil_lambdas(config, "even")
-            # the nudged blocks are a new entry, and a repeat reuses it
-            assert all(a is b for a, b in zip(pencil_lambdas(config, "even"), resolved[name]))
-        assert len(reduces) == 4 and len(spectra._shared) == 4
-        monkeypatch.setattr(spectra, "assemble", assemble)
-        assert all(a is b for a, b in zip(pencil_lambdas(config, "even"), first))
-        assert len(reduces) == 4
+    first = pencil_lambdas(config, "even")
+    assert all(a is b for a, b in zip(pencil_lambdas(config, "even"), first))
+    assert len(reduces) == 1
+    resolved = {}
+    for name in "ABC":
+        monkeypatch.setattr(spectra, "assemble", nudged(name))
+        resolved[name] = pencil_lambdas(config, "even")
+        # the nudged blocks are a new entry, and a repeat reuses it
+        assert all(a is b for a, b in zip(pencil_lambdas(config, "even"), resolved[name]))
+    assert len(reduces) == 4 and len(spectra._shared) == 4
+    monkeypatch.setattr(spectra, "assemble", assemble)
+    assert all(a is b for a, b in zip(pencil_lambdas(config, "even"), first))
+    assert len(reduces) == 4
+    # the kept solve of the nudged blocks equals a fresh one
+    spectra._shared.clear()
     monkeypatch.setattr(spectra, "assemble", nudged("A"))
     assert _solved(resolved["A"]) == _solved(pencil_lambdas(config, "even"))
+    assert len(reduces) == 5
 
 
-def test_shared_table_dies_with_its_scope(monkeypatch):
-    config = MethodConfig("inviscid_galerkin", 0.75, 12)
+def test_tables_keep_the_last_16_solves_and_4_gammas(monkeypatch, cold_pencil_caches):
     reduces = _counting(monkeypatch, "reduce_to_standard")
-    with shared_ladders():
+    # inviscid Galerkin at 0.75 is tau at 1.75: one solve, and one endpoint
+    # table holding the degrees asked for (the odd ones 1..11)
+    pencil_lambdas(MethodConfig("inviscid_galerkin", 0.75, 12), "odd")
+    pencil_lambdas(MethodConfig("tau", 1.75, 12), "odd")
+    assert len(reduces) == 1 and len(spectra._shared) == 1
+    assert list(pencil._endpoint_table(1.75)) == list(range(1, 12, 2))
+    for gamma in (0.5, 1.5, 2.5, 3.5, 4.5):
+        pencil_lambdas(MethodConfig("tau", gamma, 12), "even")
+    for gamma in (1.5, 2.5, 3.5, 4.5):
+        assert list(pencil._endpoint_table(gamma)) == list(range(0, 13, 2))
+    assert pencil._endpoint_table.cache_info().currsize == 4
+    assert pencil._endpoint_table(1.75) == {}  # dropped: a fresh table
+    # the solve table drops its oldest entries past 16
+    configs = [MethodConfig("tau", 1.75, n) for n in range(12, 36, 2)]
+    for config in configs:
         pencil_lambdas(config, "odd")
-        table, endpoints = spectra._shared, pencil._endpoints
-        with shared_ladders():
-            assert spectra._shared is table and pencil._endpoints is endpoints
-            pencil_lambdas(config, "odd")
-            pencil_lambdas(MethodConfig("tau", 1.75, 12), "odd")  # the same ladder
-        assert spectra._shared is table and len(table) == 1
-        # one endpoint table per shifted gamma, holding the degrees asked
-        # for (the odd ones 1..11), for the last four gammas only
-        assert list(endpoints) == [1.75] and list(endpoints[1.75]) == list(range(1, 12, 2))
-        for gamma in (0.5, 1.5, 2.5, 3.5, 4.5):
-            pencil_lambdas(MethodConfig("tau", gamma, 12), "even")
-        assert pencil._endpoints is endpoints and list(endpoints) == [1.5, 2.5, 3.5, 4.5]
-    assert len(reduces) == 6 and spectra._shared is None and pencil._endpoints is None
-    with pytest.raises(KeyError):
-        with shared_ladders():
-            pencil_lambdas(config, "odd")
-            assert list(pencil._endpoints) == [1.75]
-            raise KeyError("leave the scope by an exception")
-    assert len(reduces) == 7 and spectra._shared is None and pencil._endpoints is None
+    assert len(reduces) == 6 + 11 and len(spectra._shared) == 16
+    pencil_lambdas(configs[0], "odd")  # the first ladder, dropped
+    pencil_lambdas(configs[-1], "odd")
+    assert len(reduces) == 18
 
 
-def test_shared_results_are_read_only():
+def test_shared_results_are_read_only(cold_pencil_caches):
     config = MethodConfig("galerkin", 0.5, 14)
-    with shared_ladders():
-        for _ in range(2):  # the first solve, then its reuse
-            lams, _, m = pencil_lambdas(config, "even")
-            assert not lams.flags.writeable and not m.flags.writeable
-            with pytest.raises(ValueError):
-                m[0, 0] = 0.0
+    for _ in range(2):  # the first solve, then its reuse
+        lams, _, m = pencil_lambdas(config, "even")
+        assert not lams.flags.writeable and not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 0.0
 
 
 @pytest.mark.parametrize("gamma", [1.0, 3.5])
-def test_failed_ladder_is_not_shared(gamma):
+def test_failed_ladder_is_not_shared(cold_pencil_caches, gamma):
     # the reduced rows (and at gamma 3.5 the collocation rows themselves)
     # overflow float64, without a numpy warning: exit 3 from the CLI
     config = MethodConfig("collocation", gamma, 16, alpha=1e77)
-    with shared_ladders():
-        for _ in range(2):
-            with pytest.raises(SingularReductionError):
-                pencil_lambdas(config, "even")
-            assert spectra._shared == {}
+    for _ in range(2):
+        with pytest.raises(SingularReductionError):
+            pencil_lambdas(config, "even")
+        assert spectra._shared == {}

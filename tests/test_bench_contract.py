@@ -50,7 +50,7 @@ def test_block_zero_fires_expected_spans(workload):
 
 
 @pytest.mark.parametrize("parity", ["even", "odd"])
-def test_tau_assemble_evaluates_each_endpoint_column_once(parity):
+def test_tau_assemble_evaluates_each_endpoint_column_once(cold_pencil_caches, parity):
     config = pencil.MethodConfig("tau", 1.5, 24)
     tracer = spans.Tracer()
     tracer.install()

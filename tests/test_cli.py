@@ -676,9 +676,10 @@ def test_sweep_jobs_share_endpoint_ladders(capsys):
         (["sweep", "--method", "galerkin", "--gamma-range", "1:1:1", "--n-range", "8:40:1"], 41),
     ],
 )
-def test_command_evaluates_each_endpoint_column_once(monkeypatch, capsys, argv, pairs):
-    # the scope's endpoint table serves every ladder of the command and
-    # dies with it: a second run in the same process evaluates them again
+def test_command_evaluates_each_endpoint_column_once(monkeypatch, capsys, cold_pencil_caches, argv, pairs):
+    # one endpoint table per gamma serves every ladder of the command; a
+    # second run reads the tables the first left, unless the command spans
+    # more gammas than the four kept, which then evicts each before reuse
     calls = collections.Counter()
     real = gegenbauer.value_at_one
 
@@ -688,10 +689,12 @@ def test_command_evaluates_each_endpoint_column_once(monkeypatch, capsys, argv, 
 
     for module in (gegenbauer, pencil):
         monkeypatch.setattr(module, "value_at_one", counted)
-    for _ in range(2):
-        calls.clear()
-        assert run(argv, capsys)[0] == 0
-        assert len(calls) == pairs and set(calls.values()) == {1}
+    assert run(argv, capsys)[0] == 0
+    assert len(calls) == pairs and set(calls.values()) == {1}
+    gammas = {gamma for gamma, _ in calls}
+    calls.clear()
+    assert run(argv, capsys)[0] == 0
+    assert len(calls) == (pairs if len(gammas) > 4 else 0) and set(calls.values()) <= {1}
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -242,6 +242,14 @@ def test_classify_empty():
         assert rep.distinct
 
 
+def test_classify_subnormal_scale_compares_zeros_without_dividing_by_zero():
+    # the median nonzero |lambda| is subnormal, so real_abs * scale rounds to
+    # 0 and the gap between the two zeros has no denominator: they coincide
+    rep = classify({"even": ([0j, 0j, 5e-324 + 0j], 0)})
+    assert rep.classes == ["spurious_positive"] * 3 and not rep.distinct
+    assert classify({"even": ([0j, 5e-324 + 0j], 0)}).distinct
+
+
 def parent_classify(eigs, parities=None, n_infinite=0, infinite_parities=None):
     """The earlier ``classify``: one flat eigenvalue array and parity tag
     lists built by the caller, one tag per eigenvalue and per near-infinite

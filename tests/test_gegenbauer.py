@@ -28,7 +28,6 @@ from gegtau.gegenbauer import (
     value_at_one,
 )
 from gegtau.pencil import MethodConfig
-from gegtau.spectra import shared_ladders
 
 GAMMAS = [-0.4, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 3.5]
 
@@ -201,29 +200,30 @@ def test_endpoint_values_match_loop_oracle(gamma):
     dg1 = [_exp(deriv[n][1]) if n else 0.0 for n in ns]
     # the boundary rows hold these floats up to the first degree past float64
     top = next((n for n in ns if math.isinf(g1[n]) or math.isinf(dg1[n])), None)
+    pencil._endpoint_table.cache_clear()
     if top is not None:
         with pytest.raises(pencil.SingularReductionError, match=rf"gamma {gamma}.*j={top}\b"):
             pencil._boundary_rows(gamma, np.arange(ORACLE_NMAX + 1))
     rows = pencil._boundary_rows(gamma, np.arange(ORACLE_NMAX + 1 if top is None else top))
     assert np.array_equal(rows, [g1[: rows.shape[1]], dg1[: rows.shape[1]]])
     assert (top is None) == (gamma < 1000.0)
-    # inside a scope the parity ladders slice one table per gamma, grown
-    # by the longest ladder first or last: the same floats in a fresh
-    # C-ordered array, and a ladder that reaches past float64 raises at its
-    # own first such degree, also where a longer ladder stored it
+    # the parity ladders slice one table per gamma, grown by the longest
+    # ladder first or last: the same floats in a fresh C-ordered array, and
+    # a ladder that reaches past float64 raises at its own first such
+    # degree, also where a longer ladder stored it
     ladders = [(n, parity) for n in (7, 64, 219, 220, 221, ORACLE_NMAX) for parity in ("even", "odd")]
     for order in (ladders[::-1], ladders):
-        with shared_ladders():
-            for n, parity in order:
-                cols = pencil._columns(n, parity)
-                first = next((j for j in cols.tolist() if top is not None and j >= top), None)
-                if first is not None:
-                    with pytest.raises(pencil.SingularReductionError, match=rf"gamma {gamma}.*j={first}\b"):
-                        pencil._boundary_rows(gamma, cols)
-                    continue
-                rows = pencil._boundary_rows(gamma, cols)
-                assert np.array_equal(rows, [[g1[j] for j in cols], [dg1[j] for j in cols]])
-                assert rows.flags.c_contiguous and rows.flags.owndata and rows.flags.writeable
+        pencil._endpoint_table.cache_clear()
+        for n, parity in order:
+            cols = pencil._columns(n, parity)
+            first = next((j for j in cols.tolist() if top is not None and j >= top), None)
+            if first is not None:
+                with pytest.raises(pencil.SingularReductionError, match=rf"gamma {gamma}.*j={first}\b"):
+                    pencil._boundary_rows(gamma, cols)
+                continue
+            rows = pencil._boundary_rows(gamma, cols)
+            assert np.array_equal(rows, [[g1[j] for j in cols], [dg1[j] for j in cols]])
+            assert rows.flags.c_contiguous and rows.flags.owndata and rows.flags.writeable
 
 
 @pytest.mark.parametrize("gamma", ORACLE_GAMMAS)
@@ -299,7 +299,7 @@ class _CountingMath:
         return math.log(x)
 
 
-def test_endpoint_rows_work_bound(monkeypatch):
+def test_endpoint_rows_work_bound(monkeypatch, cold_pencil_caches):
     counting = _CountingMath()
     monkeypatch.setattr(gegenbauer, "math", counting)
     gegenbauer._log_ladder.cache_clear()

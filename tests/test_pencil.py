@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from gegtau import spectra
 from gegtau.analysis import THEOREM_GAMMAS
 from gegtau.eig import _scale_of, classify, dense_eigs
 from gegtau.gegenbauer import (
@@ -29,7 +30,7 @@ from gegtau.pencil import (
     reduce_to_standard,
     split_finite,
 )
-from gegtau.spectra import charpoly_lambdas, pencil_lambdas, shared_ladders, spectrum_report
+from gegtau.spectra import charpoly_lambdas, pencil_lambdas, spectrum_report
 
 PARITIES = ("even", "odd")
 
@@ -510,12 +511,13 @@ def test_vectors_route_eigenvalues_match_values_route(kind):
                     assert v.shape == m.shape, where
 
 
-def test_vectors_solve_is_never_shared():
+def test_vectors_solve_is_never_shared(cold_pencil_caches):
     config = MethodConfig("tau", 1.5, 24)
-    with shared_ladders():
-        assert len(pencil_lambdas(config, "even")) == 3
-        assert len(pencil_lambdas(config, "even", vectors=True)) == 4
-        assert len(pencil_lambdas(config, "even")) == 3
+    kept = pencil_lambdas(config, "even")
+    assert len(kept) == 3 and len(spectra._shared) == 1
+    solve = pencil_lambdas(config, "even", vectors=True)
+    assert len(solve) == 4 and solve[2] is not kept[2] and solve[2].flags.writeable
+    assert len(spectra._shared) == 1 and pencil_lambdas(config, "even")[2] is kept[2]
 
 
 def test_scale_of_is_numpy_median_of_nonzero_magnitudes():
