@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import math
 import os
@@ -68,30 +69,21 @@ class RawJSON(str):
 def dumps(obj) -> str:
     """JSON with fixed float formatting and insertion-ordered keys.
 
-    Exact ``float``, ``str``, ``dict``, ``list`` and ``tuple`` skip the
-    chain of type tests that every other type (None, bool, int, numpy
-    scalars, subclasses) goes through; the text is the same either way.
     Strings are escaped by ``encode_basestring_ascii``, as ``json.dumps``
     escapes them, and a ``RawJSON`` is written as it is.
     """
-    kind = type(obj)
-    if kind is float:
-        return _fmt_float(obj)
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is RawJSON:
+    if isinstance(obj, RawJSON):  # before str, which it subclasses
         return obj
-    if kind not in (dict, list, tuple):
-        if obj is None:
-            return "null"
-        if isinstance(obj, bool):
-            return "true" if obj else "false"
-        if isinstance(obj, (int, np.integer)):
-            return str(int(obj))
-        if isinstance(obj, (float, np.floating)):
-            return _fmt_float(float(obj))
-        if isinstance(obj, str):
-            return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _fmt_float(float(obj))
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
     if isinstance(obj, dict):
         return "{" + ", ".join(f"{encode_basestring_ascii(str(k))}: {dumps(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
@@ -312,26 +304,17 @@ def cmd_sweep(args, argv: list[str]) -> int:
 # verify
 
 
-# verify suite -> {flag's argparse dest: suite keyword}; a flag missing
-# from a suite's entry is a usage error for that suite
-SUITE_FLAGS = {
-    "theorem-range": {"gamma": "gammas", "n_lo": "n_lo", "n_hi": "n_hi"},
-    "equivalence": {"gamma": "gammas", "n_lo": "n_lo", "n_hi": "n_hi", "tol": "tol"},
-    "perturbation": {},
-    "positive-pair": {"gamma": "gammas", "n_hi": "n_hi"},
-    "appendixB": {},
-    "exact-convergence": {"gamma": "gamma", "n": "n", "tol": "tol"},
-}
-
-
 def _suite_kwargs(args) -> dict:
+    """The suite's keyword arguments: a suite takes exactly the flags its
+    parameters name, and --gamma sets ``gammas``, or else its one ``gamma``."""
+    params = inspect.signature(analysis.SUITES[args.suite]).parameters
     kw = {}
     for dest in ("gamma", "n", "n_lo", "n_hi", "tol"):
         value = getattr(args, dest)
         if value is None:
             continue
-        key = SUITE_FLAGS[args.suite].get(dest)
-        if key is None:
+        key = "gammas" if dest == "gamma" and "gammas" in params else dest
+        if key not in params:
             flag = "--" + dest.replace("_", "-")
             raise ValueError(f"verify --suite {args.suite} does not take {flag}")
         if key == "tol" and not math.isfinite(value):  # no deviation exceeds a nan tol

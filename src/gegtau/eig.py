@@ -7,6 +7,9 @@ complex eigenvalues come out as exact conjugate pairs.
 
 Polynomial roots come from the companion matrix of the normalized
 coefficients, Newton-polished, with a per-root residual check.
+
+Every eigenvalue threshold is applied here, from ``DEFAULT_TOLERANCES``:
+``split_finite`` maps the mu's to lambdas and ``classify`` labels them.
 """
 
 from __future__ import annotations
@@ -68,9 +71,6 @@ class RootResult:
 
     roots: np.ndarray
     residuals: np.ndarray
-
-    def max_residual(self) -> float:
-        return float(np.max(self.residuals)) if self.residuals.size else 0.0
 
 
 def _horner_pair(c: np.ndarray, z: complex) -> tuple[complex, complex]:
@@ -148,6 +148,17 @@ def poly_roots(coeffs: np.ndarray) -> RootResult:
         vals = vals * roots_arr + ck
     scale = np.maximum(1.0, np.abs(roots_arr)) ** deg
     return RootResult(roots_arr, np.abs(vals) / scale)
+
+
+def split_finite(mus: np.ndarray) -> tuple[np.ndarray, int]:
+    """Split mu eigenvalues into finite lambdas (= 1/mu) and near-infinite count."""
+    mus = np.asarray(mus, dtype=complex)
+    if mus.size == 0:
+        return mus, 0
+    mags = np.abs(mus)
+    finite = mus[mags > DEFAULT_TOLERANCES["mu_infinite"] * float(mags.max())]
+    n_inf = int(mus.size - finite.size)
+    return 1.0 / finite, n_inf
 
 
 @dataclass

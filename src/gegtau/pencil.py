@@ -12,8 +12,8 @@ the lambda-independent rows (boundary conditions and, for modified tau, the
 coefficient-identification rows).
 
 ``reduce_to_standard`` eliminates C exactly (its rows carry no eigenvalue)
-and returns M = A'^{-1} B' whose eigenvalues are the mu's; |mu| below a
-relative cutoff maps to the near-infinite lambda class.
+and returns M = A'^{-1} B' whose eigenvalues are the mu's; ``eig.split_finite``
+maps them to lambdas.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .eig import DEFAULT_TOLERANCES
 from .gegenbauer import (
     basis_matrix,
     check_gamma,
@@ -296,17 +295,6 @@ def reduce_to_standard(p: Pencil) -> ReducedPencil:
             f"reduced solve is unreliable (residual {resid:.2e}); A' is near-singular"
         )
     return ReducedPencil(m)
-
-
-def split_finite(mus: np.ndarray) -> tuple[np.ndarray, int]:
-    """Split mu eigenvalues into finite lambdas (= 1/mu) and near-infinite count."""
-    mus = np.asarray(mus, dtype=complex)
-    if mus.size == 0:
-        return mus, 0
-    mags = np.abs(mus)
-    finite = mus[mags > DEFAULT_TOLERANCES["mu_infinite"] * float(mags.max())]
-    n_inf = int(mus.size - finite.size)
-    return 1.0 / finite, n_inf
 
 
 def legendre_reduced_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:

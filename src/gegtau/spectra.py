@@ -25,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .charpoly import CharPoly, even_charpoly, odd_charpoly
-from .eig import SpectrumReport, classify, dense_eigs, poly_roots
-from .pencil import MethodConfig, assemble, reduce_to_standard, split_finite
+from .eig import SpectrumReport, classify, dense_eigs, poly_roots, split_finite
+from .pencil import MethodConfig, assemble, reduce_to_standard
 
 
 def ladder_degree(n: int, parity: str) -> int:

@@ -58,7 +58,7 @@ def test_exact_spectrum_values():
 
 def test_exact_spectrum_interlaces():
     spec = exact_spectrum(6)
-    merged = spec.merged()
+    merged = sorted([(lam, "even") for lam in spec.even] + [(lam, "odd") for lam in spec.odd], key=lambda t: -t[0])
     vals = [lam for lam, _ in merged]
     pars = [p for _, p in merged]
     assert all(a > b for a, b in zip(vals, vals[1:]))

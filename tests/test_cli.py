@@ -895,6 +895,27 @@ def test_verify_rejects_flag_suite_does_not_take(capsys, suite, extra):
     assert suite in err and extra[0] in err
 
 
+def test_verify_suite_takes_the_flags_its_parameters_name(monkeypatch, capsys):
+    calls = []
+
+    def fake(gammas=(1.0,), n_hi=9):
+        calls.append({"gammas": gammas, "n_hi": n_hi})
+        return analysis.SuiteResult("fake", True)
+
+    monkeypatch.setitem(analysis.SUITES, "fake", fake)
+    cli.build_parser.cache_clear()  # its --suite choices are read when it is built
+    try:
+        assert cli.main(["verify", "--suite", "fake", "--gamma", "2", "--n-hi", "5"]) == 0
+        assert calls == [{"gammas": (2.0,), "n_hi": 5}]
+        capsys.readouterr()
+        for flag, value in (("--n", "5"), ("--tol", "1")):
+            assert cli.main(["verify", "--suite", "fake", flag, value]) == 2
+            assert capsys.readouterr().err == f"error: verify --suite fake does not take {flag}\n"
+        assert len(calls) == 1
+    finally:
+        cli.build_parser.cache_clear()
+
+
 def test_verify_writes_json_detail(tmp_path, capsys):
     out = tmp_path / "verify.json"
     code, _ = run(

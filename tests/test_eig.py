@@ -20,6 +20,7 @@ from gegtau.eig import (
     classify,
     dense_eigs,
     poly_roots,
+    split_finite,
 )
 
 
@@ -147,7 +148,7 @@ def test_poly_roots_residual_bound():
         c = rng.standard_normal(deg + 1)
         res = poly_roots(c)
         assert res.roots.size == deg
-        assert res.max_residual() <= 1e-8
+        assert np.max(res.residuals) <= 1e-8
 
 
 # tiny constant terms: Newton steps from the companion eigenvalues overflow
@@ -186,6 +187,16 @@ def test_poly_roots_polish_overflow_warns_nothing(coeffs):
         res = poly_roots(np.array(coeffs))
     assert res.roots.size == len(coeffs) - 1
     assert np.all(np.isfinite(res.roots))
+
+
+# ---------------------------------------------------------------------------
+# split_finite
+
+
+def test_split_finite_cutoff():
+    lams, n_inf = split_finite(np.array([1e-30, 0.5, -0.25]))
+    assert n_inf == 1
+    assert_allclose(sorted_c(lams), sorted_c([2.0, -4.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from gegtau import spectra
 from gegtau.analysis import THEOREM_GAMMAS
-from gegtau.eig import _scale_of, classify, dense_eigs
+from gegtau.eig import _scale_of, classify, dense_eigs, split_finite
 from gegtau.gegenbauer import (
     basis_matrix,
     deriv_at_one,
@@ -28,7 +28,6 @@ from gegtau.pencil import (
     assemble,
     legendre_reduced_matrices,
     reduce_to_standard,
-    split_finite,
 )
 from gegtau.spectra import charpoly_lambdas, pencil_lambdas, spectrum_report
 
@@ -543,12 +542,6 @@ def test_scale_of_is_numpy_median_of_nonzero_magnitudes():
             want = float(np.median(mags)) if mags.size else 1.0
         got = _scale_of(lams)
         assert type(got) is float and got.hex() == want.hex(), lams
-
-
-def test_split_finite_cutoff():
-    lams, n_inf = split_finite(np.array([1e-30, 0.5, -0.25]))
-    assert n_inf == 1
-    assert_allclose(sorted_c(lams), sorted_c([2.0, -4.0]))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ Runs one fixed grid of ``gegtau`` commands in each checkout:
   136), tau sweeps at gamma 5000 that exit 3 partway, and a galerkin sweep
   at gamma 4998, which overflows through the gamma + 2 shift;
 - the six ``verify`` suites at their defaults, and one failing run;
+- each suite with each of FLAG_RUNS, which the suite takes (a verdict)
+  or refuses (exit 2 with one ``error:`` line);
 - output files: ``spectrum --out`` in JSON and CSV, ``sweep --out``, and
   ``verify --out`` for the six suites and the failing run, each followed by
   a ``replay`` of the file it wrote;
@@ -57,6 +59,17 @@ GAMMAS = (-0.45, 0.0, 0.5, 1.0, 2.25, 3.5, 4.5, 20.0)
 NS = (4, 5, 8, 13, 24, 33, 48, 64, 100, 128, 150, 152, 160, 200)
 ALPHAS = (0.0, 3.0)
 SUITES = ("theorem-range", "equivalence", "perturbation", "positive-pair", "appendixB", "exact-convergence")
+# flag sets run with every verify suite; each suite takes some and refuses the rest
+FLAG_RUNS = (
+    ("--gamma", "1"),
+    ("--gamma", "1", "--gamma", "2"),
+    ("--n", "10"),
+    ("--n-lo", "8", "--n-hi", "9"),
+    ("--n-hi", "9"),
+    ("--tol", "1e-6"),
+    ("--tol", "-1"),
+    ("--tol", "nan"),
+)
 # command -> why its output is meant to differ from the parent's
 DECLARED: dict[str, str] = {}
 
@@ -93,7 +106,8 @@ def grid() -> list[list[str]]:
     overflow = spectrum_commands(METHODS, (5000.0,), (134, 136), (0.0,))
     suites = [["verify", "--suite", s] for s in SUITES]
     verify = suites + [["verify", "--suite", "theorem-range", "--gamma", "3.6"]]
-    commands = spectrum_commands(METHODS, GAMMAS, NS, ALPHAS) + overflow + sweeps + verify + output_files(verify)
+    flags = [["verify", "--suite", s, *f] for s in SUITES for f in FLAG_RUNS]
+    commands = spectrum_commands(METHODS, GAMMAS, NS, ALPHAS) + overflow + sweeps + verify + flags + output_files(verify)
     return commands + step1 + suites
 
 
