@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__, analysis
-from .eig import DEFAULT_TOLERANCES, NEAR_INFINITE, ConvergenceError, SpectrumReport
+from .eig import DEFAULT_TOLERANCES, NEAR_INFINITE, ConvergenceError, SpectrumReport, finite_mask
 from .pencil import MethodConfig, SingularReductionError
 from .spectra import single_parity_report, spectrum_report
 
@@ -146,10 +146,11 @@ def _eigen_residuals(report: SpectrumReport) -> list[float]:
     (``SpectrumReport.eigenpairs``, from the one LAPACK solve that gave the
     printed eigenvalues), so this makes no eigensolve: per ladder, one
     singular-value solve for sigma_max(M) and one product ``M V``, O(m^3)
-    work.  The shift is mu = 1/lambda, or 0 for a near-infinite entry, and
-    v is the eigenvector whose eigenvalue lies nearest mu.  A shift below
-    the real axis takes its conjugate, whose residual is the same for real
-    M, so conjugate twins print one value.
+    work.  A ladder's report rows are its finite eigenvalues in solve
+    order, then its near-infinite ones, so row i reads the eigenvector of
+    the i-th of the solve's finite eigenvalues, then of its near-infinite
+    ones, as ``eig.finite_mask`` splits them.  The shift is mu = 1/lambda,
+    or 0 for a near-infinite entry.
     """
     out = np.empty(len(report.eigenvalues))
     parities = np.array(report.parities)
@@ -161,11 +162,10 @@ def _eigen_residuals(report: SpectrumReport) -> list[float]:
         if not np.all(np.isfinite(m)):
             raise ConvergenceError("reduced matrix has non-finite entries")
         smax = float(np.linalg.svd(m, compute_uv=False)[0]) or 1.0
-        mu = mus[rows]
-        mu = np.where(mu.imag < 0.0, mu.conj(), mu)
-        j = np.argmin(np.abs(w[:, None] - mu), axis=0)
+        finite = finite_mask(w)
+        j = np.concatenate([np.flatnonzero(finite), np.flatnonzero(~finite)])
         vj = v[:, j]
-        r = (m @ v)[:, j] - vj * mu
+        r = (m @ v)[:, j] - vj * mus[rows]
         # scaled by each column's largest modulus, so that no square under-
         # or overflows: on a graded M, ||r|| can be 1e-187 of sigma_max
         scale = np.abs(r).max(axis=0)

@@ -150,13 +150,18 @@ def poly_roots(coeffs: np.ndarray) -> RootResult:
     return RootResult(roots_arr, np.abs(vals) / scale)
 
 
+def finite_mask(mus: np.ndarray) -> np.ndarray:
+    """True for each mu that maps to a finite lambda: |mu| > mu_infinite * max|mu|."""
+    mags = np.abs(mus)
+    return mags > DEFAULT_TOLERANCES["mu_infinite"] * float(mags.max())
+
+
 def split_finite(mus: np.ndarray) -> tuple[np.ndarray, int]:
     """Split mu eigenvalues into finite lambdas (= 1/mu) and near-infinite count."""
     mus = np.asarray(mus, dtype=complex)
     if mus.size == 0:
         return mus, 0
-    mags = np.abs(mus)
-    finite = mus[mags > DEFAULT_TOLERANCES["mu_infinite"] * float(mags.max())]
+    finite = mus[finite_mask(mus)]
     n_inf = int(mus.size - finite.size)
     return 1.0 / finite, n_inf
 

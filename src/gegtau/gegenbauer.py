@@ -24,15 +24,17 @@ Key identities used throughout (all standard, stated in this normalization):
 Endpoint quantities for the pencil are evaluated from log running products
 (never via Gamma ratios, which are singular at gamma = 0) and returned as
 their natural logs, floats that stay finite past float64's range (near
-degree 170): every endpoint value is positive.  The logs of G_n(1) come
-from one cached prefix-sum ladder per gamma, so each value is O(1) and a
-row of n endpoint values costs O(n), not O(n^2); the derivative ladder
-D^0..D^k G_n(1) is one running sum of log ratios.  The pencil's boundary
-rows take each (gamma, degree) once while the gamma is among the last four
-(``pencil._endpoint_table``), so the rows of a grid over n cost O(max n)
-per gamma, not O(sum of n).  ``rational_ladder`` is the same
-ladder in exact ``Fraction``s, from which the characteristic polynomials
-are built; interior evaluation uses the three-term recurrence in float64.
+degree 170): every endpoint value is positive.  One table per gamma holds
+all endpoint data: the running sum log G_1(1), log G_2(1), ..., grown on
+demand, so each ``value_at_one`` is O(1) once its prefix exists and a row
+of n endpoint values costs O(n), not O(n^2); and the pencil's boundary
+values (G_j(1), DG_j(1)), which ``endpoint_rows`` evaluates once per
+(gamma, degree) while the gamma is among the last ``_TABLE_GAMMAS``, so the
+rows of a grid over n cost O(max n) per gamma, not O(sum of n).  The
+derivative ladder D^0..D^k G_n(1) is one running sum of log ratios.
+``rational_ladder`` is the same ladder in exact ``Fraction``s, from which
+the characteristic polynomials are built; interior evaluation uses the
+three-term recurrence in float64.
 """
 
 from __future__ import annotations
@@ -48,7 +50,10 @@ import numpy as np
 from .eig import ConvergenceError
 
 GAMMA_MIN = -0.5
-_LADDER_MIN_SIZE = 64  # smallest cached log ladder; larger ones double
+# Gammas whose endpoint tables are kept.  One spectrum-nontau block reads 15
+# (five anchors at gamma, gamma + 1 and gamma + 2); a table dropped is rebuilt
+# in O(n).
+_TABLE_GAMMAS = 16
 
 
 def check_gamma(gamma: float) -> float:
@@ -58,48 +63,75 @@ def check_gamma(gamma: float) -> float:
     return gamma
 
 
+@functools.lru_cache(maxsize=_TABLE_GAMMAS)
+def _table(gamma: float) -> tuple[list[float], dict[int, tuple[float, float]]]:
+    """``gamma``'s endpoint data: the running sums [log G_1(1), log G_2(1),
+    ...], which ``value_at_one`` extends, and the boundary values
+    {j: (G_j(1), DG_j(1))}, which ``endpoint_rows`` fills."""
+    return [0.0], {}
+
+
 def value_at_one(gamma: float, n: int) -> float:
     """log G_n(1), via the running product (2g+1)...(2g+n-1)/n!.
 
     G_n(1) is positive for gamma > -1/2 and equals 1 for n = 0, 1.  The log
     is the sum of log((2g+j)/(j+1)), j = 1..n-1, so the Legendre case gives
     exactly 0.0.
-    The sum is read from the gamma's cached prefix ladder, O(1) per call
-    once the ladder exists; it is bit-identical to adding the terms one by
-    one, left to right from 0.0.
+    The sum is read from the gamma's table of running sums, O(1) per call
+    once its prefix exists; entry k is added left to right from 0.0, so it
+    is bit-identical to adding the terms one by one.
     """
     gamma = check_gamma(gamma)
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
-    size = max(_LADDER_MIN_SIZE, 1 << operator.index(n).bit_length())
-    return _log_ladder(gamma, size)[max(n - 1, 0)]
+    logs = _table(gamma)[0]
+    for j in range(len(logs), n):
+        logs.append(logs[-1] + (math.log(2.0 * gamma + j) - math.log(j + 1.0)))
+    return logs[max(n - 1, 0)]
 
 
-@functools.lru_cache(maxsize=32)
-def _log_ladder(gamma: float, size: int) -> tuple[float, ...]:
-    """Prefix sums of log(2g+j) - log(j+1), j = 1..size-1, from 0.0.
+def _deriv_step(gamma: float, n: int, k: int) -> float:
+    """log(D^{k+1} G_n(1) / D^k G_n(1)) = log((2g+n+k)(n-k)) - log(2g+2k+1).
 
-    Entry k is log G_{k+1}(1).  ``size`` is a power of two >= n+1, so one
-    ladder serves every degree below it and a process keeps a few ladders
-    per gamma.  ``accumulate`` adds the terms left to right, so entry k is
-    the same float as a running sum over j = 1..k.  The tuple is immutable
-    because every caller shares it.
+    The grouping keeps numerator and denominator bit-identical at k = n-1,
+    where the ratio is exactly 1.
     """
-    terms = (math.log(2.0 * gamma + j) - math.log(j + 1.0) for j in range(1, size))
-    return tuple(itertools.accumulate(terms, initial=0.0))
+    return math.log((2.0 * gamma + (n + k)) * (n - k)) - math.log(2.0 * gamma + (2 * k + 1))
+
+
+def endpoint_rows(gamma: float, degrees: list[int]) -> np.ndarray:
+    """The C-ordered (2, k) block [G_j(1); DG_j(1)] over ``degrees``.
+
+    DG_j(1) is G_j(1) times the first step of ``deriv_ladder``, the
+    Gegenbauer equation at x = 1, and 0 at j = 0.  Each (gamma, degree) is
+    evaluated once, by ``value_at_one``, while the gamma's table is kept.
+    Raises OverflowError at the first degree whose value is past float64.
+    """
+    gamma = check_gamma(gamma)
+    pairs = _table(gamma)[1]
+    for j in degrees:
+        if j not in pairs:
+            log = value_at_one(gamma, j)
+            # exp(-inf) is 0.0
+            dlog = log + _deriv_step(gamma, j, 0) if j else -math.inf
+            try:
+                pairs[j] = math.exp(log), math.exp(dlog)
+            except OverflowError:
+                raise OverflowError(
+                    f"endpoint value G_j(1) or DG_j(1) overflows float64 at gamma {gamma}, degree j={j}"
+                ) from None
+    return np.array([pairs[j] for j in degrees]).T.copy()
 
 
 def deriv_ladder(gamma: float, n: int, kmax: int) -> list[float]:
     """log D^k G_n(1) for k = 0..kmax, by the ratio recurrence seeded at G_n(1).
 
-    One running sum of log ratios gives every k at once.  The pencil's
-    boundary rows take only its first step, inline, with the same grouping
-    and seed, so their DG_j(1) is this ladder's entry 1.  Each ratio
-    (2g+n+j)(n-j)/(2g+2j+1) is positive for gamma > -1/2 and 0 <= j < n, so
-    every derivative value is strictly positive and the sequence is
-    nondecreasing in k.  The last ratio (j = n-1) is exactly 1, so
-    D^{n-1} G_n(1) == D^n G_n(1).  Entries past k = n are exact zeros, whose
-    log is -inf.
+    One running sum of log ratios (``_deriv_step``) gives every k at once.
+    Each ratio (2g+n+j)(n-j)/(2g+2j+1) is positive for gamma > -1/2 and
+    0 <= j < n, so every derivative value is strictly positive and the
+    sequence is nondecreasing in k.  The last ratio (j = n-1) is exactly 1,
+    so D^{n-1} G_n(1) == D^n G_n(1).  Entries past k = n are exact zeros,
+    whose log is -inf.
     """
     gamma = check_gamma(gamma)
     if n < 0:
@@ -107,11 +139,7 @@ def deriv_ladder(gamma: float, n: int, kmax: int) -> list[float]:
     if kmax < 0:
         raise ValueError(f"derivative order must be >= 0, got {kmax}")
     steps = min(kmax, n)
-    # grouping keeps num == den bit-identical at j = n-1 (ratio exactly 1)
-    terms = (
-        math.log((2.0 * gamma + (n + j)) * (n - j)) - math.log(2.0 * gamma + (2 * j + 1))
-        for j in range(steps)
-    )
+    terms = (_deriv_step(gamma, n, j) for j in range(steps))
     logs = itertools.accumulate(terms, initial=value_at_one(gamma, n))
     return list(logs) + [-math.inf] * (kmax - steps)
 

@@ -24,14 +24,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .gegenbauer import (
-    basis_matrix,
-    check_gamma,
-    deriv_matrix,
-    lobatto_interior_nodes,
-    norm_h,
-    value_at_one,
-)
+from .gegenbauer import basis_matrix, check_gamma, deriv_matrix, endpoint_rows, lobatto_interior_nodes, norm_h
 
 KINDS = ("tau", "inviscid_galerkin", "galerkin", "modified_tau", "collocation")
 GAMMA_SHIFT = {"tau": 0.0, "inviscid_galerkin": 1.0, "galerkin": 2.0}
@@ -121,45 +114,6 @@ def _columns(n: int, parity: str) -> np.ndarray:
     raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 
 
-# Four gammas: sweeps run gamma-major, and one equivalence point reads
-# gamma, gamma + 1 and gamma + 2.
-@functools.lru_cache(maxsize=4)
-def _endpoint_table(gamma: float) -> dict:
-    """``gamma``'s endpoint values {j: (G_j(1), DG_j(1))}, as ``_boundary_rows`` fills it."""
-    return {}
-
-
-def _boundary_rows(gamma: float, cols: np.ndarray) -> np.ndarray:
-    """Clamped rows of one parity ladder against the degrees ``cols``.
-
-    Only u and Du at +1: the rows at -1 repeat them up to a sign.  Row 0
-    holds G_j(1) = exp(``value_at_one``); row 1 holds DG_j(1) = G_j(1)
-    (2 gamma + j) j / (2 gamma + 1), the Gegenbauer equation at x = 1, taken
-    as exp(log G_j(1) + (log((2 gamma + j) j) - log(2 gamma + 1))), 0 at
-    j = 0.  Raises ``SingularReductionError`` at the ladder's first value
-    past float64: one such entry would make every pivot of its row fail the
-    elimination's dependence test.
-
-    The values come from the gamma's ``_endpoint_table``, so each (gamma,
-    degree) is evaluated once while the gamma is among the last four.
-    """
-    table = _endpoint_table(gamma)
-    log_den = math.log(2.0 * gamma + 1)
-    degrees = cols.tolist()
-    for j in degrees:
-        if j not in table:
-            log = value_at_one(gamma, j)
-            # exp(-inf) is 0.0
-            dlog = log + (math.log((2.0 * gamma + j) * j) - log_den) if j else -math.inf
-            try:
-                table[j] = math.exp(log), math.exp(dlog)
-            except OverflowError:
-                raise SingularReductionError(
-                    f"endpoint value G_j(1) or DG_j(1) overflows float64 at gamma {gamma}, degree j={j}"
-                ) from None
-    return np.array([table[j] for j in degrees]).T.copy()  # C-ordered
-
-
 def assemble(config: MethodConfig, parity: str) -> Pencil:
     """Build the pencil of one parity ladder of a method configuration.
 
@@ -176,7 +130,13 @@ def assemble(config: MethodConfig, parity: str) -> Pencil:
     gamma = config.gamma + GAMMA_SHIFT.get(config.kind, 0.0)
     cols = _columns(n, parity)
     ell, ell2 = _operator(gamma, n, alpha)
-    c = _boundary_rows(gamma, cols)
+    # clamped rows: u and Du at +1 only, as the rows at -1 repeat them up to
+    # a sign.  A value past float64 would make every pivot of its row fail
+    # the elimination's dependence test.
+    try:
+        c = endpoint_rows(gamma, cols.tolist())
+    except OverflowError as exc:
+        raise SingularReductionError(str(exc)) from None
     if config.kind == "modified_tau":
         # unknowns (u, v), v = (D^2-a^2)u, both of degree n: dynamic rows
         # mu (L v)_k = v_k and coupling rows (L u)_k - v_k = 0 for k <= n-2,

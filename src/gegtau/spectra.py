@@ -17,7 +17,9 @@ the cheaper job, and its report keeps no matrix.
 Ladders repeat: stepping n by one gives each to two adjacent degrees, and
 Galerkin and inviscid Galerkin are tau at gamma + 2 and gamma + 1.  So the
 last 16 values-only solves are kept for the process, keyed by their blocks,
-as ``pencil`` keeps its last operator; no caller opts in.
+as ``pencil`` keeps its last operator; no caller opts in.  Every ladder is
+still assembled; its boundary rows are read from the endpoint tables that
+``gegenbauer`` keeps for the last 16 gammas.
 """
 
 from __future__ import annotations

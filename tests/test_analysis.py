@@ -28,7 +28,7 @@ from gegtau.analysis import (
     suite_theorem_range,
     tan_fixed_point,
 )
-from gegtau import analysis, cli, pencil, spectra
+from gegtau import analysis, cli, gegenbauer, pencil, spectra
 from gegtau.charpoly import second_order_pair, stability_poly
 from gegtau.gegenbauer import evaluate, rational_ladder
 from gegtau.pencil import KINDS, MethodConfig, SingularReductionError
@@ -601,9 +601,10 @@ class _Forgetful(dict):
 
 
 def _defeat_sharing(monkeypatch):
-    """Solve every ladder and evaluate every endpoint column afresh."""
+    """Solve every ladder and evaluate every endpoint column, and every
+    running sum behind it, afresh."""
     monkeypatch.setattr(spectra, "_shared", _Forgetful())
-    monkeypatch.setattr(pencil, "_endpoint_table", lambda gamma: {})
+    monkeypatch.setattr(gegenbauer, "_table", lambda gamma: ([0.0], {}))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
@@ -706,28 +707,34 @@ def test_shared_ladder_is_solved_again_when_its_blocks_differ(monkeypatch, cold_
     assert len(reduces) == 5
 
 
-def test_tables_keep_the_last_16_solves_and_4_gammas(monkeypatch, cold_pencil_caches):
+def test_tables_keep_the_last_16_solves_and_16_gammas(monkeypatch, cold_pencil_caches):
     reduces = _counting(monkeypatch, "reduce_to_standard")
     # inviscid Galerkin at 0.75 is tau at 1.75: one solve, and one endpoint
-    # table holding the degrees asked for (the odd ones 1..11)
+    # table holding the degrees asked for (the odd ones 1..11) and the
+    # running sums log G_1(1)..log G_11(1)
     pencil_lambdas(MethodConfig("inviscid_galerkin", 0.75, 12), "odd")
     pencil_lambdas(MethodConfig("tau", 1.75, 12), "odd")
     assert len(reduces) == 1 and len(spectra._shared) == 1
-    assert list(pencil._endpoint_table(1.75)) == list(range(1, 12, 2))
-    for gamma in (0.5, 1.5, 2.5, 3.5, 4.5):
-        pencil_lambdas(MethodConfig("tau", gamma, 12), "even")
-    for gamma in (1.5, 2.5, 3.5, 4.5):
-        assert list(pencil._endpoint_table(gamma)) == list(range(0, 13, 2))
-    assert pencil._endpoint_table.cache_info().currsize == 4
-    assert pencil._endpoint_table(1.75) == {}  # dropped: a fresh table
+    logs, pairs = gegenbauer._table(1.75)
+    assert list(pairs) == list(range(1, 12, 2)) and len(logs) == 11
     # the solve table drops its oldest entries past 16
-    configs = [MethodConfig("tau", 1.75, n) for n in range(12, 36, 2)]
+    configs = [MethodConfig("tau", 1.75, n) for n in range(14, 46, 2)]
     for config in configs:
         pencil_lambdas(config, "odd")
-    assert len(reduces) == 6 + 11 and len(spectra._shared) == 16
-    pencil_lambdas(configs[0], "odd")  # the first ladder, dropped
+    assert len(reduces) == 1 + 16 and len(spectra._shared) == 16
+    pencil_lambdas(MethodConfig("tau", 1.75, 12), "odd")  # the first ladder, dropped
     pencil_lambdas(configs[-1], "odd")
     assert len(reduces) == 18
+    # the endpoint tables drop the least recently used gamma past 16
+    kept = gegenbauer._TABLE_GAMMAS
+    assert kept == 16
+    gammas = [0.5 + k for k in range(kept)]
+    for gamma in gammas:
+        pencil_lambdas(MethodConfig("tau", gamma, 12), "even")
+    for gamma in gammas:
+        assert list(gegenbauer._table(gamma)[1]) == list(range(0, 13, 2))
+    assert gegenbauer._table.cache_info().currsize == kept
+    assert gegenbauer._table(1.75) == ([0.0], {})  # dropped: a fresh table
 
 
 def test_shared_results_are_read_only(cold_pencil_caches):

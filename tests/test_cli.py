@@ -15,7 +15,7 @@ import pytest
 
 import gegtau
 from gegtau import analysis, cli, gegenbauer, pencil
-from gegtau.eig import NEAR_INFINITE
+from gegtau.eig import DEFAULT_TOLERANCES, NEAR_INFINITE
 from gegtau.pencil import MethodConfig
 from gegtau.spectra import spectrum_report
 
@@ -86,9 +86,11 @@ def test_spectrum_residuals_small(capsys):
 
 def _oracle_eigen_residuals(report):
     """The residual column's definition, one eigenpair at a time: the
-    eigenvector v of M whose eigenvalue is nearest the shift mu, and
-    ||M v - mu v|| / (sigma_max(M) ||v||), with math.hypot's norm.  It makes
-    its own ``eig`` of M as the reference; the CLI reads the report's.
+    eigenvector v of M whose eigenvalue is nearest the shift mu, or for a
+    near-infinite entry (mu = 0) the ladder's next near-infinite eigenvector
+    in solve order, and ||M v - mu v|| / (sigma_max(M) ||v||), with
+    math.hypot's norm.  It makes its own ``eig`` of M as the reference; the
+    CLI reads the report's.
 
     The residual is a difference of nearly equal vectors, so it is formed as
     the CLI forms it: M v is read from the one product M V (M v alone rounds
@@ -101,10 +103,11 @@ def _oracle_eigen_residuals(report):
         m = report.eigenpairs[par][0]
         if par not in ladders:
             w, v = np.linalg.eig(m)
-            ladders[par] = (w, v, m @ v, np.linalg.svd(m, compute_uv=False)[0])
-        w, v, mv, smax = ladders[par]
+            near = iter(np.flatnonzero(np.abs(w) <= DEFAULT_TOLERANCES["mu_infinite"] * np.abs(w).max()))
+            ladders[par] = (w, v, m @ v, np.linalg.svd(m, compute_uv=False)[0], near)
+        w, v, mv, smax, near = ladders[par]
         mu = 0.0 if cls == NEAR_INFINITE else 1.0 / lam
-        j = np.argmin(np.abs(w - mu))
+        j = next(near) if cls == NEAR_INFINITE else np.argmin(np.abs(w - mu))
         r = mv[:, j] - v[:, j] * mu
         out.append(math.hypot(*np.abs(r)) / smax / math.hypot(*np.abs(v[:, j])))
     return out
@@ -151,15 +154,26 @@ def test_residuals_one_svd_per_ladder(monkeypatch, capsys):
         if r["class"] == "complex_pair":
             by_key.setdefault((r["parity"], r["re"], abs(r["im"])), []).append(r["residual"])
     assert by_key and all(len(v) == 2 and v[0] == v[1] for v in by_key.values())
-    # one ladder's near-infinite entries share the shift mu = 0, so one value
+    # near-infinite entries, each with its own eigenvector, need no more
     del dtypes[:]
     code, doc = run_json(["spectrum", "--method", "modified", "--gamma", "200", "--n", "48"], capsys)
     assert code == 0 and dtypes == [np.float64, np.float64]
-    infinite = {}
-    for r in doc["spectrum"]["eigenvalues"]:
-        if r["class"] == "near_infinite":
-            infinite.setdefault(r["parity"], set()).add(r["residual"])
-    assert len(infinite["even"]) == 1 and doc["spectrum"]["counts"]["near_infinite"] > 2
+    assert doc["spectrum"]["counts"]["near_infinite"] > 2
+
+
+def test_near_infinite_rows_read_their_own_eigenpairs():
+    # row k of a ladder's near-infinite entries is ||M v|| / (sigma_max ||v||)
+    # of the ladder's k-th near-infinite eigenpair, in solve order; one
+    # nearest-eigenvalue search gave all 78 even rows one value, 0.39
+    report = spectrum_report(MethodConfig("collocation", 200.0, 160), vectors=True)
+    got = cli._eigen_residuals(report)
+    for par, (m, w, v) in report.eigenpairs.items():
+        mv, smax = m @ v, np.linalg.svd(m, compute_uv=False)[0]
+        near = np.abs(w) <= DEFAULT_TOLERANCES["mu_infinite"] * np.abs(w).max()
+        own = [np.linalg.norm(mv[:, k]) / smax / np.linalg.norm(v[:, k]) for k in np.flatnonzero(near)]
+        rows = [g for g, cls, p in zip(got, report.classes, report.parities) if p == par and cls == NEAR_INFINITE]
+        assert len(rows) == len(own) == {"even": 78, "odd": 77}[par] and len(set(rows)) > 1
+        assert rows == pytest.approx(own, rel=1e-12, abs=0.0)
 
 
 def count_eigensolves(monkeypatch):
@@ -658,10 +672,10 @@ def test_sweep_jobs_deterministic(monkeypatch, capsys):
 
 
 def test_sweep_jobs_share_endpoint_ladders(capsys):
-    # one gamma's log ladders across the 64/128/256 size classes: the rows
-    # built from a cold cache equal those read back from the warm one
+    # one gamma's running sums, grown from a cold table up to degree 160:
+    # the rows built as they grow equal those read back from the full table
     argv = ["sweep", "--method", "galerkin", "--gamma-range", "1.3:1.3:1", "--n-range", "8:160:8"]
-    gegenbauer._log_ladder.cache_clear()
+    gegenbauer._table.cache_clear()
     rows = []
     for jobs in ("1", "4"):
         _, out = run(argv + ["--jobs", jobs], capsys)
@@ -674,12 +688,13 @@ def test_sweep_jobs_share_endpoint_ladders(capsys):
     [
         (["verify", "--suite", "theorem-range"], 7 * 49),  # 7 gammas x degrees 0..48
         (["sweep", "--method", "galerkin", "--gamma-range", "1:1:1", "--n-range", "8:40:1"], 41),
+        (["sweep", "--method", "tau", "--gamma-range", "0:8:0.5", "--n-range", "8:9:1"], 17 * 10),  # more gammas than kept
     ],
 )
 def test_command_evaluates_each_endpoint_column_once(monkeypatch, capsys, cold_pencil_caches, argv, pairs):
     # one endpoint table per gamma serves every ladder of the command; a
     # second run reads the tables the first left, unless the command spans
-    # more gammas than the four kept, which then evicts each before reuse
+    # more gammas than the tables kept, which then evicts each before reuse
     calls = collections.Counter()
     real = gegenbauer.value_at_one
 
@@ -687,14 +702,13 @@ def test_command_evaluates_each_endpoint_column_once(monkeypatch, capsys, cold_p
         calls[gamma, n] += 1
         return real(gamma, n)
 
-    for module in (gegenbauer, pencil):
-        monkeypatch.setattr(module, "value_at_one", counted)
+    monkeypatch.setattr(gegenbauer, "value_at_one", counted)
     assert run(argv, capsys)[0] == 0
     assert len(calls) == pairs and set(calls.values()) == {1}
     gammas = {gamma for gamma, _ in calls}
     calls.clear()
     assert run(argv, capsys)[0] == 0
-    assert len(calls) == (pairs if len(gammas) > 4 else 0) and set(calls.values()) <= {1}
+    assert len(calls) == (pairs if len(gammas) > gegenbauer._TABLE_GAMMAS else 0) and set(calls.values()) <= {1}
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -1,10 +1,12 @@
-"""The knob budget: ceilings on the settable values the package exposes.
+"""The knob budget: ceilings on the settable values the package exposes,
+and on its memo caches.
 
 Every parameter with a default and every dataclass field is a value a caller
 can set, and each one multiplies the configurations that tests and
-benchmarks must cover.  The ceilings are the counts when the budget was
-set, so a change that adds a knob raises its ceiling in the same diff,
-where a reader sees it.
+benchmarks must cover.  Every ``functools`` cache is state that outlives a
+call, which tests must clear and reason about.  The ceilings are the counts
+when the budget was set, so a change that adds a knob or a cache raises its
+ceiling in the same diff, where a reader sees it.
 """
 
 import ast
@@ -14,6 +16,7 @@ SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gegtau").glob("
 
 MAX_DEFAULTED_PARAMETERS = 16
 MAX_DATACLASS_FIELDS = 31
+MAX_FUNCTOOLS_CACHES = 4
 
 
 def _trees():
@@ -50,3 +53,15 @@ def test_dataclass_fields_within_budget():
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
     assert count <= MAX_DATACLASS_FIELDS, f"{count} dataclass fields"
+
+
+def test_functools_caches_within_budget():
+    count = 0
+    for tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                    count += name in ("lru_cache", "cache")
+    assert count <= MAX_FUNCTOOLS_CACHES, f"{count} functools caches"

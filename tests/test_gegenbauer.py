@@ -20,6 +20,7 @@ from gegtau.gegenbauer import (
     deriv_at_one,
     deriv_ladder,
     deriv_matrix,
+    endpoint_rows,
     evaluate,
     lobatto_interior_nodes,
     mult_x_array,
@@ -184,10 +185,10 @@ def test_endpoint_values_match_loop_oracle(gamma):
     value = _oracle_log_values_at_one(gamma, ORACLE_NMAX)
     deriv = {n: _oracle_log_deriv_ladder(gamma, n, max(ks), value[n]) for n in ns}
     log_h0 = norm_h(gamma, 0)
-    # a cold cache in both orders: descending builds the largest ladder
-    # first, ascending grows through the 64/128/256/512 size classes
+    # a cold table in both orders: descending builds the longest running
+    # sum first, ascending grows it one degree at a time
     for order in (ns[::-1], ns):
-        gegenbauer._log_ladder.cache_clear()
+        gegenbauer._table.cache_clear()
         for n in order:
             assert value_at_one(gamma, n) == value[n]
             for k in ks:
@@ -200,11 +201,15 @@ def test_endpoint_values_match_loop_oracle(gamma):
     dg1 = [_exp(deriv[n][1]) if n else 0.0 for n in ns]
     # the boundary rows hold these floats up to the first degree past float64
     top = next((n for n in ns if math.isinf(g1[n]) or math.isinf(dg1[n])), None)
-    pencil._endpoint_table.cache_clear()
+    gegenbauer._table.cache_clear()
     if top is not None:
-        with pytest.raises(pencil.SingularReductionError, match=rf"gamma {gamma}.*j={top}\b"):
-            pencil._boundary_rows(gamma, np.arange(ORACLE_NMAX + 1))
-    rows = pencil._boundary_rows(gamma, np.arange(ORACLE_NMAX + 1 if top is None else top))
+        with pytest.raises(OverflowError, match=rf"gamma {gamma}.*j={top}\b"):
+            endpoint_rows(gamma, list(range(ORACLE_NMAX + 1)))
+        # the pencil raises the same message as its own error
+        parity = "even" if top % 2 == 0 else "odd"
+        with pytest.raises(pencil.SingularReductionError, match=rf"^endpoint value .* gamma {gamma}.*j={top}$"):
+            pencil.assemble(MethodConfig("tau", gamma, top), parity)
+    rows = endpoint_rows(gamma, list(range(ORACLE_NMAX + 1 if top is None else top)))
     assert np.array_equal(rows, [g1[: rows.shape[1]], dg1[: rows.shape[1]]])
     assert (top is None) == (gamma < 1000.0)
     # the parity ladders slice one table per gamma, grown by the longest
@@ -213,15 +218,15 @@ def test_endpoint_values_match_loop_oracle(gamma):
     # degree, also where a longer ladder stored it
     ladders = [(n, parity) for n in (7, 64, 219, 220, 221, ORACLE_NMAX) for parity in ("even", "odd")]
     for order in (ladders[::-1], ladders):
-        pencil._endpoint_table.cache_clear()
+        gegenbauer._table.cache_clear()
         for n, parity in order:
             cols = pencil._columns(n, parity)
             first = next((j for j in cols.tolist() if top is not None and j >= top), None)
             if first is not None:
-                with pytest.raises(pencil.SingularReductionError, match=rf"gamma {gamma}.*j={first}\b"):
-                    pencil._boundary_rows(gamma, cols)
+                with pytest.raises(OverflowError, match=rf"gamma {gamma}.*j={first}\b"):
+                    endpoint_rows(gamma, cols.tolist())
                 continue
-            rows = pencil._boundary_rows(gamma, cols)
+            rows = endpoint_rows(gamma, cols.tolist())
             assert np.array_equal(rows, [[g1[j] for j in cols], [dg1[j] for j in cols]])
             assert rows.flags.c_contiguous and rows.flags.owndata and rows.flags.writeable
 
@@ -302,19 +307,18 @@ class _CountingMath:
 def test_endpoint_rows_work_bound(monkeypatch, cold_pencil_caches):
     counting = _CountingMath()
     monkeypatch.setattr(gegenbauer, "math", counting)
-    gegenbauer._log_ladder.cache_clear()
     n = 400
     config = MethodConfig("tau", 1.0, n)
     pencil.assemble(config, "even")
-    builds = gegenbauer._log_ladder.cache_info().misses
+    builds = gegenbauer._table.cache_info().misses
     pencil.assemble(config, "odd")
-    # one ladder per size class up to n+1 (64, 128, 256, 512); the second
-    # parity ladder reads them and builds none
-    assert builds == gegenbauer._log_ladder.cache_info().misses == 4
-    # two logs per ladder entry, and two per deriv_at_one(j, 1) call; each
-    # parity ladder asks only for its own degrees, so the two together make
-    # n+1 calls, not 2(n+1)
-    assert counting.logs <= 2 * (64 + 128 + 256 + 512) + 2 * (n + 1)
+    # one table for the gamma; the second parity ladder reads it and builds
+    # none
+    assert builds == gegenbauer._table.cache_info().misses == 1
+    # two logs per running-sum entry up to degree n, and two per DG_j(1)
+    # step; each parity ladder asks only for its own degrees, so the two
+    # together make n+1 steps, not 2(n+1)
+    assert counting.logs <= 2 * (n + 1) + 2 * (n + 1)
 
 
 CHARPOLY_BUILDERS = [

@@ -15,6 +15,8 @@ Runs one fixed grid of ``gegtau`` commands in each checkout:
 - endpoint overflow: ``spectrum`` at gamma 5000 (past float64 from degree
   136), tau sweeps at gamma 5000 that exit 3 partway, and a galerkin sweep
   at gamma 4998, which overflows through the gamma + 2 shift;
+- collocation at gamma 200, n 160, whose ladders have 78 and 77
+  near-infinite entries, each with a residual of its own;
 - the six ``verify`` suites at their defaults, and one failing run;
 - each suite with each of FLAG_RUNS, which the suite takes (a verdict)
   or refuses (exit 2 with one ``error:`` line);
@@ -71,7 +73,19 @@ FLAG_RUNS = (
     ("--tol", "nan"),
 )
 # command -> why its output is meant to differ from the parent's
-DECLARED: dict[str, str] = {}
+_OWN_EIGENPAIR = "near-infinite residuals read each entry's own eigenpair, not one eigenvector nearest mu = 0"
+DECLARED: dict[str, str] = {
+    f"spectrum --method {m} --gamma {g} --n {n} --alpha 0.0 --format {fmt} --parity {parity}": _OWN_EIGENPAIR
+    for m, g, n, parities in (
+        ("modified", "20.0", 160, ("both", "even")),
+        ("modified", "5000.0", 134, ("both", "even")),
+        ("collocation", "5000.0", 134, ("both", "even", "odd")),
+        ("collocation", "5000.0", 136, ("odd",)),
+    )
+    for fmt in ("json", "csv")
+    for parity in parities
+}
+DECLARED["spectrum --method collocation --gamma 200 --n 160"] = _OWN_EIGENPAIR
 
 
 def spectrum_commands(methods, gammas, ns, alphas) -> list[list[str]]:
@@ -104,6 +118,7 @@ def grid() -> list[list[str]]:
         ["sweep", "--method", "tau", "--gamma-range", g, "--n-range", "8:8:1"] for g in ("0:1e-10:1e-11", "0:1e-11:1e-13")
     ]
     overflow = spectrum_commands(METHODS, (5000.0,), (134, 136), (0.0,))
+    overflow.append(["spectrum", "--method", "collocation", "--gamma", "200", "--n", "160"])
     suites = [["verify", "--suite", s] for s in SUITES]
     verify = suites + [["verify", "--suite", "theorem-range", "--gamma", "3.6"]]
     flags = [["verify", "--suite", s, *f] for s in SUITES for f in FLAG_RUNS]
