@@ -43,6 +43,7 @@ import functools
 import itertools
 import math
 import operator
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,7 @@ GAMMA_MIN = -0.5
 # (five anchors at gamma, gamma + 1 and gamma + 2); a table dropped is rebuilt
 # in O(n).
 _TABLE_GAMMAS = 16
+_GROW = threading.Lock()  # running sums grow under it, so each entry lands once at its index
 
 
 def check_gamma(gamma: float) -> float:
@@ -85,8 +87,10 @@ def value_at_one(gamma: float, n: int) -> float:
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     logs = _table(gamma)[0]
-    for j in range(len(logs), n):
-        logs.append(logs[-1] + (math.log(2.0 * gamma + j) - math.log(j + 1.0)))
+    if len(logs) < n:
+        with _GROW:
+            for j in range(len(logs), n):
+                logs.append(logs[-1] + (math.log(2.0 * gamma + j) - math.log(j + 1.0)))
     return logs[max(n - 1, 0)]
 
 

@@ -154,7 +154,7 @@ def test_residuals_one_svd_per_ladder(monkeypatch, capsys):
         if r["class"] == "complex_pair":
             by_key.setdefault((r["parity"], r["re"], abs(r["im"])), []).append(r["residual"])
     assert by_key and all(len(v) == 2 and v[0] == v[1] for v in by_key.values())
-    # near-infinite entries, each with its own eigenvector, need no more
+    # many near-infinite entries, each with its own eigenvector: still one SVD per ladder
     del dtypes[:]
     code, doc = run_json(["spectrum", "--method", "modified", "--gamma", "200", "--n", "48"], capsys)
     assert code == 0 and dtypes == [np.float64, np.float64]

@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -229,6 +230,37 @@ def test_endpoint_values_match_loop_oracle(gamma):
             rows = endpoint_rows(gamma, cols.tolist())
             assert np.array_equal(rows, [[g1[j] for j in cols], [dg1[j] for j in cols]])
             assert rows.flags.c_contiguous and rows.flags.owndata and rows.flags.writeable
+
+
+def test_endpoint_table_grows_once_under_threads():
+    # threads that grow one cold table at once, switching every
+    # microsecond, leave each running sum at its own index
+    gamma, nmax, workers = 1.3, 400, 8
+    value = _oracle_log_values_at_one(gamma, nmax)
+    start = threading.Barrier(workers)
+    results = []
+
+    def grow(k):
+        start.wait(timeout=60)
+        got = [value_at_one(gamma, n) for n in range(nmax - k, -1, -workers)]
+        results.append(got == value[nmax - k :: -workers])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            gegenbauer._table.cache_clear()
+            gegenbauer._table(gamma)  # one table for every thread
+            threads = [threading.Thread(target=grow, args=(k,)) for k in range(workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert gegenbauer._table(gamma)[0] == value[1:]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [True] * 20 * workers
 
 
 @pytest.mark.parametrize("gamma", ORACLE_GAMMAS)
