@@ -51,10 +51,11 @@ import numpy as np
 from .eig import ConvergenceError
 
 GAMMA_MIN = -0.5
-# Gammas whose endpoint tables are kept.  One spectrum-nontau block reads 15
-# (five anchors at gamma, gamma + 1 and gamma + 2); a table dropped is rebuilt
-# in O(n).
-_TABLE_GAMMAS = 16
+# Gammas whose endpoint tables are kept: the 3 of one equivalence point or
+# one collocation-and-gate anchor (gamma, gamma + 1, gamma + 2), with room to
+# spare.  Keeping all 15 of a verify-suites block would leave a second pass
+# over it no endpoint work at all; a table dropped is rebuilt in O(n).
+_TABLE_GAMMAS = 8
 _GROW = threading.Lock()  # running sums grow under it, so each entry lands once at its index
 
 

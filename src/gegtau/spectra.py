@@ -19,7 +19,7 @@ Galerkin and inviscid Galerkin are tau at gamma + 2 and gamma + 1.  So the
 last 16 values-only solves are kept for the process, keyed by their blocks,
 as ``pencil`` keeps its last operator; no caller opts in.  Every ladder is
 still assembled; its boundary rows are read from the endpoint tables that
-``gegenbauer`` keeps for the last 16 gammas.
+``gegenbauer`` keeps for the last 8 gammas.
 """
 
 from __future__ import annotations

@@ -707,7 +707,7 @@ def test_shared_ladder_is_solved_again_when_its_blocks_differ(monkeypatch, cold_
     assert len(reduces) == 5
 
 
-def test_tables_keep_the_last_16_solves_and_16_gammas(monkeypatch, cold_pencil_caches):
+def test_tables_keep_the_last_16_solves_and_8_gammas(monkeypatch, cold_pencil_caches):
     reduces = _counting(monkeypatch, "reduce_to_standard")
     # inviscid Galerkin at 0.75 is tau at 1.75: one solve, and one endpoint
     # table holding the degrees asked for (the odd ones 1..11) and the
@@ -725,9 +725,9 @@ def test_tables_keep_the_last_16_solves_and_16_gammas(monkeypatch, cold_pencil_c
     pencil_lambdas(MethodConfig("tau", 1.75, 12), "odd")  # the first ladder, dropped
     pencil_lambdas(configs[-1], "odd")
     assert len(reduces) == 18
-    # the endpoint tables drop the least recently used gamma past 16
+    # the endpoint tables drop the least recently used gamma past 8
     kept = gegenbauer._TABLE_GAMMAS
-    assert kept == 16
+    assert kept == 8
     gammas = [0.5 + k for k in range(kept)]
     for gamma in gammas:
         pencil_lambdas(MethodConfig("tau", gamma, 12), "even")
