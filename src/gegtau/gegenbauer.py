@@ -24,14 +24,12 @@ Key identities used throughout (all standard, stated in this normalization):
 Endpoint quantities for the pencil are evaluated from log running products
 (never via Gamma ratios, which are singular at gamma = 0) and returned as
 their natural logs, floats that stay finite past float64's range (near
-degree 170): every endpoint value is positive.  One table per gamma holds
-all endpoint data: the running sum log G_1(1), log G_2(1), ..., grown on
-demand, so each ``value_at_one`` is O(1) once its prefix exists and a row
-of n endpoint values costs O(n), not O(n^2); and the pencil's boundary
-values (G_j(1), DG_j(1)), which ``endpoint_rows`` evaluates once per
-(gamma, degree) while the gamma is among the last ``_TABLE_GAMMAS``, so the
-rows of a grid over n cost O(max n) per gamma, not O(sum of n).  The
-derivative ladder D^0..D^k G_n(1) is one running sum of log ratios.
+degree 170): every endpoint value is positive.  One table per gamma
+(``_table``) holds the running sums log G_j(1), so a row of n endpoint
+values costs O(n), not O(n^2), and the pencil's boundary values, each
+evaluated once while the gamma is kept, so the rows of a grid over n cost
+O(max n) per gamma, not O(sum of n).  The derivative ladder
+D^0..D^k G_n(1) is one running sum of log ratios.
 ``rational_ladder`` is the same ladder in exact ``Fraction``s, from which
 the characteristic polynomials are built; interior evaluation uses the
 three-term recurrence in float64.
@@ -51,10 +49,8 @@ import numpy as np
 from .eig import ConvergenceError
 
 GAMMA_MIN = -0.5
-# Gammas whose endpoint tables are kept: the 3 of one equivalence point or
-# one collocation-and-gate anchor (gamma, gamma + 1, gamma + 2), with room to
-# spare.  Keeping all 15 of a verify-suites block would leave a second pass
-# over it no endpoint work at all; a table dropped is rebuilt in O(n).
+# Gammas kept: room for several (gamma, gamma + 1, gamma + 2) triples, but not
+# for all 15 of a verify-suites block, whose replay must still evaluate some.
 _TABLE_GAMMAS = 8
 _GROW = threading.Lock()  # running sums grow under it, so each entry lands once at its index
 
