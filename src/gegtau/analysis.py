@@ -241,6 +241,35 @@ def _spectrum_deviation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(picked, initial=0.0))
 
 
+# the sides of checks (i)-(iii) at (gamma, n): a method and its gamma shift
+_EQUIVALENCE_SIDES = (("galerkin", 0.0), ("tau", 2.0), ("inviscid_galerkin", 0.0), ("tau", 1.0), ("modified_tau", 0.0))
+
+
+def _equivalence_configs(gamma: float, n: int) -> list[MethodConfig]:
+    """The configurations of checks (i)-(iii) at (gamma, n), in the order
+    ``_equivalence_report`` reads their reports."""
+    if n < 8:
+        raise ValueError(f"need n >= 8, got {n}")
+    return [MethodConfig(kind, gamma + shift, n) for kind, shift in _EQUIVALENCE_SIDES]
+
+
+def _equivalence_report(gamma: float, n: int, tol: float, reports) -> EquivalenceReport:
+    """The equivalences at (gamma, n), from the next five reports of
+    ``reports``, those of ``_equivalence_configs(gamma, n)``."""
+    rep = EquivalenceReport(tol)
+    galerkin, tau2, inviscid, tau1, modified = (next(reports).finite_eigenvalues() for _ in _EQUIVALENCE_SIDES)
+    rep.deviations["galerkin_vs_tau_shift2"] = _spectrum_deviation(galerkin, tau2)
+    rep.deviations["inviscid_vs_tau_shift1"] = _spectrum_deviation(inviscid, tau1)
+    rep.deviations["modified_vs_galerkin"] = _spectrum_deviation(modified, galerkin)
+    if gamma > 0.5:
+        lam_even, _, _ = pencil_lambdas(MethodConfig("tau", gamma, n), "even")
+        om, _ = second_order_pair(exact_gamma(gamma) - 1, ladder_degree(n, "even") - 1)
+        mus = poly_roots(om.normalized_coeffs()).roots
+        lam_second = 1.0 / mus[np.abs(mus) > 0.0]
+        rep.deviations["even4th_vs_odd2nd"] = _spectrum_deviation(lam_even, lam_second)
+    return rep
+
+
 def equivalence_suite(gamma: float, n: int, tol: float) -> EquivalenceReport:
     """Numerical verification of the method equivalences at one (gamma, n).
 
@@ -249,33 +278,16 @@ def equivalence_suite(gamma: float, n: int, tol: float) -> EquivalenceReport:
     g > 1/2 (iv) the even fourth-order eigenvalues at (g, n) equal the
     second-order eigenvalues at (g-1, n-1) restricted to the odd ladder.
 
-    Checks (i) and (ii) compare one assembled pencil with itself: ``assemble``
-    builds Galerkin and inviscid Galerkin as tau at g + 2 and g + 1, and the
-    two sides share one kept solve, so they deviate by exactly 0.0.  The
+    Checks (i) to (iii) read the reports of one grid (``spectrum_report``
+    of the five configurations), and ``suite_equivalence`` reads them from
+    one grid over all its points.  Checks (i) and (ii) compare one
+    assembled pencil with itself: ``assemble`` builds Galerkin and inviscid
+    Galerkin as tau at g + 2 and g + 1, so both sides are one distinct
+    ladder of the grid, solved once, and they deviate by exactly 0.0.  The
     real comparisons are (iii) and (iv), which reach at most 2.9e-13 and
     1.2e-12 on ``suite_equivalence``'s default grid.
     """
-    if n < 8:
-        raise ValueError(f"need n >= 8, got {n}")
-    rep = EquivalenceReport(tol)
-
-    def spec(kind: str, g: float) -> np.ndarray:
-        cfg = MethodConfig(kind, g, n)
-        return np.concatenate([pencil_lambdas(cfg, parity)[0] for parity in ("even", "odd")])
-
-    galerkin = spec("galerkin", gamma)
-    rep.deviations["galerkin_vs_tau_shift2"] = _spectrum_deviation(galerkin, spec("tau", gamma + 2.0))
-    rep.deviations["inviscid_vs_tau_shift1"] = _spectrum_deviation(
-        spec("inviscid_galerkin", gamma), spec("tau", gamma + 1.0)
-    )
-    rep.deviations["modified_vs_galerkin"] = _spectrum_deviation(spec("modified_tau", gamma), galerkin)
-    if gamma > 0.5:
-        lam_even, _, _ = pencil_lambdas(MethodConfig("tau", gamma, n), "even")
-        om, _ = second_order_pair(exact_gamma(gamma) - 1, ladder_degree(n, "even") - 1)
-        mus = poly_roots(om.normalized_coeffs()).roots
-        lam_second = 1.0 / mus[np.abs(mus) > 0.0]
-        rep.deviations["even4th_vs_odd2nd"] = _spectrum_deviation(lam_even, lam_second)
-    return rep
+    return _equivalence_report(gamma, n, tol, spectrum_report(_equivalence_configs(gamma, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +431,23 @@ def suite_theorem_range(
 ) -> SuiteResult:
     """Real, negative, distinct, interlaced spectra on 1/2 < gamma <= 7/2."""
     res = SuiteResult("theorem-range", True)
-    for g in gammas:
-        for n in _degrees(n_lo, n_hi):
-            rep = spectrum_report(MethodConfig("tau", g, n))
-            bad = (
-                rep.count("spurious_positive") > 0
-                or rep.count("complex_pair") > 0
-                or not rep.distinct
-                or rep.interlaced is not True
+    points = [(g, n) for g in gammas for n in _degrees(n_lo, n_hi)]
+    reports = spectrum_report(MethodConfig("tau", g, n) for g, n in points)
+    for (g, n), rep in zip(points, reports):
+        bad = (
+            rep.count("spurious_positive") > 0
+            or rep.count("complex_pair") > 0
+            or not rep.distinct
+            or rep.interlaced is not True
+        )
+        if bad:
+            res.passed = False
+            res.counterexample = (
+                f"gamma={g} n={n}: spurious={rep.count('spurious_positive')} "
+                f"complex={rep.count('complex_pair')} distinct={rep.distinct} "
+                f"interlaced={rep.interlaced}"
             )
-            if bad:
-                res.passed = False
-                res.counterexample = (
-                    f"gamma={g} n={n}: spurious={rep.count('spurious_positive')} "
-                    f"complex={rep.count('complex_pair')} distinct={rep.distinct} "
-                    f"interlaced={rep.interlaced}"
-                )
-                return res
+            return res
     res.details.append(f"{len(gammas)} gammas x n in [{n_lo},{n_hi}]: all real negative distinct interlaced")
     return res
 
@@ -447,14 +459,15 @@ def suite_equivalence(
     tol: float = 1e-8,
 ) -> SuiteResult:
     res = SuiteResult("equivalence", True)
-    for g in gammas:
-        for n in _degrees(n_lo, n_hi):
-            rep = equivalence_suite(g, n, tol=tol)
-            if not rep.passed:
-                name, dev = rep.worst()
-                res.passed = False
-                res.counterexample = f"gamma={g} n={n}: {name} deviates {dev:.2e} > {tol:.0e}"
-                return res
+    points = [(g, n) for g in gammas for n in _degrees(n_lo, n_hi)]
+    reports = spectrum_report(config for g, n in points for config in _equivalence_configs(g, n))
+    for g, n in points:
+        rep = _equivalence_report(g, n, tol, reports)
+        if not rep.passed:
+            name, dev = rep.worst()
+            res.passed = False
+            res.counterexample = f"gamma={g} n={n}: {name} deviates {dev:.2e} > {tol:.0e}"
+            return res
     res.details.append(f"all equivalences within {tol:.0e} on n in [{n_lo},{n_hi}]")
     return res
 

@@ -39,7 +39,9 @@ class ConvergenceError(RuntimeError):
 def dense_eigs(m: np.ndarray, vectors: bool = False) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """All eigenvalues of a real square matrix, as a complex128 array; with
     ``vectors``, the pair ``(eigenvalues, V)`` whose column ``V[:, j]`` is a
-    unit right eigenvector of eigenvalue j.
+    unit right eigenvector of eigenvalue j.  A stack of matrices (a leading
+    axis) gives a stack of results, one LAPACK call per matrix, each equal
+    to that matrix's own result byte for byte.
 
     The two are LAPACK ``dgeev``'s two jobs: ``np.linalg.eigvals`` and
     ``np.linalg.eig``.  Asking for V costs 1.3-1.7x the values alone (tau
@@ -48,10 +50,11 @@ def dense_eigs(m: np.ndarray, vectors: bool = False) -> np.ndarray | tuple[np.nd
     (with reference or OpenBLAS LAPACK, ``dhseqr`` runs ``dlahqr`` for both
     below dimension 75, and they were found byte-identical there).
     Raises ValueError for a non-square or non-finite matrix, and
-    ConvergenceError when LAPACK's QR iteration fails to converge.
+    ConvergenceError when LAPACK's QR iteration fails to converge; a stack
+    raises if any of its matrices would.
     """
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
@@ -61,7 +64,7 @@ def dense_eigs(m: np.ndarray, vectors: bool = False) -> np.ndarray | tuple[np.nd
             return w.astype(complex), v
         eigs = np.linalg.eigvals(a)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK eigensolve failed (dim {a.shape[0]}): {exc}") from exc
+        raise ConvergenceError(f"LAPACK eigensolve failed (dim {a.shape[-1]}): {exc}") from exc
     return eigs.astype(complex)
 
 

@@ -203,24 +203,29 @@ def _nullspace_by_elimination(c: np.ndarray) -> np.ndarray:
 
 
 def _equilibrate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Joint row scaling and diagonal column similarity, powers of 2.
+    """Joint row scaling and diagonal column similarity, powers of 2, of one
+    pair or of each pair of a stack (a leading axis).
 
     Row scaling of the pair leaves the pencil eigenvalues unchanged; column
     scaling is a similarity on M = A^{-1}B.  Power-of-two factors keep the
     transformation exact.  Raises ``SingularReductionError`` when a row
     holds a value past float64.
     """
-    s = np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1))
+    s = np.maximum(np.abs(a).max(axis=-1), np.abs(b).max(axis=-1))
     if not np.isfinite(s).all():
         raise SingularReductionError("a reduced row overflows float64")
-    f = _pow2_scales(s)
-    a, b = a * f[:, None], b * f[:, None]
-    f = _pow2_scales(np.maximum(np.abs(a).max(axis=0), np.abs(b).max(axis=0)))
+    f = _pow2_scales(s)[..., None]
+    a, b = a * f, b * f
+    f = _pow2_scales(np.maximum(np.abs(a).max(axis=-2), np.abs(b).max(axis=-2)))
+    if f.ndim == 2:  # a stack: each pair's column scales
+        f = f[:, None, :]
     return a * f, b * f
 
 
 def _pow2_scales(s: np.ndarray) -> np.ndarray:
     """2^-floor(log2(s)) per entry of s, and 1 where s is not positive."""
+    if s.ndim > 1:
+        return _pow2_scales(s.ravel()).reshape(s.shape)
     return np.array([2.0 ** -math.floor(math.log2(x)) if x > 0.0 else 1.0 for x in s.tolist()])
 
 
@@ -235,11 +240,16 @@ def reduce_to_standard(p: Pencil) -> ReducedPencil:
     """Eliminate C a = 0 and return M = A'^{-1} B'.
 
     A' and B' are A and B on the nullspace of C, equilibrated.  An empty
-    ladder (the odd one at n = 4) reduces to a 0 x 0 M.
+    ladder (the odd one at n = 4) reduces to a 0 x 0 M.  Blocks stacked on a
+    leading axis, ladders of one shape, reduce to a stack of M's: the
+    elimination runs per ladder, and each product, solve and residual
+    check once for the stack, one BLAS or LAPACK call per ladder, so each
+    M equals its ladder's own reduction byte for byte.  A stack raises if
+    any of its ladders would.
     """
-    if p.A.shape[0] + p.C.shape[0] != p.A.shape[1]:
-        raise ValueError(f"pencil is not square: {p.A.shape[0]} + {p.C.shape[0]} rows, {p.A.shape[1]} columns")
-    t = _nullspace_by_elimination(p.C)
+    if p.A.shape[-2] + p.C.shape[-2] != p.A.shape[-1]:
+        raise ValueError(f"pencil is not square: {p.A.shape[-2]} + {p.C.shape[-2]} rows, {p.A.shape[-1]} columns")
+    t = _nullspace_by_elimination(p.C) if p.C.ndim == 2 else np.stack([_nullspace_by_elimination(c) for c in p.C])
     with np.errstate(over="ignore", invalid="ignore"):  # _equilibrate raises on overflow
         a1, b1 = p.A @ t, p.B @ t
     if a1.size == 0:
@@ -249,7 +259,8 @@ def reduce_to_standard(p: Pencil) -> ReducedPencil:
         m = np.linalg.solve(a1, b1)
     except np.linalg.LinAlgError as exc:
         raise SingularReductionError(f"reduced fourth-order block is singular: {exc}") from exc
-    resid = np.abs(a1 @ m - b1).max() / max(1.0, np.abs(b1).max())
+    # the largest residual of any ladder, each relative to max(1, max |B'|)
+    resid = max((np.abs(a1 @ m - b1).max(axis=(-2, -1)) / np.abs(b1).max(axis=(-2, -1), initial=1.0)).flat)
     if resid > 1e-6:
         raise SingularReductionError(
             f"reduced solve is unreliable (residual {resid:.2e}); A' is near-singular"

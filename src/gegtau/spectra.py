@@ -20,15 +20,27 @@ last 16 values-only solves are kept for the process, keyed by their blocks,
 as ``pencil`` keeps its last operator; no caller opts in.  Every ladder is
 still assembled; its boundary rows are read from the endpoint tables that
 ``gegenbauer`` keeps for the last 8 gammas.
+
+A grid, ``spectrum_report`` of an iterable of configurations, solves many
+configurations together; the theorem-range and equivalence suites read
+their reports from one.  A window of configurations assembles all its
+ladders and keeps each distinct ladder once.  The distinct ladders of one
+block shape (tau at any two gammas with the same n and parity, say) are
+reduced and solved as one stack, one LAPACK call per ladder, so each report
+equals its configuration's own byte for byte.  ``spectrum``, ``sweep`` and
+the other suites solve one configuration at a time, through the kept
+solves.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from .charpoly import CharPoly, even_charpoly, odd_charpoly
 from .eig import SpectrumReport, classify, dense_eigs, poly_roots, split_finite
-from .pencil import MethodConfig, assemble, reduce_to_standard
+from .pencil import MethodConfig, Pencil, assemble, reduce_to_standard
 
 
 def ladder_degree(n: int, parity: str) -> int:
@@ -97,14 +109,119 @@ def _classified(config: MethodConfig, ladders: tuple[str, ...], vectors: bool) -
     return report
 
 
-def spectrum_report(config: MethodConfig, vectors: bool = False) -> SpectrumReport:
-    """Classified spectrum for one configuration.
+def spectrum_report(
+    config: MethodConfig | Iterable[MethodConfig], vectors: bool = False
+) -> SpectrumReport | Iterator[SpectrumReport]:
+    """Classified spectrum for one configuration; for an iterable of
+    configurations (a grid), an iterator of their values-only reports.
 
     The even and odd ladders are solved separately and classified together,
     which the interlacing check needs.  ``vectors`` asks each ladder's solve
-    for right eigenvectors too (``SpectrumReport.eigenpairs``).
+    for right eigenvectors too (``SpectrumReport.eigenpairs``).  A grid's
+    reports equal ``spectrum_report(config)`` for each configuration,
+    byte for byte, and an error, of a configuration or of one of its
+    ladders, is raised when the iterator reaches that configuration.
     """
-    return _classified(config, ("even", "odd"), vectors)
+    if isinstance(config, MethodConfig):
+        return _classified(config, ("even", "odd"), vectors)
+    if vectors:
+        raise ValueError("a grid of configurations is solved for eigenvalues alone")
+    return map(classify, _grid_ladders(config))
+
+
+# A grid window closes when its configurations' (n + 1)^2 sum reaches this.
+# Each default suite's grid is one window (theorem-range's sums to 281547).
+# ``verify --suite theorem-range --n-hi 160`` peaks at 35.9 MB of RSS, where
+# one solve per ladder peaked at 37.2 MB; at 600000 it peaked at 37.2 MB, at
+# 1200000 at 40.3 MB.
+_GRID_WINDOW = 300_000
+
+
+def _grid_ladders(configs: Iterable[MethodConfig]) -> Iterator[dict]:
+    """``{parity: (lambdas, n_infinite)}`` of each configuration, in order,
+    solved a window of configurations at a time."""
+    configs = iter(configs)
+    while True:
+        window, size, error = [], 0, None
+        try:
+            for config in configs:
+                window.append(config)
+                size += (config.n + 1) ** 2
+                if size >= _GRID_WINDOW:
+                    break
+        except ValueError as exc:  # an invalid configuration: raised in its turn
+            error = exc
+        yield from _window_ladders(window)
+        if error is not None:
+            raise error
+        if size < _GRID_WINDOW:
+            return
+
+
+def _window_ladders(window: list[MethodConfig]) -> Iterator[dict]:
+    """Assemble every parity ladder of the window, keep one copy of each
+    distinct ladder (equal A, B and C bytes), solve the distinct ladders of
+    each block shape together, and yield each configuration's ladders.  An
+    error is raised at its configuration, even ladder first, as
+    ``spectrum_report(config)`` raises it."""
+    index: dict = {}
+    slots = []
+    for config in window:
+        for parity in ("even", "odd"):
+            try:
+                p = assemble(config, parity)
+            except (RuntimeError, ValueError) as exc:
+                slots.append(exc)
+                continue
+            slots.append(index.setdefault((p.A.shape, p.C.shape, b"".join((p.A, p.B, p.C))), len(index)))
+    # a distinct ladder is kept as its key alone: the bytes of A, B and C
+    ladders = list(index)
+    del index
+    shapes: dict = {}
+    for slot, (a_shape, c_shape, _) in enumerate(ladders):
+        shapes.setdefault((a_shape, c_shape), []).append(slot)
+    solves = [None] * len(ladders)
+    for alike in shapes.values():
+        for slot, solve in zip(alike, _solve_alike([ladders[slot] for slot in alike])):
+            solves[slot] = solve
+            ladders[slot] = None  # its bytes are no longer needed
+    for k in range(len(window)):
+        out = {}
+        for parity, slot in zip(("even", "odd"), slots[2 * k : 2 * k + 2]):
+            solve = slot if isinstance(slot, Exception) else solves[slot]
+            if isinstance(solve, Exception):
+                raise solve
+            out[parity] = split_finite(solve)
+        yield out
+
+
+def _solve_alike(ladders: list[tuple]) -> list:
+    """Each ladder's mu eigenvalues, or the error its solve raised.
+
+    ``ladders`` are keys of one shape, ``(A.shape, C.shape, bytes)``; each
+    ladder's bytes are the rows of A, B and C, so they read back as one
+    (k, 2r + c, d) array.  Two or more ladders are reduced and solved as
+    one stack; if the stack raises, they are solved again one at a time, so
+    that each gets its own result or error.
+    """
+    (r, d), (c, _), _ = ladders[0]
+    rows = np.frombuffer(b"".join(data for _, _, data in ladders)).reshape(len(ladders), 2 * r + c, d)
+
+    def pencil(x: np.ndarray) -> Pencil:
+        return Pencil(x[..., :r, :], x[..., r : 2 * r, :], x[..., 2 * r :, :])
+
+    if len(ladders) > 1:
+        try:
+            return list(dense_eigs(reduce_to_standard(pencil(rows)).M))
+        except (RuntimeError, ValueError):
+            pass
+    solves = []
+    for x in rows:
+        try:
+            solves.append(dense_eigs(reduce_to_standard(pencil(x)).M))
+        except (RuntimeError, ValueError) as exc:
+            solves.append(exc)
+    return solves
 
 
 def single_parity_report(config: MethodConfig, parity: str) -> SpectrumReport:

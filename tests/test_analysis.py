@@ -665,12 +665,98 @@ def test_sweep_output_identical_with_and_without_shared_ladders(
 def test_default_suites_solve_each_shared_ladder_once(monkeypatch, cold_pencil_caches):
     assembles = _counting(monkeypatch, "assemble")
     reduces = _counting(monkeypatch, "reduce_to_standard")
-    for suite, ladders, share in ((suite_theorem_range, 574, 0.60), (suite_equivalence, 714, 0.45)):
+    # the elimination runs once per ladder reduced, alone or in a stack
+    eliminations = []
+    eliminate = pencil._nullspace_by_elimination
+    monkeypatch.setattr(pencil, "_nullspace_by_elimination", lambda c: eliminations.append(c) or eliminate(c))
+    # theorem-range's grid is one window: one stacked reduction per ladder
+    # shape; equivalence adds check (iv)'s even tau ladders, one at a time
+    for suite, ladders, distinct, calls in ((suite_theorem_range, 574, 298, 22), (suite_equivalence, 714, 234, 38)):
         assembles.clear()
         reduces.clear()
+        eliminations.clear()
         assert suite().passed
-        assert len(assembles) == ladders
-        assert len(reduces) <= share * ladders, suite.__name__
+        assert len(assembles) == ladders, suite.__name__
+        assert len(eliminations) == distinct, suite.__name__
+        assert len(reduces) == calls, suite.__name__
+
+
+def test_grid_reports_equal_per_configuration_reports():
+    configs = [MethodConfig("tau", g, n) for g in analysis.THEOREM_GAMMAS for n in range(8, 49)]
+    grid = [repr(vars(report)) for report in spectrum_report(configs)]
+    assert grid == [repr(vars(spectrum_report(config))) for config in configs]
+    with pytest.raises(ValueError, match="eigenvalues alone"):
+        spectrum_report(configs, vectors=True)
+
+
+def test_grid_solves_a_large_grid_in_windows(monkeypatch):
+    windows = []
+    solve_window = spectra._window_ladders
+    monkeypatch.setattr(spectra, "_window_ladders", lambda window: windows.append(len(window)) or solve_window(window))
+    configs = [MethodConfig("tau", 1.0, n) for n in range(8, 101)]
+    assert sum((n + 1) ** 2 for n in range(8, 101)) > spectra._GRID_WINDOW
+    grid = [repr(vars(report)) for report in spectrum_report(configs)]
+    assert len(windows) == 2 and sum(windows) == len(configs)
+    assert grid == [repr(vars(spectrum_report(config))) for config in configs]
+
+
+def test_grid_deviations_equal_equivalence_suite():
+    points = [(g, n) for g in (0.0, 0.5, 1.25, 2.0) for n in range(8, 25)]
+    reports = spectrum_report(c for g, n in points for c in analysis._equivalence_configs(g, n))
+    for g, n in points:
+        alone = iter([spectrum_report(c) for c in analysis._equivalence_configs(g, n)])
+        want = repr(analysis._equivalence_report(g, n, 1e-8, alone).deviations)
+        assert repr(analysis._equivalence_report(g, n, 1e-8, reports).deviations) == want, (g, n)
+        assert repr(equivalence_suite(g, n, 1e-8).deviations) == want, (g, n)
+
+
+def test_grid_solves_empty_ladders():
+    # the odd ladder at n 4 reduces to a 0 x 0 M, in a stack of every gamma
+    configs = [MethodConfig("tau", g, n) for g in analysis.THEOREM_GAMMAS for n in (4, 5, 6)]
+    grid = [repr(vars(report)) for report in spectrum_report(configs)]
+    assert grid == [repr(vars(spectrum_report(config))) for config in configs]
+    assert suite_theorem_range(n_lo=4, n_hi=6).passed
+
+
+@pytest.mark.parametrize("suite", [suite_theorem_range, suite_equivalence])
+def test_grid_raises_an_error_in_its_configurations_turn(suite):
+    # gamma 5000 overflows float64 from degree 136, and n 134 fails first
+    res = suite(gammas=(5000.0,), n_lo=134, n_hi=137)
+    assert not res.passed and res.counterexample.startswith("gamma=5000.0 n=134: ")
+    with pytest.raises(SingularReductionError, match="overflows float64 at gamma 500[02].0, degree j=136"):
+        suite(gammas=(5000.0,), n_lo=136, n_hi=137)
+    # an invalid gamma is refused in its turn, after the first gamma's verdict
+    res = suite(gammas=(5000.0, -1.0), n_lo=134, n_hi=134)
+    assert not res.passed and res.counterexample.startswith("gamma=5000.0 n=134: ")
+    with pytest.raises(ValueError, match="gamma must be a finite real"):
+        suite(gammas=(1.0, -1.0), n_lo=8, n_hi=9)
+
+
+def test_grid_gives_a_failing_ladder_its_own_error(monkeypatch, cold_pencil_caches):
+    stacks = []
+    reduce = spectra.reduce_to_standard
+    monkeypatch.setattr(spectra, "reduce_to_standard", lambda p: stacks.append(p.A.ndim == 3) or reduce(p))
+    # alpha 1e77 overflows the reduced rows of one collocation ladder in each
+    # stack: the other ladders' reports stand, and it gets its own error
+    solved = [MethodConfig("collocation", g, 16) for g in (1.0, 1.25)]
+    reports = spectrum_report(solved + [MethodConfig("collocation", 1.0, 16, alpha=1e77)])
+    for config in solved:
+        assert repr(vars(next(reports))) == repr(vars(spectrum_report(config)))
+    with pytest.raises(SingularReductionError, match="a reduced row overflows float64"):
+        next(reports)
+    assert stacks[:8] == [True, False, False, False] * 2
+    # a stack that fails for any reason is solved again one ladder at a time
+    solve = np.linalg.solve
+
+    def no_stacks(a, b):
+        if a.ndim == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    configs = [MethodConfig("tau", g, n) for g in (1.0, 2.0) for n in (12, 13)]
+    want = [repr(vars(spectrum_report(config))) for config in configs]
+    monkeypatch.setattr(np.linalg, "solve", no_stacks)
+    assert [repr(vars(report)) for report in spectrum_report(configs)] == want
 
 
 def test_shared_ladder_is_solved_again_when_its_blocks_differ(monkeypatch, cold_pencil_caches):

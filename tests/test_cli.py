@@ -821,11 +821,11 @@ def test_verify_equivalence_pass(capsys):
 def test_verify_equivalence_gamma_replaces_default_gammas(monkeypatch, capsys, extra, gammas, ns):
     calls = []
 
-    def passing(gamma, n, tol):
+    def passing(gamma, n, tol, reports):
         calls.append((gamma, n))
         return analysis.EquivalenceReport(tol)
 
-    monkeypatch.setattr(analysis, "equivalence_suite", passing)
+    monkeypatch.setattr(analysis, "_equivalence_report", passing)
     code, _ = run(["verify", "--suite", "equivalence"] + extra, capsys)
     assert code == 0
     assert calls == [(g, n) for g in gammas for n in ns]

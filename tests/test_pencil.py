@@ -457,7 +457,10 @@ def test_reduction_steps_match_loop_oracles_on_edge_inputs():
 @pytest.mark.parametrize("kind", KINDS)
 def test_pencil_lambdas_matches_oracle_chain(kind):
     # the whole ladder solve against the test-side references chained end to
-    # end: every stage is pinned on its own above, this pins their hand-offs
+    # end: every stage is pinned on its own above, this pins their hand-offs.
+    # The ladders of one shape (the gammas and alphas at one n and parity),
+    # reduced and solved as one stack, give each ladder's oracle bytes too.
+    alike = {}
     for gamma in (-0.45, 1.25, 4.3):
         for alpha in (0.0, 0.5):
             for n in (5, 8, 13, 24, 40):
@@ -473,6 +476,15 @@ def test_pencil_lambdas_matches_oracle_chain(kind):
                     assert _same_bytes(got_m, m), where
                     assert _same_bytes(lams, 1.0 / mus[finite]), where
                     assert n_inf == int(np.count_nonzero(~finite)), where
+                    alike.setdefault((p.A.shape, p.C.shape), []).append((where, assemble(config, parity), m, mus))
+    assert min(len(ladders) for ladders in alike.values()) >= 6
+    for ladders in alike.values():
+        stack = Pencil(*(np.stack([getattr(p, block) for _, p, _, _ in ladders]) for block in "ABC"))
+        got_m = reduce_to_standard(stack).M
+        got_mus = dense_eigs(got_m)
+        for k, (where, _, m, mus) in enumerate(ladders):
+            assert _same_bytes(got_m[k], m), where
+            assert _same_bytes(got_mus[k], mus), where
 
 
 def _agree_to_rounding(got, want) -> bool:

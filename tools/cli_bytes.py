@@ -19,7 +19,9 @@ Runs one fixed grid of ``gegtau`` commands in each checkout:
   near-infinite entries, each with a residual of its own;
 - the six ``verify`` suites at their defaults, and one failing run;
 - each suite with each of FLAG_RUNS, which the suite takes (a verdict)
-  or refuses (exit 2 with one ``error:`` line);
+  or refuses (exit 2 with one ``error:`` line), among them a grid whose
+  later configurations overflow float64 (gamma 5000, n 134..137), one with
+  empty odd ladders (n 4) and a repeated gamma;
 - output files: ``spectrum --out`` in JSON and CSV, ``sweep --out``, and
   ``verify --out`` for the six suites and the failing run, each followed by
   a ``replay`` of the file it wrote;
@@ -71,6 +73,9 @@ FLAG_RUNS = (
     ("--tol", "1e-6"),
     ("--tol", "-1"),
     ("--tol", "nan"),
+    ("--gamma", "5000", "--n-lo", "134", "--n-hi", "137"),
+    ("--n-lo", "4", "--n-hi", "6"),
+    ("--gamma", "1", "--gamma", "1"),
 )
 # command -> why its output is meant to differ from the parent's
 _OWN_EIGENPAIR = "near-infinite residuals read each entry's own eigenpair, not one eigenvector nearest mu = 0"
