@@ -20,7 +20,7 @@ from .charpoly import second_order_pair
 from .eig import DEFAULT_TOLERANCES, poly_roots
 from .gegenbauer import deriv_matrix, evaluate, exact_gamma, mult_x_array
 from .pencil import MethodConfig, assemble
-from .spectra import ladder_degree, pencil_lambdas, spectrum_report
+from .spectra import PARITIES, ladder_degree, pencil_lambdas, spectrum_report
 
 # ---------------------------------------------------------------------------
 # weighted quadrature (verification oracle, independent of the recurrences
@@ -247,22 +247,34 @@ _EQUIVALENCE_SIDES = (("galerkin", 0.0), ("tau", 2.0), ("inviscid_galerkin", 0.0
 
 def _equivalence_configs(gamma: float, n: int) -> list[MethodConfig]:
     """The configurations of checks (i)-(iii) at (gamma, n), in the order
-    ``_equivalence_report`` reads their reports."""
+    ``_equivalence_report`` reads their ladders."""
     if n < 8:
         raise ValueError(f"need n >= 8, got {n}")
     return [MethodConfig(kind, gamma + shift, n) for kind, shift in _EQUIVALENCE_SIDES]
 
 
-def _equivalence_report(gamma: float, n: int, tol: float, reports) -> EquivalenceReport:
-    """The equivalences at (gamma, n), from the next five reports of
-    ``reports``, those of ``_equivalence_configs(gamma, n)``."""
+def _equivalence_ladders(points: list[tuple[float, int]]) -> tuple:
+    """Two ``pencil_lambdas`` grids over ``points``: the ladders of
+    ``_equivalence_configs``, even then odd, and check (iv)'s even tau
+    ladders where gamma > 1/2."""
+    sides = (c for g, n in points for c in _equivalence_configs(g, n))
+    evens = (MethodConfig("tau", g, n) for g, n in points if g > 0.5)
+    return pencil_lambdas(sides, PARITIES), pencil_lambdas(evens, ("even",))
+
+
+def _equivalence_report(gamma: float, n: int, tol: float, sides, evens) -> EquivalenceReport:
+    """The equivalences at (gamma, n), from the next ten ladders of
+    ``sides`` and, for gamma > 1/2, the next ladder of ``evens``, as
+    ``_equivalence_ladders`` yields them."""
     rep = EquivalenceReport(tol)
-    galerkin, tau2, inviscid, tau1, modified = (next(reports).finite_eigenvalues() for _ in _EQUIVALENCE_SIDES)
+    galerkin, tau2, inviscid, tau1, modified = (
+        np.concatenate([next(sides)[0], next(sides)[0]]) for _ in _EQUIVALENCE_SIDES
+    )
     rep.deviations["galerkin_vs_tau_shift2"] = _spectrum_deviation(galerkin, tau2)
     rep.deviations["inviscid_vs_tau_shift1"] = _spectrum_deviation(inviscid, tau1)
     rep.deviations["modified_vs_galerkin"] = _spectrum_deviation(modified, galerkin)
     if gamma > 0.5:
-        lam_even, _, _ = pencil_lambdas(MethodConfig("tau", gamma, n), "even")
+        lam_even = next(evens)[0]
         om, _ = second_order_pair(exact_gamma(gamma) - 1, ladder_degree(n, "even") - 1)
         mus = poly_roots(om.normalized_coeffs()).roots
         lam_second = 1.0 / mus[np.abs(mus) > 0.0]
@@ -278,16 +290,16 @@ def equivalence_suite(gamma: float, n: int, tol: float) -> EquivalenceReport:
     g > 1/2 (iv) the even fourth-order eigenvalues at (g, n) equal the
     second-order eigenvalues at (g-1, n-1) restricted to the odd ladder.
 
-    Checks (i) to (iii) read the reports of one grid (``spectrum_report``
-    of the five configurations), and ``suite_equivalence`` reads them from
-    one grid over all its points.  Checks (i) and (ii) compare one
-    assembled pencil with itself: ``assemble`` builds Galerkin and inviscid
-    Galerkin as tau at g + 2 and g + 1, so both sides are one distinct
-    ladder of the grid, solved once, and they deviate by exactly 0.0.  The
-    real comparisons are (iii) and (iv), which reach at most 2.9e-13 and
-    1.2e-12 on ``suite_equivalence``'s default grid.
+    Each check reads its ladders' eigenvalues from ``pencil_lambdas``, and
+    no class; ``suite_equivalence`` reads them from grids over all its
+    points.  Checks (i) and (ii) compare one assembled pencil with itself:
+    ``assemble`` builds Galerkin and inviscid Galerkin as tau at g + 2 and
+    g + 1, so both sides are one distinct ladder of the grid, solved once,
+    and they deviate by exactly 0.0.  The real comparisons are (iii) and
+    (iv), which reach at most 2.9e-13 and 1.2e-12 on ``suite_equivalence``'s
+    default grid.
     """
-    return _equivalence_report(gamma, n, tol, spectrum_report(_equivalence_configs(gamma, n)))
+    return _equivalence_report(gamma, n, tol, *_equivalence_ladders([(gamma, n)]))
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +472,9 @@ def suite_equivalence(
 ) -> SuiteResult:
     res = SuiteResult("equivalence", True)
     points = [(g, n) for g in gammas for n in _degrees(n_lo, n_hi)]
-    reports = spectrum_report(config for g, n in points for config in _equivalence_configs(g, n))
+    ladders = _equivalence_ladders(points)
     for g, n in points:
-        rep = _equivalence_report(g, n, tol, reports)
+        rep = _equivalence_report(g, n, tol, *ladders)
         if not rep.passed:
             name, dev = rep.worst()
             res.passed = False

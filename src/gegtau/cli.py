@@ -261,9 +261,7 @@ def _parse_range(spec: str, integer: bool) -> list:
     return vals
 
 
-def _sweep_point(kind: str, gamma: float, n: int, alpha: float) -> str:
-    config = MethodConfig(kind, gamma, n, alpha=alpha)
-    report = spectrum_report(config)
+def _sweep_row(kind: str, gamma: float, n: int, alpha: float, report: SpectrumReport) -> str:
     finite = report.finite_eigenvalues()
     if finite:
         extreme = max(finite, key=abs)
@@ -292,9 +290,10 @@ def cmd_sweep(args, argv: list[str]) -> int:
         argv,
         {"grid": {"gammas": gammas, "ns": ns, "method": kind, "alpha": args.alpha}},
     )
-    # every --jobs value solves in the calling thread: the solves hold the
-    # GIL, so threads would only add cost
-    rows = [_sweep_point(kind, g, n, args.alpha) for g, n in grid]
+    # every --jobs value solves the grid in the calling thread: the solves
+    # hold the GIL, so threads would only add cost
+    reports = spectrum_report(MethodConfig(kind, g, n, alpha=args.alpha) for g, n in grid)
+    rows = [_sweep_row(kind, g, n, args.alpha, report) for (g, n), report in zip(grid, reports)]
     lines = [MANIFEST_PREFIX + dumps(manifest), SWEEP_CSV_HEADER] + rows
     _write("\n".join(lines), args.out)
     return EXIT_OK

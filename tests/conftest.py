@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from gegtau import gegenbauer, pencil, spectra
+from gegtau import gegenbauer, pencil
 
 settings.register_profile(
     "numerics",
@@ -14,10 +14,9 @@ settings.load_profile("numerics")
 
 @pytest.fixture
 def cold_pencil_caches():
-    """Empty the pencil's per-configuration caches, the endpoint tables and
-    the table of kept solves, so that a test's patched builder runs, and its
-    counts hold, whichever tests ran before it."""
+    """Empty the pencil's per-configuration caches and the endpoint tables,
+    so that a test's patched builder runs, and its counts hold, whichever
+    tests ran before it."""
     pencil._operator.cache_clear()
     pencil._collocation_table.cache_clear()
     gegenbauer._table.cache_clear()
-    spectra._shared.clear()

@@ -32,7 +32,7 @@ from gegtau import analysis, cli, gegenbauer, pencil, spectra
 from gegtau.charpoly import second_order_pair, stability_poly
 from gegtau.gegenbauer import evaluate, rational_ladder
 from gegtau.pencil import KINDS, MethodConfig, SingularReductionError
-from gegtau.spectra import pencil_lambdas, spectrum_report
+from gegtau.spectra import PARITIES, pencil_lambdas, single_parity_report, spectrum_report
 
 
 # ---------------------------------------------------------------------------
@@ -593,42 +593,49 @@ def _solved(result):
     return lams.tobytes(), n_inf, m.shape, m.tobytes()
 
 
-class _Forgetful(dict):
-    """A solve table in which no ladder is ever found."""
+def _eliminations(monkeypatch):
+    """Record each boundary-row elimination: one per ladder reduced, alone
+    or in a stack."""
+    calls = []
+    eliminate = pencil._nullspace_by_elimination
+    monkeypatch.setattr(pencil, "_nullspace_by_elimination", lambda c: calls.append(c) or eliminate(c))
+    return calls
 
-    def get(self, key, default=None):
-        return default
+
+def _distinct_ladders(configs) -> int:
+    """How many of the ladders of ``configs`` differ in a block's shape or bytes."""
+    pencils = [spectra.assemble(c, parity) for c in configs for parity in PARITIES]
+    return len({(p.A.shape, p.C.shape, b"".join((p.A, p.B, p.C))) for p in pencils})
 
 
-def _defeat_sharing(monkeypatch):
-    """Solve every ladder and evaluate every endpoint column, and every
-    running sum behind it, afresh."""
-    monkeypatch.setattr(spectra, "_shared", _Forgetful())
+def _solve_alone(monkeypatch):
+    """Solve each configuration in a window of its own, so that no ladder is
+    kept once for two configurations or stacked with another's, and evaluate
+    every endpoint column, and every running sum behind it, afresh."""
+    monkeypatch.setattr(spectra, "_GRID_WINDOW", 1)
     monkeypatch.setattr(gegenbauer, "_table", lambda gamma: ([0.0], {}))
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 @pytest.mark.parametrize("kind", KINDS)
-def test_shared_ladders_match_unshared_solves(monkeypatch, cold_pencil_caches, kind, alpha):
-    configs = [
-        (MethodConfig(kind, g, n, alpha=alpha), parity)
-        for g in (0.3, 1.25)
-        for n in range(8, 21)
-        for parity in ("even", "odd")
-    ]
-    alone = []
-    for c, parity in configs:
-        spectra._shared.clear()
-        alone.append(_solved(pencil_lambdas(c, parity)))
-    spectra._shared.clear()
-    reduces = _counting(monkeypatch, "reduce_to_standard")
-    shared = [_solved(pencil_lambdas(c, parity)) for c, parity in configs]
-    assert shared == alone
-    # two adjacent degrees share each ladder; collocation's nodes move with n
+def test_shared_ladders_match_unshared_solves(monkeypatch, capsys, cold_pencil_caches, kind, alpha):
+    # a step-1 sweep: two adjacent degrees share each ladder, which the
+    # grid eliminates once; collocation's nodes move with n
+    configs = [MethodConfig(kind, g, n, alpha=alpha) for g in (0.3, 1.25) for n in range(8, 21)]
+    distinct = _distinct_ladders(configs)
     if kind == "collocation":
-        assert len(reduces) == len(configs)
+        assert distinct == 2 * len(configs)
     else:
-        assert len(reduces) <= 0.6 * len(configs)
+        assert distinct <= 0.6 * 2 * len(configs)
+    method = {name: k for k, name in cli.METHOD_NAMES.items()}[kind]
+    eliminations = _eliminations(monkeypatch)
+    argv = ["sweep", "--method", method, "--gamma-range", "0.3:1.25:0.95", "--n-range", "8:20:1", "--alpha", str(alpha)]
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 + len(configs)
+    assert len(eliminations) == distinct
+    # and the grid's solves equal the one-ladder solves byte for byte
+    alone = [_solved(pencil_lambdas(c, parity)) for c in configs for parity in PARITIES]
+    assert [_solved(solve) for solve in pencil_lambdas(configs, PARITIES)] == alone
 
 
 @pytest.mark.parametrize(
@@ -642,7 +649,7 @@ def test_shared_ladders_match_unshared_solves(monkeypatch, cold_pencil_caches, k
 )
 def test_suites_identical_with_and_without_shared_ladders(monkeypatch, cold_pencil_caches, suite, kwargs):
     cold, warm = suite(**kwargs), suite(**kwargs)
-    _defeat_sharing(monkeypatch)
+    _solve_alone(monkeypatch)
     alone = suite(**kwargs)
     assert repr(vars(cold)) == repr(vars(warm)) == repr(vars(alone))
 
@@ -654,9 +661,9 @@ def test_sweep_output_identical_with_and_without_shared_ladders(
 ):
     argv = ["sweep", "--method", method, "--gamma-range", "0.3:1.3:0.5", "--n-range", "8:20:1", "--alpha", alpha]
     outputs = []
-    for defeat in (False, False, True):  # cold, warm, then with nothing shared
-        if defeat:
-            _defeat_sharing(monkeypatch)
+    for alone in (False, False, True):  # cold, warm, then each configuration alone
+        if alone:
+            _solve_alone(monkeypatch)
         assert cli.main(argv) == 0
         outputs.append(capsys.readouterr())
     assert outputs[0] == outputs[1] == outputs[2]
@@ -665,13 +672,11 @@ def test_sweep_output_identical_with_and_without_shared_ladders(
 def test_default_suites_solve_each_shared_ladder_once(monkeypatch, cold_pencil_caches):
     assembles = _counting(monkeypatch, "assemble")
     reduces = _counting(monkeypatch, "reduce_to_standard")
-    # the elimination runs once per ladder reduced, alone or in a stack
-    eliminations = []
-    eliminate = pencil._nullspace_by_elimination
-    monkeypatch.setattr(pencil, "_nullspace_by_elimination", lambda c: eliminations.append(c) or eliminate(c))
-    # theorem-range's grid is one window: one stacked reduction per ladder
-    # shape; equivalence adds check (iv)'s even tau ladders, one at a time
-    for suite, ladders, distinct, calls in ((suite_theorem_range, 574, 298, 22), (suite_equivalence, 714, 234, 38)):
+    eliminations = _eliminations(monkeypatch)
+    # each suite's grid is one window: one stacked reduction per ladder
+    # shape; equivalence's check (iv) reads the even tau ladders of a
+    # second grid
+    for suite, ladders, distinct, calls in ((suite_theorem_range, 574, 298, 22), (suite_equivalence, 714, 234, 29)):
         assembles.clear()
         reduces.clear()
         eliminations.clear()
@@ -681,33 +686,61 @@ def test_default_suites_solve_each_shared_ladder_once(monkeypatch, cold_pencil_c
         assert len(reduces) == calls, suite.__name__
 
 
+def _pairs(report) -> dict:
+    """Each ladder's M, eigenvalues and eigenvectors, as dtype, strides and bytes."""
+    return {
+        parity: [(a.dtype, a.shape, a.strides, a.tobytes()) for a in pair] for parity, pair in report.eigenpairs.items()
+    }
+
+
 def test_grid_reports_equal_per_configuration_reports():
     configs = [MethodConfig("tau", g, n) for g in analysis.THEOREM_GAMMAS for n in range(8, 49)]
     grid = [repr(vars(report)) for report in spectrum_report(configs)]
     assert grid == [repr(vars(spectrum_report(config))) for config in configs]
-    with pytest.raises(ValueError, match="eigenvalues alone"):
-        spectrum_report(configs, vectors=True)
+    # with vectors, too: at odd n a configuration's two ladders are one
+    # stack, and at gamma 4.5 one of them has complex eigenvalues, which
+    # makes the stack's eigenvectors complex; each ladder's are as its own
+    configs = [MethodConfig(kind, g, n) for kind in KINDS for g in (0.0, 1.0, 4.5) for n in (12, 13, 33, 47)]
+    grid = [(repr(vars(report)), _pairs(report)) for report in spectrum_report(configs, vectors=True)]
+    alone = []
+    for config in configs:
+        report = spectrum_report(config, vectors=True)
+        alone.append((repr(vars(report)), _pairs(report)))
+        for parity in PARITIES:  # one ladder alone, and in its own stack
+            m, mu, v = single_parity_report(config, parity).eigenpairs[parity]
+            assert _pairs(report)[parity] == [(a.dtype, a.shape, a.strides, a.tobytes()) for a in (m, mu, v)]
+    assert grid == alone
+    assert {v[0] for _, pairs in alone for _, _, v in pairs.values()} == {np.dtype(float), np.dtype(complex)}
 
 
 def test_grid_solves_a_large_grid_in_windows(monkeypatch):
-    windows = []
-    solve_window = spectra._window_ladders
-    monkeypatch.setattr(spectra, "_window_ladders", lambda window: windows.append(len(window)) or solve_window(window))
+    # a window assembles all its ladders, then solves them
+    events = []
+    assemble, solve_alike = spectra.assemble, spectra._solve_alike
+    monkeypatch.setattr(spectra, "assemble", lambda config, parity: events.append("a") or assemble(config, parity))
+    monkeypatch.setattr(spectra, "_solve_alike", lambda ladders, vectors: events.append("s") or solve_alike(ladders, vectors))
     configs = [MethodConfig("tau", 1.0, n) for n in range(8, 101)]
     assert sum((n + 1) ** 2 for n in range(8, 101)) > spectra._GRID_WINDOW
     grid = [repr(vars(report)) for report in spectrum_report(configs)]
+    windows = [len(run) // 2 for run in "".join(events).split("s") if run]
     assert len(windows) == 2 and sum(windows) == len(configs)
     assert grid == [repr(vars(spectrum_report(config))) for config in configs]
 
 
 def test_grid_deviations_equal_equivalence_suite():
     points = [(g, n) for g in (0.0, 0.5, 1.25, 2.0) for n in range(8, 25)]
-    reports = spectrum_report(c for g, n in points for c in analysis._equivalence_configs(g, n))
+    sides, evens = analysis._equivalence_ladders(points)
     for g, n in points:
-        alone = iter([spectrum_report(c) for c in analysis._equivalence_configs(g, n)])
-        want = repr(analysis._equivalence_report(g, n, 1e-8, alone).deviations)
-        assert repr(analysis._equivalence_report(g, n, 1e-8, reports).deviations) == want, (g, n)
-        assert repr(equivalence_suite(g, n, 1e-8).deviations) == want, (g, n)
+        configs = analysis._equivalence_configs(g, n)
+        alone = iter([pencil_lambdas(c, parity) for c in configs for parity in PARITIES])
+        tau = iter([pencil_lambdas(MethodConfig("tau", g, n), "even")] if g > 0.5 else [])
+        want = analysis._equivalence_report(g, n, 1e-8, alone, tau).deviations
+        assert repr(analysis._equivalence_report(g, n, 1e-8, sides, evens).deviations) == repr(want), (g, n)
+        assert repr(equivalence_suite(g, n, 1e-8).deviations) == repr(want), (g, n)
+        # the ladders' eigenvalues are the reports' finite eigenvalues
+        finite = [spectrum_report(c).finite_eigenvalues() for c in configs]
+        for name, (a, b) in zip(want, ((0, 1), (2, 3), (4, 0))):
+            assert repr(want[name]) == repr(_spectrum_deviation(finite[a], finite[b])), (g, n, name)
 
 
 def test_grid_solves_empty_ladders():
@@ -715,6 +748,8 @@ def test_grid_solves_empty_ladders():
     configs = [MethodConfig("tau", g, n) for g in analysis.THEOREM_GAMMAS for n in (4, 5, 6)]
     grid = [repr(vars(report)) for report in spectrum_report(configs)]
     assert grid == [repr(vars(spectrum_report(config))) for config in configs]
+    grid = [_pairs(report) for report in spectrum_report(configs, vectors=True)]
+    assert grid == [_pairs(spectrum_report(config, vectors=True)) for config in configs]
     assert suite_theorem_range(n_lo=4, n_hi=6).passed
 
 
@@ -760,57 +795,44 @@ def test_grid_gives_a_failing_ladder_its_own_error(monkeypatch, cold_pencil_cach
 
 
 def test_shared_ladder_is_solved_again_when_its_blocks_differ(monkeypatch, cold_pencil_caches):
+    # one ladder, five times in a grid: the second to fourth each have one
+    # block's largest entry nudged by one ulp, so they are solved apart from the first and
+    # from each other, and the fifth is the first again
     config = MethodConfig("tau", 1.25, 16)
     assemble = spectra.assemble
+    plan = []  # the block to nudge in each next ladder assembled, or None
 
-    def nudged(name):
-        def build(config, parity):
-            p = assemble(config, parity)
+    def nudged(config, parity):
+        p = assemble(config, parity)
+        name = plan.pop(0) if plan else None
+        if name:  # the block's largest entry
             block = getattr(p, name)
-            block[0, 0] = np.nextafter(block[0, 0], np.inf)
-            return p
+            at = np.unravel_index(np.abs(block).argmax(), block.shape)
+            block[at] = np.nextafter(block[at], np.inf)
+        return p
 
-        return build
+    monkeypatch.setattr(spectra, "assemble", nudged)
+    eliminations = _eliminations(monkeypatch)
+    nudges = [None, "A", "B", "C", None]
+    plan[:] = nudges
+    grid = [_solved(solve) for solve in pencil_lambdas([config] * 5, ("even",))]
+    assert len(eliminations) == 4 and len(set(grid)) == 4 and grid[4] == grid[0]
+    # each equals its blocks' own solve
+    for name, solve in zip(nudges, grid):
+        plan[:] = [name]
+        assert _solved(pencil_lambdas(config, "even")) == solve, name
 
+
+def test_endpoint_tables_keep_the_last_8_gammas(monkeypatch, cold_pencil_caches):
     reduces = _counting(monkeypatch, "reduce_to_standard")
-    first = pencil_lambdas(config, "even")
-    assert all(a is b for a, b in zip(pencil_lambdas(config, "even"), first))
-    assert len(reduces) == 1
-    resolved = {}
-    for name in "ABC":
-        monkeypatch.setattr(spectra, "assemble", nudged(name))
-        resolved[name] = pencil_lambdas(config, "even")
-        # the nudged blocks are a new entry, and a repeat reuses it
-        assert all(a is b for a, b in zip(pencil_lambdas(config, "even"), resolved[name]))
-    assert len(reduces) == 4 and len(spectra._shared) == 4
-    monkeypatch.setattr(spectra, "assemble", assemble)
-    assert all(a is b for a, b in zip(pencil_lambdas(config, "even"), first))
-    assert len(reduces) == 4
-    # the kept solve of the nudged blocks equals a fresh one
-    spectra._shared.clear()
-    monkeypatch.setattr(spectra, "assemble", nudged("A"))
-    assert _solved(resolved["A"]) == _solved(pencil_lambdas(config, "even"))
-    assert len(reduces) == 5
-
-
-def test_tables_keep_the_last_16_solves_and_8_gammas(monkeypatch, cold_pencil_caches):
-    reduces = _counting(monkeypatch, "reduce_to_standard")
-    # inviscid Galerkin at 0.75 is tau at 1.75: one solve, and one endpoint
-    # table holding the degrees asked for (the odd ones 1..11) and the
-    # running sums log G_1(1)..log G_11(1)
-    pencil_lambdas(MethodConfig("inviscid_galerkin", 0.75, 12), "odd")
-    pencil_lambdas(MethodConfig("tau", 1.75, 12), "odd")
-    assert len(reduces) == 1 and len(spectra._shared) == 1
+    # inviscid Galerkin at 0.75 is tau at 1.75: one ladder, solved once, and
+    # one endpoint table holding the degrees asked for (the odd ones 1..11)
+    # and the running sums log G_1(1)..log G_11(1)
+    configs = [MethodConfig("inviscid_galerkin", 0.75, 12), MethodConfig("tau", 1.75, 12)]
+    first, second = pencil_lambdas(configs, ("odd",))
+    assert len(reduces) == 1 and _solved(first) == _solved(second)
     logs, pairs = gegenbauer._table(1.75)
     assert list(pairs) == list(range(1, 12, 2)) and len(logs) == 11
-    # the solve table drops its oldest entries past 16
-    configs = [MethodConfig("tau", 1.75, n) for n in range(14, 46, 2)]
-    for config in configs:
-        pencil_lambdas(config, "odd")
-    assert len(reduces) == 1 + 16 and len(spectra._shared) == 16
-    pencil_lambdas(MethodConfig("tau", 1.75, 12), "odd")  # the first ladder, dropped
-    pencil_lambdas(configs[-1], "odd")
-    assert len(reduces) == 18
     # the endpoint tables drop the least recently used gamma past 8
     kept = gegenbauer._TABLE_GAMMAS
     assert kept == 8
@@ -823,21 +845,18 @@ def test_tables_keep_the_last_16_solves_and_8_gammas(monkeypatch, cold_pencil_ca
     assert gegenbauer._table(1.75) == ([0.0], {})  # dropped: a fresh table
 
 
-def test_shared_results_are_read_only(cold_pencil_caches):
-    config = MethodConfig("galerkin", 0.5, 14)
-    for _ in range(2):  # the first solve, then its reuse
-        lams, _, m = pencil_lambdas(config, "even")
-        assert not lams.flags.writeable and not m.flags.writeable
-        with pytest.raises(ValueError):
-            m[0, 0] = 0.0
-
-
 @pytest.mark.parametrize("gamma", [1.0, 3.5])
 def test_failed_ladder_is_not_shared(cold_pencil_caches, gamma):
     # the reduced rows (and at gamma 3.5 the collocation rows themselves)
-    # overflow float64, without a numpy warning: exit 3 from the CLI
+    # overflow float64, without a numpy warning: exit 3 from the CLI.  The
+    # ladder raises at every call, and in a grid in its turn, after the
+    # ladder of the same shape that it was stacked with
     config = MethodConfig("collocation", gamma, 16, alpha=1e77)
     for _ in range(2):
         with pytest.raises(SingularReductionError):
             pencil_lambdas(config, "even")
-        assert spectra._shared == {}
+    solved = MethodConfig("collocation", gamma, 16)
+    solves = pencil_lambdas([solved, config, solved], ("even",))
+    assert _solved(next(solves)) == _solved(pencil_lambdas(solved, "even"))
+    with pytest.raises(SingularReductionError):
+        next(solves)

@@ -177,13 +177,14 @@ def test_near_infinite_rows_read_their_own_eigenpairs():
 
 
 def count_eigensolves(monkeypatch):
-    """Calls of LAPACK's two eigensolver jobs, by numpy name."""
+    """Matrices solved by LAPACK's two eigensolver jobs, by numpy name: a
+    stack of matrices counts each of them."""
     calls = {"eig": 0, "eigvals": 0}
     for name in calls:
 
-        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+        def counted(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls[_name] += a.shape[0] if a.ndim == 3 else 1
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
@@ -757,7 +758,7 @@ UNBOUNDED_SWEEPS = {
 @pytest.mark.parametrize("case", UNBOUNDED_SWEEPS)
 def test_sweep_grid_is_bounded(monkeypatch, capsys, case):
     gamma_range, n_range, message = UNBOUNDED_SWEEPS[case]
-    monkeypatch.setattr(cli, "_sweep_point", None)  # no point may be solved
+    monkeypatch.setattr(cli, "spectrum_report", None)  # no grid may be solved
     assert cli.main(["sweep", "--method", "tau", "--gamma-range", gamma_range, "--n-range", n_range]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"error: {message}")
@@ -821,7 +822,7 @@ def test_verify_equivalence_pass(capsys):
 def test_verify_equivalence_gamma_replaces_default_gammas(monkeypatch, capsys, extra, gammas, ns):
     calls = []
 
-    def passing(gamma, n, tol, reports):
+    def passing(gamma, n, tol, sides, evens):
         calls.append((gamma, n))
         return analysis.EquivalenceReport(tol)
 

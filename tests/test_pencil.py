@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gegtau import spectra
 from gegtau.analysis import THEOREM_GAMMAS
 from gegtau.eig import _scale_of, classify, dense_eigs, split_finite
 from gegtau.gegenbauer import (
@@ -520,15 +519,6 @@ def test_vectors_route_eigenvalues_match_values_route(kind):
                     assert _same_bytes(m, pencil_lambdas(config, parity)[2]), where
                     assert _agree_to_rounding(mu, dense_eigs(m)), where
                     assert v.shape == m.shape, where
-
-
-def test_vectors_solve_is_never_shared(cold_pencil_caches):
-    config = MethodConfig("tau", 1.5, 24)
-    kept = pencil_lambdas(config, "even")
-    assert len(kept) == 3 and len(spectra._shared) == 1
-    solve = pencil_lambdas(config, "even", vectors=True)
-    assert len(solve) == 4 and solve[2] is not kept[2] and solve[2].flags.writeable
-    assert len(spectra._shared) == 1 and pencil_lambdas(config, "even")[2] is kept[2]
 
 
 def test_scale_of_is_numpy_median_of_nonzero_magnitudes():

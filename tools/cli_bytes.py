@@ -7,9 +7,9 @@ Runs one fixed grid of ``gegtau`` commands in each checkout:
 - ``spectrum`` for every method, gamma in GAMMAS, n in NS and alpha in
   ALPHAS, in JSON and CSV, at parity both, even and odd;
 - ``sweep`` for every method at alpha {0, 0.5} and ``--jobs`` {1, 2};
-- step-1 sweeps over n, whose ladders repeat and share solves and
-  endpoint columns within and across commands, for tau, galerkin and
-  modified;
+- step-1 sweeps over n, whose ladders repeat and are solved once per
+  grid window, for tau, galerkin and modified, and a tau sweep to n 160
+  whose grid spans many windows;
 - gamma steps near the 12-decimal rounding of sweep gammas: 1e-11, whose
   points stay distinct, and 1e-13, whose rounded points repeat;
 - endpoint overflow: ``spectrum`` at gamma 5000 (past float64 from degree
@@ -115,6 +115,7 @@ def grid() -> list[list[str]]:
         for m in ("tau", "galerkin", "modified")
     ]
     sweeps += step1
+    sweeps.append(["sweep", "--method", "tau", "--gamma-range", "0:3.5:0.25", "--n-range", "8:160:1"])
     sweeps += [
         ["sweep", "--method", m, "--gamma-range", g, "--n-range", ns]
         for m, g in (("tau", "5000:5000:1"), ("galerkin", "4998:4998:1")) for ns in ("120:150:2", "130:140:1")
