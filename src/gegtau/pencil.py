@@ -166,14 +166,59 @@ def assemble(config: MethodConfig, parity: str) -> Pencil:
 
 
 def _nullspace_by_elimination(c: np.ndarray) -> np.ndarray:
-    """Basis of the nullspace of the constraint rows, by full-pivot Gauss.
+    """Basis of the nullspace of the constraint rows, by full-pivot Gauss:
+    of one ladder's rows ``(m, d)``, or of each ladder of a stack
+    ``(k, m, d)``, ladders of one shape.
 
     Raises ``SingularReductionError`` if the rows are numerically
-    dependent (rank-deficient pivot).  Each pivot is tested against the
-    largest entry its own row had before elimination: boundary rows at large
-    gamma and n span many orders of magnitude, and a test against the whole
-    matrix would reject the small rows although they are independent.
+    dependent (rank-deficient pivot), a stack if any of its ladders' are.
+    Each pivot is tested against the largest entry its own row had before
+    elimination: boundary rows at large gamma and n span many orders of
+    magnitude, and a test against the whole matrix would reject the small
+    rows although they are independent.
+
+    ``c.ndim`` selects the path.  A stack takes each pivot step for all
+    its ladders in one array pass: each ladder's pivot row is swapped into
+    place, and only its rows with a nonzero pivot-column entry are updated,
+    so each ladder's basis equals its own elimination's byte for byte.  One
+    ladder runs a loop that updates only the rows its pivot column reaches:
+    the array pass costs about twice that on a lone ladder (tau at n 20,
+    modified tau at n 34), and beats the loop per ladder on stacks of 15.
     """
+    if c.ndim == 3:
+        k, m, dim = c.shape
+        u = c.copy()
+        row_max = np.abs(u).max(axis=2)
+        ladder = np.arange(k)
+        pivoted = np.zeros((k, dim), dtype=bool)
+        piv_cols = np.zeros((k, m), dtype=np.intp)
+        for i in range(m):
+            sub = np.abs(u[:, i:])
+            np.copyto(sub, -1.0, where=pivoted[:, None, :])
+            sub = sub.reshape(k, -1)
+            at = sub.argmax(axis=1)
+            r, j = at // dim + i, at % dim
+            if (sub[ladder, at] <= 1e-12 * row_max[ladder, r]).any():
+                raise SingularReductionError("lambda-independent rows are linearly dependent")
+            # each ladder's pivot row swapped into row i, as the loop swaps
+            # it: later argmax ties then break alike
+            pivot_row = u[ladder, r]
+            u[ladder, r], u[:, i] = u[:, i], pivot_row
+            row_max[ladder, r], row_max[:, i] = row_max[:, i], row_max[ladder, r]
+            pivoted[ladder, j] = True
+            piv_cols[:, i] = j
+            col = u[ladder, :, j]
+            # rows with a zero pivot-column entry keep their values, signed
+            # zeros included, as the loop leaves them
+            rows = col != 0.0
+            rows[:, i] = False
+            np.subtract(u, (col / col[:, i, None])[..., None] * pivot_row[:, None], out=u, where=rows[..., None])
+        free = np.nonzero(~pivoted)[1].reshape(k, dim - m)
+        t = np.zeros((k, dim, dim - m))
+        kk, steps = ladder[:, None], np.arange(m)
+        t[kk, free, np.arange(dim - m)] = 1.0
+        t[kk, piv_cols] = -u[kk[..., None], steps[:, None], free[:, None]] / u[kk, steps, piv_cols][..., None]
+        return t
     m, dim = c.shape
     u = c.copy()
     row_max = np.abs(u).max(axis=1).tolist()
@@ -242,14 +287,14 @@ def reduce_to_standard(p: Pencil) -> ReducedPencil:
     A' and B' are A and B on the nullspace of C, equilibrated.  An empty
     ladder (the odd one at n = 4) reduces to a 0 x 0 M.  Blocks stacked on a
     leading axis, ladders of one shape, reduce to a stack of M's: the
-    elimination runs per ladder, and each product, solve and residual
-    check once for the stack, one BLAS or LAPACK call per ladder, so each
-    M equals its ladder's own reduction byte for byte.  A stack raises if
-    any of its ladders would.
+    elimination is one array pass over the stack, and each product, solve
+    and residual check runs once for the stack, one BLAS or LAPACK call
+    per ladder, so each M equals its ladder's own reduction byte for byte.
+    A stack raises if any of its ladders would.
     """
     if p.A.shape[-2] + p.C.shape[-2] != p.A.shape[-1]:
         raise ValueError(f"pencil is not square: {p.A.shape[-2]} + {p.C.shape[-2]} rows, {p.A.shape[-1]} columns")
-    t = _nullspace_by_elimination(p.C) if p.C.ndim == 2 else np.stack([_nullspace_by_elimination(c) for c in p.C])
+    t = _nullspace_by_elimination(p.C)
     with np.errstate(over="ignore", invalid="ignore"):  # _equilibrate raises on overflow
         a1, b1 = p.A @ t, p.B @ t
     if a1.size == 0:

@@ -11,8 +11,9 @@ Ladders repeat: stepping n by one gives each to two adjacent degrees, and
 Galerkin and inviscid Galerkin are tau at gamma + 2 and gamma + 1.  So a
 window of configurations assembles all its ladders and keeps each distinct
 one (equal A, B and C bytes) once, and the distinct ladders of one block
-shape are reduced and solved as one stack, one LAPACK call per ladder, so
-each result equals the ladder's own solve byte for byte.  No solve is kept
+shape are reduced and solved as one stack: one array pass eliminates the
+boundary rows of all of them, then one LAPACK call per ladder, so each
+result equals the ladder's own solve byte for byte.  No solve is kept
 between calls; boundary rows are read from the endpoint tables that
 ``gegenbauer`` keeps for the last 8 gammas.
 

@@ -595,10 +595,12 @@ def _solved(result):
 
 def _eliminations(monkeypatch):
     """Record each boundary-row elimination: one per ladder reduced, alone
-    or in a stack."""
+    or in a stack (one call that eliminates its ``c.shape[0]`` ladders)."""
     calls = []
     eliminate = pencil._nullspace_by_elimination
-    monkeypatch.setattr(pencil, "_nullspace_by_elimination", lambda c: calls.append(c) or eliminate(c))
+    monkeypatch.setattr(
+        pencil, "_nullspace_by_elimination", lambda c: calls.extend(c if c.ndim == 3 else [c]) or eliminate(c)
+    )
     return calls
 
 
@@ -792,6 +794,22 @@ def test_grid_gives_a_failing_ladder_its_own_error(monkeypatch, cold_pencil_cach
     want = [repr(vars(spectrum_report(config))) for config in configs]
     monkeypatch.setattr(np.linalg, "solve", no_stacks)
     assert [repr(vars(report)) for report in spectrum_report(configs)] == want
+
+
+def test_grid_solves_a_stack_again_when_its_elimination_raises(monkeypatch, cold_pencil_caches):
+    # at alpha 1e6 modified tau's coupling rows fail the elimination's
+    # dependence test, so each parity's stack of the three configurations
+    # (one shape) raises, and its ladders are eliminated again one by one
+    configs = [MethodConfig("modified_tau", 1.0, 16, alpha=alpha) for alpha in (1e4, 1e5, 1e6)]
+    alone = [_solved(pencil_lambdas(config, parity)) for config in configs[:2] for parity in PARITIES]
+    shapes = []
+    eliminate = pencil._nullspace_by_elimination
+    monkeypatch.setattr(pencil, "_nullspace_by_elimination", lambda c: shapes.append(c.shape) or eliminate(c))
+    grid = pencil_lambdas(configs, PARITIES)
+    assert [_solved(next(grid)) for _ in alone] == alone
+    with pytest.raises(SingularReductionError, match="lambda-independent rows are linearly dependent"):
+        next(grid)
+    assert shapes == [(3, 10, 18), *[(10, 18)] * 3, (3, 9, 16), *[(9, 16)] * 3]
 
 
 def test_shared_ladder_is_solved_again_when_its_blocks_differ(monkeypatch, cold_pencil_caches):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -349,6 +350,12 @@ def test_nullspace_by_elimination():
     assert_allclose(scaled @ t / np.max(np.abs(scaled), axis=1)[:, None], 0.0, atol=1e-12)
     with pytest.raises(SingularReductionError):
         _nullspace_by_elimination(np.vstack([scaled, 1e-9 * c[0]]))
+    # a stack raises if any one of its ladders' rows are dependent
+    independent = rng.standard_normal((5, 11))
+    assert _nullspace_by_elimination(np.stack([independent, independent[::-1]])).shape == (2, 11, 6)
+    for dependent in (np.vstack([c, c[0]]), np.vstack([scaled, 1e-9 * c[0]])):
+        with pytest.raises(SingularReductionError):
+            _nullspace_by_elimination(np.stack([independent, dependent]))
 
 
 # loop versions of the elimination and the equilibration: the references
@@ -424,7 +431,10 @@ ORACLE_CONFIGS = [
     ids=[f"{c.kind}-{c.gamma}-{c.n}-{c.alpha}-{'split' if s else 'coupled'}" for c, s in ORACLE_CONFIGS],
 )
 def test_reduction_steps_match_loop_oracles(config, split):
-    pencils = [assemble(config, parity) for parity in PARITIES] if split else [_oracle_assemble(config, None)]
+    def ladders(config):
+        return [assemble(config, parity) for parity in PARITIES] if split else [_oracle_assemble(config, None)]
+
+    pencils = ladders(config)
     for p in pencils:
         t = _nullspace_by_elimination(p.C)
         assert np.array_equal(t, _oracle_nullspace_by_elimination(p.C))
@@ -433,6 +443,15 @@ def test_reduction_steps_match_loop_oracles(config, split):
         for got, w in zip(_equilibrate(a1, b1), want):
             assert np.array_equal(got, w)
         assert np.array_equal(reduce_to_standard(p).M, np.linalg.solve(*want))
+    # the ladders of one shape at this gamma and two more, stacked: each
+    # eliminates to its own loop's bytes
+    alike = {}
+    for gamma in (config.gamma, config.gamma + 1.0, config.gamma + 2.5):
+        for p in ladders(dataclasses.replace(config, gamma=gamma)):
+            alike.setdefault(p.C.shape, []).append(p.C)
+    for cs in alike.values():
+        for c, t in zip(cs, _nullspace_by_elimination(np.stack(cs)), strict=True):
+            assert _same_bytes(t, _oracle_nullspace_by_elimination(c))
 
 
 def test_reduction_steps_match_loop_oracles_on_edge_inputs():
@@ -440,10 +459,20 @@ def test_reduction_steps_match_loop_oracles_on_edge_inputs():
     c = rng.standard_normal((4, 11)) * np.array([1e6, 1.0, 1e-3, 1e9])[:, None]
     c[:, 3] = 0.0  # zero pivot-column entries skip the row update
     c[2, 6] = 0.0
+    # c's largest entry is in its last row, so its first pivot swaps rows
+    # and reversed c's does not: a stack of the two swaps in one ladder only
+    assert np.abs(c).argmax() // 11 == 3 and np.abs(c[::-1]).argmax() // 11 == 0
     for rows in (c, c[:0], c[:1]):
-        assert np.array_equal(
-            _nullspace_by_elimination(rows), _oracle_nullspace_by_elimination(rows)
-        )
+        t = _oracle_nullspace_by_elimination(rows)
+        assert _same_bytes(_nullspace_by_elimination(rows), t)
+        stacked = _nullspace_by_elimination(np.stack([rows, rows[::-1]]))
+        assert _same_bytes(stacked[0], t)
+        assert _same_bytes(stacked[1], _oracle_nullspace_by_elimination(rows[::-1]))
+    # n 4's odd ladders: as many rows as columns, so an empty basis
+    cs = [assemble(MethodConfig(kind, gamma, 4), "odd").C for kind in GAMMA_SHIFT for gamma in (-0.45, 1.0, 4.3)]
+    assert cs[0].shape == (2, 2)
+    for c, t in zip(cs, _nullspace_by_elimination(np.stack(cs)), strict=True):
+        assert t.shape == (2, 0) and _same_bytes(t, _oracle_nullspace_by_elimination(c))
     a = rng.standard_normal((6, 6)) * 2.0 ** rng.integers(-40, 40, size=(6, 1))
     b = rng.standard_normal((6, 6))
     a[4], b[4] = 0.0, 0.0  # an all-zero row keeps factor 1

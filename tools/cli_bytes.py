@@ -21,7 +21,8 @@ Runs one fixed grid of ``gegtau`` commands in each checkout:
 - each suite with each of FLAG_RUNS, which the suite takes (a verdict)
   or refuses (exit 2 with one ``error:`` line), among them a grid whose
   later configurations overflow float64 (gamma 5000, n 134..137), one with
-  empty odd ladders (n 4) and a repeated gamma;
+  empty odd ladders (n 4), a repeated gamma, and one to n 64, whose stacks
+  hold more ladders and modified tau's up to 33 boundary rows each;
 - output files: ``spectrum --out`` in JSON and CSV, ``sweep --out``, and
   ``verify --out`` for the six suites and the failing run, each followed by
   a ``replay`` of the file it wrote;
@@ -76,6 +77,7 @@ FLAG_RUNS = (
     ("--gamma", "5000", "--n-lo", "134", "--n-hi", "137"),
     ("--n-lo", "4", "--n-hi", "6"),
     ("--gamma", "1", "--gamma", "1"),
+    ("--n-hi", "64"),
 )
 # command -> why its output is meant to differ from the parent's
 _OWN_EIGENPAIR = "near-infinite residuals read each entry's own eigenpair, not one eigenvector nearest mu = 0"
