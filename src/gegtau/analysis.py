@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -247,39 +248,36 @@ _EQUIVALENCE_SIDES = (("galerkin", 0.0), ("tau", 2.0), ("inviscid_galerkin", 0.0
 
 def _equivalence_configs(gamma: float, n: int) -> list[MethodConfig]:
     """The configurations of checks (i)-(iii) at (gamma, n), in the order
-    ``_equivalence_report`` reads their ladders."""
+    ``_equivalence_reports`` reads their ladders."""
     if n < 8:
         raise ValueError(f"need n >= 8, got {n}")
     return [MethodConfig(kind, gamma + shift, n) for kind, shift in _EQUIVALENCE_SIDES]
 
 
-def _equivalence_ladders(points: list[tuple[float, int]]) -> tuple:
-    """Two ``pencil_lambdas`` grids over ``points``: the ladders of
-    ``_equivalence_configs``, even then odd, and check (iv)'s even tau
-    ladders where gamma > 1/2."""
-    sides = (c for g, n in points for c in _equivalence_configs(g, n))
-    evens = (MethodConfig("tau", g, n) for g, n in points if g > 0.5)
-    return pencil_lambdas(sides, PARITIES), pencil_lambdas(evens, ("even",))
+def _equivalence_reports(points: list[tuple[float, int]], tol: float) -> Iterator[EquivalenceReport]:
+    """The equivalences at each (gamma, n) of ``points``, in turn.
 
-
-def _equivalence_report(gamma: float, n: int, tol: float, sides, evens) -> EquivalenceReport:
-    """The equivalences at (gamma, n), from the next ten ladders of
-    ``sides`` and, for gamma > 1/2, the next ladder of ``evens``, as
-    ``_equivalence_ladders`` yields them."""
-    rep = EquivalenceReport(tol)
-    galerkin, tau2, inviscid, tau1, modified = (
-        np.concatenate([next(sides)[0], next(sides)[0]]) for _ in _EQUIVALENCE_SIDES
-    )
-    rep.deviations["galerkin_vs_tau_shift2"] = _spectrum_deviation(galerkin, tau2)
-    rep.deviations["inviscid_vs_tau_shift1"] = _spectrum_deviation(inviscid, tau1)
-    rep.deviations["modified_vs_galerkin"] = _spectrum_deviation(modified, galerkin)
-    if gamma > 0.5:
-        lam_even = next(evens)[0]
-        om, _ = second_order_pair(exact_gamma(gamma) - 1, ladder_degree(n, "even") - 1)
-        mus = poly_roots(om.normalized_coeffs()).roots
-        lam_second = 1.0 / mus[np.abs(mus) > 0.0]
-        rep.deviations["even4th_vs_odd2nd"] = _spectrum_deviation(lam_even, lam_second)
-    return rep
+    Two ``pencil_lambdas`` grids over ``points`` hold the ladders: one the
+    ladders of ``_equivalence_configs``, even then odd, ten per point; the
+    other check (iv)'s even tau ladder, one per point with gamma > 1/2.
+    """
+    sides = pencil_lambdas((c for g, n in points for c in _equivalence_configs(g, n)), PARITIES)
+    evens = pencil_lambdas((MethodConfig("tau", g, n) for g, n in points if g > 0.5), ("even",))
+    for gamma, n in points:
+        rep = EquivalenceReport(tol)
+        galerkin, tau2, inviscid, tau1, modified = (
+            np.concatenate([next(sides)[0], next(sides)[0]]) for _ in _EQUIVALENCE_SIDES
+        )
+        rep.deviations["galerkin_vs_tau_shift2"] = _spectrum_deviation(galerkin, tau2)
+        rep.deviations["inviscid_vs_tau_shift1"] = _spectrum_deviation(inviscid, tau1)
+        rep.deviations["modified_vs_galerkin"] = _spectrum_deviation(modified, galerkin)
+        if gamma > 0.5:
+            lam_even = next(evens)[0]
+            om, _ = second_order_pair(exact_gamma(gamma) - 1, ladder_degree(n, "even") - 1)
+            mus = poly_roots(om.normalized_coeffs()).roots
+            lam_second = 1.0 / mus[np.abs(mus) > 0.0]
+            rep.deviations["even4th_vs_odd2nd"] = _spectrum_deviation(lam_even, lam_second)
+        yield rep
 
 
 def equivalence_suite(gamma: float, n: int, tol: float) -> EquivalenceReport:
@@ -299,7 +297,7 @@ def equivalence_suite(gamma: float, n: int, tol: float) -> EquivalenceReport:
     (iv), which reach at most 2.9e-13 and 1.2e-12 on ``suite_equivalence``'s
     default grid.
     """
-    return _equivalence_report(gamma, n, tol, *_equivalence_ladders([(gamma, n)]))
+    return next(_equivalence_reports([(gamma, n)], tol))
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +414,28 @@ def legendre_mode_residual(n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# named verification suites (exposed through the CLI)
+# named verification suites (exposed through the CLI): each is a grid of
+# checks, a lazy stream of their failures, and one call to ``_verdict``
 
 
 @dataclass
 class SuiteResult:
     name: str
-    passed: bool
     details: list[str] = field(default_factory=list)
     counterexample: str | None = None
     data: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return self.counterexample is None
+
+
+def _verdict(name: str, failures: Iterator[str], summary: str, data: dict) -> SuiteResult:
+    """A suite's result: the first counterexample ``failures`` yields, after
+    which no check runs, or else the one detail ``summary``.  ``failures``
+    runs the checks lazily, and ``data`` is what they recorded."""
+    counterexample = next(failures, None)
+    return SuiteResult(name, [summary] if counterexample is None else [], counterexample, data)
 
 
 THEOREM_GAMMAS = (0.6, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5)
@@ -442,26 +452,20 @@ def suite_theorem_range(
     gammas: tuple[float, ...] = THEOREM_GAMMAS, n_lo: int = 8, n_hi: int = 48
 ) -> SuiteResult:
     """Real, negative, distinct, interlaced spectra on 1/2 < gamma <= 7/2."""
-    res = SuiteResult("theorem-range", True)
     points = [(g, n) for g in gammas for n in _degrees(n_lo, n_hi)]
     reports = spectrum_report(MethodConfig("tau", g, n) for g, n in points)
-    for (g, n), rep in zip(points, reports):
-        bad = (
-            rep.count("spurious_positive") > 0
-            or rep.count("complex_pair") > 0
-            or not rep.distinct
-            or rep.interlaced is not True
-        )
-        if bad:
-            res.passed = False
-            res.counterexample = (
-                f"gamma={g} n={n}: spurious={rep.count('spurious_positive')} "
-                f"complex={rep.count('complex_pair')} distinct={rep.distinct} "
-                f"interlaced={rep.interlaced}"
-            )
-            return res
-    res.details.append(f"{len(gammas)} gammas x n in [{n_lo},{n_hi}]: all real negative distinct interlaced")
-    return res
+
+    def failures():
+        for (g, n), rep in zip(points, reports):
+            spurious, complex_pairs = rep.count("spurious_positive"), rep.count("complex_pair")
+            if spurious > 0 or complex_pairs > 0 or not rep.distinct or rep.interlaced is not True:
+                yield (
+                    f"gamma={g} n={n}: spurious={spurious} complex={complex_pairs} "
+                    f"distinct={rep.distinct} interlaced={rep.interlaced}"
+                )
+
+    summary = f"{len(gammas)} gammas x n in [{n_lo},{n_hi}]: all real negative distinct interlaced"
+    return _verdict("theorem-range", failures(), summary, {})
 
 
 def suite_equivalence(
@@ -470,48 +474,44 @@ def suite_equivalence(
     n_hi: int = 24,
     tol: float = 1e-8,
 ) -> SuiteResult:
-    res = SuiteResult("equivalence", True)
     points = [(g, n) for g in gammas for n in _degrees(n_lo, n_hi)]
-    ladders = _equivalence_ladders(points)
-    for g, n in points:
-        rep = _equivalence_report(g, n, tol, *ladders)
-        if not rep.passed:
-            name, dev = rep.worst()
-            res.passed = False
-            res.counterexample = f"gamma={g} n={n}: {name} deviates {dev:.2e} > {tol:.0e}"
-            return res
-    res.details.append(f"all equivalences within {tol:.0e} on n in [{n_lo},{n_hi}]")
-    return res
+
+    def failures():
+        for (g, n), rep in zip(points, _equivalence_reports(points, tol)):
+            if not rep.passed:
+                name, dev = rep.worst()
+                yield f"gamma={g} n={n}: {name} deviates {dev:.2e} > {tol:.0e}"
+
+    summary = f"all equivalences within {tol:.0e} on n in [{n_lo},{n_hi}]"
+    return _verdict("equivalence", failures(), summary, {})
 
 
 def suite_perturbation() -> SuiteResult:
     """Extreme eigenvalue vs 1/(eps mu1), per parity, sign rule exact."""
-    res = SuiteResult("perturbation", True)
     rel_tol = 0.05
-    for eps in (1e-3, -1e-3):
-        for n in (12, 16):
-            cfg = MethodConfig("tau", 0.5 + eps, n)
-            for parity in ("even", "odd"):
-                pred = perturbation_mu1(n, parity, eps)
-                lams, n_inf, _ = pencil_lambdas(cfg, parity)
-                if n_inf:
-                    res.passed = False
-                    res.counterexample = f"eps={eps} n={n} {parity}: unexpected infinite eigenvalue"
-                    return res
-                reals = lams.real[np.abs(lams.imag) <= DEFAULT_TOLERANCES["real_rel"] * np.abs(lams)]
-                extreme = reals[np.argmax(np.abs(reals))]
-                dev = abs(extreme - pred.predicted_lambda) / abs(pred.predicted_lambda)
-                sign_ok = (extreme > 0) == (eps < 0)
-                res.data[f"eps={eps},n={n},{parity}"] = (float(extreme), pred.predicted_lambda, dev)
-                if dev > rel_tol or not sign_ok:
-                    res.passed = False
-                    res.counterexample = (
-                        f"eps={eps} n={n} {parity}: extreme {extreme:.6e} vs "
-                        f"predicted {pred.predicted_lambda:.6e} (dev {dev:.2%}, sign_ok={sign_ok})"
-                    )
-                    return res
-    res.details.append(f"extreme eigenvalues within {rel_tol:.0%} of 1/(eps mu1), signs exact")
-    return res
+    cases = [(eps, n) for eps in (1e-3, -1e-3) for n in (12, 16)]
+    ladders = pencil_lambdas((MethodConfig("tau", 0.5 + eps, n) for eps, n in cases), PARITIES)
+    data = {}
+
+    def failures():
+        for (eps, n), parity in itertools.product(cases, PARITIES):
+            pred = perturbation_mu1(n, parity, eps)
+            lams, n_inf, _ = next(ladders)
+            if n_inf:
+                yield f"eps={eps} n={n} {parity}: unexpected infinite eigenvalue"
+            reals = lams.real[np.abs(lams.imag) <= DEFAULT_TOLERANCES["real_rel"] * np.abs(lams)]
+            extreme = reals[np.argmax(np.abs(reals))]
+            dev = abs(extreme - pred.predicted_lambda) / abs(pred.predicted_lambda)
+            sign_ok = (extreme > 0) == (eps < 0)
+            data[f"eps={eps},n={n},{parity}"] = (float(extreme), pred.predicted_lambda, dev)
+            if dev > rel_tol or not sign_ok:
+                yield (
+                    f"eps={eps} n={n} {parity}: extreme {extreme:.6e} vs "
+                    f"predicted {pred.predicted_lambda:.6e} (dev {dev:.2%}, sign_ok={sign_ok})"
+                )
+
+    summary = f"extreme eigenvalues within {rel_tol:.0%} of 1/(eps mu1), signs exact"
+    return _verdict("perturbation", failures(), summary, data)
 
 
 def suite_positive_pair(
@@ -523,63 +523,60 @@ def suite_positive_pair(
     gamma read as its shortest decimal (``exact_gamma``), so -0.4 is -2/5
     and not its binary value.
     """
-    res = SuiteResult("positive-pair", True)
-    for g in gammas:
-        exact = exact_gamma(g)
-        for n in _degrees(2, n_hi):
-            omega, theta = second_order_pair(exact, n)
-            pairs = [("(Omega,Theta)", theta.mu_coeffs)]
-            if n >= 3:
-                raised, _ = second_order_pair(exact + 1, n - 1)
-                pairs.append(("(Omega_n, Omega_(n-1)^(g+1))", raised.mu_coeffs))
-            for name, q in pairs:
-                if not positive_pair_check(omega.mu_coeffs, q):
-                    res.passed = False
-                    res.counterexample = f"gamma={g} n={n}: {name} is not a positive pair"
-                    return res
-    res.details.append("all positive-pair checks hold")
-    return res
+
+    def failures():
+        for g in gammas:
+            exact = exact_gamma(g)
+            for n in _degrees(2, n_hi):
+                omega, theta = second_order_pair(exact, n)
+                pairs = [("(Omega,Theta)", theta.mu_coeffs)]
+                if n >= 3:
+                    raised, _ = second_order_pair(exact + 1, n - 1)
+                    pairs.append(("(Omega_n, Omega_(n-1)^(g+1))", raised.mu_coeffs))
+                for name, q in pairs:
+                    if not positive_pair_check(omega.mu_coeffs, q):
+                        yield f"gamma={g} n={n}: {name} is not a positive pair"
+
+    return _verdict("positive-pair", failures(), "all positive-pair checks hold", {})
 
 
 def suite_appendix_b() -> SuiteResult:
-    res = SuiteResult("appendixB", True)
-    for n in (6, 10):
-        for eps in (1e-4, 1e-5):
-            rep = epsilon_integral_check(n, eps)
-            for name, (quad, pred, dev) in rep.checks.items():
-                res.data[f"n={n},eps={eps},{name}"] = (quad, pred, dev)
-            if not rep.passed:
-                res.passed = False
-                res.counterexample = f"n={n} eps={eps}: {rep.checks}"
-                return res
-    res.details.append("first-order integral law verified to 50*eps")
-    return res
+    data = {}
+
+    def failures():
+        for n in (6, 10):
+            for eps in (1e-4, 1e-5):
+                rep = epsilon_integral_check(n, eps)
+                for name, (quad, pred, dev) in rep.checks.items():
+                    data[f"n={n},eps={eps},{name}"] = (quad, pred, dev)
+                if not rep.passed:
+                    yield f"n={n} eps={eps}: {rep.checks}"
+
+    return _verdict("appendixB", failures(), "first-order integral law verified to 50*eps", data)
 
 
 def suite_exact_convergence(gamma: float = 2.0, n: int = 48, tol: float = 1e-8) -> SuiteResult:
     """Smallest-magnitude discrete eigenvalues match the continuous ones."""
-    res = SuiteResult("exact-convergence", True)
     count = 3
     exact = exact_spectrum(count)
-    cfg = MethodConfig("tau", gamma, n)
-    for parity, targets in (("even", exact.even), ("odd", exact.odd)):
-        lams, _, _ = pencil_lambdas(cfg, parity)
-        got = -np.sort(np.abs(lams.real))[:count]
-        if got.size < count:
-            raise ValueError(
-                f"the {parity} ladder at n={n} has {got.size} finite eigenvalues, fewer than {count}"
-            )
-        for k, (lam_exact, lam_num) in enumerate(zip(targets, got), start=1):
-            dev = abs(lam_num - lam_exact) / abs(lam_exact)
-            res.data[f"{parity}[{k}]"] = (float(lam_num), lam_exact, dev)
-            if dev > tol:
-                res.passed = False
-                res.counterexample = (
-                    f"{parity} mode {k}: {lam_num:.10e} vs exact {lam_exact:.10e} (dev {dev:.2e})"
+    ladders = pencil_lambdas([MethodConfig("tau", gamma, n)], PARITIES)
+    data = {}
+
+    def failures():
+        for (parity, targets), (lams, _, _) in zip((("even", exact.even), ("odd", exact.odd)), ladders):
+            got = -np.sort(np.abs(lams.real))[:count]
+            if got.size < count:
+                raise ValueError(
+                    f"the {parity} ladder at n={n} has {got.size} finite eigenvalues, fewer than {count}"
                 )
-                return res
-    res.details.append(f"first {count} eigenvalues per parity within {tol:.0e}")
-    return res
+            for k, (lam_exact, lam_num) in enumerate(zip(targets, got), start=1):
+                dev = abs(lam_num - lam_exact) / abs(lam_exact)
+                data[f"{parity}[{k}]"] = (float(lam_num), lam_exact, dev)
+                if dev > tol:
+                    yield f"{parity} mode {k}: {lam_num:.10e} vs exact {lam_exact:.10e} (dev {dev:.2e})"
+
+    summary = f"first {count} eigenvalues per parity within {tol:.0e}"
+    return _verdict("exact-convergence", failures(), summary, data)
 
 
 SUITES = {

@@ -261,17 +261,14 @@ def _equilibrate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise SingularReductionError("a reduced row overflows float64")
     f = _pow2_scales(s)[..., None]
     a, b = a * f, b * f
-    f = _pow2_scales(np.maximum(np.abs(a).max(axis=-2), np.abs(b).max(axis=-2)))
-    if f.ndim == 2:  # a stack: each pair's column scales
-        f = f[:, None, :]
+    f = _pow2_scales(np.maximum(np.abs(a).max(axis=-2), np.abs(b).max(axis=-2)))[..., None, :]
     return a * f, b * f
 
 
 def _pow2_scales(s: np.ndarray) -> np.ndarray:
     """2^-floor(log2(s)) per entry of s, and 1 where s is not positive."""
-    if s.ndim > 1:
-        return _pow2_scales(s.ravel()).reshape(s.shape)
-    return np.array([2.0 ** -math.floor(math.log2(x)) if x > 0.0 else 1.0 for x in s.tolist()])
+    scales = [2.0 ** -math.floor(math.log2(x)) if x > 0.0 else 1.0 for x in s.ravel().tolist()]
+    return np.array(scales).reshape(s.shape)
 
 
 @dataclass

@@ -30,9 +30,10 @@ from gegtau.analysis import (
 )
 from gegtau import analysis, cli, gegenbauer, pencil, spectra
 from gegtau.charpoly import second_order_pair, stability_poly
-from gegtau.gegenbauer import evaluate, rational_ladder
+from gegtau.eig import poly_roots
+from gegtau.gegenbauer import evaluate, exact_gamma, rational_ladder
 from gegtau.pencil import KINDS, MethodConfig, SingularReductionError
-from gegtau.spectra import PARITIES, pencil_lambdas, single_parity_report, spectrum_report
+from gegtau.spectra import PARITIES, ladder_degree, pencil_lambdas, single_parity_report, spectrum_report
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +572,43 @@ def test_suite_exact_convergence():
     assert res.passed, res.counterexample
 
 
+def test_suite_stops_at_its_first_counterexample(monkeypatch):
+    # the 3rd check's prediction is off by a factor 2: its counterexample
+    # ends the suite, and no later check runs or records data
+    checks = []
+    mu1 = analysis.perturbation_mu1
+
+    def predicted(n, parity, eps):
+        checks.append((n, parity, eps))
+        pred = mu1(n, parity, eps)
+        return pred if len(checks) != 3 else analysis.PerturbationPrediction(pred.mu1, 2.0 * pred.predicted_lambda)
+
+    monkeypatch.setattr(analysis, "perturbation_mu1", predicted)
+    res = suite_perturbation()
+    assert not res.passed and res.details == []
+    assert res.counterexample.startswith("eps=0.001 n=16 even: extreme ")
+    assert list(res.data) == ["eps=0.001,n=12,even", "eps=0.001,n=12,odd", "eps=0.001,n=16,even"]
+    assert checks == [(12, "even", 1e-3), (12, "odd", 1e-3), (16, "even", 1e-3)]
+    res = suite_positive_pair(gammas=(1.0,), n_hi=8)
+    assert res.passed and res.counterexample is None and res.details == ["all positive-pair checks hold"]
+
+
+def test_suite_raises_an_error_in_its_checks_turn(monkeypatch):
+    # the odd ladder at n 8 has 2 finite eigenvalues: its error is raised
+    # after the even ladder's three checks have run and recorded their data
+    recorded = []
+    verdict = analysis._verdict
+
+    def recording(name, failures, summary, data):
+        recorded.append(data)
+        return verdict(name, failures, summary, data)
+
+    monkeypatch.setattr(analysis, "_verdict", recording)
+    with pytest.raises(ValueError, match="the odd ladder at n=8 has 2 finite eigenvalues, fewer than 3"):
+        suite_exact_convergence(n=8, tol=10.0)
+    assert list(recorded[0]) == ["even[1]", "even[2]", "even[3]"]
+
+
 # ---------------------------------------------------------------------------
 # solves and endpoint columns shared across ladders
 
@@ -676,9 +714,16 @@ def test_default_suites_solve_each_shared_ladder_once(monkeypatch, cold_pencil_c
     reduces = _counting(monkeypatch, "reduce_to_standard")
     eliminations = _eliminations(monkeypatch)
     # each suite's grid is one window: one stacked reduction per ladder
-    # shape; equivalence's check (iv) reads the even tau ladders of a
-    # second grid
-    for suite, ladders, distinct, calls in ((suite_theorem_range, 574, 298, 22), (suite_equivalence, 714, 234, 29)):
+    # shape.  Equivalence's check (iv) reads the even tau ladders of a
+    # second grid; perturbation's ladders at eps 1e-3 and -1e-3 share their
+    # four shapes
+    rows = (
+        (suite_theorem_range, 574, 298, 22),
+        (suite_equivalence, 714, 234, 29),
+        (suite_perturbation, 8, 8, 4),
+        (suite_exact_convergence, 2, 2, 2),
+    )
+    for suite, ladders, distinct, calls in rows:
         assembles.clear()
         reduces.clear()
         eliminations.clear()
@@ -731,18 +776,27 @@ def test_grid_solves_a_large_grid_in_windows(monkeypatch):
 
 def test_grid_deviations_equal_equivalence_suite():
     points = [(g, n) for g in (0.0, 0.5, 1.25, 2.0) for n in range(8, 25)]
-    sides, evens = analysis._equivalence_ladders(points)
-    for g, n in points:
+    reports = analysis._equivalence_reports(points, 1e-8)
+    for (g, n), report in zip(points, reports):
+        # each deviation from one-ladder solves of its configurations
         configs = analysis._equivalence_configs(g, n)
-        alone = iter([pencil_lambdas(c, parity) for c in configs for parity in PARITIES])
-        tau = iter([pencil_lambdas(MethodConfig("tau", g, n), "even")] if g > 0.5 else [])
-        want = analysis._equivalence_report(g, n, 1e-8, alone, tau).deviations
-        assert repr(analysis._equivalence_report(g, n, 1e-8, sides, evens).deviations) == repr(want), (g, n)
+        alone = [np.concatenate([pencil_lambdas(c, parity)[0] for parity in PARITIES]) for c in configs]
+        want = {
+            name: _spectrum_deviation(alone[a], alone[b])
+            for name, (a, b) in zip(report.deviations, ((0, 1), (2, 3), (4, 0)))
+        }
+        if g > 0.5:
+            om, _ = second_order_pair(exact_gamma(g) - 1, ladder_degree(n, "even") - 1)
+            mus = poly_roots(om.normalized_coeffs()).roots
+            lam_even = pencil_lambdas(MethodConfig("tau", g, n), "even")[0]
+            want["even4th_vs_odd2nd"] = _spectrum_deviation(lam_even, 1.0 / mus[np.abs(mus) > 0.0])
+        assert repr(report.deviations) == repr(want), (g, n)
         assert repr(equivalence_suite(g, n, 1e-8).deviations) == repr(want), (g, n)
         # the ladders' eigenvalues are the reports' finite eigenvalues
         finite = [spectrum_report(c).finite_eigenvalues() for c in configs]
         for name, (a, b) in zip(want, ((0, 1), (2, 3), (4, 0))):
             assert repr(want[name]) == repr(_spectrum_deviation(finite[a], finite[b])), (g, n, name)
+    assert next(reports, None) is None
 
 
 def test_grid_solves_empty_ladders():

@@ -822,11 +822,12 @@ def test_verify_equivalence_pass(capsys):
 def test_verify_equivalence_gamma_replaces_default_gammas(monkeypatch, capsys, extra, gammas, ns):
     calls = []
 
-    def passing(gamma, n, tol, sides, evens):
-        calls.append((gamma, n))
-        return analysis.EquivalenceReport(tol)
+    def passing(points, tol):
+        for point in points:
+            calls.append(point)
+            yield analysis.EquivalenceReport(tol)
 
-    monkeypatch.setattr(analysis, "_equivalence_report", passing)
+    monkeypatch.setattr(analysis, "_equivalence_reports", passing)
     code, _ = run(["verify", "--suite", "equivalence"] + extra, capsys)
     assert code == 0
     assert calls == [(g, n) for g in gammas for n in ns]
@@ -915,7 +916,7 @@ def test_verify_suite_takes_the_flags_its_parameters_name(monkeypatch, capsys):
 
     def fake(gammas=(1.0,), n_hi=9):
         calls.append({"gammas": gammas, "n_hi": n_hi})
-        return analysis.SuiteResult("fake", True)
+        return analysis.SuiteResult("fake")
 
     monkeypatch.setitem(analysis.SUITES, "fake", fake)
     cli.build_parser.cache_clear()  # its --suite choices are read when it is built

@@ -15,7 +15,7 @@ from pathlib import Path
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gegtau").glob("*.py"))
 
 MAX_DEFAULTED_PARAMETERS = 16
-MAX_DATACLASS_FIELDS = 31
+MAX_DATACLASS_FIELDS = 30
 MAX_FUNCTOOLS_CACHES = 4
 
 

@@ -21,8 +21,10 @@ Runs one fixed grid of ``gegtau`` commands in each checkout:
 - each suite with each of FLAG_RUNS, which the suite takes (a verdict)
   or refuses (exit 2 with one ``error:`` line), among them a grid whose
   later configurations overflow float64 (gamma 5000, n 134..137), one with
-  empty odd ladders (n 4), a repeated gamma, and one to n 64, whose stacks
-  hold more ladders and modified tau's up to 33 boundary rows each;
+  empty odd ladders (n 4), a repeated gamma, one to n 64, whose stacks
+  hold more ladders and modified tau's up to 33 boundary rows each, and
+  ``exact-convergence`` at n 8, whose odd ladder raises after the even
+  ladder's checks have passed;
 - output files: ``spectrum --out`` in JSON and CSV, ``sweep --out``, and
   ``verify --out`` for the six suites and the failing run, each followed by
   a ``replay`` of the file it wrote;
@@ -78,21 +80,10 @@ FLAG_RUNS = (
     ("--n-lo", "4", "--n-hi", "6"),
     ("--gamma", "1", "--gamma", "1"),
     ("--n-hi", "64"),
+    ("--n", "8", "--tol", "10"),
 )
 # command -> why its output is meant to differ from the parent's
-_OWN_EIGENPAIR = "near-infinite residuals read each entry's own eigenpair, not one eigenvector nearest mu = 0"
-DECLARED: dict[str, str] = {
-    f"spectrum --method {m} --gamma {g} --n {n} --alpha 0.0 --format {fmt} --parity {parity}": _OWN_EIGENPAIR
-    for m, g, n, parities in (
-        ("modified", "20.0", 160, ("both", "even")),
-        ("modified", "5000.0", 134, ("both", "even")),
-        ("collocation", "5000.0", 134, ("both", "even", "odd")),
-        ("collocation", "5000.0", 136, ("odd",)),
-    )
-    for fmt in ("json", "csv")
-    for parity in parities
-}
-DECLARED["spectrum --method collocation --gamma 200 --n 160"] = _OWN_EIGENPAIR
+DECLARED: dict[str, str] = {}
 
 
 def spectrum_commands(methods, gammas, ns, alphas) -> list[list[str]]:
