@@ -12,14 +12,12 @@ from .gegenbauer import (
     deriv_at_one,
     evaluate,
     lobatto_interior_nodes,
-    norm_h,
     value_at_one,
 )
 from .pencil import (
     MethodConfig,
     Pencil,
     assemble,
-    legendre_reduced_matrices,
     reduce_to_standard,
 )
 from .spectra import charpoly_lambdas, pencil_lambdas, spectrum_report
@@ -38,9 +36,7 @@ __all__ = [
     "deriv_at_one",
     "evaluate",
     "even_charpoly",
-    "legendre_reduced_matrices",
     "lobatto_interior_nodes",
-    "norm_h",
     "odd_charpoly",
     "pencil_lambdas",
     "poly_roots",

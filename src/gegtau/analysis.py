@@ -43,8 +43,8 @@ def jacobi_rule(exponent: float, npts: int) -> tuple[np.ndarray, np.ndarray]:
     off-diagonal b_k with b_k^2 = k(k+2 lam-1) / (4(k+lam)(k+lam-1)), and
     b_1^2 = 1/(2(1+lam)) in closed form, where lam = 0 would divide 0 by 0.
     The matrix is written out here, not taken from gegenbauer, because this
-    rule is the independent oracle that norm_h and the orthogonality of the
-    recurrences are tested against.
+    rule is the independent oracle that the norms' closed form and the
+    orthogonality of the recurrences are tested against.
 
     Accuracy falls as the exponent grows, because lgamma(a+1) - lgamma(a+3/2)
     cancels: against 40-digit mu0, the weights sum with relative error 1.5e-17

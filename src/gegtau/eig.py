@@ -6,7 +6,7 @@ balances, reduces to Hessenberg form and runs shifted QR.  For a real matrix,
 complex eigenvalues come out as exact conjugate pairs.
 
 Polynomial roots come from the companion matrix of the normalized
-coefficients, Newton-polished, with a per-root residual check.
+coefficients, Newton-polished.
 
 Every eigenvalue threshold is applied here, from ``DEFAULT_TOLERANCES``:
 ``split_finite`` maps the mu's to lambdas and ``classify`` labels them.
@@ -70,10 +70,9 @@ def dense_eigs(m: np.ndarray, vectors: bool = False) -> np.ndarray | tuple[np.nd
 
 @dataclass
 class RootResult:
-    """Roots of a polynomial plus the per-root scaled residual |p(r)|."""
+    """Roots of a polynomial."""
 
     roots: np.ndarray
-    residuals: np.ndarray
 
 
 def _horner_pair(c: np.ndarray, z: complex) -> tuple[complex, complex]:
@@ -114,7 +113,6 @@ def poly_roots(coeffs: np.ndarray) -> RootResult:
     Coefficients are normalized by the largest magnitude; exact zero roots
     (zero constant terms) are deflated before building the companion, and
     the companion eigenvalues are Newton-polished against the polynomial.
-    The residual reported per root is |p(r)| / (max|c| * max(1, |r|)^degree).
     """
     c = np.asarray(coeffs, dtype=float)
     if c.size == 0 or not np.any(c != 0.0):
@@ -122,7 +120,7 @@ def poly_roots(coeffs: np.ndarray) -> RootResult:
     c = c / np.max(np.abs(c))
     deg = int(np.max(np.nonzero(c)[0]))
     if deg == 0:
-        return RootResult(np.zeros(0, dtype=complex), np.zeros(0))
+        return RootResult(np.zeros(0, dtype=complex))
     c = c[: deg + 1]
     nzero = int(np.min(np.nonzero(c)[0]))  # exact roots at the origin
     c_red = c[nzero:]
@@ -145,12 +143,7 @@ def poly_roots(coeffs: np.ndarray) -> RootResult:
         near_real = np.abs(polished.imag) <= 1e-14 * np.maximum(imag_scale, 1.0)
         polished[near_real] = polished[near_real].real
         roots.extend(polished)
-    roots_arr = np.array(roots, dtype=complex)
-    vals = np.zeros(roots_arr.size, dtype=complex)
-    for ck in c[::-1]:
-        vals = vals * roots_arr + ck
-    scale = np.maximum(1.0, np.abs(roots_arr)) ** deg
-    return RootResult(roots_arr, np.abs(vals) / scale)
+    return RootResult(np.array(roots, dtype=complex))
 
 
 def finite_mask(mus: np.ndarray) -> np.ndarray:

@@ -177,26 +177,6 @@ def deriv_at_one(gamma: float, n: int, k: int) -> float:
     return deriv_ladder(gamma, n, k)[k]
 
 
-def norm_h(gamma: float, n: int) -> float:
-    """log h_n, the squared weighted norm h_n = int W(x) G_n(x)^2 dx > 0.
-
-    h_0 = pi 2^(-2g) Gamma(2g+1)/Gamma(g+1)^2 (all Gamma arguments positive
-    for g > -1/2, so lgamma is safe); h_n = h_0 G_n(1) / (2 (n+gamma)).
-    """
-    gamma = check_gamma(gamma)
-    if n < 0:
-        raise ValueError(f"degree must be >= 0, got {n}")
-    log_h0 = (
-        math.log(math.pi)
-        - 2.0 * gamma * math.log(2.0)
-        + math.lgamma(2.0 * gamma + 1.0)
-        - 2.0 * math.lgamma(gamma + 1.0)
-    )
-    if n == 0:
-        return log_h0
-    return log_h0 + value_at_one(gamma, n) - math.log(2.0 * (n + gamma))
-
-
 def evaluate(gamma: float, n: int, x: float | np.ndarray) -> float | np.ndarray:
     """G_n(x) by the forward three-term recurrence; |x| <= 1."""
     gamma = check_gamma(gamma)

@@ -24,7 +24,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .gegenbauer import basis_matrix, check_gamma, deriv_matrix, endpoint_rows, lobatto_interior_nodes, norm_h
+from .gegenbauer import basis_matrix, check_gamma, deriv_matrix, endpoint_rows, lobatto_interior_nodes
 
 KINDS = ("tau", "inviscid_galerkin", "galerkin", "modified_tau", "collocation")
 GAMMA_SHIFT = {"tau": 0.0, "inviscid_galerkin": 1.0, "galerkin": 2.0}
@@ -301,33 +301,13 @@ def reduce_to_standard(p: Pencil) -> ReducedPencil:
         m = np.linalg.solve(a1, b1)
     except np.linalg.LinAlgError as exc:
         raise SingularReductionError(f"reduced fourth-order block is singular: {exc}") from exc
-    # the largest residual of any ladder, each relative to max(1, max |B'|)
-    resid = max((np.abs(a1 @ m - b1).max(axis=(-2, -1)) / np.abs(b1).max(axis=(-2, -1), initial=1.0)).flat)
-    if resid > 1e-6:
+    # each ladder's residual relative to max(1, max |B'|); the first that is
+    # not <= 1e-6, a nan included, raises
+    resids = np.abs(a1 @ m - b1).max(axis=(-2, -1)) / np.abs(b1).max(axis=(-2, -1), initial=1.0)
+    resid = next((r for r in resids.flat if not r <= 1e-6), None)
+    if resid is not None:
         raise SingularReductionError(
             f"reduced solve is unreliable (residual {resid:.2e}); A' is near-singular"
         )
     return ReducedPencil(m)
 
-
-def legendre_reduced_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Legendre-case pencil in the boundary-adapted basis.
-
-    Trial functions (1-x^2)^2 G_l^{(5/2)}, test functions P_k, k,l = 0..n-4.
-    A is upper triangular with nonzero diagonal; B is supported on the second
-    subdiagonal only, B(l+2, l) = C_l h_{l+2}, with
-    C_l = (l+1)(l+2)(l+3)(l+4)/15.  The two-dimensional nullspace of B is
-    what makes the two infinite eigenvalues of Legendre tau exact.
-    """
-    if n < 6:
-        raise ValueError(f"need n >= 6, got {n}")
-    m = n - 3  # matrix dimension, indices 0..n-4
-    d = deriv_matrix(0.5, n + 1)
-    d2 = d @ d
-    h = np.array([math.exp(norm_h(0.5, k)) for k in range(n - 1)])
-    cl = np.array([(l + 1) * (l + 2) * (l + 3) * (l + 4) / 15.0 for l in range(m)])
-    # D^2 [(1-x^2)^2 G_l^{(5/2)}] = C_l P_{l+2}: column l reads column l+2 of D^2
-    a = cl * d2[:m, 2 : m + 2] * h[:m, None]
-    b = np.zeros((m, m))
-    b[np.arange(2, m), np.arange(m - 2)] = cl[: m - 2] * h[2:m]
-    return a, b

@@ -27,6 +27,7 @@ the eigenvalues alone, the cheaper job, and its report keeps no matrix.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Iterator
 
 import numpy as np
@@ -97,7 +98,8 @@ def _solved_ladders(configs: Iterator[MethodConfig], parities: tuple[str, ...], 
     A window assembles every ladder, keeps one copy of each distinct ladder
     (equal A, B and C bytes) and solves the distinct ladders of each block
     shape together.  An error is raised at its ladder, as the one-ladder
-    ``pencil_lambdas`` raises it.
+    ``pencil_lambdas`` raises it: an invalid configuration or a failed
+    assembly ends the window, and no later ladder is assembled.
     """
     while True:
         window, size, error = [], 0, None
@@ -111,14 +113,13 @@ def _solved_ladders(configs: Iterator[MethodConfig], parities: tuple[str, ...], 
             error = exc
         index: dict = {}
         slots = []
-        for config in window:
-            for parity in parities:
-                try:
-                    p = assemble(config, parity)
-                except (RuntimeError, ValueError) as exc:
-                    slots.append(exc)
-                    continue
-                slots.append(index.setdefault((p.A.shape, p.C.shape, b"".join((p.A, p.B, p.C))), len(index)))
+        for config, parity in itertools.product(window, parities):
+            try:
+                p = assemble(config, parity)
+            except (RuntimeError, ValueError) as exc:
+                error = exc
+                break
+            slots.append(index.setdefault((p.A.shape, p.C.shape, b"".join((p.A, p.B, p.C))), len(index)))
         # a distinct ladder is kept as its key alone: the bytes of A, B and C
         ladders = list(index)
         del index, window
@@ -131,7 +132,7 @@ def _solved_ladders(configs: Iterator[MethodConfig], parities: tuple[str, ...], 
                 solves[slot] = solve
                 ladders[slot] = None  # its bytes are no longer needed
         for slot in slots:
-            solve = slot if isinstance(slot, Exception) else solves[slot]
+            solve = solves[slot]
             if isinstance(solve, Exception):
                 raise solve
             yield solve

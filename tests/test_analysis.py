@@ -850,6 +850,21 @@ def test_grid_gives_a_failing_ladder_its_own_error(monkeypatch, cold_pencil_cach
     assert [repr(vars(report)) for report in spectrum_report(configs)] == want
 
 
+def test_grid_window_ends_at_its_first_failing_ladder(monkeypatch, cold_pencil_caches):
+    # alpha 1e160 overflows (D^2 - a^2)^2 in the third configuration's
+    # assembly: the four ladders before it are yielded first, then its
+    # error, and no ladder after it is assembled
+    points = ((1.0, 12, 0.0), (1.0, 13, 0.0), (1.0, 12, 1e160), (2.0, 12, 0.0), (2.0, 13, 0.0))
+    configs = [MethodConfig("tau", g, n, alpha=alpha) for g, n, alpha in points]
+    alone = [_solved(pencil_lambdas(config, parity)) for config in configs[:2] for parity in PARITIES]
+    assembles = _counting(monkeypatch, "assemble")
+    grid = pencil_lambdas(configs, PARITIES)
+    assert [_solved(next(grid)) for _ in alone] == alone
+    with pytest.raises(SingularReductionError, match="overflows float64 at alpha 1e"):
+        next(grid)
+    assert len(assembles) == 5
+
+
 def test_grid_solves_a_stack_again_when_its_elimination_raises(monkeypatch, cold_pencil_caches):
     # at alpha 1e6 modified tau's coupling rows fail the elimination's
     # dependence test, so each parity's stack of the three configurations

@@ -954,6 +954,29 @@ def test_numerical_diagnostic_exit_code(monkeypatch, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--method", "tau", "--gamma", "1", "--n", "12"],
+        ["sweep", "--method", "tau", "--gamma-range", "1:2:1", "--n-range", "8:9:1"],
+        ["verify", "--suite", "theorem-range"],
+    ],
+)
+def test_nan_reduced_solve_is_numerical_diagnostic(monkeypatch, capsys, argv):
+    solve = np.linalg.solve
+
+    def nan_last(a, b):
+        m = solve(a, b)
+        m[(-1,) * m.ndim] = np.nan
+        return m
+
+    monkeypatch.setattr(np.linalg, "solve", nan_last)
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numerical diagnostic: reduced solve is unreliable (residual nan); A' is near-singular\n"
+
+
 def test_eigensolver_failure_exit_code(monkeypatch, capsys):
     def no_convergence(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

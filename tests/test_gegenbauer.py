@@ -25,7 +25,6 @@ from gegtau.gegenbauer import (
     evaluate,
     lobatto_interior_nodes,
     mult_x_array,
-    norm_h,
     rational_ladder,
     value_at_one,
 )
@@ -185,7 +184,6 @@ def test_endpoint_values_match_loop_oracle(gamma):
     ks = (0, 1, 2, 3, 7)
     value = _oracle_log_values_at_one(gamma, ORACLE_NMAX)
     deriv = {n: _oracle_log_deriv_ladder(gamma, n, max(ks), value[n]) for n in ns}
-    log_h0 = norm_h(gamma, 0)
     # a cold table in both orders: descending builds the longest running
     # sum first, ascending grows it one degree at a time
     for order in (ns[::-1], ns):
@@ -196,8 +194,6 @@ def test_endpoint_values_match_loop_oracle(gamma):
                 got = deriv_at_one(gamma, n, k)
                 want = deriv[n][k]
                 assert got == (-math.inf if want is None else want)
-            if n > 0:
-                assert norm_h(gamma, n) == log_h0 + value[n] - math.log(2.0 * (n + gamma))
     g1 = [_exp(value[n]) for n in ns]
     dg1 = [_exp(deriv[n][1]) if n else 0.0 for n in ns]
     # the boundary rows hold these floats up to the first degree past float64
@@ -451,19 +447,23 @@ def test_evaluate_rejects_outside_interval():
 # norms
 
 
-def test_norm_h_examples():
-    assert _exp(norm_h(0.5, 0)) == pytest.approx(2.0, rel=1e-14)
-    assert _exp(norm_h(0.5, 3)) == pytest.approx(2 / 7, rel=1e-14)
-    assert _exp(norm_h(0.0, 2)) == pytest.approx(math.pi / 8, rel=1e-14)
+def _norm_h(gamma, n):
+    """h_n = int W(x) G_n(x)^2 dx in closed form: h_0 = pi 2^(-2g)
+    Gamma(2g+1) / Gamma(g+1)^2, and h_n = h_0 G_n(1) / (2 (n+gamma))."""
+    log_h0 = (
+        math.log(math.pi) - 2.0 * gamma * math.log(2.0) + math.lgamma(2.0 * gamma + 1.0) - 2.0 * math.lgamma(gamma + 1.0)
+    )
+    return _exp(log_h0 if n == 0 else log_h0 + value_at_one(gamma, n) - math.log(2.0 * (n + gamma)))
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
 def test_norm_h_matches_quadrature(gamma):
+    # the quadrature checks evaluate's normalization against the closed form
     for n in (0, 1, 4, 9):
         quad = jacobi_quad(
             gamma - 0.5, lambda x: np.asarray(evaluate(gamma, n, x)) ** 2, n + 6
         )
-        assert _exp(norm_h(gamma, n)) == pytest.approx(quad, rel=1e-12)
+        assert _norm_h(gamma, n) == pytest.approx(quad, rel=1e-12)
 
 
 @pytest.mark.parametrize("gamma", GAMMAS)
@@ -475,7 +475,7 @@ def test_orthogonality(gamma):
                 lambda x: np.asarray(evaluate(gamma, m, x)) * np.asarray(evaluate(gamma, n, x)),
                 m + n + 8,
             )
-            assert abs(inner) < 1e-10 * _exp(norm_h(gamma, n))
+            assert abs(inner) < 1e-10 * _norm_h(gamma, n)
 
 
 # ---------------------------------------------------------------------------

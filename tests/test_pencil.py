@@ -12,7 +12,6 @@ from gegtau.gegenbauer import (
     deriv_at_one,
     deriv_matrix,
     lobatto_interior_nodes,
-    norm_h,
     value_at_one,
 )
 from gegtau.pencil import (
@@ -26,7 +25,6 @@ from gegtau.pencil import (
     _nullspace_by_elimination,
     _operator,
     assemble,
-    legendre_reduced_matrices,
     reduce_to_standard,
 )
 from gegtau.spectra import charpoly_lambdas, pencil_lambdas, spectrum_report
@@ -315,6 +313,24 @@ def test_reduce_legendre_two_near_zero_mus():
         mus = dense_eigs(m)
         scaled = np.abs(mus) / np.max(np.abs(mus))
         assert np.sum(scaled < 1e-12) == 1, parity
+
+
+def test_reduce_raises_on_a_nan_solve(monkeypatch):
+    # a nan in M makes its residual nan, which no <= test passes: a lone
+    # ladder raises, and so does a stack whose nan ladder is its last
+    solve = np.linalg.solve
+
+    def nan_last(a, b):
+        m = solve(a, b)
+        m[(-1,) * m.ndim] = np.nan
+        return m
+
+    ladders = [assemble(MethodConfig("tau", g, 12), "even") for g in (1.0, 2.0, 3.0)]
+    stack = Pencil(*(np.stack([getattr(p, name) for p in ladders]) for name in "ABC"))
+    monkeypatch.setattr(np.linalg, "solve", nan_last)
+    for p in (ladders[0], stack):
+        with pytest.raises(SingularReductionError, match=r"reduced solve is unreliable \(residual nan\)"):
+            reduce_to_standard(p)
 
 
 def test_reduce_invariant_under_tau_row_rescaling():
@@ -690,6 +706,30 @@ def test_no_zero_eigenvalue():
 # the Legendre reduced-basis matrices
 
 
+def legendre_reduced_matrices(n):
+    """Legendre tau's pencil in the boundary-adapted basis, assembled apart
+    from ``pencil.assemble``.
+
+    Trial functions (1-x^2)^2 G_l^{(5/2)}, test functions P_k, k, l = 0..n-4,
+    with h_k = 2/(2k+1).  A is upper triangular with nonzero diagonal; B is
+    supported on the second subdiagonal only, B(l+2, l) = C_l h_{l+2}, with
+    C_l = (l+1)(l+2)(l+3)(l+4)/15.  The two-dimensional nullspace of B is
+    what makes the two infinite eigenvalues of Legendre tau exact.
+    """
+    if n < 6:
+        raise ValueError(f"need n >= 6, got {n}")
+    m = n - 3  # matrix dimension, indices 0..n-4
+    d = deriv_matrix(0.5, n + 1)
+    d2 = d @ d
+    h = 2.0 / (2.0 * np.arange(n - 1) + 1.0)
+    cl = np.array([(l + 1) * (l + 2) * (l + 3) * (l + 4) / 15.0 for l in range(m)])
+    # D^2 [(1-x^2)^2 G_l^{(5/2)}] = C_l P_{l+2}: column l reads column l+2 of D^2
+    a = cl * d2[:m, 2 : m + 2] * h[:m, None]
+    b = np.zeros((m, m))
+    b[np.arange(2, m), np.arange(m - 2)] = cl[: m - 2] * h[2:m]
+    return a, b
+
+
 def test_legendre_matrices_c_factor():
     from gegtau.analysis import c_factor
 
@@ -714,25 +754,6 @@ def test_legendre_matrices_structure():
         assert a[k, k] != 0.0
         for l in range(k):
             assert a[k, l] == 0.0
-
-
-def test_legendre_matrices_match_loop_oracle():
-    # the per-column loop, each column of D^2 read through a unit vector
-    for n in range(6, 65):
-        m = n - 3
-        d = deriv_matrix(0.5, n + 1)
-        d2 = d @ d
-        h = np.array([_exp(norm_h(0.5, k)) for k in range(n - 1)])
-        cl = np.array([(l + 1) * (l + 2) * (l + 3) * (l + 4) / 15.0 for l in range(m)])
-        a_want, b_want = np.zeros((m, m)), np.zeros((m, m))
-        for l in range(m):
-            unit = np.zeros(n + 1)
-            unit[l + 2] = 1.0
-            a_want[:, l] = cl[l] * (d2 @ unit)[:m] * h[:m]
-            if l + 2 < m:
-                b_want[l + 2, l] = cl[l] * h[l + 2]
-        a, b = legendre_reduced_matrices(n)
-        assert a.tobytes() == a_want.tobytes() and b.tobytes() == b_want.tobytes(), n
 
 
 def test_legendre_matrices_corner_entries():
