@@ -159,8 +159,6 @@ def _eigen_residuals(report: SpectrumReport) -> list[float]:
         rows = np.flatnonzero(parities == par)
         if rows.size == 0:
             continue
-        if not np.all(np.isfinite(m)):
-            raise ConvergenceError("reduced matrix has non-finite entries")
         smax = float(np.linalg.svd(m, compute_uv=False)[0]) or 1.0
         finite = finite_mask(w)
         j = np.concatenate([np.flatnonzero(finite), np.flatnonzero(~finite)])

@@ -50,7 +50,7 @@ from .eig import ConvergenceError
 
 GAMMA_MIN = -0.5
 # Gammas kept: room for several (gamma, gamma + 1, gamma + 2) triples, but not
-# for all 15 of a verify-suites block, whose replay must still evaluate some.
+# for all 14 of a verify-suites block, whose replay must still evaluate some.
 _TABLE_GAMMAS = 8
 _GROW = threading.Lock()  # running sums grow under it, so each entry lands once at its index
 

@@ -241,11 +241,7 @@ def test_hermite_biehler_unstable():
 def test_equivalence_chebyshev():
     rep = equivalence_suite(0.0, 16, tol=1e-8)
     assert rep.passed
-    assert set(rep.deviations) == {
-        "galerkin_vs_tau_shift2",
-        "inviscid_vs_tau_shift1",
-        "modified_vs_galerkin",
-    }
+    assert set(rep.deviations) == {"modified_vs_galerkin"}
 
 
 def test_equivalence_remark_check():
@@ -572,6 +568,23 @@ def test_suite_exact_convergence():
     assert res.passed, res.counterexample
 
 
+@pytest.mark.parametrize(
+    "suite, kwargs",
+    [
+        (suite_theorem_range, {"n_hi": 160}),
+        (suite_exact_convergence, {"n": 160}),
+        # from n 44 check (iv) roots Omega with float companion matrices,
+        # which give complex pairs where the exact roots are real: a false
+        # counterexample (ROADMAP item 23), so equivalence stops at n 43
+        (suite_equivalence, {"n_hi": 43}),
+    ],
+    ids=["theorem_range", "exact_convergence", "equivalence"],
+)
+def test_suite_passes_at_high_n(suite, kwargs):
+    res = suite(**kwargs)
+    assert res.passed, res.counterexample
+
+
 def test_suite_stops_at_its_first_counterexample(monkeypatch):
     # the 3rd check's prediction is off by a factor 2: its counterexample
     # ends the suite, and no later check runs or records data
@@ -719,7 +732,7 @@ def test_default_suites_solve_each_shared_ladder_once(monkeypatch, cold_pencil_c
     # four shapes
     rows = (
         (suite_theorem_range, 574, 298, 22),
-        (suite_equivalence, 714, 234, 29),
+        (suite_equivalence, 306, 162, 29),
         (suite_perturbation, 8, 8, 4),
         (suite_exact_convergence, 2, 2, 2),
     )
@@ -781,10 +794,7 @@ def test_grid_deviations_equal_equivalence_suite():
         # each deviation from one-ladder solves of its configurations
         configs = analysis._equivalence_configs(g, n)
         alone = [np.concatenate([pencil_lambdas(c, parity)[0] for parity in PARITIES]) for c in configs]
-        want = {
-            name: _spectrum_deviation(alone[a], alone[b])
-            for name, (a, b) in zip(report.deviations, ((0, 1), (2, 3), (4, 0)))
-        }
+        want = {"modified_vs_galerkin": _spectrum_deviation(alone[1], alone[0])}
         if g > 0.5:
             om, _ = second_order_pair(exact_gamma(g) - 1, ladder_degree(n, "even") - 1)
             mus = poly_roots(om.normalized_coeffs()).roots
@@ -794,8 +804,7 @@ def test_grid_deviations_equal_equivalence_suite():
         assert repr(equivalence_suite(g, n, 1e-8).deviations) == repr(want), (g, n)
         # the ladders' eigenvalues are the reports' finite eigenvalues
         finite = [spectrum_report(c).finite_eigenvalues() for c in configs]
-        for name, (a, b) in zip(want, ((0, 1), (2, 3), (4, 0))):
-            assert repr(want[name]) == repr(_spectrum_deviation(finite[a], finite[b])), (g, n, name)
+        assert repr(want["modified_vs_galerkin"]) == repr(_spectrum_deviation(finite[1], finite[0])), (g, n)
     assert next(reports, None) is None
 
 

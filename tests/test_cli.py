@@ -264,18 +264,6 @@ def test_spectrum_residuals_finite_when_norm_overflows(capsys):
     assert all(math.isfinite(r) and r > 0.0 for r in residuals)
 
 
-def test_spectrum_non_finite_reduced_matrix_exit_code(monkeypatch, capsys):
-    def poisoned(config, vectors):
-        report = spectrum_report(config, vectors)
-        report.eigenpairs["even"][0][0, 0] = np.inf
-        return report
-
-    monkeypatch.setattr(cli, "spectrum_report", poisoned)
-    code = cli.main(["spectrum", "--method", "tau", "--gamma", "1", "--n", "10"])
-    assert code == 3
-    assert "numerical diagnostic" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     "method, gamma, n, j",
     [("tau", "500", "320", 310), ("modified", "1000", "240", 220), ("collocation", "1000", "260", 220)],

@@ -132,11 +132,21 @@ def test_modified_tau_dimension():
 
 
 def test_galerkin_is_tau_shifted_exactly():
-    for parity in PARITIES:
-        a = assemble(MethodConfig("galerkin", 0.0, 12), parity)
-        b = assemble(MethodConfig("tau", 2.0, 12), parity)
-        assert_allclose(a.A, b.A, rtol=0, atol=0)
-        assert_allclose(a.B, b.B, rtol=0, atol=0)
+    # Galerkin(g) = tau(g+2) and inviscid Galerkin(g) = tau(g+1) hold by
+    # construction, so each pencil is tau's at the shifted gamma, byte for
+    # byte: no verify check compares them.  The shifts are the paper's,
+    # written out, not read from the code under test
+    shifts = {"tau": 0.0, "inviscid_galerkin": 1.0, "galerkin": 2.0}
+    assert GAMMA_SHIFT == shifts
+    for kind, shift in shifts.items():
+        for gamma in (-0.45, 0.0, 0.5, 1.25, 2.0, 4.3):
+            for n in (8, 13, 24, 48):
+                for alpha in (0.0, 0.5):
+                    for parity in PARITIES:
+                        a = assemble(MethodConfig(kind, gamma, n, alpha=alpha), parity)
+                        b = assemble(MethodConfig("tau", gamma + shift, n, alpha=alpha), parity)
+                        for x, y in ((a.A, b.A), (a.B, b.B), (a.C, b.C)):
+                            assert _same_bytes(x, y), (kind, gamma, n, alpha, parity)
 
 
 def test_galerkin_spectrum_matches_shifted_tau():
