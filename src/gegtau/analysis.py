@@ -144,6 +144,8 @@ def perturbation_mu1(n: int, parity: str, epsilon: float) -> PerturbationPredict
     m = n if n % 2 == 0 else (n - 1 if parity == "even" else n + 1)
     if m < 6:
         raise ValueError(f"perturbation formulas need even system degree >= 6, got {m}")
+    if epsilon == 0.0:  # the unperturbed Legendre eigenvalue is infinite
+        raise ValueError("epsilon must be nonzero")
     if parity == "even":
         mu1 = -4.0 / ((m - 2) ** 2 * (m - 1) ** 2)
     else:
@@ -242,33 +244,29 @@ def _spectrum_deviation(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(picked, initial=0.0))
 
 
-# the two sides of check (iii) at (gamma, n)
-_EQUIVALENCE_SIDES = ("galerkin", "modified_tau")
-
-
 def _equivalence_configs(gamma: float, n: int) -> list[MethodConfig]:
-    """The configurations of check (iii) at (gamma, n), in the order
-    ``_equivalence_reports`` reads their ladders."""
+    """The configurations whose ladders the checks at (gamma, n) read, in
+    the order ``_equivalence_reports`` reads them: Galerkin and modified
+    tau for check (iii), then tau for check (iv) when gamma > 1/2."""
     if n < 8:
         raise ValueError(f"need n >= 8, got {n}")
-    return [MethodConfig(kind, gamma, n) for kind in _EQUIVALENCE_SIDES]
+    kinds = ("galerkin", "modified_tau", "tau") if gamma > 0.5 else ("galerkin", "modified_tau")
+    return [MethodConfig(kind, gamma, n) for kind in kinds]
 
 
 def _equivalence_reports(points: list[tuple[float, int]], tol: float) -> Iterator[EquivalenceReport]:
-    """The equivalences at each (gamma, n) of ``points``, in turn.
-
-    Two ``pencil_lambdas`` grids over ``points`` hold the ladders: one the
-    ladders of ``_equivalence_configs``, even then odd, four per point; the
-    other check (iv)'s even tau ladder, one per point with gamma > 1/2.
+    """The equivalences at each (gamma, n) of ``points``, in turn, from one
+    ``pencil_lambdas`` grid of every ladder of ``_equivalence_configs``,
+    even then odd.  Check (iv) skips tau's odd ladder, which adds no
+    distinct ladder at the default gammas: tau(2, n) is Galerkin(0, n).
     """
-    sides = pencil_lambdas((c for g, n in points for c in _equivalence_configs(g, n)), PARITIES)
-    evens = pencil_lambdas((MethodConfig("tau", g, n) for g, n in points if g > 0.5), ("even",))
+    ladders = pencil_lambdas((c for g, n in points for c in _equivalence_configs(g, n)), PARITIES)
     for gamma, n in points:
         rep = EquivalenceReport(tol)
-        galerkin, modified = (np.concatenate([next(sides)[0], next(sides)[0]]) for _ in _EQUIVALENCE_SIDES)
+        galerkin, modified = (np.concatenate([next(ladders)[0], next(ladders)[0]]) for _ in range(2))
         rep.deviations["modified_vs_galerkin"] = _spectrum_deviation(modified, galerkin)
         if gamma > 0.5:
-            lam_even = next(evens)[0]
+            lam_even, _ = next(ladders)[0], next(ladders)
             om, _ = second_order_pair(exact_gamma(gamma) - 1, ladder_degree(n, "even") - 1)
             mus = poly_roots(om.normalized_coeffs()).roots
             lam_second = 1.0 / mus[np.abs(mus) > 0.0]
@@ -286,7 +284,7 @@ def equivalence_suite(gamma: float, n: int, tol: float) -> EquivalenceReport:
     check here: ``assemble`` builds them so, through ``GAMMA_SHIFT``.
 
     Each check reads its ladders' eigenvalues from ``pencil_lambdas``, and
-    no class; ``suite_equivalence`` reads them from grids over all its
+    no class; ``suite_equivalence`` reads them from one grid over all its
     points.  Checks (iii) and (iv) reach at most 2.9e-13 and 1.2e-12 on
     ``suite_equivalence``'s default grid.
     """
@@ -467,6 +465,7 @@ def suite_equivalence(
     n_hi: int = 24,
     tol: float = 1e-8,
 ) -> SuiteResult:
+    """``equivalence_suite``'s checks within ``tol`` at each gamma x n_lo..n_hi, one grid for all."""
     points = [(g, n) for g in gammas for n in _degrees(n_lo, n_hi)]
 
     def failures():

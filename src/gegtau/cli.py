@@ -342,12 +342,13 @@ def cmd_verify(args, argv: list[str]) -> int:
     }
     if args.out:
         _write(dumps(doc), args.out)
+    log = sys.stderr if args.out == "-" else sys.stdout  # --out -: stdout holds the document alone
     status = "PASS" if result.passed else "FAIL"
-    print(f"[{status}] suite {result.name}")
+    print(f"[{status}] suite {result.name}", file=log)
     for line in result.details:
-        print(f"  {line}")
+        print(f"  {line}", file=log)
     if result.counterexample:
-        print(f"  first counterexample: {result.counterexample}")
+        print(f"  first counterexample: {result.counterexample}", file=log)
     return EXIT_OK if result.passed else EXIT_VERIFY_FAIL
 
 

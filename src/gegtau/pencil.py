@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import InitVar, dataclass
 
 import numpy as np
@@ -58,7 +59,12 @@ class MethodConfig:
             )
         if self.kind not in KINDS:
             raise ValueError(f"unknown method kind {self.kind!r}; expected one of {KINDS}")
+        for name in ("gamma", "alpha"):  # a string would pass float() in check_gamma
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
         check_gamma(self.gamma)
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError(f"polynomial degree n must be an integer, got {self.n!r}")
         if self.n < 4:
             raise ValueError(f"need polynomial degree n >= 4, got {self.n}")
         if not (math.isfinite(self.alpha) and self.alpha >= 0.0):

@@ -104,6 +104,8 @@ def test_mu1_rejects_uncovered_degrees():
         perturbation_mu1(4, "even", 1e-3)
     with pytest.raises(ValueError):
         perturbation_mu1(12, "diagonal", 1e-3)
+    with pytest.raises(ValueError, match="nonzero"):  # not ZeroDivisionError
+        perturbation_mu1(12, "even", 0.0)
 
 
 def test_perturbed_extreme_eigenvalue_matches_prediction():
@@ -727,12 +729,12 @@ def test_default_suites_solve_each_shared_ladder_once(monkeypatch, cold_pencil_c
     reduces = _counting(monkeypatch, "reduce_to_standard")
     eliminations = _eliminations(monkeypatch)
     # each suite's grid is one window: one stacked reduction per ladder
-    # shape.  Equivalence's check (iv) reads the even tau ladders of a
-    # second grid; perturbation's ladders at eps 1e-3 and -1e-3 share their
+    # shape.  Equivalence's tau ladders at gamma 2 are its Galerkin ladders
+    # at gamma 0; perturbation's ladders at eps 1e-3 and -1e-3 share their
     # four shapes
     rows = (
         (suite_theorem_range, 574, 298, 22),
-        (suite_equivalence, 306, 162, 29),
+        (suite_equivalence, 340, 162, 20),
         (suite_perturbation, 8, 8, 4),
         (suite_exact_convergence, 2, 2, 2),
     )

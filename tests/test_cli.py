@@ -931,6 +931,24 @@ def test_verify_writes_json_detail(tmp_path, capsys):
     assert doc["suite"] == "appendixB"
 
 
+def test_verify_out_dash_writes_the_document_alone(tmp_path, capsys):
+    # the summary lines go to stderr, so stdout parses and a saved copy replays
+    saved = tmp_path / "verify.json"
+    for argv, code, status in (
+        (["verify", "--suite", "appendixB"], 0, "PASS"),
+        (["verify", "--suite", "theorem-range", "--gamma", "3.6"], 1, "FAIL"),
+    ):
+        assert cli.main(argv + ["--out", "-"]) == code
+        written = capsys.readouterr()
+        doc = json.loads(written.out)
+        assert doc["passed"] is (code == 0)
+        assert doc["manifest"]["command"] == argv + ["--out", "-"]
+        assert written.err.startswith(f"[{status}] suite {doc['suite']}\n")
+        saved.write_text(written.out)
+        assert cli.main(["replay", str(saved)]) == code
+        assert capsys.readouterr() == written
+
+
 def test_numerical_diagnostic_exit_code(monkeypatch, capsys):
     from gegtau.pencil import SingularReductionError
 

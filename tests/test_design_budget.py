@@ -1,6 +1,7 @@
 """The knob budget: ceilings on the settable values the package exposes,
-and on its memo caches; and the reach budget: the library functions that no
-command reaches, each kept by a named contract.
+and on its memo caches; the reach budget: the library functions that no
+command reaches, each kept by a named contract; and the grid budget: each
+command solves its ladders in at most one grid.
 
 Every parameter with a default and every dataclass field is a value a caller
 can set, and each one multiplies the configurations that tests and
@@ -21,7 +22,7 @@ import io
 import sys
 from pathlib import Path
 
-from gegtau import analysis, cli
+from gegtau import analysis, cli, spectra
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gegtau").glob("*.py"))
 
@@ -149,3 +150,20 @@ def test_unreached_functions_are_kept_by_a_contract(tmp_path):
     assert codes == [code for _, code in commands]
     unreached = {name for name, obj in functions.items() if inspect.unwrap(obj).__code__ not in reached}
     assert unreached == set(UNREACHED)
+
+
+def test_each_command_solves_at_most_one_grid(tmp_path, monkeypatch, capsys):
+    # every ladder a command solves comes from one ``_solved_ladders`` call:
+    # one solve that every consumer of the command reuses
+    solved = spectra._solved_ladders
+    calls = []
+    monkeypatch.setattr(spectra, "_solved_ladders", lambda *args: calls.append(args) or solved(*args))
+    grids, expected = {}, {}
+    for argv, code in _commands(tmp_path):
+        calls.clear()
+        assert cli.main(argv) == code
+        capsys.readouterr()
+        command = " ".join(argv)
+        grids[command] = len(calls)
+        expected[command] = 0 if argv[-1] in ("positive-pair", "appendixB") else 1
+    assert grids == expected

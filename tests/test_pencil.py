@@ -65,6 +65,27 @@ def test_config_validation():
     with pytest.raises(ValueError, match="_oracle_assemble"):
         MethodConfig("tau", 0.0, 10, parity_split=False)
     assert MethodConfig("tau", 0.0, 10, parity_split=True) == MethodConfig("tau", 0.0, 10)
+    # a non-integral degree or a non-real gamma or alpha is refused here,
+    # not left to fail inside assemble with a TypeError
+    for args, field in (((1.0, 12.0), "n"), (("1.5", 12), "gamma"), ((1.0, 12, "0.5"), "alpha")):
+        with pytest.raises(ValueError, match=field):
+            MethodConfig("tau", *args)
+    numpy_config = MethodConfig("tau", np.float64(1.0), np.int64(12), alpha=np.float64(0.5))
+    assert numpy_config == MethodConfig("tau", 1.0, 12, alpha=0.5)
+
+
+def test_malformed_config_raises_in_its_grid_turn():
+    # the grid yields the ladders of the configurations before it, then raises
+    good = MethodConfig("tau", 1.0, 12)
+    alone = [pencil_lambdas(good, parity) for parity in PARITIES]
+    for bad in ({"n": 12.0}, {"gamma": "1.5"}, {"alpha": "0.5"}):
+        args = {"kind": "tau", "gamma": 1.0, "n": 12, **bad}
+        ladders = pencil_lambdas((MethodConfig(**args) if k else good for k in range(2)), PARITIES)
+        for lams, n_inf, m in alone:
+            got_lams, got_n_inf, got_m = next(ladders)
+            assert (got_lams.tobytes(), got_n_inf, got_m.tobytes()) == (lams.tobytes(), n_inf, m.tobytes())
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            next(ladders)
 
 
 def test_assemble_parity_consistency():

@@ -1,7 +1,7 @@
 """Compare two checkouts on perfbench, in alternating pairs of runs.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workload spectrum-highn --seeds 71-80 [--trace 0]
+        --workload spectrum-highn --seeds 71-80 [--trace 0] [--json BENCH_label.json]
 
 For each seed, runs ``perfbench/run.py`` once in each checkout, one after
 the other; the parent goes first on even-numbered pairs and the change on
@@ -17,7 +17,10 @@ and two tests of a claimed gain:
   parent's interquartile range.
 
 An end-to-end metric whose change median is worse than the parent's by more
-than its declared bound is flagged ``WORSE``.  Uses the standard library
+than its declared bound is flagged ``WORSE``.  With ``--json PATH``, the
+same comparison is also written to PATH: the seeds, the run seconds and,
+per workload and metric, both sides' quartiles, the pairs the change won
+and the two tests and the bound's verdict.  Uses the standard library
 only.
 """
 
@@ -66,13 +69,15 @@ def declared(change: Path) -> tuple[dict, dict, int]:
     return better, {m["name"]: m["bound"] for m in doc["end_to_end"]}, doc["run_seconds"]
 
 
-def summarize(workload: str, pairs: list[tuple[dict, dict]], better: dict, bounds: dict) -> list[str]:
-    """Report lines for one workload's (parent, change) result pairs."""
-    lines = [f"{workload}: {len(pairs)} pairs"]
+def compare(pairs: list[tuple[dict, dict]], better: dict, bounds: dict) -> dict:
+    """One workload's (parent, change) result pairs, compared metric by metric."""
+    doc = {"pairs": len(pairs), "sides": {}, "metrics": {}}
     for side, i in (("parent", 0), ("change", 1)):
-        failed = sum(p[i]["failed"] for p in pairs)
-        correct = all(p[i]["correct"] for p in pairs)
-        lines.append(f"  {side}: correct={correct} failed={failed}/{sum(p[i]['attempted'] for p in pairs)}")
+        doc["sides"][side] = {
+            "correct": all(p[i]["correct"] for p in pairs),
+            "failed": sum(p[i]["failed"] for p in pairs),
+            "attempted": sum(p[i]["attempted"] for p in pairs),
+        }
     for name in pairs[0][0]["metrics"]:
         old = [p[0]["metrics"][name]["value"] for p in pairs]
         new = [p[1]["metrics"][name]["value"] for p in pairs]
@@ -81,14 +86,34 @@ def summarize(workload: str, pairs: list[tuple[dict, dict]], better: dict, bound
         (p1, pm, p3), (c1, cm, c3) = quartiles(old), quartiles(new)
         change = (cm - pm) / pm if pm else 0.0
         gain = (pm - cm) if lower else (cm - pm)
-        verdict = f"wins {'yes' if wins * 10 >= 9 * len(pairs) else 'no'}, "
-        verdict += f"gap {'yes' if gain > p3 - p1 else 'no'}"
         worse = -change if not lower else change
-        if name in bounds and worse > bounds[name]:
-            verdict += f", WORSE beyond bound {bounds[name]}"
+        doc["metrics"][name] = {
+            "better": "lower" if lower else "higher",
+            "parent": [p1, pm, p3],
+            "change": [c1, cm, c3],
+            "relative_change": change,
+            "change_won": wins,
+            "wins": wins * 10 >= 9 * len(pairs),
+            "gap": gain > p3 - p1,
+            "bound": bounds.get(name),
+            "worse_beyond_bound": name in bounds and worse > bounds[name],
+        }
+    return doc
+
+
+def summarize(workload: str, doc: dict) -> list[str]:
+    """Report lines for one workload's comparison, as ``compare`` returns it."""
+    lines = [f"{workload}: {doc['pairs']} pairs"]
+    for side, got in doc["sides"].items():
+        lines.append(f"  {side}: correct={got['correct']} failed={got['failed']}/{got['attempted']}")
+    for name, m in doc["metrics"].items():
+        (p1, pm, p3), (c1, cm, c3) = m["parent"], m["change"]
+        verdict = f"wins {'yes' if m['wins'] else 'no'}, gap {'yes' if m['gap'] else 'no'}"
+        if m["worse_beyond_bound"]:
+            verdict += f", WORSE beyond bound {m['bound']}"
         lines.append(
             f"  {name}: {pm:.6g} ({p1:.6g}-{p3:.6g}) -> {cm:.6g} ({c1:.6g}-{c3:.6g}) "
-            f"{change:+.1%}; change won {wins}/{len(pairs)}; {verdict}"
+            f"{m['relative_change']:+.1%}; change won {m['change_won']}/{doc['pairs']}; {verdict}"
         )
     return lines
 
@@ -100,10 +125,12 @@ def main() -> int:
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seeds", required=True, help="e.g. 71-80 or 1,4,9")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    ap.add_argument("--json", type=Path, default=None, help="also write the comparison to this JSON file")
     args = ap.parse_args()
 
     better, bounds, seconds = declared(args.change)
     seeds = parse_seeds(args.seeds)
+    report = {"seeds": seeds, "run_seconds": seconds, "trace": args.trace, "workloads": {}}
     for workload in args.workload:
         pairs = []
         for k, seed in enumerate(seeds):
@@ -114,7 +141,10 @@ def main() -> int:
                 got[side] = run_once(checkout.resolve(), workload, seed, seconds, args.trace)
             pairs.append((got["parent"], got["change"]))
             print(f"{workload} seed {seed} ({order[0]} first) done", file=sys.stderr, flush=True)
-        print("\n".join(summarize(workload, pairs, better, bounds)), flush=True)
+        report["workloads"][workload] = compare(pairs, better, bounds)
+        print("\n".join(summarize(workload, report["workloads"][workload])), flush=True)
+        if args.json:  # rewritten after each workload, so a cut run keeps the finished ones
+            args.json.write_text(json.dumps(report, indent=2) + "\n")
     return 0
 
 
