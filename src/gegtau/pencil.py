@@ -11,9 +11,9 @@ mu = 1/lambda: A holds the fourth-order rows, B the second-order rows, and C
 the lambda-independent rows (boundary conditions and, for modified tau, the
 coefficient-identification rows).
 
-``reduce_to_standard`` eliminates C exactly (its rows carry no eigenvalue)
-and returns M = A'^{-1} B' whose eigenvalues are the mu's; ``eig.split_finite``
-maps them to lambdas.
+``_nullspace_by_elimination`` eliminates C exactly (its rows carry no
+eigenvalue), and ``reduce_to_standard`` returns M = A'^{-1} B' on its basis,
+whose eigenvalues are the mu's; ``eig.split_finite`` maps them to lambdas.
 """
 
 from __future__ import annotations
@@ -174,7 +174,7 @@ def assemble(config: MethodConfig, parity: str) -> Pencil:
 def _nullspace_by_elimination(c: np.ndarray) -> np.ndarray:
     """Basis of the nullspace of the constraint rows, by full-pivot Gauss:
     of one ladder's rows ``(m, d)``, or of each ladder of a stack
-    ``(k, m, d)``, ladders of one shape.
+    ``(k, m, d)``, ladders of one row count.
 
     Raises ``SingularReductionError`` if the rows are numerically
     dependent (rank-deficient pivot), a stack if any of its ladders' are.
@@ -186,10 +186,16 @@ def _nullspace_by_elimination(c: np.ndarray) -> np.ndarray:
     ``c.ndim`` selects the path.  A stack takes each pivot step for all
     its ladders in one array pass: each ladder's pivot row is swapped into
     place, and only its rows with a nonzero pivot-column entry are updated,
-    so each ladder's basis equals its own elimination's byte for byte.  One
-    ladder runs a loop that updates only the rows its pivot column reaches:
-    the array pass costs about twice that on a lone ladder (tau at n 20,
-    modified tau at n 34), and beats the loop per ladder on stacks of 15.
+    so each ladder's basis equals its own elimination's byte for byte.  A
+    narrower ladder may be stacked zero-padded to the widest, and its
+    basis cut back to ``[:d, :d - m]``: a zero column never wins a pivot,
+    the update is elementwise, and the padded columns are free columns
+    that sort after the real ones, so for finite rows the cut basis is
+    again its own elimination's.  One ladder runs a loop that updates only
+    the rows its pivot column reaches: the array pass costs about twice
+    that on a lone ladder (tau at n 20, modified tau at n 34), and beats
+    the loop per ladder on a sweep row's 18 ladders of 4 to 21 columns (84
+    against 684 microseconds).
     """
     if c.ndim == 3:
         k, m, dim = c.shape
@@ -284,20 +290,21 @@ class ReducedPencil:
     M: np.ndarray
 
 
-def reduce_to_standard(p: Pencil) -> ReducedPencil:
-    """Eliminate C a = 0 and return M = A'^{-1} B'.
+def reduce_to_standard(p: Pencil, t: np.ndarray) -> ReducedPencil:
+    """M = A'^{-1} B', the pencil on the nullspace of C.
 
-    A' and B' are A and B on the nullspace of C, equilibrated.  An empty
-    ladder (the odd one at n = 4) reduces to a 0 x 0 M.  Blocks stacked on a
-    leading axis, ladders of one shape, reduce to a stack of M's: the
-    elimination is one array pass over the stack, and each product, solve
-    and residual check runs once for the stack, one BLAS or LAPACK call
-    per ladder, so each M equals its ladder's own reduction byte for byte.
-    A stack raises if any of its ladders would.
+    ``t`` is that nullspace's basis, ``_nullspace_by_elimination(p.C)``:
+    the caller eliminates, so that one array pass serves ladders of every
+    width with the same row count.  A' and B' are A @ t and B @ t,
+    equilibrated.  An empty ladder (the odd one at n = 4) reduces to a
+    0 x 0 M.  Blocks and bases stacked on a leading axis, ladders of one
+    shape, reduce to a stack of M's: each product, solve and residual
+    check runs once for the stack, one BLAS or LAPACK call per ladder, so
+    each M equals its ladder's own reduction byte for byte.  A stack
+    raises if any of its ladders would.
     """
     if p.A.shape[-2] + p.C.shape[-2] != p.A.shape[-1]:
         raise ValueError(f"pencil is not square: {p.A.shape[-2]} + {p.C.shape[-2]} rows, {p.A.shape[-1]} columns")
-    t = _nullspace_by_elimination(p.C)
     with np.errstate(over="ignore", invalid="ignore"):  # _equilibrate raises on overflow
         a1, b1 = p.A @ t, p.B @ t
     if a1.size == 0:

@@ -748,6 +748,25 @@ def test_default_suites_solve_each_shared_ladder_once(monkeypatch, cold_pencil_c
         assert len(reduces) == calls, suite.__name__
 
 
+def test_one_elimination_pass_per_boundary_row_count(monkeypatch, capsys, cold_pencil_caches):
+    # a sweep row's 18 ladders have two boundary rows each and 18 widths:
+    # one elimination pass, zero-padded to 21 columns, where a pass per
+    # block shape made 18; a spectrum's two ladders make one, not 2.
+    # Modified tau's two ladders have 14 and 13 rows: each keeps its loop
+    calls = []
+    eliminate = pencil._nullspace_by_elimination
+    monkeypatch.setattr(pencil, "_nullspace_by_elimination", lambda c: calls.append(c.shape) or eliminate(c))
+    for argv, want in (
+        (["sweep", "--method", "tau", "--gamma-range", "1:1:1", "--n-range", "8:40:4"], [(18, 2, 21)]),
+        (["spectrum", "--method", "tau", "--gamma", "1", "--n", "24"], [(2, 2, 13)]),
+        (["spectrum", "--method", "modified", "--gamma", "1", "--n", "24"], [(14, 26), (13, 24)]),
+    ):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert calls == want, argv
+    capsys.readouterr()
+
+
 def _pairs(report) -> dict:
     """Each ladder's M, eigenvalues and eigenvectors, as dtype, strides and bytes."""
     return {
@@ -837,7 +856,7 @@ def test_grid_raises_an_error_in_its_configurations_turn(suite):
 def test_grid_gives_a_failing_ladder_its_own_error(monkeypatch, cold_pencil_caches):
     stacks = []
     reduce = spectra.reduce_to_standard
-    monkeypatch.setattr(spectra, "reduce_to_standard", lambda p: stacks.append(p.A.ndim == 3) or reduce(p))
+    monkeypatch.setattr(spectra, "reduce_to_standard", lambda p, t: stacks.append(p.A.ndim == 3) or reduce(p, t))
     # alpha 1e77 overflows the reduced rows of one collocation ladder in each
     # stack: the other ladders' reports stand, and it gets its own error
     solved = [MethodConfig("collocation", g, 16) for g in (1.0, 1.25)]

@@ -27,9 +27,15 @@ from gegtau.pencil import (
     assemble,
     reduce_to_standard,
 )
+from gegtau import pencil, spectra
 from gegtau.spectra import charpoly_lambdas, pencil_lambdas, spectrum_report
 
 PARITIES = ("even", "odd")
+
+
+def _reduce(p):
+    """``reduce_to_standard`` on the basis of the pencil's own elimination."""
+    return reduce_to_standard(p, _nullspace_by_elimination(p.C))
 
 
 def sorted_c(z):
@@ -129,7 +135,7 @@ def test_parity_split_dimensions():
         for parity in ("even", "odd"):
             p = assemble(config, parity)
             assert p.A.shape[0] + p.C.shape[0] == p.A.shape[1]
-            m = reduce_to_standard(p).M
+            m = _reduce(p).M
             ladder = n if (n % 2 == 0) == (parity == "even") else n - 1
             expected = (ladder - 2) // 2 if parity == "even" else (ladder - 3) // 2
             assert m.shape == (expected, expected)
@@ -146,7 +152,7 @@ def test_modified_tau_dimension():
         p = assemble(MethodConfig("modified_tau", 0.0, n), parity)
         assert p.A.shape[1] == 2 * cols
         assert p.C.shape[0] == rows + 2
-        m = reduce_to_standard(p).M
+        m = _reduce(p).M
         assert m.shape == (cols - 1, cols - 1)
         reduced += m.shape[0]
     assert reduced == n - 1
@@ -287,7 +293,7 @@ def _oracle_assemble(config, parity):
 
 def _coupled_lambdas(config):
     """Finite eigenvalues and near-infinite count of the coupled oracle pencil."""
-    return split_finite(dense_eigs(reduce_to_standard(_oracle_assemble(config, None)).M))
+    return split_finite(dense_eigs(_reduce(_oracle_assemble(config, None)).M))
 
 
 def _coupled_report(config):
@@ -332,7 +338,7 @@ def test_shared_ingredients_are_read_only():
 
 
 def test_reduce_n4_even_is_one_by_one():
-    m = reduce_to_standard(assemble(MethodConfig("tau", 0.0, 4), "even")).M
+    m = _reduce(assemble(MethodConfig("tau", 0.0, 4), "even")).M
     assert m.shape == (1, 1)
     assert m[0, 0] == pytest.approx(1.0 / 12.0, rel=1e-13)
 
@@ -340,7 +346,7 @@ def test_reduce_n4_even_is_one_by_one():
 def test_reduce_legendre_two_near_zero_mus():
     # one near-zero mu on each ladder
     for parity in PARITIES:
-        m = reduce_to_standard(assemble(MethodConfig("tau", 0.5, 10), parity)).M
+        m = _reduce(assemble(MethodConfig("tau", 0.5, 10), parity)).M
         mus = dense_eigs(m)
         scaled = np.abs(mus) / np.max(np.abs(mus))
         assert np.sum(scaled < 1e-12) == 1, parity
@@ -361,7 +367,7 @@ def test_reduce_raises_on_a_nan_solve(monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", nan_last)
     for p in (ladders[0], stack):
         with pytest.raises(SingularReductionError, match=r"reduced solve is unreliable \(residual nan\)"):
-            reduce_to_standard(p)
+            _reduce(p)
 
 
 def test_reduce_invariant_under_tau_row_rescaling():
@@ -376,7 +382,7 @@ def test_reduce_invariant_under_tau_row_rescaling():
         b = p.B.copy()
         a[:tau] *= scales[:, None]
         b[:tau] *= scales[:, None]
-        mus = dense_eigs(reduce_to_standard(Pencil(a, b, p.C)).M)
+        mus = dense_eigs(_reduce(Pencil(a, b, p.C)).M)
         lam, _ = split_finite(mus)
         assert spectrum_dev(lam, lam_ref) < 1e-9
 
@@ -489,7 +495,7 @@ def test_reduction_steps_match_loop_oracles(config, split):
         want = _oracle_equilibrate(a1, b1)
         for got, w in zip(_equilibrate(a1, b1), want):
             assert np.array_equal(got, w)
-        assert np.array_equal(reduce_to_standard(p).M, np.linalg.solve(*want))
+        assert np.array_equal(_reduce(p).M, np.linalg.solve(*want))
     # the ladders of one shape at this gamma and two more, stacked: each
     # eliminates to its own loop's bytes
     alike = {}
@@ -529,6 +535,99 @@ def test_reduction_steps_match_loop_oracles_on_edge_inputs():
         assert np.array_equal(got, want)
 
 
+def _recorded_eliminations(monkeypatch):
+    """Record each elimination call's rows, and each (C, basis) pair that
+    reaches a grid's reductions, one pair per ladder."""
+    calls, pairs = [], []
+    eliminate, reduce = pencil._nullspace_by_elimination, spectra.reduce_to_standard
+    monkeypatch.setattr(pencil, "_nullspace_by_elimination", lambda c: calls.append(c.shape) or eliminate(c))
+
+    def recorded(p, t):
+        pairs.extend(zip(p.C, t) if t.ndim == 3 else [(p.C, t)])
+        return reduce(p, t)
+
+    monkeypatch.setattr(spectra, "reduce_to_standard", recorded)
+    return calls, pairs
+
+
+def test_grid_eliminates_each_row_count_in_padded_passes(monkeypatch, cold_pencil_caches):
+    # a window's ladders with one count of boundary rows are eliminated in
+    # passes of mixed widths, each C zero-padded to its pass's widest; each
+    # basis that reaches a reduction, cut back to its ladder's width, is its
+    # own loop's bytes.  Tau, Galerkin, inviscid Galerkin and collocation
+    # have two boundary rows at every width, n 4's empty odd ladder (2
+    # columns) included (collocation starts at n 5, its first interior
+    # node).  Without the cap on a pass's size, each kind is one pass
+    calls, pairs = _recorded_eliminations(monkeypatch)
+    for capped in (True, False):
+        if not capped:
+            monkeypatch.setattr(spectra, "_PASS_SIZE", math.inf)
+        for kind in ("tau", "galerkin", "inviscid_galerkin", "collocation"):
+            n_lo = 5 if kind == "collocation" else 4
+            configs = [MethodConfig(kind, gamma, n) for gamma in (-0.45, 1.25) for n in range(n_lo, 65)]
+            calls.clear()
+            pairs.clear()
+            grid = list(pencil_lambdas(configs, PARITIES))
+            assert len(grid) == 2 * len(configs)
+            assert {t.shape[0] for _, t in pairs} == set(range((n_lo + 1) // 2, 34)), kind
+            assert sum(shape[0] if len(shape) == 3 else 1 for shape in calls) == len(pairs), kind
+            if capped:
+                assert 1 < len(calls) < len({t.shape for _, t in pairs}), kind
+            else:
+                assert calls == [(len(pairs), 2, 33)], kind
+            for c, t in pairs:
+                assert _same_bytes(t, _oracle_nullspace_by_elimination(c)), (kind, c.shape)
+    # modified tau's row count fixes its width: a pass per row count of two
+    # or more ladders, across gammas and alphas; n 17's ladders are n 16's
+    # even one and n 18's odd one, so 10 boundary rows hold 12 distinct
+    configs = [
+        MethodConfig("modified_tau", g, n, alpha=a) for g in (-0.45, 1.25, 4.3) for n in (13, 16, 17, 18) for a in (0.0, 0.5)
+    ]
+    calls.clear()
+    pairs.clear()
+    assert len(list(pencil_lambdas(configs, PARITIES))) == 2 * len(configs)
+    assert calls == [(12, 8, 14), (12, 10, 18), (6, 9, 16), (6, 11, 20)]
+    assert len(pairs) == 36
+    for c, t in pairs:
+        assert _same_bytes(t, _oracle_nullspace_by_elimination(c)), c.shape
+
+
+def test_grid_eliminates_each_ladder_alone_when_the_pass_raises(monkeypatch, cold_pencil_caches):
+    # n 12's odd ladder gets dependent boundary rows: the padded pass over
+    # all eight ladders raises, each ladder is eliminated alone, and every
+    # other ladder still gets its own solve, the dependent one its error
+    configs = [MethodConfig("tau", 1.0, n) for n in (8, 10, 12, 14)]
+    alone = [pencil_lambdas(config, parity) for config in configs for parity in PARITIES]
+    assemble = spectra.assemble
+
+    def dependent(config, parity):
+        p = assemble(config, parity)
+        if (config.n, parity) == (12, "odd"):
+            p.C[1] = 2.0 * p.C[0]
+        return p
+
+    monkeypatch.setattr(spectra, "assemble", dependent)
+    calls, _ = _recorded_eliminations(monkeypatch)
+    outs = []  # each _solve_alike call's results
+    solve_alike = spectra._solve_alike
+    monkeypatch.setattr(
+        spectra, "_solve_alike", lambda ladders, vectors: outs.append(solve_alike(ladders, vectors)) or outs[-1]
+    )
+    grid = pencil_lambdas(configs, PARITIES)
+    for want in alone[:5]:
+        got = next(grid)
+        assert _same_bytes(got[0], want[0]) and got[1] == want[1] and _same_bytes(got[2], want[2])
+    with pytest.raises(SingularReductionError, match="lambda-independent rows are linearly dependent"):
+        next(grid)
+    # the pass, then each ladder alone, shape by shape (n 10's odd ladder
+    # has n 8's even one's shape, and so on)
+    assert calls == [(8, 2, 8), (2, 5), (2, 5), (2, 4), (2, 6), (2, 6), (2, 7), (2, 7), (2, 8)]
+    (out,) = outs
+    assert isinstance(out[5], SingularReductionError)
+    for got, want in zip(out[:5] + out[6:], alone[:5] + alone[6:], strict=True):
+        assert _same_bytes(got[0], want[0]) and got[1] == want[1] and _same_bytes(got[2], want[2])
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_pencil_lambdas_matches_oracle_chain(kind):
     # the whole ladder solve against the test-side references chained end to
@@ -555,7 +654,7 @@ def test_pencil_lambdas_matches_oracle_chain(kind):
     assert min(len(ladders) for ladders in alike.values()) >= 6
     for ladders in alike.values():
         stack = Pencil(*(np.stack([getattr(p, block) for _, p, _, _ in ladders]) for block in "ABC"))
-        got_m = reduce_to_standard(stack).M
+        got_m = _reduce(stack).M
         got_mus = dense_eigs(got_m)
         for k, (where, _, m, mus) in enumerate(ladders):
             assert _same_bytes(got_m[k], m), where
