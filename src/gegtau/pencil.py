@@ -14,6 +14,8 @@ coefficient-identification rows).
 ``_nullspace_by_elimination`` eliminates C exactly (its rows carry no
 eigenvalue), and ``reduce_to_standard`` returns M = A'^{-1} B' on its basis,
 whose eigenvalues are the mu's; ``eig.split_finite`` maps them to lambdas.
+The grid solve in ``spectra`` passes both every ladder stacked on a
+leading axis, a lone one as a stack of one.
 """
 
 from __future__ import annotations
@@ -172,90 +174,88 @@ def assemble(config: MethodConfig, parity: str) -> Pencil:
 
 
 def _nullspace_by_elimination(c: np.ndarray) -> np.ndarray:
-    """Basis of the nullspace of the constraint rows, by full-pivot Gauss:
-    of one ladder's rows ``(m, d)``, or of each ladder of a stack
-    ``(k, m, d)``, ladders of one row count.
+    """Bases of the nullspaces of a stack of constraint rows ``(k, m, d)``,
+    ladders of one row count, by full-pivot Gauss: ``(k, d, d - m)``.
 
-    Raises ``SingularReductionError`` if the rows are numerically
-    dependent (rank-deficient pivot), a stack if any of its ladders' are.
-    Each pivot is tested against the largest entry its own row had before
-    elimination: boundary rows at large gamma and n span many orders of
-    magnitude, and a test against the whole matrix would reject the small
-    rows although they are independent.
+    Raises ``SingularReductionError`` if any ladder's rows are numerically
+    dependent (rank-deficient pivot).  Each pivot is tested against the
+    largest entry its own row had before elimination: boundary rows at
+    large gamma and n span many orders of magnitude, and a test against
+    the whole matrix would reject the small rows although they are
+    independent.
 
-    ``c.ndim`` selects the path.  A stack takes each pivot step for all
-    its ladders in one array pass: each ladder's pivot row is swapped into
+    The stack's size selects the path.  Two or more ladders take each
+    pivot step in one array pass: each ladder's pivot row is swapped into
     place, and only its rows with a nonzero pivot-column entry are updated,
     so each ladder's basis equals its own elimination's byte for byte.  A
     narrower ladder may be stacked zero-padded to the widest, and its
     basis cut back to ``[:d, :d - m]``: a zero column never wins a pivot,
     the update is elementwise, and the padded columns are free columns
     that sort after the real ones, so for finite rows the cut basis is
-    again its own elimination's.  One ladder runs a loop that updates only
-    the rows its pivot column reaches: the array pass costs about twice
-    that on a lone ladder (tau at n 20, modified tau at n 34), and beats
-    the loop per ladder on a sweep row's 18 ladders of 4 to 21 columns (84
-    against 684 microseconds).
+    again its own elimination's.  A stack of one runs a loop that updates
+    only the rows its pivot column reaches: the array pass costs about
+    twice that on a lone ladder (tau at n 20, modified tau at n 34), and
+    beats the loop per ladder on a sweep row's 18 ladders of 4 to 21
+    columns (84 against 684 microseconds).
     """
-    if c.ndim == 3:
-        k, m, dim = c.shape
-        u = c.copy()
-        row_max = np.abs(u).max(axis=2)
-        ladder = np.arange(k)
-        pivoted = np.zeros((k, dim), dtype=bool)
-        piv_cols = np.zeros((k, m), dtype=np.intp)
+    k, m, dim = c.shape
+    if k == 1:
+        u = c[0].copy()
+        row_max = np.abs(u).max(axis=1).tolist()
+        piv_cols: list[int] = []
         for i in range(m):
-            sub = np.abs(u[:, i:])
-            np.copyto(sub, -1.0, where=pivoted[:, None, :])
-            sub = sub.reshape(k, -1)
-            at = sub.argmax(axis=1)
-            r, j = at // dim + i, at % dim
-            if (sub[ladder, at] <= 1e-12 * row_max[ladder, r]).any():
+            sub = np.abs(u[i:])
+            if piv_cols:
+                sub[:, piv_cols] = -1.0
+            r, j = divmod(int(sub.argmax()), dim)
+            r += i
+            if abs(u[r, j]) <= 1e-12 * row_max[r]:
                 raise SingularReductionError("lambda-independent rows are linearly dependent")
-            # each ladder's pivot row swapped into row i, as the loop swaps
-            # it: later argmax ties then break alike
-            pivot_row = u[ladder, r]
-            u[ladder, r], u[:, i] = u[:, i], pivot_row
-            row_max[ladder, r], row_max[:, i] = row_max[:, i], row_max[ladder, r]
-            pivoted[ladder, j] = True
-            piv_cols[:, i] = j
-            col = u[ladder, :, j]
-            # rows with a zero pivot-column entry keep their values, signed
-            # zeros included, as the loop leaves them
-            rows = col != 0.0
-            rows[:, i] = False
-            np.subtract(u, (col / col[:, i, None])[..., None] * pivot_row[:, None], out=u, where=rows[..., None])
-        free = np.nonzero(~pivoted)[1].reshape(k, dim - m)
-        t = np.zeros((k, dim, dim - m))
-        kk, steps = ladder[:, None], np.arange(m)
-        t[kk, free, np.arange(dim - m)] = 1.0
-        t[kk, piv_cols] = -u[kk[..., None], steps[:, None], free[:, None]] / u[kk, steps, piv_cols][..., None]
-        return t
-    m, dim = c.shape
+            if r != i:
+                u[i], u[r] = u[r], u[i].copy()
+                row_max[i], row_max[r] = row_max[r], row_max[i]
+            piv_cols.append(j)
+            rows = u[:, j].nonzero()[0]
+            rows = rows[rows != i]
+            if rows.size:
+                u[rows] -= (u[rows, j] / u[i, j])[:, None] * u[i]
+        free = np.ones(dim, dtype=bool)
+        free[piv_cols] = False
+        t = np.zeros((dim, dim - m))
+        t[free, np.arange(dim - m)] = 1.0
+        t[piv_cols, :] = -u[:, free] / u[np.arange(m), piv_cols][:, None]
+        return t[None]
     u = c.copy()
-    row_max = np.abs(u).max(axis=1).tolist()
-    piv_cols: list[int] = []
+    row_max = np.abs(u).max(axis=2)
+    ladder = np.arange(k)
+    pivoted = np.zeros((k, dim), dtype=bool)
+    piv_cols = np.zeros((k, m), dtype=np.intp)
     for i in range(m):
-        sub = np.abs(u[i:])
-        if piv_cols:
-            sub[:, piv_cols] = -1.0
-        r, j = divmod(int(sub.argmax()), dim)
-        r += i
-        if abs(u[r, j]) <= 1e-12 * row_max[r]:
+        sub = np.abs(u[:, i:])
+        np.copyto(sub, -1.0, where=pivoted[:, None, :])
+        sub = sub.reshape(k, -1)
+        at = sub.argmax(axis=1)
+        r, j = at // dim + i, at % dim
+        if (sub[ladder, at] <= 1e-12 * row_max[ladder, r]).any():
             raise SingularReductionError("lambda-independent rows are linearly dependent")
-        if r != i:
-            u[i], u[r] = u[r], u[i].copy()
-            row_max[i], row_max[r] = row_max[r], row_max[i]
-        piv_cols.append(j)
-        rows = u[:, j].nonzero()[0]
-        rows = rows[rows != i]
-        if rows.size:
-            u[rows] -= (u[rows, j] / u[i, j])[:, None] * u[i]
-    free = np.ones(dim, dtype=bool)
-    free[piv_cols] = False
-    t = np.zeros((dim, dim - m))
-    t[free, np.arange(dim - m)] = 1.0
-    t[piv_cols, :] = -u[:, free] / u[np.arange(m), piv_cols][:, None]
+        # each ladder's pivot row swapped into row i, as the loop swaps
+        # it: later argmax ties then break alike
+        pivot_row = u[ladder, r]
+        u[ladder, r], u[:, i] = u[:, i], pivot_row
+        row_max[ladder, r], row_max[:, i] = row_max[:, i], row_max[ladder, r]
+        pivoted[ladder, j] = True
+        piv_cols[:, i] = j
+        col = u[ladder, :, j]
+        # rows with a zero pivot-column entry keep their values, signed
+        # zeros included, as the loop leaves them
+        rows = col != 0.0
+        rows[:, i] = False
+        np.subtract(u, (col / col[:, i, None])[..., None] * pivot_row[:, None], out=u, where=rows[..., None])
+    free = np.nonzero(~pivoted)[1].reshape(k, dim - m)
+    t = np.zeros((k, dim, dim - m))
+    kk, steps = ladder[:, None], np.arange(m)
+    t[kk, free, np.arange(dim - m)] = 1.0
+    t[kk, piv_cols] = -u[kk[..., None], steps[:, None], free[:, None]] / u[kk, steps, piv_cols][..., None]
     return t
 
 
@@ -293,15 +293,16 @@ class ReducedPencil:
 def reduce_to_standard(p: Pencil, t: np.ndarray) -> ReducedPencil:
     """M = A'^{-1} B', the pencil on the nullspace of C.
 
-    ``t`` is that nullspace's basis, ``_nullspace_by_elimination(p.C)``:
+    ``t`` is that nullspace's basis, from ``_nullspace_by_elimination``:
     the caller eliminates, so that one array pass serves ladders of every
     width with the same row count.  A' and B' are A @ t and B @ t,
     equilibrated.  An empty ladder (the odd one at n = 4) reduces to a
-    0 x 0 M.  Blocks and bases stacked on a leading axis, ladders of one
-    shape, reduce to a stack of M's: each product, solve and residual
-    check runs once for the stack, one BLAS or LAPACK call per ladder, so
-    each M equals its ladder's own reduction byte for byte.  A stack
-    raises if any of its ladders would.
+    0 x 0 M.  The grid solve passes blocks and bases stacked on a leading
+    axis, ladders of one shape (a lone ladder as a stack of one), and gets
+    a stack of M's: each product, solve and residual check runs once for
+    the stack, one BLAS or LAPACK call per ladder, so each M equals its
+    ladder's own reduction byte for byte.  One ladder's unstacked blocks
+    reduce alike.  A stack raises if any of its ladders would.
     """
     if p.A.shape[-2] + p.C.shape[-2] != p.A.shape[-1]:
         raise ValueError(f"pencil is not square: {p.A.shape[-2]} + {p.C.shape[-2]} rows, {p.A.shape[-1]} columns")

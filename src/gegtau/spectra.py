@@ -10,13 +10,15 @@ ladder, or each ladder of an iterable of configurations (a grid) in turn.
 Ladders repeat: stepping n by one gives each to two adjacent degrees, and
 Galerkin and inviscid Galerkin are tau at gamma + 2 and gamma + 1.  So a
 window of configurations assembles all its ladders and keeps each distinct
-one (equal A, B and C bytes) once.  One array pass eliminates the boundary
-rows of distinct ladders with one count of such rows, whatever their
-widths, each zero-padded to the widest; the ladders of one block shape are
-then reduced and solved as one stack, one BLAS or LAPACK call per ladder,
-so each result equals the ladder's own solve byte for byte.  No solve is
-kept between calls; boundary rows are read from the endpoint tables that
-``gegenbauer`` keeps for the last 8 gammas.
+one (equal A, B and C bytes) once.  One pass eliminates the boundary rows
+of distinct ladders with one count of such rows, whatever their widths,
+each zero-padded to the widest, then reduces and solves the ladders of
+each block shape as one stack, a lone ladder as a stack of one: one BLAS
+or LAPACK call per ladder, so each result equals the ladder's own solve
+byte for byte.  A pass that raises is solved again a ladder at a time, so
+that each ladder gets its own result or error.  No solve is kept between
+calls; boundary rows are read from the endpoint tables that ``gegenbauer``
+keeps for the last 8 gammas.
 
 ``classify`` labels a configuration's ladders together.  Asked for
 ``vectors``, each solve is LAPACK's eigenvalues-and-eigenvectors job, and
@@ -107,11 +109,10 @@ def _solved_ladders(configs: Iterator[MethodConfig], parities: tuple[str, ...], 
     solved a window of configurations at a time.
 
     A window assembles every ladder, keeps one copy of each distinct ladder
-    (equal A, B and C bytes) and hands the distinct ladders with each count
-    of boundary rows to ``_solve_alike``.  An error is raised at its
-    ladder, as the one-ladder ``pencil_lambdas`` raises it: an invalid
-    configuration or a failed assembly ends the window, and no later
-    ladder is assembled.
+    (equal A, B and C bytes) and solves the distinct ladders in
+    ``_solve_passes``.  An error is raised at its ladder, as the one-ladder
+    ``pencil_lambdas`` raises it: an invalid configuration or a failed
+    assembly ends the window, and no later ladder is assembled.
     """
     while True:
         window, size, error = [], 0, None
@@ -135,16 +136,7 @@ def _solved_ladders(configs: Iterator[MethodConfig], parities: tuple[str, ...], 
         # a distinct ladder is kept as its key alone: the bytes of A, B and C
         ladders = list(index)
         del index, window
-        groups: dict = {}
-        for slot, (_, c_shape, _) in enumerate(ladders):
-            groups.setdefault(c_shape[0], []).append(slot)
-        solves = [None] * len(ladders)
-        for alike in groups.values():
-            group = [ladders[slot] for slot in alike]
-            for slot in alike:
-                ladders[slot] = None  # _solve_alike drops each ladder's bytes once read
-            for slot, solve in zip(alike, _solve_alike(group, vectors)):
-                solves[slot] = solve
+        solves = _solve_passes(ladders, vectors)
         for slot in slots:
             solve = solves[slot]
             if isinstance(solve, Exception):
@@ -156,94 +148,79 @@ def _solved_ladders(configs: Iterator[MethodConfig], parities: tuple[str, ...], 
             return
 
 
-def _solve_alike(ladders: list[tuple], vectors: bool) -> list:
+def _solve_passes(ladders: list[tuple], vectors: bool) -> list:
     """Each ladder's ``pencil_lambdas`` tuple, or the error its solve raised.
 
-    ``ladders`` are keys ``(A.shape, C.shape, bytes)`` with one count of
-    boundary rows; each ladder's bytes are the rows of A, B and C, and are
-    dropped from ``ladders`` once read.  The shapes, in turn, are packed
-    into elimination passes of at most ``_PASS_SIZE`` padded basis entries
-    (``_bases``); if a pass raises, or holds one ladder, each of its
-    ladders is eliminated alone.  The ladders of each shape are then
-    reduced and solved as one stack; if the stack raises, they are solved
-    again one at a time, so that each gets its own result or error.
+    ``ladders`` are keys ``(A.shape, C.shape, bytes)``; each ladder's bytes
+    are the rows of A, B and C, and are dropped from ``ladders`` once its
+    pass is solved.  Each count of boundary rows, in turn, packs its block
+    shapes into passes of at most ``_PASS_SIZE`` padded basis entries, and
+    each pass is solved by ``_solve_pass``.  If a pass raises, each of its
+    ladders is solved again as a pass of its own, so that each gets its own
+    result or error.
     """
-    c = ladders[0][1][0]
-    shapes: dict = {}
-    for k, (a_shape, _, _) in enumerate(ladders):
-        shapes.setdefault(a_shape, []).append(k)
+    groups: dict = {}
+    for k, (a_shape, c_shape, _) in enumerate(ladders):
+        groups.setdefault(c_shape[0], {}).setdefault(a_shape, []).append(k)
     passes: list = []
-    size = width = 0  # the last pass's ladders and widest ladder
-    for (r, d), alike in shapes.items():
-        size, width = size + len(alike), max(width, d)
-        if not passes or size * width * (width - c) > _PASS_SIZE:
-            passes.append({})
-            size, width = len(alike), d
-        passes[-1][r, d] = alike
-
-    def solve(x: np.ndarray, r: int, t: np.ndarray) -> tuple:
-        m = reduce_to_standard(Pencil(x[..., :r, :], x[..., r : 2 * r, :], x[..., 2 * r :, :]), t).M
-        return m, dense_eigs(m, vectors)
-
-    def solved(m: np.ndarray, eigs) -> tuple:
-        if not vectors:
-            return (*split_finite(eigs), m)
-        mu, v = eigs
-        # a stack's eigenvectors are complex if any of its spectra is; a
-        # real spectrum's own solve gives them real
-        return (*split_finite(mu), m, (mu, v if mu.imag.any() else v.real))
-
+    for c, shapes in groups.items():
+        passes.append({})
+        size = width = 0  # the last pass's ladders and widest ladder
+        for (r, d), alike in shapes.items():
+            size, width = size + len(alike), max(width, d)
+            if passes[-1] and size * width * (width - c) > _PASS_SIZE:
+                passes.append({})
+                size, width = len(alike), d
+            passes[-1][r, d] = alike
     out: list = [None] * len(ladders)
     for run in passes:
-        bases = _bases(ladders, run)
-        for (r, d), alike in run.items():
-            rows = np.frombuffer(b"".join(ladders[k][2] for k in alike)).reshape(len(alike), 2 * r + c, d)
-            for k in alike:
-                ladders[k] = None
-            t = bases.pop((r, d), None)
-            if t is not None and len(alike) > 1:
+        members = [k for alike in run.values() for k in alike]
+        try:
+            solves = _solve_pass([ladders[k] for k in members], vectors)
+        except (RuntimeError, ValueError):
+            solves = []
+            for k in members:
                 try:
-                    ms, eigs = solve(rows, r, t)
-                    for k, m, e in zip(alike, ms, zip(*eigs) if vectors else eigs):
-                        out[k] = solved(m, e)
-                    continue
-                except (RuntimeError, ValueError):
-                    pass
-            for j, (k, x) in enumerate(zip(alike, rows)):
-                try:
-                    out[k] = solved(*solve(x, r, pencil._nullspace_by_elimination(x[2 * r :]) if t is None else t[j]))
+                    solves += _solve_pass([ladders[k]], vectors)
                 except (RuntimeError, ValueError) as exc:
-                    out[k] = exc
+                    solves.append(exc)
+        for k, solve in zip(members, solves):
+            out[k] = solve
+            ladders[k] = None
     return out
 
 
-def _bases(ladders: list[tuple], shapes: dict) -> dict:
-    """Each shape's stacked nullspace bases, ``{A.shape: bases}``, from one
-    elimination pass over the ladders ``shapes`` lists; {} if it raises, and
-    for a lone ladder, which keeps the elimination's row loop.
+def _solve_pass(ladders: list[tuple], vectors: bool) -> list:
+    """Each ladder's ``pencil_lambdas`` tuple, for keys as in
+    ``_solve_passes`` with one count of boundary rows, listed shape by
+    shape; raises if any of their solves would.
 
-    Each C is zero-padded to the widest, and its basis is cut back to its
-    own width, which gives its own elimination's bytes
-    (``pencil._nullspace_by_elimination``); each cut is copied out
-    C-ordered, the layout a basis of its own has.
+    One elimination (``pencil._nullspace_by_elimination``) takes every C,
+    each zero-padded to the widest; each basis is cut back to its own
+    width, which gives its own elimination's bytes, and copied out
+    C-ordered, the layout a basis of its own has.  The ladders of each
+    shape are then reduced and solved as one stack, a lone ladder as a
+    stack of one.
     """
-    members = [k for alike in shapes.values() for k in alike]
-    if len(members) < 2:
-        return {}
-    c = ladders[members[0]][1][0]
-    padded = np.zeros((len(members), c, max(d for _, d in shapes)))
-    for rows, k in zip(padded, members):
-        (r, d), _, data = ladders[k]
+    c = ladders[0][1][0]
+    padded = np.zeros((len(ladders), c, max(d for (_, d), _, _ in ladders)))
+    for rows, ((r, d), _, data) in zip(padded, ladders):
         rows[:, :d] = np.frombuffer(data, offset=16 * r * d).reshape(c, d)
-    try:
-        t = pencil._nullspace_by_elimination(padded)
-    except (RuntimeError, ValueError):
-        return {}
-    bases, start = {}, 0
-    for (r, d), alike in shapes.items():
-        bases[r, d] = np.ascontiguousarray(t[start : start + len(alike), :d, : d - c])
-        start += len(alike)
-    return bases
+    t = pencil._nullspace_by_elimination(padded)
+    out: list = []
+    for (r, d), alike in itertools.groupby(ladders, key=lambda ladder: ladder[0]):
+        x = np.frombuffer(b"".join(data for _, _, data in alike)).reshape(-1, 2 * r + c, d)
+        # this shape's bases follow those of the ladders solved so far
+        basis = np.ascontiguousarray(t[len(out) : len(out) + len(x), :d, : d - c])
+        m = reduce_to_standard(Pencil(x[:, :r], x[:, r : 2 * r], x[:, 2 * r :]), basis).M
+        eigs = dense_eigs(m, vectors)
+        if not vectors:
+            out += [(*split_finite(mu), mk) for mk, mu in zip(m, eigs)]
+            continue
+        # a stack's eigenvectors are complex if any of its spectra is; a
+        # real spectrum's own solve gives them real
+        out += [(*split_finite(mu), mk, (mu, v if mu.imag.any() else v.real)) for mk, mu, v in zip(m, *eigs)]
+    return out
 
 
 def spectrum_report(

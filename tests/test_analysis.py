@@ -647,13 +647,11 @@ def _solved(result):
 
 
 def _eliminations(monkeypatch):
-    """Record each boundary-row elimination: one per ladder reduced, alone
-    or in a stack (one call that eliminates its ``c.shape[0]`` ladders)."""
+    """Record each boundary-row elimination: one per ladder of each
+    eliminated stack."""
     calls = []
     eliminate = pencil._nullspace_by_elimination
-    monkeypatch.setattr(
-        pencil, "_nullspace_by_elimination", lambda c: calls.extend(c if c.ndim == 3 else [c]) or eliminate(c)
-    )
+    monkeypatch.setattr(pencil, "_nullspace_by_elimination", lambda c: calls.extend(c) or eliminate(c))
     return calls
 
 
@@ -752,14 +750,15 @@ def test_one_elimination_pass_per_boundary_row_count(monkeypatch, capsys, cold_p
     # a sweep row's 18 ladders have two boundary rows each and 18 widths:
     # one elimination pass, zero-padded to 21 columns, where a pass per
     # block shape made 18; a spectrum's two ladders make one, not 2.
-    # Modified tau's two ladders have 14 and 13 rows: each keeps its loop
+    # Modified tau's two ladders have 14 and 13 rows: each is a stack of
+    # one, which keeps the elimination's row loop
     calls = []
     eliminate = pencil._nullspace_by_elimination
     monkeypatch.setattr(pencil, "_nullspace_by_elimination", lambda c: calls.append(c.shape) or eliminate(c))
     for argv, want in (
         (["sweep", "--method", "tau", "--gamma-range", "1:1:1", "--n-range", "8:40:4"], [(18, 2, 21)]),
         (["spectrum", "--method", "tau", "--gamma", "1", "--n", "24"], [(2, 2, 13)]),
-        (["spectrum", "--method", "modified", "--gamma", "1", "--n", "24"], [(14, 26), (13, 24)]),
+        (["spectrum", "--method", "modified", "--gamma", "1", "--n", "24"], [(1, 14, 26), (1, 13, 24)]),
     ):
         calls.clear()
         assert cli.main(argv) == 0
@@ -797,9 +796,11 @@ def test_grid_reports_equal_per_configuration_reports():
 def test_grid_solves_a_large_grid_in_windows(monkeypatch):
     # a window assembles all its ladders, then solves them
     events = []
-    assemble, solve_alike = spectra.assemble, spectra._solve_alike
+    assemble, solve_passes = spectra.assemble, spectra._solve_passes
     monkeypatch.setattr(spectra, "assemble", lambda config, parity: events.append("a") or assemble(config, parity))
-    monkeypatch.setattr(spectra, "_solve_alike", lambda ladders, vectors: events.append("s") or solve_alike(ladders, vectors))
+    monkeypatch.setattr(
+        spectra, "_solve_passes", lambda ladders, vectors: events.append("s") or solve_passes(ladders, vectors)
+    )
     configs = [MethodConfig("tau", 1.0, n) for n in range(8, 101)]
     assert sum((n + 1) ** 2 for n in range(8, 101)) > spectra._GRID_WINDOW
     grid = [repr(vars(report)) for report in spectrum_report(configs)]
@@ -856,21 +857,23 @@ def test_grid_raises_an_error_in_its_configurations_turn(suite):
 def test_grid_gives_a_failing_ladder_its_own_error(monkeypatch, cold_pencil_caches):
     stacks = []
     reduce = spectra.reduce_to_standard
-    monkeypatch.setattr(spectra, "reduce_to_standard", lambda p, t: stacks.append(p.A.ndim == 3) or reduce(p, t))
-    # alpha 1e77 overflows the reduced rows of one collocation ladder in each
-    # stack: the other ladders' reports stand, and it gets its own error
+    monkeypatch.setattr(spectra, "reduce_to_standard", lambda p, t: stacks.append(len(p.A)) or reduce(p, t))
+    # alpha 1e77 overflows the reduced rows of the third configuration's
+    # even ladder: its pass raises at the even stack and is solved again a
+    # ladder at a time, the other ladders' reports stand, and it gets its
+    # own error
     solved = [MethodConfig("collocation", g, 16) for g in (1.0, 1.25)]
     reports = spectrum_report(solved + [MethodConfig("collocation", 1.0, 16, alpha=1e77)])
     for config in solved:
         assert repr(vars(next(reports))) == repr(vars(spectrum_report(config)))
     with pytest.raises(SingularReductionError, match="a reduced row overflows float64"):
         next(reports)
-    assert stacks[:8] == [True, False, False, False] * 2
-    # a stack that fails for any reason is solved again one ladder at a time
+    assert stacks[:7] == [3, 1, 1, 1, 1, 1, 1]
+    # a pass that fails for any reason is solved again one ladder at a time
     solve = np.linalg.solve
 
     def no_stacks(a, b):
-        if a.ndim == 3:
+        if len(a) > 1:
             raise np.linalg.LinAlgError("Singular matrix")
         return solve(a, b)
 
@@ -893,22 +896,6 @@ def test_grid_window_ends_at_its_first_failing_ladder(monkeypatch, cold_pencil_c
     with pytest.raises(SingularReductionError, match="overflows float64 at alpha 1e"):
         next(grid)
     assert len(assembles) == 5
-
-
-def test_grid_solves_a_stack_again_when_its_elimination_raises(monkeypatch, cold_pencil_caches):
-    # at alpha 1e6 modified tau's coupling rows fail the elimination's
-    # dependence test, so each parity's stack of the three configurations
-    # (one shape) raises, and its ladders are eliminated again one by one
-    configs = [MethodConfig("modified_tau", 1.0, 16, alpha=alpha) for alpha in (1e4, 1e5, 1e6)]
-    alone = [_solved(pencil_lambdas(config, parity)) for config in configs[:2] for parity in PARITIES]
-    shapes = []
-    eliminate = pencil._nullspace_by_elimination
-    monkeypatch.setattr(pencil, "_nullspace_by_elimination", lambda c: shapes.append(c.shape) or eliminate(c))
-    grid = pencil_lambdas(configs, PARITIES)
-    assert [_solved(next(grid)) for _ in alone] == alone
-    with pytest.raises(SingularReductionError, match="lambda-independent rows are linearly dependent"):
-        next(grid)
-    assert shapes == [(3, 10, 18), *[(10, 18)] * 3, (3, 9, 16), *[(9, 16)] * 3]
 
 
 def test_shared_ladder_is_solved_again_when_its_blocks_differ(monkeypatch, cold_pencil_caches):

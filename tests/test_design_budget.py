@@ -1,7 +1,7 @@
 """The knob budget: ceilings on the settable values the package exposes,
 and on its memo caches; the reach budget: the library functions that no
 command reaches, each kept by a named contract; and the grid budget: each
-command solves its ladders in at most one grid.
+command solves its ladders in at most one grid, each ladder as a stack.
 
 Every parameter with a default and every dataclass field is a value a caller
 can set, and each one multiplies the configurations that tests and
@@ -22,7 +22,7 @@ import io
 import sys
 from pathlib import Path
 
-from gegtau import analysis, cli, spectra
+from gegtau import analysis, cli, pencil, spectra
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gegtau").glob("*.py"))
 
@@ -167,3 +167,27 @@ def test_each_command_solves_at_most_one_grid(tmp_path, monkeypatch, capsys):
         grids[command] = len(calls)
         expected[command] = 0 if argv[-1] in ("positive-pair", "appendixB") else 1
     assert grids == expected
+
+
+def test_every_ladder_is_solved_as_a_stack(tmp_path, monkeypatch, capsys):
+    # one route from a ladder to its spectrum: every elimination, reduction
+    # and eigensolve a command runs takes a 3-D stack of ladders, a lone
+    # ladder as a stack of one
+    ndims = []
+
+    def stacked(func):
+        def call(first, *rest):
+            arrays = [first.A, first.B, first.C, *rest] if isinstance(first, spectra.Pencil) else [first]
+            ndims.append((func.__name__, {a.ndim for a in arrays}))
+            return func(first, *rest)
+
+        return call
+
+    monkeypatch.setattr(pencil, "_nullspace_by_elimination", stacked(pencil._nullspace_by_elimination))
+    monkeypatch.setattr(spectra, "reduce_to_standard", stacked(spectra.reduce_to_standard))
+    monkeypatch.setattr(spectra, "dense_eigs", stacked(spectra.dense_eigs))
+    for argv, code in _commands(tmp_path):
+        assert cli.main(argv) == code
+        capsys.readouterr()
+        assert [call for call in ndims if call[1] != {3}] == [], " ".join(argv)
+    assert {name for name, _ in ndims} == {"_nullspace_by_elimination", "reduce_to_standard", "dense_eigs"}

@@ -46,7 +46,7 @@ def test_reduced_tau_matrix_all_real_negative():
     from gegtau.pencil import MethodConfig, _nullspace_by_elimination, assemble, reduce_to_standard
 
     p = assemble(MethodConfig("tau", 1.0, 16), "even")
-    m = reduce_to_standard(p, _nullspace_by_elimination(p.C)).M
+    m = reduce_to_standard(p, _nullspace_by_elimination(p.C[None])[0]).M
     mus = dense_eigs(m)
     assert np.all(np.abs(mus.imag) <= 1e-10 * np.abs(mus))
     assert np.all(mus.real < 0.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -33,9 +34,15 @@ from gegtau.spectra import charpoly_lambdas, pencil_lambdas, spectrum_report
 PARITIES = ("even", "odd")
 
 
+def _eliminate(c):
+    """One ladder's nullspace basis, from its elimination as a stack of one."""
+    return _nullspace_by_elimination(c[None])[0]
+
+
 def _reduce(p):
-    """``reduce_to_standard`` on the basis of the pencil's own elimination."""
-    return reduce_to_standard(p, _nullspace_by_elimination(p.C))
+    """``reduce_to_standard`` on the basis of the pencil's own elimination,
+    of one ladder or of a stack."""
+    return reduce_to_standard(p, _nullspace_by_elimination(p.C) if p.C.ndim == 3 else _eliminate(p.C))
 
 
 def sorted_c(z):
@@ -390,19 +397,19 @@ def test_reduce_invariant_under_tau_row_rescaling():
 def test_nullspace_by_elimination():
     rng = np.random.default_rng(11)
     c = rng.standard_normal((4, 11))
-    t = _nullspace_by_elimination(c)
+    t = _eliminate(c)
     assert t.shape == (11, 7)
     assert_allclose(c @ t, 0.0, atol=1e-12)
     with pytest.raises(SingularReductionError):
-        _nullspace_by_elimination(np.vstack([c, c[0]]))  # dependent rows
+        _eliminate(np.vstack([c, c[0]]))  # dependent rows
     # rows many orders apart are still independent; pivots are tested
     # against their own row's scale, not the largest entry of the matrix
     scaled = c * np.array([1e6, 1.0, 1e-3, 1e9])[:, None]
-    t = _nullspace_by_elimination(scaled)
+    t = _eliminate(scaled)
     assert t.shape == (11, 7)
     assert_allclose(scaled @ t / np.max(np.abs(scaled), axis=1)[:, None], 0.0, atol=1e-12)
     with pytest.raises(SingularReductionError):
-        _nullspace_by_elimination(np.vstack([scaled, 1e-9 * c[0]]))
+        _eliminate(np.vstack([scaled, 1e-9 * c[0]]))
     # a stack raises if any one of its ladders' rows are dependent
     independent = rng.standard_normal((5, 11))
     assert _nullspace_by_elimination(np.stack([independent, independent[::-1]])).shape == (2, 11, 6)
@@ -489,7 +496,7 @@ def test_reduction_steps_match_loop_oracles(config, split):
 
     pencils = ladders(config)
     for p in pencils:
-        t = _nullspace_by_elimination(p.C)
+        t = _eliminate(p.C)
         assert np.array_equal(t, _oracle_nullspace_by_elimination(p.C))
         a1, b1 = p.A @ t, p.B @ t
         want = _oracle_equilibrate(a1, b1)
@@ -517,7 +524,7 @@ def test_reduction_steps_match_loop_oracles_on_edge_inputs():
     assert np.abs(c).argmax() // 11 == 3 and np.abs(c[::-1]).argmax() // 11 == 0
     for rows in (c, c[:0], c[:1]):
         t = _oracle_nullspace_by_elimination(rows)
-        assert _same_bytes(_nullspace_by_elimination(rows), t)
+        assert _same_bytes(_eliminate(rows), t)
         stacked = _nullspace_by_elimination(np.stack([rows, rows[::-1]]))
         assert _same_bytes(stacked[0], t)
         assert _same_bytes(stacked[1], _oracle_nullspace_by_elimination(rows[::-1]))
@@ -543,7 +550,7 @@ def _recorded_eliminations(monkeypatch):
     monkeypatch.setattr(pencil, "_nullspace_by_elimination", lambda c: calls.append(c.shape) or eliminate(c))
 
     def recorded(p, t):
-        pairs.extend(zip(p.C, t) if t.ndim == 3 else [(p.C, t)])
+        pairs.extend(zip(p.C, t))
         return reduce(p, t)
 
     monkeypatch.setattr(spectra, "reduce_to_standard", recorded)
@@ -570,7 +577,7 @@ def test_grid_eliminates_each_row_count_in_padded_passes(monkeypatch, cold_penci
             grid = list(pencil_lambdas(configs, PARITIES))
             assert len(grid) == 2 * len(configs)
             assert {t.shape[0] for _, t in pairs} == set(range((n_lo + 1) // 2, 34)), kind
-            assert sum(shape[0] if len(shape) == 3 else 1 for shape in calls) == len(pairs), kind
+            assert sum(shape[0] for shape in calls) == len(pairs), kind
             if capped:
                 assert 1 < len(calls) < len({t.shape for _, t in pairs}), kind
             else:
@@ -592,40 +599,74 @@ def test_grid_eliminates_each_row_count_in_padded_passes(monkeypatch, cold_penci
         assert _same_bytes(t, _oracle_nullspace_by_elimination(c)), c.shape
 
 
-def test_grid_eliminates_each_ladder_alone_when_the_pass_raises(monkeypatch, cold_pencil_caches):
-    # n 12's odd ladder gets dependent boundary rows: the padded pass over
-    # all eight ladders raises, each ladder is eliminated alone, and every
-    # other ladder still gets its own solve, the dependent one its error
-    configs = [MethodConfig("tau", 1.0, n) for n in (8, 10, 12, 14)]
-    alone = [pencil_lambdas(config, parity) for config in configs for parity in PARITIES]
-    assemble = spectra.assemble
-
-    def dependent(config, parity):
+def test_grid_solves_each_ladder_alone_when_its_pass_raises(monkeypatch, cold_pencil_caches):
+    # a pass that raises, in its elimination or in a reduction, is solved
+    # again a ladder at a time: every other ladder gets its own solve's
+    # bytes, each failing one its own error, raised in its turn
+    def dependent(config, parity):  # tau's n 12 odd ladder: dependent boundary rows
         p = assemble(config, parity)
-        if (config.n, parity) == (12, "odd"):
+        if (config.kind, config.n, parity) == ("tau", 12, "odd"):
             p.C[1] = 2.0 * p.C[0]
         return p
 
+    def own(solve):
+        if isinstance(solve, Exception):
+            return type(solve), str(solve)
+        lams, n_inf, m = solve
+        return lams.dtype, lams.tobytes(), n_inf, m.shape, m.tobytes()
+
+    dependent_rows = "lambda-independent rows are linearly dependent"
+    cases = (
+        # one pass of widths 4 to 8 whose elimination raises (n 10's odd
+        # ladder has n 8's even one's shape, and so on)
+        (
+            [MethodConfig("tau", 1.0, n) for n in (8, 10, 12, 14)],
+            dependent_rows,
+            [(8, 2, 8), (1, 2, 5), (1, 2, 5), (1, 2, 4), (1, 2, 6), (1, 2, 6), (1, 2, 7), (1, 2, 7), (1, 2, 8)],
+        ),
+        # at alpha 1e6 modified tau's coupling rows fail the dependence
+        # test: both parities' passes (10 and 9 rows) raise
+        (
+            [MethodConfig("modified_tau", 1.0, 16, alpha=alpha) for alpha in (1e4, 1e5, 1e6)],
+            dependent_rows,
+            [(3, 10, 18), *[(1, 10, 18)] * 3, (3, 9, 16), *[(1, 9, 16)] * 3],
+        ),
+        # alpha 1e77 overflows the reduced rows of one collocation ladder:
+        # a pass of widths 7 to 9 eliminates, then its first stack raises
+        (
+            [
+                MethodConfig("collocation", g, n, alpha=a)
+                for g, n, a in ((1.0, 16, 0), (1.25, 13, 0), (1.0, 16, 1e77), (1.25, 16, 0))
+            ],
+            "a reduced row overflows float64",
+            [(8, 2, 9), *[(1, 2, 9)] * 3, *[(1, 2, 8)] * 3, *[(1, 2, 7)] * 2],
+        ),
+    )
     monkeypatch.setattr(spectra, "assemble", dependent)
     calls, _ = _recorded_eliminations(monkeypatch)
-    outs = []  # each _solve_alike call's results
-    solve_alike = spectra._solve_alike
+    outs = []  # each _solve_passes call's results
+    solve_passes = spectra._solve_passes
     monkeypatch.setattr(
-        spectra, "_solve_alike", lambda ladders, vectors: outs.append(solve_alike(ladders, vectors)) or outs[-1]
+        spectra, "_solve_passes", lambda ladders, vectors: outs.append(solve_passes(ladders, vectors)) or outs[-1]
     )
-    grid = pencil_lambdas(configs, PARITIES)
-    for want in alone[:5]:
-        got = next(grid)
-        assert _same_bytes(got[0], want[0]) and got[1] == want[1] and _same_bytes(got[2], want[2])
-    with pytest.raises(SingularReductionError, match="lambda-independent rows are linearly dependent"):
-        next(grid)
-    # the pass, then each ladder alone, shape by shape (n 10's odd ladder
-    # has n 8's even one's shape, and so on)
-    assert calls == [(8, 2, 8), (2, 5), (2, 5), (2, 4), (2, 6), (2, 6), (2, 7), (2, 7), (2, 8)]
-    (out,) = outs
-    assert isinstance(out[5], SingularReductionError)
-    for got, want in zip(out[:5] + out[6:], alone[:5] + alone[6:], strict=True):
-        assert _same_bytes(got[0], want[0]) and got[1] == want[1] and _same_bytes(got[2], want[2])
+    for configs, error, want_calls in cases:
+        alone = []
+        for config, parity in itertools.product(configs, PARITIES):
+            try:
+                alone.append(own(pencil_lambdas(config, parity)))
+            except SingularReductionError as exc:
+                alone.append(own(exc))
+        first = next(k for k, solve in enumerate(alone) if solve[0] is SingularReductionError)
+        calls.clear()
+        outs.clear()
+        grid = pencil_lambdas(configs, PARITIES)
+        assert [own(next(grid)) for _ in range(first)] == alone[:first]
+        with pytest.raises(SingularReductionError, match=error):
+            next(grid)
+        assert calls == want_calls, error
+        (out,) = outs
+        assert [own(solve) for solve in out] == alone, error
+        assert 0 < sum(solve[0] is SingularReductionError for solve in alone) < len(alone) - 1
 
 
 @pytest.mark.parametrize("kind", KINDS)

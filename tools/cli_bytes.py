@@ -17,6 +17,11 @@ Runs one fixed grid of ``gegtau`` commands in each checkout:
   at gamma 4998, which overflows through the gamma + 2 shift;
 - collocation at gamma 200, n 160, whose ladders have 78 and 77
   near-infinite entries, each with a residual of its own;
+- solves whose pass raises and is solved again a ladder at a time, each
+  exiting 3: modified tau at alpha 1e6, whose coupling rows fail the
+  elimination's dependence test, a modified sweep at alpha 6e5 whose
+  gammas 0 to 1 solve and 1.5 to 2 fail in the same passes, and
+  collocation at alpha 1e77, whose even ladder's reduced rows overflow;
 - the six ``verify`` suites at their defaults, and one failing run;
 - each suite with each of FLAG_RUNS, which the suite takes (a verdict)
   or refuses (exit 2 with one ``error:`` line), among them a grid whose
@@ -118,10 +123,16 @@ def grid() -> list[list[str]]:
     ]
     overflow = spectrum_commands(METHODS, (5000.0,), (134, 136), (0.0,))
     overflow.append(["spectrum", "--method", "collocation", "--gamma", "200", "--n", "160"])
+    fallback = [
+        ["sweep", "--method", "modified", "--gamma-range", "0:2:0.5", "--n-range", "8:40:4", "--alpha", "6e5"],
+        ["spectrum", "--method", "modified", "--gamma", "1", "--n", "16", "--alpha", "1e6"],
+        ["spectrum", "--method", "collocation", "--gamma", "1", "--n", "16", "--alpha", "1e77"],
+    ]
     suites = [["verify", "--suite", s] for s in SUITES]
     verify = suites + [["verify", "--suite", "theorem-range", "--gamma", "3.6"]]
     flags = [["verify", "--suite", s, *f] for s in SUITES for f in FLAG_RUNS]
-    commands = spectrum_commands(METHODS, GAMMAS, NS, ALPHAS) + overflow + sweeps + verify + flags + output_files(verify)
+    commands = spectrum_commands(METHODS, GAMMAS, NS, ALPHAS) + overflow + fallback + sweeps + verify + flags
+    commands += output_files(verify)
     return commands + step1 + suites
 
 
