@@ -898,6 +898,31 @@ def test_grid_window_ends_at_its_first_failing_ladder(monkeypatch, cold_pencil_c
     assert len(assembles) == 5
 
 
+def test_grid_solves_a_stack_again_when_its_elimination_raises(monkeypatch, cold_pencil_caches):
+    # at alpha 1e6 modified tau's coupling rows fail the elimination's
+    # dependence test, so each parity's pass of the three configurations
+    # (one shape) raises, and its ladders are solved again one by one: the
+    # first two configurations get their own solves, the third its error
+    configs = [MethodConfig("modified_tau", 1.0, 16, alpha=alpha) for alpha in (1e4, 1e5, 1e6)]
+    alone = [_solved(pencil_lambdas(config, parity)) for config in configs[:2] for parity in PARITIES]
+    shapes = []
+    eliminate = pencil._nullspace_by_elimination
+    monkeypatch.setattr(pencil, "_nullspace_by_elimination", lambda c: shapes.append(c.shape) or eliminate(c))
+    outs = []  # each _solve_passes call's results
+    solve_passes = spectra._solve_passes
+    monkeypatch.setattr(
+        spectra, "_solve_passes", lambda ladders, vectors: outs.append(solve_passes(ladders, vectors)) or outs[-1]
+    )
+    grid = pencil_lambdas(configs, PARITIES)
+    assert [_solved(next(grid)) for _ in alone] == alone
+    with pytest.raises(SingularReductionError, match="lambda-independent rows are linearly dependent"):
+        next(grid)
+    assert shapes == [(3, 10, 18), *[(1, 10, 18)] * 3, (3, 9, 16), *[(1, 9, 16)] * 3]
+    (out,) = outs
+    assert [_solved(solve) for solve in out[:4]] == alone
+    assert all(isinstance(solve, SingularReductionError) for solve in out[4:])
+
+
 def test_shared_ladder_is_solved_again_when_its_blocks_differ(monkeypatch, cold_pencil_caches):
     # one ladder, five times in a grid: the second to fourth each have one
     # block's largest entry nudged by one ulp, so they are solved apart from the first and

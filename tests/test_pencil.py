@@ -599,10 +599,12 @@ def test_grid_eliminates_each_row_count_in_padded_passes(monkeypatch, cold_penci
         assert _same_bytes(t, _oracle_nullspace_by_elimination(c)), c.shape
 
 
-def test_grid_solves_each_ladder_alone_when_its_pass_raises(monkeypatch, cold_pencil_caches):
+def test_grid_eliminates_each_ladder_alone_when_the_pass_raises(monkeypatch, cold_pencil_caches):
     # a pass that raises, in its elimination or in a reduction, is solved
     # again a ladder at a time: every other ladder gets its own solve's
-    # bytes, each failing one its own error, raised in its turn
+    # bytes, each failing one its own error, raised in its turn (modified
+    # tau's elimination failure is tests/test_analysis.py's
+    # test_grid_solves_a_stack_again_when_its_elimination_raises)
     def dependent(config, parity):  # tau's n 12 odd ladder: dependent boundary rows
         p = assemble(config, parity)
         if (config.kind, config.n, parity) == ("tau", 12, "odd"):
@@ -623,13 +625,6 @@ def test_grid_solves_each_ladder_alone_when_its_pass_raises(monkeypatch, cold_pe
             [MethodConfig("tau", 1.0, n) for n in (8, 10, 12, 14)],
             dependent_rows,
             [(8, 2, 8), (1, 2, 5), (1, 2, 5), (1, 2, 4), (1, 2, 6), (1, 2, 6), (1, 2, 7), (1, 2, 7), (1, 2, 8)],
-        ),
-        # at alpha 1e6 modified tau's coupling rows fail the dependence
-        # test: both parities' passes (10 and 9 rows) raise
-        (
-            [MethodConfig("modified_tau", 1.0, 16, alpha=alpha) for alpha in (1e4, 1e5, 1e6)],
-            dependent_rows,
-            [(3, 10, 18), *[(1, 10, 18)] * 3, (3, 9, 16), *[(1, 9, 16)] * 3],
         ),
         # alpha 1e77 overflows the reduced rows of one collocation ladder:
         # a pass of widths 7 to 9 eliminates, then its first stack raises
