@@ -19,7 +19,7 @@ import numpy as np
 
 from .charpoly import second_order_pair
 from .eig import DEFAULT_TOLERANCES, poly_roots
-from .gegenbauer import deriv_matrix, evaluate, exact_gamma, mult_x_array
+from .gegenbauer import deriv_matrix, evaluate, exact_gamma, integer_ladder, mult_x_array
 from .pencil import MethodConfig, assemble
 from .spectra import PARITIES, ladder_degree, pencil_lambdas, spectrum_report
 
@@ -162,15 +162,16 @@ def _routh_failure(coeffs) -> int | None:
 
     ``coeffs`` are ascending, each taken at its exact value (int, Fraction
     or float).  The polynomial is scaled to integers with a positive leading
-    coefficient, and each Routh row is built fraction-free: cross-multiplied
-    by the previous row's positive leading entry, then divided by its gcd.
-    That keeps every sign, so the polynomial is Hurwitz stable iff all
-    deg + 1 leading entries are positive; a zero entry means a root on or
-    right of the imaginary axis, and counts as a failure.
+    coefficient, in integers only (x.numerator times lcm / x.denominator),
+    and each Routh row is built fraction-free: cross-multiplied by the
+    previous row's positive leading entry, then divided by its gcd.  That
+    keeps every sign, so the polynomial is Hurwitz stable iff all deg + 1
+    leading entries are positive; a zero entry means a root on or right of
+    the imaginary axis, and counts as a failure.
     """
-    c = [Fraction(x) for x in reversed(coeffs)]  # descending
+    c = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in reversed(coeffs)]  # descending
     scale = math.lcm(*(x.denominator for x in c)) * (1 if c[0] > 0 else -1)
-    ints = [int(x * scale) for x in c]
+    ints = [x.numerator * (scale // x.denominator) for x in c]
     prev, row = ints[0::2], ints[1::2]
     if prev[0] <= 0:
         return 0
@@ -190,7 +191,8 @@ def positive_pair_check(p, q) -> bool:
     = deg p or deg p - 1.  By Hermite-Biehler, (p, q) is a positive pair
     (real, negative, distinct, interlacing roots, leading coefficients of
     like sign) iff p(z^2) + z q(z^2) is Hurwitz stable, which the Routh
-    array on the interleave p0, q0, p1, q1, ... decides.
+    array on the interleave p0, q0, p1, q1, ... decides, in integers only.
+    A positive scaling of p or of q leaves the verdict unchanged.
     """
     dp, dq = len(p) - 1, len(q) - 1
     if dp - dq not in (0, 1):
@@ -511,22 +513,22 @@ def suite_positive_pair(
 ) -> SuiteResult:
     """(Omega_n, Theta_n) and (Omega_n, Omega_{n-1} at gamma+1) are positive pairs.
 
-    Decided exactly, on the exact ``second_order_pair`` coefficients at
-    gamma read as its shortest decimal (``exact_gamma``), so -0.4 is -2/5
-    and not its binary value.
+    Decided exactly at gamma read as its shortest decimal (``exact_gamma``),
+    so -0.4 is -2/5 and not its binary value, on the even and odd entries
+    of one ``integer_ladder`` and the even ones of gamma + 1's: each is its
+    polynomial times a positive integer, which leaves the verdict unchanged.
     """
 
     def failures():
         for g in gammas:
             exact = exact_gamma(g)
             for n in _degrees(2, n_hi):
-                omega, theta = second_order_pair(exact, n)
-                pairs = [("(Omega,Theta)", theta.mu_coeffs)]
+                d = integer_ladder(exact, n, n)
+                omega, pairs = d[::2], [("(Omega,Theta)", d[1::2])]
                 if n >= 3:
-                    raised, _ = second_order_pair(exact + 1, n - 1)
-                    pairs.append(("(Omega_n, Omega_(n-1)^(g+1))", raised.mu_coeffs))
+                    pairs.append(("(Omega_n, Omega_(n-1)^(g+1))", integer_ladder(exact + 1, n - 1, n - 1)[::2]))
                 for name, q in pairs:
-                    if not positive_pair_check(omega.mu_coeffs, q):
+                    if not positive_pair_check(omega, q):
                         yield f"gamma={g} n={n}: {name} is not a positive pair"
 
     return _verdict("positive-pair", failures(), "all positive-pair checks hold", {})

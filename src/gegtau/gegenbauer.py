@@ -31,8 +31,9 @@ evaluated once while the gamma is kept, so the rows of a grid over n cost
 O(max n) per gamma, not O(sum of n).  The derivative ladder
 D^0..D^k G_n(1) is one running sum of log ratios.
 ``rational_ladder`` is the same ladder in exact ``Fraction``s, from which
-the characteristic polynomials are built; interior evaluation uses the
-three-term recurrence in float64.
+the characteristic polynomials are built, and ``integer_ladder`` the same
+ladder times one positive integer, from which the positive pairs are
+decided; interior evaluation uses the three-term recurrence in float64.
 """
 
 from __future__ import annotations
@@ -152,24 +153,36 @@ def exact_gamma(gamma: float | Fraction) -> Fraction:
     return gamma if isinstance(gamma, Fraction) else Fraction(repr(check_gamma(gamma)))
 
 
-def rational_ladder(gamma: Fraction, n: int, kmax: int) -> list[Fraction]:
-    """``deriv_ladder`` in exact rational arithmetic, at gamma's exact value.
-
-    Every characteristic polynomial and positive-pair test is built from
-    this ladder.  With gamma = p/q, the seed is
-    G_n(1) = prod_{j=1}^{n-1} (2p + jq) / (q^(n-1) n!), and ratio j is
-    (2p + (n+j)q)(n-j) / (2p + (2j+1)q), all in integers until one Fraction
-    each.  Pass gamma through ``exact_gamma``: the binary value of a float
-    makes every entry hundreds of digits longer.
-    """
+def _ladder_factors(gamma: Fraction, n: int, kmax: int) -> tuple[int, int, list[int], list[int]]:
+    """gamma = p/q's ladder D^0..D^kmax G_n(1) in integers: the seed G_n(1) =
+    prod_{i=1}^{n-1} (2p + iq) / (q^(n-1) n!) as numerator and denominator, and
+    ratio j < min(kmax, n) as a_j / b_j, a_j = (2p + (n+j)q)(n-j), b_j = 2p + (2j+1)q."""
     gamma = Fraction(gamma)
-    if gamma <= GAMMA_MIN or n < 0 or kmax < 0:
+    p2, q, steps = 2 * gamma.numerator, gamma.denominator, range(min(kmax, n))
+    if p2 + q <= 0 or n < 0 or kmax < 0:  # gamma <= -1/2
         raise ValueError(f"need gamma > -1/2, n >= 0 and kmax >= 0, got {gamma}, {n}, {kmax}")
-    p2, q = 2 * gamma.numerator, gamma.denominator
-    steps = min(kmax, n)
-    value = Fraction(math.prod(p2 + j * q for j in range(1, n)), q ** max(n - 1, 0) * math.factorial(n))
-    ratios = (Fraction((p2 + (n + j) * q) * (n - j), p2 + (2 * j + 1) * q) for j in range(steps))
-    return list(itertools.accumulate(ratios, operator.mul, initial=value)) + [Fraction(0)] * (kmax - steps)
+    seed = math.prod(p2 + i * q for i in range(1, n)), q ** max(n - 1, 0) * math.factorial(n)
+    return *seed, [(p2 + (n + j) * q) * (n - j) for j in steps], [p2 + (2 * j + 1) * q for j in steps]
+
+
+def rational_ladder(gamma: Fraction, n: int, kmax: int) -> list[Fraction]:
+    """``deriv_ladder`` in exact rational arithmetic, at gamma's exact value:
+    the seed and ratios of ``_ladder_factors``, one Fraction each.  Pass gamma
+    through ``exact_gamma``: the binary value of a float makes every entry
+    hundreds of digits longer."""
+    num, den, a, b = _ladder_factors(gamma, n, kmax)
+    ladder = itertools.accumulate(map(Fraction, a, b), operator.mul, initial=Fraction(num, den))
+    return list(ladder) + [Fraction(0)] * (kmax - len(a))
+
+
+def integer_ladder(gamma: Fraction, n: int, kmax: int) -> list[int]:
+    """``rational_ladder`` times the positive integer q^(n-1) n! prod_j b_j of
+    ``_ladder_factors``: entry k is prod_i (2p + iq) prod_{j<k} a_j
+    prod_{k<=j<min(kmax,n)} b_j, one prefix and one suffix product, no gcd."""
+    num, _, a, b = _ladder_factors(gamma, n, kmax)
+    suffix = list(itertools.accumulate(reversed(b), operator.mul, initial=1))[::-1]
+    prefix = itertools.accumulate(a, operator.mul, initial=num)
+    return [x * y for x, y in zip(prefix, suffix)] + [0] * (kmax - len(a))
 
 
 def deriv_at_one(gamma: float, n: int, k: int) -> float:

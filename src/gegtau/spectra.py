@@ -155,9 +155,10 @@ def _solve_passes(ladders: list[tuple], vectors: bool) -> list:
     are the rows of A, B and C, and are dropped from ``ladders`` once its
     pass is solved.  Each count of boundary rows, in turn, packs its block
     shapes into passes of at most ``_PASS_SIZE`` padded basis entries, and
-    each pass is solved by ``_solve_pass``.  If a pass raises, each of its
-    ladders is solved again as a pass of its own, so that each gets its own
-    result or error.
+    each pass is solved by ``_solve_pass``.  If a pass of several ladders
+    raises, each of its ladders is solved again as a pass of its own, so
+    that each gets its own result or error; a lone ladder's error is its
+    result.
     """
     groups: dict = {}
     for k, (a_shape, c_shape, _) in enumerate(ladders):
@@ -172,19 +173,17 @@ def _solve_passes(ladders: list[tuple], vectors: bool) -> list:
                 passes.append({})
                 size, width = len(alike), d
             passes[-1][r, d] = alike
+
+    def attempt(members: list[int]) -> list:
+        try:
+            return _solve_pass([ladders[k] for k in members], vectors)
+        except (RuntimeError, ValueError) as exc:
+            return [exc] if len(members) == 1 else [solve for k in members for solve in attempt([k])]
+
     out: list = [None] * len(ladders)
     for run in passes:
         members = [k for alike in run.values() for k in alike]
-        try:
-            solves = _solve_pass([ladders[k] for k in members], vectors)
-        except (RuntimeError, ValueError):
-            solves = []
-            for k in members:
-                try:
-                    solves += _solve_pass([ladders[k]], vectors)
-                except (RuntimeError, ValueError) as exc:
-                    solves.append(exc)
-        for k, solve in zip(members, solves):
+        for k, solve in zip(members, attempt(members)):
             out[k] = solve
             ladders[k] = None
     return out

@@ -560,6 +560,51 @@ def test_suite_positive_pair_small():
     assert res.passed, res.counterexample
 
 
+def _fraction_positive_pair(gammas, n_hi):
+    """``suite_positive_pair`` as it ran on exact ``Fraction`` coefficients:
+    ``positive_pair_check`` on the ``second_order_pair`` CharPolys."""
+
+    def failures():
+        for g in gammas:
+            exact = exact_gamma(g)
+            for n in range(2, n_hi + 1):
+                omega, theta = second_order_pair(exact, n)
+                pairs = [("(Omega,Theta)", theta.mu_coeffs)]
+                if n >= 3:
+                    pairs.append(("(Omega_n, Omega_(n-1)^(g+1))", second_order_pair(exact + 1, n - 1)[0].mu_coeffs))
+                for name, q in pairs:
+                    if not positive_pair_check(omega.mu_coeffs, q):
+                        yield f"gamma={g} n={n}: {name} is not a positive pair"
+
+    return analysis._verdict("positive-pair", failures(), "all positive-pair checks hold", {})
+
+
+# the integer ladder grid's gammas, as floats and exact, with the long
+# denominators and class edges, and three that fail (1.6 at n 14, 2 at n 9,
+# 3.6 at n 6)
+PAIR_GAMMAS = (
+    -0.45, Fraction(-2, 5), 0.0, 0.5, 1.25, 3.5, 20.0, 0.123, Fraction(-449, 1000),
+    -0.499, 0.6, 1.0, 1.5, 1.6, 2.0, 3.6, 5000.0,
+)
+
+
+@pytest.mark.parametrize("gamma", PAIR_GAMMAS, ids=str)
+def test_suite_positive_pair_matches_fraction_oracle(gamma):
+    # integer ladders decide every pair as the Fraction coefficients do
+    got, want = suite_positive_pair((gamma,), n_hi=30), _fraction_positive_pair((gamma,), 30)
+    assert (got.passed, got.counterexample, got.details) == (want.passed, want.counterexample, want.details)
+
+
+def test_suite_positive_pair_matches_fraction_oracle_counterexamples():
+    # the default grid passes; failing gammas give the oracle's first counterexample
+    for gammas, n_hi in (((-0.4, 0.0, 0.5, 1.0, 1.5), 20), ((1.5, 1.6, 2.0), 20), ((3.6, 1.6), 30)):
+        got, want = suite_positive_pair(gammas, n_hi), _fraction_positive_pair(gammas, n_hi)
+        assert (got.passed, got.counterexample, got.details) == (want.passed, want.counterexample, want.details)
+    assert suite_positive_pair((1.6,), 30).counterexample == "gamma=1.6 n=14: (Omega,Theta) is not a positive pair"
+    assert suite_positive_pair((2.0,), 30).counterexample == "gamma=2.0 n=9: (Omega,Theta) is not a positive pair"
+    assert suite_positive_pair((3.6,), 30).counterexample == "gamma=3.6 n=6: (Omega,Theta) is not a positive pair"
+
+
 def test_suite_appendix_b():
     res = suite_appendix_b()
     assert res.passed, res.counterexample
@@ -921,6 +966,24 @@ def test_grid_solves_a_stack_again_when_its_elimination_raises(monkeypatch, cold
     (out,) = outs
     assert [_solved(solve) for solve in out[:4]] == alone
     assert all(isinstance(solve, SingularReductionError) for solve in out[4:])
+
+
+def test_grid_eliminates_a_failing_lone_ladder_once(monkeypatch, capsys, cold_pencil_caches):
+    # a pass of one ladder that raises has its error as its result, with no
+    # second solve; a failing pass of two is solved again a ladder at a time
+    calls = []
+    eliminate = pencil._nullspace_by_elimination
+    monkeypatch.setattr(pencil, "_nullspace_by_elimination", lambda c: calls.append(c.shape) or eliminate(c))
+    for argv, want, error in (
+        (["spectrum", "--method", "modified", "--gamma", "1", "--n", "16", "--alpha", "1e6"],
+         [(1, 10, 18), (1, 9, 16)], "lambda-independent rows are linearly dependent"),
+        (["spectrum", "--method", "collocation", "--gamma", "1", "--n", "16", "--alpha", "1e77"],
+         [(2, 2, 9), (1, 2, 9), (1, 2, 8)], "a reduced row overflows float64"),
+    ):
+        calls.clear()
+        assert cli.main(argv) == 3
+        assert calls == want, argv
+        assert capsys.readouterr().err == f"numerical diagnostic: {error}\n"
 
 
 def test_shared_ladder_is_solved_again_when_its_blocks_differ(monkeypatch, cold_pencil_caches):

@@ -23,6 +23,7 @@ from gegtau.gegenbauer import (
     deriv_matrix,
     endpoint_rows,
     evaluate,
+    integer_ladder,
     lobatto_interior_nodes,
     mult_x_array,
     rational_ladder,
@@ -272,7 +273,7 @@ def test_deriv_ladder_matches_loop_oracle(gamma):
 
 
 def test_deriv_ladder_rejects_bad_args():
-    for ladder in (deriv_ladder, rational_ladder):
+    for ladder in (deriv_ladder, rational_ladder, integer_ladder):
         for args in ((1.0, -1, 2), (1.0, 3, -1), (-0.5, 3, 1)):
             with pytest.raises(ValueError):
                 ladder(*args)
@@ -701,3 +702,24 @@ def test_newton_all_matches_scalar_oracle(f, fp, seeds):
     got = _newton_all(f, fp, np.array(seeds), 1.0)
     ref = np.array([_oracle_newton_root(f, fp, x0, 1.0) for x0 in seeds])
     assert got.tobytes() == ref.tobytes()
+
+
+INTEGER_LADDER_GAMMAS = ["-0.45", "-2/5", "0", "1/2", "5/4", "7/2", "20", "123/1000", "-449/1000"]
+
+
+@pytest.mark.parametrize("gamma", INTEGER_LADDER_GAMMAS)
+def test_integer_ladder_is_a_positive_integer_multiple_of_rational_ladder(gamma):
+    # entry by entry, the integer ladder is the rational one times the
+    # positive integer q^(n-1) n! prod_j (2p + (2j+1)q), gamma = p/q, one
+    # factor for every k; entries past n are zeros in both
+    g = Fraction(gamma)
+    p, q = g.numerator, g.denominator
+    for n in range(65):
+        for kmax in sorted({0, max(n - 1, 0), n, n + 2}):
+            exact, ints = rational_ladder(g, n, kmax), integer_ladder(g, n, kmax)
+            assert len(ints) == kmax + 1 and all(type(x) is int for x in ints)
+            steps = min(kmax, n)
+            factor = q ** max(n - 1, 0) * math.factorial(n) * math.prod(2 * p + (2 * j + 1) * q for j in range(steps))
+            assert factor > 0
+            assert ints == [e * factor for e in exact], (n, kmax)
+            assert ints[steps + 1 :] == [0] * (kmax - steps) and all(x > 0 for x in ints[: steps + 1])

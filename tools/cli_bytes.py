@@ -27,9 +27,10 @@ Runs one fixed grid of ``gegtau`` commands in each checkout:
   or refuses (exit 2 with one ``error:`` line), among them a grid whose
   later configurations overflow float64 (gamma 5000, n 134..137), one with
   empty odd ladders (n 4), a repeated gamma, one to n 64, whose stacks
-  hold more ladders and modified tau's up to 33 boundary rows each, and
+  hold more ladders and modified tau's up to 33 boundary rows each,
   ``exact-convergence`` at n 8, whose odd ladder raises after the even
-  ladder's checks have passed;
+  ladder's checks have passed, and three gammas with long denominators
+  or at a class edge (-0.499, 0.123, 3.6) to n 30;
 - output files: ``spectrum --out`` in JSON and CSV, ``sweep --out``, and
   ``verify --out`` for the six suites and the failing run, each followed by
   a ``replay`` of the file it wrote;
@@ -86,6 +87,7 @@ FLAG_RUNS = (
     ("--gamma", "1", "--gamma", "1"),
     ("--n-hi", "64"),
     ("--n", "8", "--tol", "10"),
+    ("--gamma", "-0.499", "--gamma", "0.123", "--gamma", "3.6", "--n-hi", "30"),
 )
 # command -> why its output is meant to differ from the parent's
 DECLARED: dict[str, str] = {}
